@@ -16,15 +16,19 @@ table comfortably small.
 The matrix side is deliberately plain: immutable MatrixGF, reduced row
 echelon form, the three Gram matrices (Euclidean G*G^T, Hermitian
 G*conj(G)^T with entrywise q-th power, symplectic G*Omega*G^T), and the
-hull dimension k - rank(Gram) for a full-row-rank generator.
+hull dimension k - rank(Gram) for a full-row-rank generator. All Gram and
+rank work, here and in the enumeration oracle and the ebit count, goes
+through one raw-code kernel, gram_kernel(field, form, n); rref() keeps its
+own full reduction because it must return the canonical form.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BadRangeError,
@@ -578,80 +582,136 @@ def rref(matrix: MatrixGF) -> RrefResult:
     return RrefResult(reduced, rank, tuple(pivots))
 
 
-def gram(generator: MatrixGF, form: FormKind) -> MatrixGF:
-    """Gram matrix of the row vectors under the given bilinear/sesquilinear form."""
-    field = generator.field
-    k = generator.rows
-    n = generator.cols
+# -- the Gram/rank kernel on raw codes ----------------------------------------
+
+RawRows = list[list[int]]
+
+
+@functools.lru_cache(maxsize=256)
+def gram_kernel(
+    field: FiniteField, form: FormKind, n: int
+) -> tuple[Callable[[RawRows], RawRows], Callable[[RawRows], int]]:
+    """The package's one Gram/rank kernel, for rows of length n under form.
+
+    Returns (gram_of, rank_of). gram_of maps k rows of element codes to
+    their k x k Gram matrix, filling the upper triangle and deriving the
+    lower one (conjugated for the hermitian form, negated for the
+    symplectic one). rank_of reduces a matrix of codes in place by forward
+    elimination and returns its rank. Built once per (field, form, n).
+    """
     mul = field.mul_table
     add = field.add_table
     neg = field.neg_table
-    rows = generator.to_lists()
-    out = [[0] * k for _ in range(k)]
-    if form is FormKind.EUCLIDEAN:
-        for i in range(k):
-            ri = rows[i]
-            for j in range(i, k):
-                rj = rows[j]
-                s = 0
-                for t in range(n):
-                    a = ri[t]
-                    if a and rj[t]:
-                        s = add[s][mul[a][rj[t]]]
-                out[i][j] = s
-                out[j][i] = s
-    elif form is FormKind.HERMITIAN:
-        if field.m % 2 != 0:
-            raise NonSquareFieldError(
-                f"hermitian form needs a square field order, got {field.order}"
-            )
-        q = field.p ** (field.m // 2)
-        conj = field.frobenius_table(q)
-        for i in range(k):
-            ri = rows[i]
-            for j in range(k):
-                rj = rows[j]
-                s = 0
-                for t in range(n):
-                    a = ri[t]
-                    if a and rj[t]:
-                        s = add[s][mul[a][conj[rj[t]]]]
-                out[i][j] = s
-    else:
+    inv = field.inv_table
+
+    def rank_of(m: RawRows) -> int:
+        nrows = len(m)
+        ncols = len(m[0]) if m else 0
+        r = 0
+        for c in range(ncols):
+            piv = -1
+            for i in range(r, nrows):
+                if m[i][c]:
+                    piv = i
+                    break
+            if piv < 0:
+                continue
+            if piv != r:
+                m[r], m[piv] = m[piv], m[r]
+            prow = m[r]
+            pinv = inv[prow[c]]
+            for i in range(r + 1, nrows):
+                f = m[i][c]
+                if f:
+                    mrow = mul[mul[f][pinv]]
+                    mi = m[i]
+                    for t in range(c, ncols):
+                        x = prow[t]
+                        if x:
+                            mi[t] = add[mi[t]][neg[mrow[x]]]
+            r += 1
+        return r
+
+    if form is FormKind.SYMPLECTIC:
         if n % 2 != 0:
             raise OddAmbientError(
                 f"symplectic form needs an even ambient length, got {n}"
             )
         half = n // 2
+        halves = range(half)
+
+        def gram_symplectic(rows: RawRows) -> RawRows:
+            k = len(rows)
+            g = [[0] * k for _ in range(k)]
+            for i in range(k):
+                ri = rows[i]
+                for j in range(i + 1, k):
+                    rj = rows[j]
+                    s = 0
+                    for t in halves:
+                        a = ri[t]
+                        if a:
+                            b = rj[half + t]
+                            if b:
+                                s = add[s][mul[a][b]]
+                        a = ri[half + t]
+                        if a:
+                            b = rj[t]
+                            if b:
+                                s = add[s][neg[mul[a][b]]]
+                    if s:
+                        g[i][j] = s
+                        g[j][i] = neg[s]
+            return g
+
+        return gram_symplectic, rank_of
+
+    if form is FormKind.HERMITIAN:
+        if field.m % 2 != 0:
+            raise NonSquareFieldError(
+                f"hermitian form needs a square field order, got {field.order}"
+            )
+        conj = field.frobenius_table(field.p ** (field.m // 2))
+        prod = [[row[c] for c in conj] for row in mul]  # prod[a][b] = a * conj(b)
+    else:
+        conj = list(range(field.order))
+        prod = mul
+    cols = range(n)
+
+    def gram_of(rows: RawRows) -> RawRows:
+        k = len(rows)
+        g = [[0] * k for _ in range(k)]
         for i in range(k):
             ri = rows[i]
-            for j in range(i + 1, k):
+            gi = g[i]
+            for j in range(i, k):
                 rj = rows[j]
                 s = 0
-                for t in range(half):
+                for t in cols:
                     a = ri[t]
-                    b = rj[half + t]
-                    if a and b:
-                        s = add[s][mul[a][b]]
-                    a = ri[half + t]
-                    b = rj[t]
-                    if a and b:
-                        s = add[s][neg[mul[a][b]]]
-                out[i][j] = s
-                out[j][i] = neg[s]
-    flat = tuple(x for row in out for x in row)
-    return MatrixGF(field, k, k, flat)
+                    if a:
+                        b = rj[t]
+                        if b:
+                            s = add[s][prod[a][b]]
+                gi[j] = s
+                g[j][i] = conj[s]
+        return g
+
+    return gram_of, rank_of
+
+
+def gram(generator: MatrixGF, form: FormKind) -> MatrixGF:
+    """Gram matrix of the row vectors under the given bilinear/sesquilinear form."""
+    gram_of, _ = gram_kernel(generator.field, form, generator.cols)
+    flat = tuple(itertools.chain.from_iterable(gram_of(generator.to_lists())))
+    return MatrixGF._trusted(generator.field, generator.rows, generator.rows, flat)
 
 
 def hull_dim(generator: MatrixGF, form: FormKind) -> int:
     """dim(C intersect C^perp) = k - rank(Gram) for a full-row-rank generator."""
-    rows = generator.to_lists()
-    rank, _ = _rref_in_place(rows, generator.field)
-    if rank != generator.rows:
-        raise RankDeficientGeneratorError(
-            f"generator has rank {rank} < {generator.rows} rows"
-        )
-    g = gram(generator, form)
-    grows = g.to_lists()
-    grank, _ = _rref_in_place(grows, generator.field)
-    return generator.rows - grank
+    gram_of, rank_of = gram_kernel(generator.field, form, generator.cols)
+    k = generator.rows
+    rank = rank_of(generator.to_lists())
+    if rank != k:
+        raise RankDeficientGeneratorError(f"generator has rank {rank} < {k} rows")
+    return k - rank_of(gram_of(generator.to_lists()))

@@ -21,7 +21,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import formulas
 from .algebra import FormKind, field_of_order
@@ -46,6 +46,7 @@ from .oracle import (
 from .ratios import (
     RatioClassification,
     comparison_rows,
+    in_hermitian_exception,
     quadratic_character,
     ratio_report,
 )
@@ -174,6 +175,22 @@ def _table_cells(form: FormKind) -> list[tuple[int, int, int, list[tuple[int, in
     return out
 
 
+def _records(fmt: str, keys: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """Rows of values under keys as CRLF-terminated CSV, booleans written
+    true/false, or as an indented JSON list of objects."""
+    if fmt == "json":
+        return json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(keys)
+    for row in rows:
+        writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in row])
+    return buf.getvalue()
+
+
+_COUNT_KEYS = ("length", "k", "q", "ell", "count", "monotonicity_violation")
+
+
 def _counts_markdown(form: FormKind, rows) -> str:
     step = 2 if form is FormKind.SYMPLECTIC else 1
     max_ell = max(cells[-1][0] for _, _, _, cells in rows)
@@ -195,99 +212,62 @@ def _counts_markdown(form: FormKind, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _counts_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["length", "k", "q", "ell", "count", "monotonicity_violation"])
-    for length, k, q, cells in rows:
-        for ell, c, viol in cells:
-            writer.writerow([length, k, q, ell, c, "true" if viol else "false"])
-    return buf.getvalue()
+_COMPARISON_KEYS = (
+    "form", "step", "alpha_lower_bound", "alpha_asymptotic",
+    "limit_q2", "limit_q3", "exceptions",
+)
+# markdown row labels for every key after "form", in key order
+_COMPARISON_LABELS = (
+    "step in l", "alpha lower bound", "alpha asymptotic",
+    "count ratio limit, q=2", "count ratio limit, q=3", "exceptions",
+)
 
 
-def _counts_json(rows) -> str:
-    payload = [
-        {
-            "length": length,
-            "k": k,
-            "q": q,
-            "ell": ell,
-            "count": c,
-            "monotonicity_violation": viol,
-        }
-        for length, k, q, cells in rows
-        for ell, c, viol in cells
-    ]
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _comparison_payload() -> list[dict[str, object]]:
-    rows = comparison_rows((2, 3))
+def _comparison_records() -> list[tuple[object, ...]]:
     return [
-        {
-            "form": row.form.value,
-            "step": row.step,
-            "alpha_lower_bound": row.alpha_lower_bound,
-            "alpha_asymptotic": row.alpha_asymptotic,
-            "limit_q2": rat_str(row.count_ratio_limits[2]),
-            "limit_q3": rat_str(row.count_ratio_limits[3]),
-            "exceptions": row.exceptions,
-        }
-        for row in rows
-    ]
-
-
-def _comparison_markdown() -> str:
-    rows = _comparison_payload()
-    cols = [str(r["form"]) for r in rows]
-    lines = [
-        "| quantity | " + " | ".join(cols) + " |",
-        "| :--- | " + " | ".join(":---" for _ in cols) + " |",
-    ]
-    for label, key in [
-        ("step in l", "step"),
-        ("alpha lower bound", "alpha_lower_bound"),
-        ("alpha asymptotic", "alpha_asymptotic"),
-        ("count ratio limit, q=2", "limit_q2"),
-        ("count ratio limit, q=3", "limit_q3"),
-        ("exceptions", "exceptions"),
-    ]:
-        lines.append(
-            f"| {label} | " + " | ".join(str(r[key]) for r in rows) + " |"
+        (
+            row.form.value,
+            row.step,
+            row.alpha_lower_bound,
+            row.alpha_asymptotic,
+            rat_str(row.count_ratio_limits[2]),
+            rat_str(row.count_ratio_limits[3]),
+            row.exceptions,
         )
-    return "\n".join(lines) + "\n"
-
-
-def _comparison_csv() -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    keys = [
-        "form", "step", "alpha_lower_bound", "alpha_asymptotic",
-        "limit_q2", "limit_q3", "exceptions",
+        for row in comparison_rows((2, 3))
     ]
-    writer.writerow(keys)
-    for row in _comparison_payload():
-        writer.writerow([row[key] for key in keys])
-    return buf.getvalue()
+
+
+def _comparison_markdown(records: list[tuple[object, ...]]) -> str:
+    # transposed: one column per form, one row per quantity
+    lines = [
+        "| quantity | " + " | ".join(str(r[0]) for r in records) + " |",
+        "| :--- | " + " | ".join(":---" for _ in records) + " |",
+    ]
+    for i, label in enumerate(_COMPARISON_LABELS, start=1):
+        lines.append(f"| {label} | " + " | ".join(str(r[i]) for r in records) + " |")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     if args.which == "comparison":
+        records = _comparison_records()
         if args.format == "markdown":
-            sys.stdout.write(_comparison_markdown())
-        elif args.format == "csv":
-            sys.stdout.write(_comparison_csv())
+            sys.stdout.write(_comparison_markdown(records))
         else:
-            sys.stdout.write(json.dumps(_comparison_payload(), indent=2) + "\n")
+            sys.stdout.write(_records(args.format, _COMPARISON_KEYS, records))
         return 0
     form = _FORMS[args.which]
     rows = _table_cells(form)
     if args.format == "markdown":
         sys.stdout.write(_counts_markdown(form, rows))
-    elif args.format == "csv":
-        sys.stdout.write(_counts_csv(rows))
     else:
-        sys.stdout.write(_counts_json(rows))
+        records = [
+            (length, k, q, ell, c, viol)
+            for length, k, q, cells in rows
+            for ell, c, viol in cells
+        ]
+        sys.stdout.write(_records(args.format, _COUNT_KEYS, records))
     return 0
 
 
@@ -328,8 +308,7 @@ def _hermitian_problems(comp: SpectrumComparison) -> list[str]:
         rhs = rep.full_ratio * counts.get(ell + 1, 0)
         if lhs != rhs:
             problems.append(f"l={ell}: ratio identity fails ({lhs} != {rhs})")
-        boundary = rep.classification is RatioClassification.HERMITIAN_BOUNDARY
-        if (not rep.monotone_a) != (boundary and q == 2):
+        if (not rep.monotone_a) != in_hermitian_exception(n, k, ell, q):
             problems.append(f"l={ell}: monotonicity exception set mismatch")
         if (counts.get(ell, 0) > counts.get(ell + 1, 0)) != rep.monotone_a:
             problems.append(f"l={ell}: ratio and count monotonicity disagree")
@@ -457,26 +436,11 @@ def cmd_census(args: argparse.Namespace) -> int:
             flag = "yes" if row.exceptional else "no"
             lines.append(f"| {row.ell} | {row.ebits} | {row.count} | {flag} |")
         sys.stdout.write("\n".join(lines) + "\n")
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(["ell", "ebits", "count", "exceptional"])
-        for row in rows:
-            writer.writerow(
-                [row.ell, row.ebits, row.count, "true" if row.exceptional else "false"]
-            )
-        sys.stdout.write(buf.getvalue())
     else:
-        payload = [
-            {
-                "ell": row.ell,
-                "ebits": row.ebits,
-                "count": row.count,
-                "exceptional": row.exceptional,
-            }
-            for row in rows
-        ]
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        records = [(row.ell, row.ebits, row.count, row.exceptional) for row in rows]
+        sys.stdout.write(
+            _records(args.format, ("ell", "ebits", "count", "exceptional"), records)
+        )
     return 0
 
 
@@ -549,6 +513,12 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # exact counts can run past the int-to-str digit limit that Python
+    # 3.10.7 and later enforce; lift it for this command only
+    has_limit = hasattr(sys, "set_int_max_str_digits")
+    if has_limit:
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args)
     except WorkLimitExceededError as exc:
@@ -557,6 +527,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except HullCountError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if has_limit:
+            sys.set_int_max_str_digits(old_limit)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FormKind, MatrixGF, gram, rref
+from .algebra import FormKind, MatrixGF, gram_kernel
 from .errors import (
     BadRangeError,
     OddAmbientError,
@@ -35,7 +35,7 @@ from .formulas import (
     count_hermitian,
     count_symplectic,
 )
-from .ratios import in_symplectic_exception
+from .ratios import in_hermitian_exception, in_symplectic_exception
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,8 @@ def ebits_from_check_matrix(check: MatrixGF) -> int:
     only sees the row space."""
     if check.field.order != 2:
         raise BadRangeError("check matrices are binary, need the field of order 2")
-    g = gram(check, FormKind.SYMPLECTIC)
-    rank = rref(g).rank
+    gram_of, rank_of = gram_kernel(check.field, FormKind.SYMPLECTIC, check.cols)
+    rank = rank_of(gram_of(check.to_lists()))
     if rank % 2 != 0:
         raise OddGramRankError(
             f"alternating Gram rank came out odd ({rank}); this is a bug"
@@ -140,9 +140,7 @@ def entanglement_census(
         rows = []
         for ell in range(0, min(k, length - k) + 1):
             count = count_hermitian(HermitianParams(length, k, ell, q))
-            flagged = (
-                q == 2 and ell == 0 and length % 2 == 0 and k in (1, length - 1)
-            )
+            flagged = in_hermitian_exception(length, k, ell, q)
             rows.append(CensusRow(ell, length - k - ell, count, flagged))
         return rows
     if form is FormKind.SYMPLECTIC:

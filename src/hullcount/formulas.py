@@ -67,14 +67,6 @@ class HermitianParams:
         # (-1)^(s+1): +1 for odd ambient defect, -1 for even
         return 1 if self.s % 2 else -1
 
-    @property
-    def a(self) -> int:
-        return self.k - self.ell
-
-    @property
-    def b(self) -> int:
-        return self.n - self.k - self.ell
-
     def in_counting_range(self) -> bool:
         return 0 <= self.ell <= self.k <= self.n and self.ell <= self.n - self.k
 
@@ -105,14 +97,6 @@ class SymplecticParams:
     @property
     def k0(self) -> int:
         return (self.k - self.ell) // 2
-
-    @property
-    def a(self) -> int:
-        return self.k - self.ell
-
-    @property
-    def b(self) -> int:
-        return self.two_n - self.k - self.ell
 
     def in_counting_range(self) -> bool:
         return (
@@ -177,23 +161,3 @@ def count_symplectic(params: SymplecticParams) -> int:
         acc *= Fraction(q ** (2 * (n - k0 - ell + m)) - 1, q ** m - 1)
     acc *= gaussian_binomial(n, k0, q * q)
     return as_exact_int(acc)
-
-
-def count_symplectic_printed_form(params: SymplecticParams) -> Fraction:
-    """Mis-indexed variant of the symplectic count, kept only to demonstrate
-    why the index placement matters.
-
-    The running index enters the numerator undoubled and the denominator
-    doubled, which breaks the telescoping and stops the product from being
-    an integer: at two_n=4, k=2, ell=2, q=2 it returns 7/3 where the
-    correct count is 15. Returns the raw rational; never used elsewhere.
-    """
-    if not params.in_counting_range():
-        return Fraction(0)
-    q, ell, k0 = params.q, params.ell, params.k0
-    n = params.n_half
-    acc = Fraction(q ** (2 * k0 * (n - k0 - ell)))
-    for m in range(1, ell + 1):
-        acc *= Fraction(q ** (2 * (n - k0) - ell + m) - 1, q ** (2 * m) - 1)
-    acc *= gaussian_binomial(n, k0, q * q)
-    return acc

@@ -3,20 +3,18 @@
 Every k-dimensional subspace of F_Q^n has a unique generator matrix in
 reduced row echelon form, so enumerating those matrices enumerates the
 subspaces exactly once: pivot-column subsets are visited in
-colexicographic order, and for each subset the free entries run through a
+lexicographic order, and for each subset the free entries run through a
 mixed-radix odometer over the element codes 0..Q-1. The total yield is the
 Gaussian binomial [n, k]_Q, which doubles as a built-in consistency check
 on every spectrum.
 
-The enumeration partitions by pivot subset: partitions() hands out
-independent iterators over disjoint subspace families, and their spectra
-merge by plain addition. A work limit (default 10^8 subspaces) guards
-against accidentally unbounded sweeps; the limit is checked up front from
-the exact expected count, not discovered mid-run.
+A work limit (default 10^8 subspaces) guards against accidentally
+unbounded sweeps. It is checked against the exact expected count
+[n, k]_Q before enumeration starts, not discovered mid-run.
 
-The spectrum loop itself never builds FieldElem or MatrixGF objects: it
-fills a reusable row buffer and computes the Gram rank directly on integer
-codes through the field's lookup tables.
+The spectrum loop itself never builds FieldElem or MatrixGF objects: the
+odometer fills a reused row buffer, and algebra.gram_kernel computes the
+Gram rank directly on integer codes through the field's lookup tables.
 """
 
 from __future__ import annotations
@@ -26,15 +24,17 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .algebra import FiniteField, FormKind, MatrixGF, field_of_order, make_field
-from .errors import (
-    BadRangeError,
-    NonSquareFieldError,
-    OddAmbientError,
-    WorkLimitExceededError,
+from .algebra import (
+    FiniteField,
+    FormKind,
+    MatrixGF,
+    field_of_order,
+    gram_kernel,
+    make_field,
 )
+from .errors import BadRangeError, WorkLimitExceededError
 from .exactnum import gaussian_binomial, prime_power_parts
 from . import formulas
 from .formulas import HermitianParams, SymplecticParams
@@ -42,27 +42,32 @@ from .formulas import HermitianParams, SymplecticParams
 DEFAULT_WORK_LIMIT = 10 ** 8
 
 
-def _pivot_subsets_colex(n: int, k: int) -> list[tuple[int, ...]]:
-    subsets = itertools.combinations(range(n), k)
-    return sorted(subsets, key=lambda s: s[::-1])
-
-
-def _free_positions(pivots: tuple[int, ...], n: int) -> list[tuple[int, int]]:
-    pset = set(pivots)
-    return [
-        (r, c)
-        for r in range(len(pivots))
-        for c in range(pivots[r] + 1, n)
-        if c not in pset
-    ]
+def _rref_rows(n: int, k: int, q: int) -> Iterator[list[list[int]]]:
+    """The one odometer: yield a k x n row buffer of codes holding each
+    canonical RREF generator in turn. The buffer is reused; callers must
+    copy what they keep."""
+    for pivots in itertools.combinations(range(n), k):
+        rows = [[0] * n for _ in range(k)]
+        for row, c in zip(rows, pivots):
+            row[c] = 1
+        free = [
+            (r, c) for r in range(k) for c in range(pivots[r] + 1, n) if c not in pivots
+        ]
+        frows = [rows[r] for r, _ in free]
+        fcols = [c for _, c in free]
+        span = range(len(free))
+        for vals in itertools.product(range(q), repeat=len(free)):
+            for idx in span:
+                frows[idx][fcols[idx]] = vals[idx]
+            yield rows
 
 
 class SubspaceIterator:
     """Restartable iterator over canonical RREF generators of k-dim subspaces.
 
-    expected_count is the exact number of matrices a full pass yields.
-    partitions() splits the run by pivot subset into independent iterators
-    whose expected counts sum back to this one.
+    expected_count is the exact number of matrices a full pass yields, the
+    Gaussian binomial [n, k]_Q; the work limit is checked against it here,
+    before anything is enumerated.
     """
 
     def __init__(
@@ -70,7 +75,6 @@ class SubspaceIterator:
         field: FiniteField,
         n: int,
         k: int,
-        pivot_sets: list[tuple[int, ...]] | None = None,
         work_limit: int | None = DEFAULT_WORK_LIMIT,
     ):
         if n < 0 or not 0 <= k <= n:
@@ -78,45 +82,19 @@ class SubspaceIterator:
         self.field = field
         self.n = n
         self.k = k
-        self.pivot_sets = (
-            _pivot_subsets_colex(n, k) if pivot_sets is None else list(pivot_sets)
-        )
-        q = field.order
-        self.expected_count = sum(
-            q ** len(_free_positions(p, n)) for p in self.pivot_sets
-        )
+        self.expected_count = gaussian_binomial(n, k, field.order)
         if work_limit is not None and self.expected_count > work_limit:
             raise WorkLimitExceededError(
                 f"estimated {self.expected_count} subspaces exceeds "
                 f"work limit {work_limit}"
             )
 
-    def partitions(self) -> list[SubspaceIterator]:
-        return [
-            SubspaceIterator(self.field, self.n, self.k, [p], work_limit=None)
-            for p in self.pivot_sets
-        ]
-
     def __iter__(self) -> Iterator[MatrixGF]:
-        field = self.field
-        n, k = self.n, self.k
-        q = field.order
+        field, n, k = self.field, self.n, self.k
         trusted = MatrixGF._trusted
-        for pivots in self.pivot_sets:
-            rows = [[0] * n for _ in range(k)]
-            for r, c in enumerate(pivots):
-                rows[r][c] = 1
-            free = _free_positions(pivots, n)
-            if not free:
-                yield trusted(field, k, n, tuple(x for row in rows for x in row))
-                continue
-            frows = [rows[r] for r, _ in free]
-            fcols = [c for _, c in free]
-            span = range(len(free))
-            for vals in itertools.product(range(q), repeat=len(free)):
-                for idx in span:
-                    frows[idx][fcols[idx]] = vals[idx]
-                yield trusted(field, k, n, tuple(x for row in rows for x in row))
+        chain = itertools.chain.from_iterable
+        for rows in _rref_rows(n, k, field.order):
+            yield trusted(field, k, n, tuple(chain(rows)))
 
 
 def enumerate_subspaces(
@@ -124,133 +102,6 @@ def enumerate_subspaces(
 ) -> SubspaceIterator:
     """All k-dimensional subspaces of F_Q^n as canonical generator matrices."""
     return SubspaceIterator(field, n, k, work_limit=work_limit)
-
-
-# -- hull-dimension kernels on raw codes ---------------------------------------
-
-def _make_rank_fn(k: int, field: FiniteField) -> Callable[[list[list[int]]], int]:
-    mul = field.mul_table
-    add = field.add_table
-    neg = field.neg_table
-    inv = field.inv_table
-
-    def rank_of(g: list[list[int]]) -> int:
-        r = 0
-        for c in range(k):
-            piv = -1
-            for i in range(r, k):
-                if g[i][c]:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != r:
-                g[r], g[piv] = g[piv], g[r]
-            grow = g[r]
-            pinv = inv[grow[c]]
-            for i in range(r + 1, k):
-                f = g[i][c]
-                if f:
-                    mrow = mul[mul[f][pinv]]
-                    gi = g[i]
-                    for t in range(c, k):
-                        x = grow[t]
-                        if x:
-                            gi[t] = add[gi[t]][neg[mrow[x]]]
-            r += 1
-        return r
-
-    return rank_of
-
-
-def _hull_dim_kernel(
-    field: FiniteField, form: FormKind, n: int, k: int
-) -> Callable[[list[list[int]]], int]:
-    """Build a closure computing k - rank(Gram) straight off a row buffer."""
-    mul = field.mul_table
-    add = field.add_table
-    neg = field.neg_table
-    rank_of = _make_rank_fn(k, field)
-
-    if form is FormKind.EUCLIDEAN:
-
-        def hull_euclidean(rows: list[list[int]]) -> int:
-            g = [[0] * k for _ in range(k)]
-            for i in range(k):
-                ri = rows[i]
-                gi = g[i]
-                for j in range(i, k):
-                    rj = rows[j]
-                    s = 0
-                    for t in range(n):
-                        a = ri[t]
-                        if a:
-                            b = rj[t]
-                            if b:
-                                s = add[s][mul[a][b]]
-                    gi[j] = s
-                    if j != i:
-                        g[j][i] = s
-            return k - rank_of(g)
-
-        return hull_euclidean
-
-    if form is FormKind.HERMITIAN:
-        if field.m % 2 != 0:
-            raise NonSquareFieldError(
-                f"hermitian spectra need a square field order, got {field.order}"
-            )
-        conj = field.frobenius_table(field.p ** (field.m // 2))
-
-        def hull_hermitian(rows: list[list[int]]) -> int:
-            g = [[0] * k for _ in range(k)]
-            for i in range(k):
-                ri = rows[i]
-                gi = g[i]
-                for j in range(i, k):
-                    rj = rows[j]
-                    s = 0
-                    for t in range(n):
-                        a = ri[t]
-                        if a:
-                            b = rj[t]
-                            if b:
-                                s = add[s][mul[a][conj[b]]]
-                    gi[j] = s
-                    if j != i:
-                        g[j][i] = conj[s]
-            return k - rank_of(g)
-
-        return hull_hermitian
-
-    if n % 2 != 0:
-        raise OddAmbientError(f"symplectic spectra need even length, got {n}")
-    half = n // 2
-
-    def hull_symplectic(rows: list[list[int]]) -> int:
-        g = [[0] * k for _ in range(k)]
-        for i in range(k):
-            ri = rows[i]
-            for j in range(i + 1, k):
-                rj = rows[j]
-                s = 0
-                for t in range(half):
-                    a = ri[t]
-                    if a:
-                        b = rj[half + t]
-                        if b:
-                            s = add[s][mul[a][b]]
-                    a = ri[half + t]
-                    if a:
-                        b = rj[t]
-                        if b:
-                            s = add[s][neg[mul[a][b]]]
-                if s:
-                    g[i][j] = s
-                    g[j][i] = neg[s]
-        return k - rank_of(g)
-
-    return hull_symplectic
 
 
 # -- spectra --------------------------------------------------------------------
@@ -277,20 +128,6 @@ class HullSpectrum:
             return root
         return self.field_order
 
-    def merged(self, other: HullSpectrum) -> HullSpectrum:
-        """Combine partition spectra; a pure fold, addition per hull dim."""
-        if (self.n, self.k, self.form, self.field_order) != (
-            other.n,
-            other.k,
-            other.form,
-            other.field_order,
-        ):
-            raise BadRangeError("cannot merge spectra with different parameters")
-        counts = dict(self.counts)
-        for ell, c in other.counts.items():
-            counts[ell] = counts.get(ell, 0) + c
-        return HullSpectrum(self.n, self.k, self.form, self.field_order, counts)
-
 
 def hull_spectrum(
     n: int,
@@ -300,27 +137,13 @@ def hull_spectrum(
     work_limit: int | None = DEFAULT_WORK_LIMIT,
 ) -> HullSpectrum:
     """Enumerate every k-dim subspace of F_Q^n and tally hull dimensions."""
-    it = enumerate_subspaces(n, k, field, work_limit)
-    kernel = _hull_dim_kernel(field, form, n, k)
-    q = field.order
+    enumerate_subspaces(n, k, field, work_limit)  # checks range and work limit up front
+    gram_of, rank_of = gram_kernel(field, form, n)
     acc = [0] * (k + 1)
-    for pivots in it.pivot_sets:
-        rows = [[0] * n for _ in range(k)]
-        for r, c in enumerate(pivots):
-            rows[r][c] = 1
-        free = _free_positions(pivots, n)
-        if not free:
-            acc[kernel(rows)] += 1
-            continue
-        frows = [rows[r] for r, _ in free]
-        fcols = [c for _, c in free]
-        span = range(len(free))
-        for vals in itertools.product(range(q), repeat=len(free)):
-            for idx in span:
-                frows[idx][fcols[idx]] = vals[idx]
-            acc[kernel(rows)] += 1
+    for rows in _rref_rows(n, k, field.order):
+        acc[k - rank_of(gram_of(rows))] += 1
     counts = {ell: c for ell, c in enumerate(acc) if c}
-    return HullSpectrum(n, k, form, q, counts)
+    return HullSpectrum(n, k, form, field.order, counts)
 
 
 # -- oracle vs closed form -------------------------------------------------------

@@ -87,6 +87,7 @@ def quadratic_character(x: FieldElem | int, q: int) -> int:
 
 def alpha_hermitian(n: int, k: int, ell: int, q: int) -> Fraction:
     """Ratio factor with count_H(l) = alpha * (q^(l+1)-1) * count_H(l+1)."""
+    prime_power_parts(q)
     if ell < 0 or not ell + 1 <= k <= n - ell - 1:
         raise OutOfValidRangeError(
             f"alpha undefined outside l+1 <= k <= n-l-1, got n={n} k={k} l={ell}"
@@ -100,6 +101,7 @@ def alpha_hermitian(n: int, k: int, ell: int, q: int) -> Fraction:
 
 def alpha_symplectic(two_n: int, k: int, ell: int, q: int) -> Fraction:
     """Ratio factor with count_S(l) = alpha * (q^(l+1)-1)(q^(l+2)-1) * count_S(l+2)."""
+    prime_power_parts(q)
     if (k - ell) % 2 != 0:
         raise ParityViolationError(f"k - l must be even, got k={k} l={ell}")
     if ell < 0 or not ell + 2 <= k <= two_n - ell - 2:
@@ -158,12 +160,14 @@ def alpha_euclidean(n: int, k: int, ell: int, q: int) -> Fraction:
 # -- classification -----------------------------------------------------------
 
 def _hermitian_boundary(n: int, k: int, ell: int) -> bool:
-    a = k - ell
-    b = n - k - ell
-    via_parity = ell == 0 and a % 2 == 1 and b % 2 == 1 and min(a, b) == 1
-    via_shape = ell == 0 and n % 2 == 0 and k in (1, n - 1)
-    assert via_parity == via_shape, (n, k, ell)
-    return via_parity
+    # l = 0 with a = k and b = n - k both odd and min(a, b) = 1
+    return ell == 0 and n % 2 == 0 and k in (1, n - 1)
+
+
+def in_hermitian_exception(n: int, k: int, ell: int, q: int) -> bool:
+    """Membership in the family where count(l) > count(l+1) fails: the
+    boundary family at q = 2."""
+    return q == 2 and _hermitian_boundary(n, k, ell)
 
 
 def in_symplectic_exception(two_n: int, k: int, ell: int, q: int) -> bool:
@@ -193,7 +197,11 @@ def classify_hermitian(n: int, k: int, ell: int, q: int) -> HermitianClassificat
     """
     alpha = alpha_hermitian(n, k, ell, q)
     boundary = _hermitian_boundary(n, k, ell)
-    assert (alpha < 1) == boundary, (n, k, ell, q)
+    if (alpha < 1) != boundary:
+        raise ArithmeticError(
+            f"alpha = {alpha} contradicts the boundary family "
+            f"at n={n} k={k} l={ell} q={q}"
+        )
     ratio_monotone = alpha * (q ** (ell + 1) - 1) > 1
     count_monotone = count_hermitian(HermitianParams(n, k, ell, q)) > count_hermitian(
         HermitianParams(n, k, ell + 1, q)
@@ -310,6 +318,7 @@ def asymptotic_hermitian(
     """
     if ell < 0 or q < 2:
         raise BadRegimeError(f"need l >= 0 and q >= 2, got l={ell} q={q}")
+    prime_power_parts(q)
     if regime is AsymptoticRegime.JOINT:
         if a is not None:
             raise BadRegimeError("joint regime takes no fixed a")
@@ -329,6 +338,7 @@ def asymptotic_symplectic(
     joint gives (q^(l+1) - 1)(q^(l+2) - 1)/q^2."""
     if ell < 0 or q < 2:
         raise BadRegimeError(f"need l >= 0 and q >= 2, got l={ell} q={q}")
+    prime_power_parts(q)
     if regime is AsymptoticRegime.JOINT:
         if a is not None:
             raise BadRegimeError("joint regime takes no fixed a")

@@ -1,0 +1,51 @@
+"""Hull dimension by the definition, as an independent reference.
+
+Built only from FieldElem operators and frobenius, with its own Gaussian
+elimination, so it shares no code with the raw-code Gram/rank kernel that
+algebra.hull_dim and oracle.hull_spectrum both use.
+"""
+
+from hullcount.algebra import FieldElem, FormKind, MatrixGF, frobenius
+
+
+def naive_rank(rows: list[list[FieldElem]]) -> int:
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if not rows[i][c].is_zero()), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and not rows[i][c].is_zero():
+                f = rows[i][c] / rows[rank][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _form(x: list[FieldElem], y: list[FieldElem], form: FormKind) -> FieldElem:
+    field = x[0].field
+    if form is FormKind.EUCLIDEAN:
+        terms = [a * b for a, b in zip(x, y)]
+    elif form is FormKind.HERMITIAN:
+        q = field.p ** (field.m // 2)
+        terms = [a * frobenius(b, q) for a, b in zip(x, y)]
+    else:
+        h = len(x) // 2
+        terms = [x[t] * y[h + t] - x[h + t] * y[t] for t in range(h)]
+    return sum(terms, field.zero)
+
+
+def generator_rows(generator: MatrixGF) -> list[list[FieldElem]]:
+    return [
+        [generator.entry(i, j) for j in range(generator.cols)]
+        for i in range(generator.rows)
+    ]
+
+
+def naive_hull_dim(generator: MatrixGF, form: FormKind) -> int:
+    """k - rank of the Gram matrix, for a full-row-rank generator."""
+    rows = generator_rows(generator)
+    gram = [[_form(x, y, form) for y in rows] for x in rows]
+    return generator.rows - naive_rank(gram)

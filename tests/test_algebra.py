@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hullcount.algebra import (
     FieldElem,
@@ -25,6 +27,7 @@ from hullcount.errors import (
     OddAmbientError,
     RankDeficientGeneratorError,
 )
+from naive_hull import generator_rows, naive_hull_dim, naive_rank
 
 F2 = make_field(2)
 F4 = make_field(2, 2)
@@ -260,6 +263,26 @@ def test_symplectic_hull_parity_on_random_generators():
         assert (k - ell) % 2 == 0
         g = gram(m, FormKind.SYMPLECTIC)
         assert rref(g).rank % 2 == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_hull_dim_matches_naive_reference(data):
+    order = data.draw(st.sampled_from([2, 3, 4, 5, 8, 9]))
+    field = field_of_order(order)
+    forms = [FormKind.EUCLIDEAN, FormKind.SYMPLECTIC]
+    if field.m % 2 == 0:
+        forms.append(FormKind.HERMITIAN)
+    form = data.draw(st.sampled_from(forms))
+    k = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(k, 6))
+    if form is FormKind.SYMPLECTIC:
+        n += n % 2
+    entries = st.integers(0, order - 1)
+    codes = data.draw(st.lists(entries, min_size=k * n, max_size=k * n))
+    m = MatrixGF(field, k, n, tuple(codes))
+    assume(naive_rank(generator_rows(m)) == k)
+    assert hull_dim(m, form) == naive_hull_dim(m, form)
 
 
 def test_matrix_validation():

@@ -2,17 +2,17 @@
 
 import pytest
 
-from hullcount.algebra import FormKind, hull_dim, make_field, rref
+from hullcount.algebra import FormKind, make_field, rref
 from hullcount.errors import BadRangeError, WorkLimitExceededError
 from hullcount.exactnum import gaussian_binomial
 from hullcount.oracle import (
-    HullSpectrum,
     SubspaceIterator,
     enumerate_subspaces,
     hull_spectrum,
     spectra_csv,
     spectrum_vs_formula,
 )
+from naive_hull import naive_hull_dim
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -59,6 +59,9 @@ def test_work_limit_reports_estimate():
     msg = str(err.value)
     assert str(gaussian_binomial(10, 5, 4)) in msg
     assert "1000" in msg
+    # the default limit is checked before any pivot subset is visited
+    with pytest.raises(WorkLimitExceededError):
+        enumerate_subspaces(22, 11, F2)
     # limit None disables the guard entirely
     it = enumerate_subspaces(10, 5, F4, work_limit=None)
     assert it.expected_count == gaussian_binomial(10, 5, 4)
@@ -100,30 +103,23 @@ def test_hermitian_hull_dims_within_range():
             assert all(0 <= ell <= min(k, n - k) for ell in spectrum.counts)
 
 
-def test_partition_spectra_merge_to_full():
-    # slow path: hull_dim on MatrixGF objects, per pivot-subset partition;
-    # doubles as a cross-check of the code-level kernel
-    n, k = 4, 2
-    full = hull_spectrum(n, k, F2, FormKind.SYMPLECTIC)
-    parts = enumerate_subspaces(n, k, F2).partitions()
-    merged = None
-    for part in parts:
-        counts: dict[int, int] = {}
-        for mat in part:
-            ell = hull_dim(mat, FormKind.SYMPLECTIC)
-            counts[ell] = counts.get(ell, 0) + 1
-        piece = HullSpectrum(n, k, FormKind.SYMPLECTIC, 2, counts)
-        merged = piece if merged is None else merged.merged(piece)
-    assert merged is not None
-    assert merged.counts == full.counts
-    assert sum(p.expected_count for p in parts) == full.total
-
-
-def test_merged_rejects_parameter_mismatch():
-    a = HullSpectrum(4, 2, FormKind.SYMPLECTIC, 2, {0: 1})
-    b = HullSpectrum(4, 2, FormKind.EUCLIDEAN, 2, {0: 1})
-    with pytest.raises(BadRangeError):
-        a.merged(b)
+def test_spectrum_matches_naive_tally():
+    # hull_dim and hull_spectrum share one kernel; the reference built from
+    # FieldElem arithmetic is the independent route
+    cells = [
+        (4, 2, F2, FormKind.SYMPLECTIC),
+        (4, 2, F3, FormKind.SYMPLECTIC),
+        (5, 2, F2, FormKind.EUCLIDEAN),
+        (4, 2, F3, FormKind.EUCLIDEAN),
+        (3, 1, F4, FormKind.HERMITIAN),
+        (4, 2, F4, FormKind.HERMITIAN),
+    ]
+    for n, k, field, form in cells:
+        tally: dict[int, int] = {}
+        for mat in enumerate_subspaces(n, k, field):
+            ell = naive_hull_dim(mat, form)
+            tally[ell] = tally.get(ell, 0) + 1
+        assert hull_spectrum(n, k, field, form).counts == tally
 
 
 def test_spectrum_vs_formula_symplectic():

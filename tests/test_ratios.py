@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from hullcount import ratios
 from hullcount.algebra import FormKind, make_field
 from hullcount.errors import (
+    BadRangeError,
     BadRegimeError,
     EvenCharacteristicError,
     OutOfValidRangeError,
@@ -139,6 +141,13 @@ def test_classify_hermitian_examples():
     assert out.ratio_monotone
 
 
+def test_classify_hermitian_contradiction_raises(monkeypatch):
+    # (4, 1, 0, 2) is a boundary cell, so alpha must be below one there
+    monkeypatch.setattr(ratios, "alpha_hermitian", lambda n, k, ell, q: Fraction(2))
+    with pytest.raises(ArithmeticError):
+        classify_hermitian(4, 1, 0, 2)
+
+
 def test_classify_symplectic_examples():
     out = classify_symplectic(8, 4, 0, 2)
     assert out.classification is RatioClassification.SYMPLECTIC_EXCEPTION_ES
@@ -248,6 +257,18 @@ def test_asymptotic_symplectic():
     assert asymptotic_symplectic(AsymptoticRegime.JOINT, 0, 3).limit == Fraction(16, 9)
     with pytest.raises(BadRegimeError):
         asymptotic_symplectic(AsymptoticRegime.BOUNDARY_FIXED_A, 0, 2, a=3)
+
+
+@pytest.mark.parametrize("q", [6, 10])
+def test_non_prime_power_q_rejected(q):
+    with pytest.raises(BadRangeError):
+        alpha_hermitian(4, 2, 0, q)
+    with pytest.raises(BadRangeError):
+        alpha_symplectic(4, 2, 0, q)
+    with pytest.raises(BadRangeError):
+        asymptotic_hermitian(AsymptoticRegime.JOINT, 0, q)
+    with pytest.raises(BadRangeError):
+        asymptotic_symplectic(AsymptoticRegime.BOUNDARY_FIXED_A, 0, q, a=2)
 
 
 def test_hermitian_ratio_converges_to_joint_limit():
