@@ -272,16 +272,10 @@ class FiniteField:
 
     # code-level ops (scalar; hot loops should grab the tables directly) -
 
-    def add_code(self, a: int, b: int) -> int:
-        return self.add_table[a][b]
-
     def mul_code(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
-
-    def neg_code(self, a: int) -> int:
-        return self.neg_table[a]
 
     def inv_code(self, a: int) -> int:
         if a == 0:
@@ -501,9 +495,6 @@ class MatrixGF:
 
     def entry(self, i: int, j: int) -> FieldElem:
         return FieldElem(self.field, self.codes[i * self.cols + j])
-
-    def row_codes(self, i: int) -> tuple[int, ...]:
-        return self.codes[i * self.cols : (i + 1) * self.cols]
 
     def to_lists(self) -> list[list[int]]:
         n = self.cols

@@ -34,20 +34,17 @@ from .errors import (
     WorkLimitExceededError,
 )
 from .exactnum import rat_str
-from .formulas import HermitianParams, SymplecticParams
 from .oracle import (
     DEFAULT_WORK_LIMIT,
-    HullSpectrum,
     SpectrumComparison,
     hull_spectrum,
-    spectra_csv,
     spectrum_vs_formula,
 )
 from .ratios import (
+    COUNT_EXCEPTIONS,
     RatioClassification,
     comparison_rows,
-    in_hermitian_exception,
-    quadratic_character,
+    in_euclidean_half_bound,
     ratio_report,
 )
 
@@ -116,14 +113,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     k, ell, q = args.k, args.ell, args.q
     if k < 0 or ell < 0:
         raise BadRangeError(f"k and l must be non-negative, got k={k} l={ell}")
-    if form is FormKind.HERMITIAN:
-        count = formulas.count_hermitian(HermitianParams(length, k, ell, q))
-    elif form is FormKind.SYMPLECTIC:
-        count = formulas.count_symplectic(SymplecticParams(length, k, ell, q))
-    else:
+    if form is FormKind.EUCLIDEAN:
         limit = _resolve_work_limit(args.work_limit)
         spectrum = hull_spectrum(length, k, field_of_order(q), form, limit)
         count = spectrum.counts.get(ell, 0)
+    else:
+        count = formulas.closed_count(form, length, k, ell, q)
     lines = [
         f"form: {form.value}",
         f"length: {length}",
@@ -153,25 +148,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def _table_cells(form: FormKind) -> list[tuple[int, int, int, list[tuple[int, int, bool]]]]:
     """Rows (length, k, q, cells) with cells (ell, count, violation); the
     violation flag marks a count strictly above its predecessor in ell."""
+    grid = SYMPLECTIC_TABLE_ROWS if form is FormKind.SYMPLECTIC else HERMITIAN_TABLE_ROWS
     out = []
-    if form is FormKind.HERMITIAN:
-        for n, k, q in HERMITIAN_TABLE_ROWS:
-            cells = []
-            prev: int | None = None
-            for ell in range(0, min(k, n - k) + 1):
-                c = formulas.count_hermitian(HermitianParams(n, k, ell, q))
-                cells.append((ell, c, prev is not None and c > prev))
-                prev = c
-            out.append((n, k, q, cells))
-        return out
-    for two_n, k, q in SYMPLECTIC_TABLE_ROWS:
+    for length, k, q in grid:
         cells = []
-        prev = None
-        for ell in range(0, min(k, two_n - k) + 1, 2):
-            c = formulas.count_symplectic(SymplecticParams(two_n, k, ell, q))
+        prev: int | None = None
+        for ell in formulas.hull_dims(form, length, k):
+            c = formulas.closed_count(form, length, k, ell, q)
             cells.append((ell, c, prev is not None and c > prev))
             prev = c
-        out.append((two_n, k, q, cells))
+        out.append((length, k, q, cells))
     return out
 
 
@@ -192,9 +178,7 @@ _COUNT_KEYS = ("length", "k", "q", "ell", "count", "monotonicity_violation")
 
 
 def _counts_markdown(form: FormKind, rows) -> str:
-    step = 2 if form is FormKind.SYMPLECTIC else 1
-    max_ell = max(cells[-1][0] for _, _, _, cells in rows)
-    ells = list(range(0, max_ell + 1, step))
+    ells = sorted({ell for _, _, _, cells in rows for ell, _, _ in cells})
     first = "2n" if form is FormKind.SYMPLECTIC else "n"
     head = f"| {first} | k | q | " + " | ".join(f"A_{e}" for e in ells) + " |"
     rule = "| ---: | ---: | ---: | " + " | ".join("---:" for _ in ells) + " |"
@@ -294,99 +278,48 @@ def _sweep_cells(form: FormKind, args: argparse.Namespace) -> list[tuple[int, in
     return cells
 
 
-def _oracle_counts(comp: SpectrumComparison) -> dict[int, int]:
-    return {cell.ell: cell.oracle for cell in comp.cells}
-
-
-def _hermitian_problems(comp: SpectrumComparison) -> list[str]:
-    counts = _oracle_counts(comp)
-    n, k, q = comp.length, comp.k, comp.q
+def _problems(comp: SpectrumComparison) -> list[str]:
+    """Check each consecutive pair of hull dimensions of one oracle spectrum
+    against ratio_report: the ratio identity, the exception family or the
+    Euclidean half-bound regime, count against ratio monotonicity, and the
+    alpha floor."""
+    form, length, k, q = comp.form, comp.length, comp.k, comp.q
+    counts = {cell.ell: cell.oracle for cell in comp.cells}
+    dims = formulas.hull_dims(form, length, k)
     problems = []
-    for ell in range(0, min(k, n - k)):
-        rep = ratio_report(FormKind.HERMITIAN, n, k, ell, q)
-        lhs = Fraction(counts.get(ell, 0))
-        rhs = rep.full_ratio * counts.get(ell + 1, 0)
-        if lhs != rhs:
-            problems.append(f"l={ell}: ratio identity fails ({lhs} != {rhs})")
-        if (not rep.monotone_a) != in_hermitian_exception(n, k, ell, q):
-            problems.append(f"l={ell}: monotonicity exception set mismatch")
-        if (counts.get(ell, 0) > counts.get(ell + 1, 0)) != rep.monotone_a:
-            problems.append(f"l={ell}: ratio and count monotonicity disagree")
-        if rep.alpha < Fraction(q, q + 1):
-            problems.append(f"l={ell}: alpha below q/(q+1)")
-    return problems
-
-
-def _symplectic_problems(comp: SpectrumComparison) -> list[str]:
-    counts = _oracle_counts(comp)
-    two_n, k, q = comp.length, comp.k, comp.q
-    problems = []
-    first = k % 2
-    for ell in range(first, min(k, two_n - k) - 1, 2):
+    for ell in dims[:-1]:
+        lo, hi = counts.get(ell, 0), counts.get(ell + dims.step, 0)
         try:
-            rep = ratio_report(FormKind.SYMPLECTIC, two_n, k, ell, q)
-        except OutOfValidRangeError:
-            continue
-        lhs = Fraction(counts.get(ell, 0))
-        rhs = rep.full_ratio * counts.get(ell + 2, 0)
-        if lhs != rhs:
-            problems.append(f"l={ell}: ratio identity fails ({lhs} != {rhs})")
-        exceptional = rep.classification is RatioClassification.SYMPLECTIC_EXCEPTION_ES
-        if (not rep.monotone_a) != exceptional:
-            problems.append(f"l={ell}: E_S membership mismatch")
-        if (counts.get(ell, 0) > counts.get(ell + 2, 0)) != rep.monotone_a:
-            problems.append(f"l={ell}: ratio and count monotonicity disagree")
-    return problems
-
-
-def _euclidean_problems(comp: SpectrumComparison) -> list[str]:
-    counts = _oracle_counts(comp)
-    n, k, q = comp.length, comp.k, comp.q
-    problems = []
-    for ell in range(0, k):
-        try:
-            rep = ratio_report(FormKind.EUCLIDEAN, n, k, ell, q)
+            rep = ratio_report(form, length, k, ell, q)
         except OutOfValidRangeError:
             # no finite factor: the successor count must vanish
-            if counts.get(ell + 1, 0) != 0:
+            if hi != 0:
                 problems.append(f"l={ell}: successor count should vanish")
             continue
-        lhs = Fraction(counts.get(ell, 0))
-        rhs = rep.full_ratio * counts.get(ell + 1, 0)
-        if lhs != rhs:
-            problems.append(f"l={ell}: ratio identity fails ({lhs} != {rhs})")
-        if rep.alpha < Fraction(1, 2):
+        rhs = rep.full_ratio * hi
+        if lo != rhs:
+            problems.append(f"l={ell}: ratio identity fails ({lo} != {rhs})")
+        if form is FormKind.EUCLIDEAN:
+            half = rep.classification is RatioClassification.EUCLIDEAN_HALF_BOUND
+            if half != in_euclidean_half_bound(length, k, ell, q):
+                problems.append(f"l={ell}: half-bound regime mismatch")
+        else:
+            if (not rep.monotone_a) != COUNT_EXCEPTIONS[form](length, k, ell, q):
+                problems.append(f"l={ell}: monotonicity exception set mismatch")
+            if (lo > hi) != rep.monotone_a:
+                problems.append(f"l={ell}: ratio and count monotonicity disagree")
+        if form is FormKind.HERMITIAN and rep.alpha < Fraction(q, q + 1):
+            problems.append(f"l={ell}: alpha below q/(q+1)")
+        if form is FormKind.EUCLIDEAN and rep.alpha < Fraction(1, 2):
             problems.append(f"l={ell}: alpha below 1/2")
-        half = rep.classification is RatioClassification.EUCLIDEAN_HALF_BOUND
-        regime = (
-            q % 2 == 1
-            and n % 2 == 0
-            and (k - ell) % 2 == 1
-            and quadratic_character((-1) ** (n // 2), q) == 1
-        )
-        if half != regime:
-            problems.append(f"l={ell}: half-bound regime mismatch")
     return problems
-
-
-_PROBLEM_FNS = {
-    FormKind.HERMITIAN: _hermitian_problems,
-    FormKind.SYMPLECTIC: _symplectic_problems,
-    FormKind.EUCLIDEAN: _euclidean_problems,
-}
-
-
-def _spectrum_of(comp: SpectrumComparison) -> HullSpectrum:
-    order = comp.q * comp.q if comp.form is FormKind.HERMITIAN else comp.q
-    counts = {cell.ell: cell.oracle for cell in comp.cells if cell.oracle}
-    return HullSpectrum(comp.length, comp.k, comp.form, order, counts)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     forms = args.forms or ["hermitian", "symplectic", "euclidean"]
     qs = args.qs or [2]
     limit = _resolve_work_limit(args.work_limit)
-    dumped: list[HullSpectrum] = []
+    dumped: list[tuple[object, ...]] = []
     failures: list[str] = []
     checked = 0
     for name in forms:
@@ -396,9 +329,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 label = f"{name} length={length} k={k} q={q}"
                 comp = spectrum_vs_formula(length, k, q, form, limit)
                 if args.dump:
-                    dumped.append(_spectrum_of(comp))
+                    dumped += [
+                        (length, k, q, name, cell.ell, cell.oracle)
+                        for cell in comp.cells
+                        if cell.oracle
+                    ]
                 problems = [] if comp.passed else [comp.first_failure() or "mismatch"]
-                problems += _PROBLEM_FNS[form](comp)
+                problems += _problems(comp)
                 checked += 1
                 if problems:
                     failures.append(f"{label}: {problems[0]}")
@@ -406,7 +343,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 else:
                     print(f"PASS {label}")
     if args.dump:
-        text = spectra_csv(dumped)
+        text = _records("csv", ("n", "k", "q", "form", "ell", "count"), dumped)
         if args.dump == "-":
             sys.stdout.write(text)
         else:

@@ -29,13 +29,9 @@ from .errors import (
     OddGramRankError,
     ParityViolationError,
 )
-from .formulas import (
-    HermitianParams,
-    SymplecticParams,
-    count_hermitian,
-    count_symplectic,
-)
-from .ratios import in_hermitian_exception, in_symplectic_exception
+from .exactnum import is_prime_power
+from .formulas import closed_count, hull_dims
+from .ratios import COUNT_EXCEPTIONS
 
 
 @dataclass(frozen=True)
@@ -55,8 +51,8 @@ class EaqeccParams:
             )
         if not 0 <= self.c <= self.n:
             raise BadRangeError(f"need 0 <= c <= n, got c={self.c} n={self.n}")
-        if self.q < 2:
-            raise BadRangeError(f"q must be at least 2, got {self.q}")
+        if not is_prime_power(self.q):
+            raise BadRangeError(f"q must be a prime power, got {self.q}")
 
     def __str__(self) -> str:
         d = "d" if self.d is None else str(self.d)
@@ -134,24 +130,17 @@ def entanglement_census(
     Rows in the known count-monotonicity exception families are flagged.
     Only the hermitian and symplectic forms have closed-form counts.
     """
-    if form is FormKind.HERMITIAN:
-        if not 0 <= k <= length:
-            raise BadRangeError(f"need 0 <= k <= n, got k={k} n={length}")
-        rows = []
-        for ell in range(0, min(k, length - k) + 1):
-            count = count_hermitian(HermitianParams(length, k, ell, q))
-            flagged = in_hermitian_exception(length, k, ell, q)
-            rows.append(CensusRow(ell, length - k - ell, count, flagged))
-        return rows
-    if form is FormKind.SYMPLECTIC:
-        if length % 2 != 0:
-            raise OddAmbientError(f"ambient length must be even, got {length}")
-        if not 0 <= k <= length:
-            raise BadRangeError(f"need 0 <= k <= 2n, got k={k} 2n={length}")
-        rows = []
-        for ell in range(k % 2, min(k, length - k) + 1, 2):
-            count = count_symplectic(SymplecticParams(length, k, ell, q))
-            flagged = in_symplectic_exception(length, k, ell, q)
-            rows.append(CensusRow(ell, (k - ell) // 2, count, flagged))
-        return rows
-    raise BadRangeError("no closed-form census for the euclidean form")
+    if form is FormKind.EUCLIDEAN:
+        raise BadRangeError("no closed-form census for the euclidean form")
+    hermitian = form is FormKind.HERMITIAN
+    if not hermitian and length % 2 != 0:
+        raise OddAmbientError(f"ambient length must be even, got {length}")
+    if not 0 <= k <= length:
+        name = "n" if hermitian else "2n"
+        raise BadRangeError(f"need 0 <= k <= {name}, got k={k} {name}={length}")
+    rows = []
+    for ell in hull_dims(form, length, k):
+        seed = gjg_map(length, k, ell, q)[0] if hermitian else wilde_brun_map(length, k, ell, q)
+        count = closed_count(form, length, k, ell, q)
+        rows.append(CensusRow(ell, seed.c, count, COUNT_EXCEPTIONS[form](length, k, ell, q)))
+    return rows

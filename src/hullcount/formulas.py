@@ -24,7 +24,9 @@ dimensions share the parity of k, and with k0 = (k - l)/2:
                        * gauss(n, k0, q^2).
 
 Out-of-range hull parameters count zero rather than raising, so spectrum
-sums can run over a full index range.
+sums can run over a full index range. hull_dims and closed_count hold the
+per-form conventions (which l exist, in which step, and which count
+answers them) for every caller.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra import FormKind
 from .errors import BadIndexError, BadRangeError, OddAmbientError
 from .exactnum import as_exact_int, gaussian_binomial, is_prime_power
 
@@ -110,8 +113,8 @@ def hermitian_lcd_count(n: int, k0: int, q: int) -> int:
     """Number of k0-dimensional codes in F_{q^2}^n with zero hermitian hull."""
     if not 0 <= k0 <= n:
         raise BadRangeError(f"need 0 <= k0 <= n, got k0={k0}, n={n}")
-    if q < 2:
-        raise BadRangeError(f"q must be at least 2, got {q}")
+    if not is_prime_power(q):
+        raise BadRangeError(f"q must be a prime power, got {q}")
     acc = Fraction(q ** (k0 * (n - k0)))
     for j in range(1, k0 + 1):
         sign = -1 if (n - k0 + j) % 2 else 1
@@ -144,8 +147,8 @@ def symplectic_lcd_count(n: int, k0: int, q: int) -> int:
     """Number of 2*k0-dimensional codes in F_q^(2n) with zero symplectic hull."""
     if not 0 <= k0 <= n:
         raise BadRangeError(f"need 0 <= k0 <= n, got k0={k0}, n={n}")
-    if q < 2:
-        raise BadRangeError(f"q must be at least 2, got {q}")
+    if not is_prime_power(q):
+        raise BadRangeError(f"q must be a prime power, got {q}")
     return q ** (2 * k0 * (n - k0)) * gaussian_binomial(n, k0, q * q)
 
 
@@ -161,3 +164,23 @@ def count_symplectic(params: SymplecticParams) -> int:
         acc *= Fraction(q ** (2 * (n - k0 - ell + m)) - 1, q ** m - 1)
     acc *= gaussian_binomial(n, k0, q * q)
     return as_exact_int(acc)
+
+
+def hull_dims(form: FormKind, length: int, k: int) -> range:
+    """Hull dimensions l a k-dimensional code can have, in step order:
+    0..min(k, length-k) in steps of 1, or for the symplectic form (length
+    2n) only the l of k's parity, in steps of 2."""
+    top = min(k, length - k)
+    if form is FormKind.SYMPLECTIC:
+        return range(k % 2, top + 1, 2)
+    return range(0, top + 1)
+
+
+def closed_count(form: FormKind, length: int, k: int, ell: int, q: int) -> int:
+    """Closed-form count of one cell; length is n, or 2n for symplectic.
+    The euclidean form has no closed form here."""
+    if form is FormKind.HERMITIAN:
+        return count_hermitian(HermitianParams(length, k, ell, q))
+    if form is FormKind.SYMPLECTIC:
+        return count_symplectic(SymplecticParams(length, k, ell, q))
+    raise BadRangeError("no closed-form count for the euclidean form")

@@ -19,12 +19,10 @@ Gram rank directly on integer codes through the field's lookup tables.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .algebra import (
     FiniteField,
@@ -36,8 +34,7 @@ from .algebra import (
 )
 from .errors import BadRangeError, WorkLimitExceededError
 from .exactnum import gaussian_binomial, prime_power_parts
-from . import formulas
-from .formulas import HermitianParams, SymplecticParams
+from .formulas import closed_count, hull_dims
 
 DEFAULT_WORK_LIMIT = 10 ** 8
 
@@ -219,28 +216,15 @@ def spectrum_vs_formula(
     """
     field = _field_for(form, q)
     spectrum = hull_spectrum(length, k, field, form, work_limit)
-    # formulas.count_* looked up at call time so a test hook can swap them
-    if form is FormKind.HERMITIAN:
-        ell_range = range(0, min(k, length - k) + 1)
+    closed = {}
+    if form is not FormKind.EUCLIDEAN:
         closed = {
-            ell: formulas.count_hermitian(HermitianParams(length, k, ell, q))
-            for ell in ell_range
+            ell: closed_count(form, length, k, ell, q)
+            for ell in hull_dims(form, length, k)
         }
-    elif form is FormKind.SYMPLECTIC:
-        ell_range = range(k % 2, min(k, length - k) + 1, 2)
-        closed = {
-            ell: formulas.count_symplectic(SymplecticParams(length, k, ell, q))
-            for ell in ell_range
-        }
-    else:
-        closed = {}
     all_ells = sorted(set(spectrum.counts) | set(closed))
     cells = tuple(
-        SpectrumCell(
-            ell,
-            spectrum.counts.get(ell, 0),
-            closed.get(ell) if form is not FormKind.EUCLIDEAN else None,
-        )
+        SpectrumCell(ell, spectrum.counts.get(ell, 0), closed.get(ell))
         for ell in all_ells
     )
     return SpectrumComparison(
@@ -252,17 +236,3 @@ def spectrum_vs_formula(
         spectrum.total,
         gaussian_binomial(length, k, field.order),
     )
-
-
-def spectra_csv(spectra: Iterable[HullSpectrum]) -> str:
-    """Long-form CSV dump: one row per (n, k, q, form, hull dim)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["n", "k", "q", "form", "ell", "count"])
-    for spectrum in spectra:
-        for ell in sorted(spectrum.counts):
-            writer.writerow([
-                spectrum.n, spectrum.k, spectrum.q,
-                spectrum.form.value, ell, spectrum.counts[ell],
-            ])
-    return buf.getvalue()

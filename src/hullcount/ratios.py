@@ -43,7 +43,7 @@ from .errors import (
     ParityViolationError,
 )
 from .exactnum import prime_power_parts
-from .formulas import HermitianParams, SymplecticParams, count_hermitian, count_symplectic
+from .formulas import closed_count
 
 
 class RatioClassification(Enum):
@@ -175,6 +175,24 @@ def in_symplectic_exception(two_n: int, k: int, ell: int, q: int) -> bool:
     return q == 2 and ell == 0 and k % 2 == 0 and 4 <= k <= two_n - 4
 
 
+# per closed-form form, the family where count(l) > count(l + step) fails
+COUNT_EXCEPTIONS = {
+    FormKind.HERMITIAN: in_hermitian_exception,
+    FormKind.SYMPLECTIC: in_symplectic_exception,
+}
+
+
+def in_euclidean_half_bound(n: int, k: int, ell: int, q: int) -> bool:
+    """Membership in the Euclidean half-bound regime, where alpha drops into
+    [1/2, 1): q odd, n even, k - l odd and eta((-1)^(n/2)) = +1."""
+    return (
+        q % 2 == 1
+        and n % 2 == 0
+        and (k - ell) % 2 == 1
+        and quadratic_character((-1) ** (n // 2), q) == 1
+    )
+
+
 @dataclass(frozen=True)
 class HermitianClassification:
     classification: RatioClassification
@@ -186,46 +204,6 @@ class HermitianClassification:
 class SymplecticClassification:
     classification: RatioClassification
     count_monotone: bool
-
-
-def classify_hermitian(n: int, k: int, ell: int, q: int) -> HermitianClassification:
-    """Boundary-family classification plus the two monotonicity booleans.
-
-    ratio_monotone is alpha * (q^(l+1) - 1) > 1, evaluated from the closed
-    form; count_monotone compares the two exact counts directly. They agree
-    whenever both sides are defined, but are computed by different routes.
-    """
-    alpha = alpha_hermitian(n, k, ell, q)
-    boundary = _hermitian_boundary(n, k, ell)
-    if (alpha < 1) != boundary:
-        raise ArithmeticError(
-            f"alpha = {alpha} contradicts the boundary family "
-            f"at n={n} k={k} l={ell} q={q}"
-        )
-    ratio_monotone = alpha * (q ** (ell + 1) - 1) > 1
-    count_monotone = count_hermitian(HermitianParams(n, k, ell, q)) > count_hermitian(
-        HermitianParams(n, k, ell + 1, q)
-    )
-    cls = (
-        RatioClassification.HERMITIAN_BOUNDARY
-        if boundary
-        else RatioClassification.STRICTLY_ABOVE_ONE
-    )
-    return HermitianClassification(cls, ratio_monotone, count_monotone)
-
-
-def classify_symplectic(two_n: int, k: int, ell: int, q: int) -> SymplecticClassification:
-    """E_S membership plus the count-level monotonicity boolean
-    count(l) > count(l+2), evaluated as alpha * cofactor > 1."""
-    alpha = alpha_symplectic(two_n, k, ell, q)
-    cofactor = (q ** (ell + 1) - 1) * (q ** (ell + 2) - 1)
-    monotone = alpha * cofactor > 1
-    cls = (
-        RatioClassification.SYMPLECTIC_EXCEPTION_ES
-        if in_symplectic_exception(two_n, k, ell, q)
-        else RatioClassification.STRICTLY_ABOVE_ONE
-    )
-    return SymplecticClassification(cls, monotone)
 
 
 # -- one-step ratio reports ----------------------------------------------------
@@ -251,6 +229,13 @@ class RatioReport:
     equality_boundary: bool = False
 
 
+_EXCEPTION_CLASS = {
+    FormKind.HERMITIAN: RatioClassification.HERMITIAN_BOUNDARY,
+    FormKind.SYMPLECTIC: RatioClassification.SYMPLECTIC_EXCEPTION_ES,
+    FormKind.EUCLIDEAN: RatioClassification.EUCLIDEAN_HALF_BOUND,
+}
+
+
 def ratio_report(form: FormKind, length: int, k: int, ell: int, q: int) -> RatioReport:
     """Build the RatioReport for one parameter cell.
 
@@ -260,40 +245,52 @@ def ratio_report(form: FormKind, length: int, k: int, ell: int, q: int) -> Ratio
     if form is FormKind.HERMITIAN:
         alpha = alpha_hermitian(length, k, ell, q)
         cof = q ** (ell + 1) - 1
-        cls = (
-            RatioClassification.HERMITIAN_BOUNDARY
-            if _hermitian_boundary(length, k, ell)
-            else RatioClassification.STRICTLY_ABOVE_ONE
-        )
-        full = alpha * cof
-        return RatioReport(form, 1, alpha, cof, full, cls, full > 1)
-    if form is FormKind.SYMPLECTIC:
+        exceptional = _hermitian_boundary(length, k, ell)
+    elif form is FormKind.SYMPLECTIC:
         alpha = alpha_symplectic(length, k, ell, q)
         cof = (q ** (ell + 1) - 1) * (q ** (ell + 2) - 1)
-        cls = (
-            RatioClassification.SYMPLECTIC_EXCEPTION_ES
-            if in_symplectic_exception(length, k, ell, q)
-            else RatioClassification.STRICTLY_ABOVE_ONE
-        )
-        full = alpha * cof
-        return RatioReport(form, 2, alpha, cof, full, cls, full > 1)
-    alpha = alpha_euclidean(length, k, ell, q)
-    cof = q ** (ell + 1) - 1
-    cls = (
-        RatioClassification.EUCLIDEAN_HALF_BOUND
-        if alpha < 1
-        else RatioClassification.STRICTLY_ABOVE_ONE
-    )
+        exceptional = in_symplectic_exception(length, k, ell, q)
+    else:
+        alpha = alpha_euclidean(length, k, ell, q)
+        cof = q ** (ell + 1) - 1
+        exceptional = alpha < 1
+    cls = _EXCEPTION_CLASS[form] if exceptional else RatioClassification.STRICTLY_ABOVE_ONE
     equality = (
-        q % 2 == 1
-        and length % 2 == 0
-        and (k - ell) % 2 == 1
+        form is FormKind.EUCLIDEAN
         and 2 * k == length
         and ell == k - 1
-        and quadratic_character((-1) ** (length // 2), q) == 1
+        and in_euclidean_half_bound(length, k, ell, q)
     )
     full = alpha * cof
-    return RatioReport(form, 1, alpha, cof, full, cls, full > 1, equality)
+    step = 2 if form is FormKind.SYMPLECTIC else 1
+    return RatioReport(form, step, alpha, cof, full, cls, full > 1, equality)
+
+
+def classify_hermitian(n: int, k: int, ell: int, q: int) -> HermitianClassification:
+    """Boundary-family classification plus the two monotonicity booleans.
+
+    ratio_monotone is alpha * (q^(l+1) - 1) > 1, taken from ratio_report;
+    count_monotone compares the two exact counts directly. They agree
+    whenever both sides are defined, but are computed by different routes.
+    """
+    rep = ratio_report(FormKind.HERMITIAN, n, k, ell, q)
+    boundary = rep.classification is RatioClassification.HERMITIAN_BOUNDARY
+    if (rep.alpha < 1) != boundary:
+        raise ArithmeticError(
+            f"alpha = {rep.alpha} contradicts the boundary family "
+            f"at n={n} k={k} l={ell} q={q}"
+        )
+    count_monotone = closed_count(FormKind.HERMITIAN, n, k, ell, q) > closed_count(
+        FormKind.HERMITIAN, n, k, ell + 1, q
+    )
+    return HermitianClassification(rep.classification, rep.monotone_a, count_monotone)
+
+
+def classify_symplectic(two_n: int, k: int, ell: int, q: int) -> SymplecticClassification:
+    """E_S membership plus the count-level monotonicity boolean
+    count(l) > count(l+2), evaluated as alpha * cofactor > 1."""
+    rep = ratio_report(FormKind.SYMPLECTIC, two_n, k, ell, q)
+    return SymplecticClassification(rep.classification, rep.monotone_a)
 
 
 # -- asymptotics ----------------------------------------------------------------

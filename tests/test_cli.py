@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hullcount import cli, formulas
+from hullcount import cli, formulas, ratios
 
 
 def run(argv, capsys):
@@ -178,15 +178,23 @@ def test_verify_default_sweep_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_catches_corrupted_formula(capsys, monkeypatch):
-    real = formulas.count_hermitian
-
-    def corrupted(params):
-        return real(params) + 1
-
-    monkeypatch.setattr(formulas, "count_hermitian", corrupted)
+@pytest.mark.parametrize(
+    "form, name",
+    [
+        ("hermitian", "count_hermitian"),
+        ("hermitian", "alpha_hermitian"),
+        ("symplectic", "count_symplectic"),
+        ("symplectic", "alpha_symplectic"),
+        ("euclidean", "alpha_euclidean"),
+    ],
+)
+def test_verify_catches_corrupted_formula(capsys, monkeypatch, form, name):
+    module = formulas if name.startswith("count_") else ratios
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: real(*args) + 1)
     code, out, _ = run(
-        ["verify", "--form", "hermitian", "--max-n", "3", "-q", "2"], capsys
+        ["verify", "--form", form, "--max-n", "3", "--max-ambient", "4", "-q", "2"],
+        capsys,
     )
     assert code == 1
     assert "FAIL" in out
@@ -245,12 +253,15 @@ def test_verify_dump_to_file(tmp_path, capsys):
 
 def test_verify_dump_to_stdout(capsys):
     code, out, _ = run(
-        ["verify", "--form", "hermitian", "--max-n", "2", "-q", "2",
+        ["verify", "--form", "hermitian", "--max-n", "4", "-q", "2",
          "--dump", "-"],
         capsys,
     )
     assert code == 0
-    assert "n,k,q,form,ell,count" in out
+    # the CSV follows the PASS lines; its rows end in CRLF
+    assert "PASS hermitian length=4 k=3 q=2\nn,k,q,form,ell,count\r\n" in out
+    assert "\r\n4,1,2,hermitian,0,40\r\n4,1,2,hermitian,1,45\r\n4,2,2," in out
+    assert out.endswith("\r\nall 6 cells pass\n")
 
 
 def test_census_markdown(capsys):

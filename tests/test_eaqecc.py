@@ -34,6 +34,16 @@ def test_params_str_and_validation():
         EaqeccParams(5, 1, 2, 1)
 
 
+def test_maps_reject_non_prime_power_q():
+    for make in (
+        lambda: EaqeccParams(5, 1, 2, 6),
+        lambda: gjg_map(4, 2, 0, 6),
+        lambda: wilde_brun_map(4, 2, 0, 6),
+    ):
+        with pytest.raises(BadRangeError, match="q must be a prime power, got 6"):
+            make()
+
+
 def test_gjg_map_examples():
     primary, partner = gjg_map(5, 2, 1, 4, d=3, d_dual=2)
     assert (primary.n, primary.k_logical, primary.c) == (5, 1, 2)

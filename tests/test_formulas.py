@@ -4,14 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from hullcount.algebra import FormKind
 from hullcount.errors import BadIndexError, BadRangeError, OddAmbientError
 from hullcount.exactnum import gaussian_binomial
 from hullcount.formulas import (
     HermitianParams,
     SymplecticParams,
+    closed_count,
     count_hermitian,
     count_symplectic,
     hermitian_lcd_count,
+    hull_dims,
     symplectic_lcd_count,
     unified_factor,
 )
@@ -252,3 +255,23 @@ def test_params_validation():
         HermitianParams(4, 2, 0, 6)
     with pytest.raises(BadRangeError):
         SymplecticParams(4, 2, 0, 12)
+
+
+def test_lcd_counts_reject_non_prime_power_q():
+    with pytest.raises(BadRangeError, match="q must be a prime power, got 6"):
+        hermitian_lcd_count(4, 1, 6)
+    with pytest.raises(BadRangeError, match="q must be a prime power, got 6"):
+        symplectic_lcd_count(2, 1, 6)
+
+
+def test_hull_dims_and_closed_count():
+    assert hull_dims(FormKind.HERMITIAN, 6, 4) == range(0, 3)
+    assert hull_dims(FormKind.EUCLIDEAN, 7, 3) == range(0, 4)
+    assert hull_dims(FormKind.SYMPLECTIC, 10, 3) == range(1, 4, 2)
+    assert hull_dims(FormKind.SYMPLECTIC, 8, 4) == range(0, 5, 2)
+    assert [closed_count(FormKind.SYMPLECTIC, 8, 4, ell, 2) for ell in (0, 2, 4)] == [
+        91392, 107100, 2295,
+    ]
+    assert closed_count(FormKind.HERMITIAN, 4, 1, 1, 2) == 45
+    with pytest.raises(BadRangeError):
+        closed_count(FormKind.EUCLIDEAN, 4, 2, 0, 2)

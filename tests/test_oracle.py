@@ -2,6 +2,7 @@
 
 import pytest
 
+from hullcount import cli
 from hullcount.algebra import FormKind, make_field, rref
 from hullcount.errors import BadRangeError, WorkLimitExceededError
 from hullcount.exactnum import gaussian_binomial
@@ -9,7 +10,6 @@ from hullcount.oracle import (
     SubspaceIterator,
     enumerate_subspaces,
     hull_spectrum,
-    spectra_csv,
     spectrum_vs_formula,
 )
 from naive_hull import naive_hull_dim
@@ -145,11 +145,24 @@ def test_spectrum_vs_formula_euclidean_sum_only():
     assert comp.first_failure() is None
 
 
-def test_spectra_csv_layout():
-    spectrum = hull_spectrum(4, 1, F4, FormKind.HERMITIAN)
-    text = spectra_csv([spectrum])
-    lines = text.split("\r\n")
+def test_spectra_csv_layout(tmp_path):
+    path = tmp_path / "spectra.csv"
+    code = cli.main(["verify", "--form", "hermitian", "--max-n", "4", "-q", "2",
+                     "--dump", str(path)])
+    assert code == 0
+    # read_text would translate the CRLF terminators away
+    lines = path.read_bytes().decode().split("\r\n")
     assert lines[0] == "n,k,q,form,ell,count"
-    assert lines[1] == "4,1,2,hermitian,0,40"
-    assert lines[2] == "4,1,2,hermitian,1,45"
-    assert lines[3] == ""
+    assert lines[-1] == ""
+    rows = [line.split(",") for line in lines[1:-1]]
+    start = rows.index(["4", "1", "2", "hermitian", "0", "40"])
+    assert rows[start + 1] == ["4", "1", "2", "hermitian", "1", "45"]
+    # every dumped row is a nonzero count of the exhaustive spectrum, and
+    # every nonzero count is dumped
+    dumped = {}
+    for n, k, q, form, ell, count in rows:
+        assert (q, form) == ("2", "hermitian")
+        dumped.setdefault((int(n), int(k)), {})[int(ell)] = int(count)
+    for (n, k), counts in dumped.items():
+        spectrum = hull_spectrum(n, k, F4, FormKind.HERMITIAN)
+        assert counts == {ell: c for ell, c in spectrum.counts.items() if c}
