@@ -7,19 +7,22 @@ this picks f = x, the prime-field convention). Elements are integer codes
 
     code = c0 + c1*p + ... + c_{m-1}*p^(m-1)
 
-and all arithmetic routes through dense lookup tables (exp/log for the
-multiplicative group, digitwise tables for addition), so both the operator
-API on FieldElem and the raw-code hot loops in the enumeration oracle hit
-the same precomputed data. Orders are capped at 256, which keeps every
-table comfortably small.
+and all arithmetic routes through dense lookup tables, all built when the
+field is: exp/log over the generator, which is the smallest nonzero code
+whose powers run through every unit, digitwise tables for addition and
+negation, and the conjugation table of a square order. The operator API on
+FieldElem and the raw-code hot loops in the enumeration oracle hit the
+same precomputed data. Orders are capped at 256, which keeps every table
+comfortably small.
 
 The matrix side is deliberately plain: immutable MatrixGF, reduced row
 echelon form, the three Gram matrices (Euclidean G*G^T, Hermitian
 G*conj(G)^T with entrywise q-th power, symplectic G*Omega*G^T), and the
-hull dimension k - rank(Gram) for a full-row-rank generator. All Gram and
-rank work, here and in the enumeration oracle and the ebit count, goes
-through one raw-code kernel, gram_kernel(field, form, n); rref() keeps its
-own full reduction because it must return the canonical form.
+hull dimension k - rank(Gram) for a full-row-rank generator. There is one
+forward elimination, rank_of, built once per field. All Gram and rank
+work, here and in the enumeration oracle and the ebit count, goes through
+one raw-code kernel, gram_kernel(field, form, n); rref() runs the same
+rank_of and adds one back pass for the canonical form.
 """
 
 from __future__ import annotations
@@ -108,22 +111,13 @@ def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible polynomial of degree {m} over F_{p}")
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 class FiniteField:
-    """F_{p^m} with table-driven arithmetic on integer element codes."""
+    """F_{p^m} with table-driven arithmetic on integer element codes.
+
+    The constructor builds every table: exp/log over the generator, add and
+    neg digitwise, mul and inv through exp/log, and for an even degree m the
+    conjugation a -> a^(p^(m/2)).
+    """
 
     def __init__(self, p: int, m: int = 1):
         if not is_prime(p):
@@ -139,14 +133,52 @@ class FiniteField:
         self.m = m
         self.order = order
         self.modulus = _canonical_modulus(p, m)
-        self._build_exp_log()
-        self._add_table: list[list[int]] | None = None
-        self._mul_table: list[list[int]] | None = None
-        self._neg_table: list[int] | None = None
-        self._inv_table: list[int] | None = None
-        self._frob_tables: dict[int, list[int]] = {}
-
-    # construction ------------------------------------------------------
+        coeffs = [self._code_to_coeffs(a) for a in range(order)]
+        one = coeffs[1]
+        q1 = order - 1
+        # a unit's order divides q1, so q1 steps bound each orbit
+        for gen in range(1, order):
+            powers = [1]
+            cur = coeffs[gen]
+            while cur != one and len(powers) < q1:
+                powers.append(self._coeffs_to_code(cur))
+                cur = _poly_mul_mod(cur, coeffs[gen], self.modulus, p)
+            if cur == one and len(powers) == q1:
+                break
+        else:
+            raise ArithmeticError(f"no generator of the unit group of F_{order}")
+        self.generator_code = gen
+        exp = powers + powers
+        log = [0] * order
+        for i, code in enumerate(powers):
+            log[code] = i
+        self._exp = exp
+        self._log = log
+        if p == 2:
+            self.add_table = [[a ^ b for b in range(order)] for a in range(order)]
+        else:
+            self.add_table = [
+                [
+                    self._coeffs_to_code([(x + y) % p for x, y in zip(ca, cb)])
+                    for cb in coeffs
+                ]
+                for ca in coeffs
+            ]
+        self.neg_table = [
+            self._coeffs_to_code([(-c) % p for c in ca]) for ca in coeffs
+        ]
+        self.mul_table = [[0] * order] + [
+            [0] + [exp[log[a] + log[b]] for b in range(1, order)]
+            for a in range(1, order)
+        ]
+        # inv[0] is a sentinel 0; elimination code never reads it
+        self.inv_table = [0] + [exp[q1 - log[a]] for a in range(1, order)]
+        self._conj_table: list[int] | None = None
+        if m % 2 == 0:
+            sub = p ** (m // 2)
+            self._conj_table = [0] + [
+                exp[(log[a] * sub) % q1] for a in range(1, order)
+            ]
 
     def _code_to_coeffs(self, code: int) -> tuple[int, ...]:
         out = []
@@ -161,114 +193,14 @@ class FiniteField:
             code = code * self.p + c
         return code
 
-    def _build_exp_log(self) -> None:
-        q1 = self.order - 1
-        gen = None
-        for cand in range(2, self.order):
-            cc = self._code_to_coeffs(cand)
-            if all(
-                self._pow_coeffs(cc, q1 // r) != self._code_to_coeffs(1)
-                for r in _prime_factors(q1)
-            ):
-                gen = cc
-                break
-        if gen is None:  # order 2: the only generator is 1
-            gen = self._code_to_coeffs(1)
-        exp = [0] * (2 * q1)
-        log = [0] * self.order
-        cur = self._code_to_coeffs(1)
-        for i in range(q1):
-            code = self._coeffs_to_code(cur)
-            exp[i] = code
-            exp[i + q1] = code
-            log[code] = i
-            cur = _poly_mul_mod(cur, gen, self.modulus, self.p)
-        if self._coeffs_to_code(cur) != 1:
-            raise AssertionError("generator order check failed")
-        self.generator_code = exp[1] if q1 > 1 else 1
-        self._exp = exp
-        self._log = log
-
-    def _pow_coeffs(self, base: tuple[int, ...], e: int) -> tuple[int, ...]:
-        result = self._code_to_coeffs(1)
-        while e:
-            if e & 1:
-                result = _poly_mul_mod(result, base, self.modulus, self.p)
-            base = _poly_mul_mod(base, base, self.modulus, self.p)
-            e >>= 1
-        return result
-
-    # dense tables ------------------------------------------------------
-
-    @property
-    def add_table(self) -> list[list[int]]:
-        if self._add_table is None:
-            q, p, m = self.order, self.p, self.m
-            if p == 2:
-                self._add_table = [[a ^ b for b in range(q)] for a in range(q)]
-            else:
-                coeffs = [self._code_to_coeffs(a) for a in range(q)]
-                self._add_table = [
-                    [
-                        self._coeffs_to_code([(x + y) % p for x, y in zip(ca, cb)])
-                        for cb in coeffs
-                    ]
-                    for ca in coeffs
-                ]
-        return self._add_table
-
-    @property
-    def mul_table(self) -> list[list[int]]:
-        if self._mul_table is None:
-            q = self.order
-            exp, log = self._exp, self._log
-            rows = [[0] * q]
-            for a in range(1, q):
-                la = log[a]
-                rows.append([0] + [exp[la + log[b]] for b in range(1, q)])
-            self._mul_table = rows
-        return self._mul_table
-
-    @property
-    def neg_table(self) -> list[int]:
-        if self._neg_table is None:
-            p = self.p
-            self._neg_table = [
-                self._coeffs_to_code([(-c) % p for c in self._code_to_coeffs(a)])
-                for a in range(self.order)
-            ]
-        return self._neg_table
-
-    @property
-    def inv_table(self) -> list[int]:
-        # inv[0] is a sentinel 0; elimination code never reads it
-        if self._inv_table is None:
-            q1 = self.order - 1
-            exp, log = self._exp, self._log
-            self._inv_table = [0] + [exp[q1 - log[a]] for a in range(1, self.order)]
-        return self._inv_table
-
     def frobenius_table(self, q: int) -> list[int]:
-        """Table of a -> a^q for q a characteristic power with q*q = order."""
-        tab = self._frob_tables.get(q)
-        if tab is None:
-            if q < 2 or q * q != self.order:
-                raise BadSubfieldOrderError(
-                    f"subfield order {q} is not the square root of {self.order}"
-                )
-            pp = self.p
-            qq = q
-            while qq % pp == 0:
-                qq //= pp
-            if qq != 1:
-                raise BadSubfieldOrderError(
-                    f"subfield order {q} is not a power of the characteristic {pp}"
-                )
-            q1 = self.order - 1
-            exp, log = self._exp, self._log
-            tab = [0] + [exp[(log[a] * q) % q1] for a in range(1, self.order)]
-            self._frob_tables[q] = tab
-        return tab
+        """Table of the conjugation a -> a^q, for the subfield order q with
+        q*q = order (q is then a power of the characteristic)."""
+        if q < 2 or q * q != self.order:
+            raise BadSubfieldOrderError(
+                f"subfield order {q} is not the square root of {self.order}"
+            )
+        return self._conj_table
 
     # code-level ops (scalar; hot loops should grab the tables directly) -
 
@@ -317,7 +249,7 @@ class FiniteField:
 
     @property
     def generator(self) -> FieldElem:
-        """A fixed generator of the multiplicative group."""
+        """The smallest code that generates the multiplicative group."""
         return FieldElem(self, self.generator_code)
 
     def elements(self) -> Iterator[FieldElem]:
@@ -523,72 +455,17 @@ class RrefResult:
     pivot_cols: tuple[int, ...]
 
 
-def _rref_in_place(rows: list[list[int]], field: FiniteField) -> tuple[int, list[int]]:
-    """Reduce rows to RREF; returns (rank, pivot columns)."""
-    mul = field.mul_table
-    add = field.add_table
-    neg = field.neg_table
-    inv = field.inv_table
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
-        if lead != 1:
-            scale = mul[inv[lead]]
-            rows[r] = [scale[x] for x in rows[r]]
-        pivot_row = rows[r]
-        for i in range(nrows):
-            if i != r:
-                f = rows[i][c]
-                if f:
-                    fac = mul[f]
-                    ri = rows[i]
-                    for t in range(ncols):
-                        x = pivot_row[t]
-                        if x:
-                            ri[t] = add[ri[t]][neg[fac[x]]]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return r, pivots
-
-
-def rref(matrix: MatrixGF) -> RrefResult:
-    """Reduced row echelon form with rank and pivot columns."""
-    rows = matrix.to_lists()
-    rank, pivots = _rref_in_place(rows, matrix.field)
-    flat = tuple(x for row in rows for x in row)
-    reduced = MatrixGF(matrix.field, matrix.rows, matrix.cols, flat)
-    return RrefResult(reduced, rank, tuple(pivots))
-
-
-# -- the Gram/rank kernel on raw codes ----------------------------------------
+# -- the elimination and the Gram/rank kernel on raw codes ---------------------
 
 RawRows = list[list[int]]
 
 
-@functools.lru_cache(maxsize=256)
-def gram_kernel(
-    field: FiniteField, form: FormKind, n: int
-) -> tuple[Callable[[RawRows], RawRows], Callable[[RawRows], int]]:
-    """The package's one Gram/rank kernel, for rows of length n under form.
+@functools.lru_cache(maxsize=None)
+def _rank_kernel(field: FiniteField) -> Callable[[RawRows], int]:
+    """The package's one forward elimination, built once per field.
 
-    Returns (gram_of, rank_of). gram_of maps k rows of element codes to
-    their k x k Gram matrix, filling the upper triangle and deriving the
-    lower one (conjugated for the hermitian form, negated for the
-    symplectic one). rank_of reduces a matrix of codes in place by forward
-    elimination and returns its rank. Built once per (field, form, n).
+    rank_of reduces a matrix of codes in place to row echelon form (rows
+    swapped, pivots not scaled, zero rows last) and returns its rank.
     """
     mul = field.mul_table
     add = field.add_table
@@ -622,6 +499,56 @@ def gram_kernel(
                             mi[t] = add[mi[t]][neg[mrow[x]]]
             r += 1
         return r
+
+    return rank_of
+
+
+def rref(matrix: MatrixGF) -> RrefResult:
+    """Reduced row echelon form with rank and pivot columns.
+
+    The forward elimination is the kernel's rank_of; one back pass, from
+    the last pivot row up, scales each pivot row to 1 and clears the
+    entries above its pivot.
+    """
+    field = matrix.field
+    mul = field.mul_table
+    add = field.add_table
+    neg = field.neg_table
+    inv = field.inv_table
+    rows = matrix.to_lists()
+    rank = _rank_kernel(field)(rows)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in rows[:rank]]
+    for r in range(rank - 1, -1, -1):
+        c = pivots[r]
+        scale = mul[inv[rows[r][c]]]
+        prow = rows[r] = [scale[x] for x in rows[r]]
+        for i in range(r):
+            f = rows[i][c]
+            if f:
+                fac = mul[f]
+                rows[i] = [add[x][neg[fac[y]]] for x, y in zip(rows[i], prow)]
+    flat = tuple(x for row in rows for x in row)
+    reduced = MatrixGF(matrix.field, matrix.rows, matrix.cols, flat)
+    return RrefResult(reduced, rank, tuple(pivots))
+
+
+@functools.lru_cache(maxsize=256)
+def gram_kernel(
+    field: FiniteField, form: FormKind, n: int
+) -> tuple[Callable[[RawRows], RawRows], Callable[[RawRows], int]]:
+    """The package's one Gram/rank kernel, for rows of length n under form.
+
+    Returns (gram_of, rank_of). gram_of maps k rows of element codes to
+    their k x k Gram matrix, filling the upper triangle and deriving the
+    lower one (conjugated for the hermitian form, negated for the
+    symplectic one). rank_of is the field's one forward elimination: it
+    reduces a matrix of codes in place and returns its rank; rref() runs
+    it too. Built once per (field, form, n).
+    """
+    mul = field.mul_table
+    add = field.add_table
+    neg = field.neg_table
+    rank_of = _rank_kernel(field)
 
     if form is FormKind.SYMPLECTIC:
         if n % 2 != 0:

@@ -319,13 +319,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     forms = args.forms or ["hermitian", "symplectic", "euclidean"]
     qs = args.qs or [2]
     limit = _resolve_work_limit(args.work_limit)
+    sweeps = {name: _sweep_cells(_FORMS[name], args) for name in forms}
+    empty = [name for name, cells in sweeps.items() if not cells]
+    if empty:
+        raise BadRangeError(
+            f"no cells to verify for {', '.join(empty)} in the requested ranges"
+        )
     dumped: list[tuple[object, ...]] = []
     failures: list[str] = []
     checked = 0
     for name in forms:
         form = _FORMS[name]
         for q in qs:
-            for length, k in _sweep_cells(form, args):
+            for length, k in sweeps[name]:
                 label = f"{name} length={length} k={k} q={q}"
                 comp = spectrum_vs_formula(length, k, q, form, limit)
                 if args.dump:
@@ -334,7 +340,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                         for cell in comp.cells
                         if cell.oracle
                     ]
-                problems = [] if comp.passed else [comp.first_failure() or "mismatch"]
+                problems = [] if comp.passed else [comp.first_failure()]
                 problems += _problems(comp)
                 checked += 1
                 if problems:

@@ -1,27 +1,38 @@
-"""Hull dimension by the definition, as an independent reference.
+"""Hull dimension and reduced row echelon form by the definition, as an
+independent reference.
 
-Built only from FieldElem operators and frobenius, with its own Gaussian
-elimination, so it shares no code with the raw-code Gram/rank kernel that
-algebra.hull_dim and oracle.hull_spectrum both use.
+Built only from FieldElem operators and frobenius, with its own Gauss-Jordan
+elimination, so it shares no code with the raw-code elimination and Gram
+kernel that algebra.rref, algebra.hull_dim and oracle.hull_spectrum use.
 """
 
 from hullcount.algebra import FieldElem, FormKind, MatrixGF, frobenius
 
 
-def naive_rank(rows: list[list[FieldElem]]) -> int:
+def naive_rref(
+    rows: list[list[FieldElem]],
+) -> tuple[list[list[FieldElem]], int, tuple[int, ...]]:
+    """Gauss-Jordan reduction: (reduced rows, rank, pivot columns)."""
     rows = [list(r) for r in rows]
-    rank = 0
+    pivots: list[int] = []
     for c in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if not rows[i][c].is_zero()), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        lead = rows[r][c]
+        rows[r] = [x / lead for x in rows[r]]
         for i in range(len(rows)):
-            if i != rank and not rows[i][c].is_zero():
-                f = rows[i][c] / rows[rank][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, len(pivots), tuple(pivots)
+
+
+def naive_rank(rows: list[list[FieldElem]]) -> int:
+    return naive_rref(rows)[1]
 
 
 def _form(x: list[FieldElem], y: list[FieldElem], form: FormKind) -> FieldElem:

@@ -27,7 +27,7 @@ from hullcount.errors import (
     OddAmbientError,
     RankDeficientGeneratorError,
 )
-from naive_hull import generator_rows, naive_hull_dim, naive_rank
+from naive_hull import generator_rows, naive_hull_dim, naive_rank, naive_rref
 
 F2 = make_field(2)
 F4 = make_field(2, 2)
@@ -122,6 +122,73 @@ def test_field_elem_arithmetic():
         a / F9.zero
 
 
+# -- field tables against polynomial arithmetic -------------------------------
+
+TABLE_FIELDS = [
+    (p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(2, 9) if p ** m <= 256
+] + [(2, 1), (3, 1), (251, 1)]
+
+
+def _digits(code, p, m):
+    return [code // p ** i % p for i in range(m)]
+
+
+def _code(digits, p):
+    return sum(d * p ** i for i, d in enumerate(digits))
+
+
+def _schoolbook_mul(a, b, field):
+    """a * b on codes: multiply the polynomials, then reduce mod the modulus."""
+    p, m, f = field.p, field.m, field.modulus
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(_digits(a, p, m)):
+        for j, y in enumerate(_digits(b, p, m)):
+            prod[i + j] += x * y
+    for d in range(2 * m - 2, m - 1, -1):
+        c = prod[d] % p
+        for j in range(m + 1):
+            prod[d - m + j] -= c * f[j]
+    return _code([c % p for c in prod[:m]], p)
+
+
+def _multiplicative_order(a, field):
+    power, order = a, 1
+    while power != 1:
+        power = _schoolbook_mul(power, a, field)
+        order += 1
+    return order
+
+
+@pytest.mark.parametrize("p, m", TABLE_FIELDS)
+def test_field_tables_match_polynomial_arithmetic(p, m):
+    field = make_field(p, m)
+    q = field.order
+    if q <= 64:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(1500)]
+    for a, b in pairs:
+        assert field.mul_table[a][b] == _schoolbook_mul(a, b, field)
+        digitwise = [(x + y) % p for x, y in zip(_digits(a, p, m), _digits(b, p, m))]
+        assert field.add_table[a][b] == _code(digitwise, p)
+    for a in range(q):
+        assert field.neg_table[a] == _code([-x % p for x in _digits(a, p, m)], p)
+        if a:
+            assert _schoolbook_mul(field.inv_table[a], a, field) == 1
+    if m % 2 == 0:
+        sub = p ** (m // 2)
+        conj = field.frobenius_table(sub)
+        for a in range(q):
+            power = 1
+            for _ in range(sub):
+                power = _schoolbook_mul(power, a, field)
+            assert conj[a] == power
+    # the generator is the smallest code of multiplicative order q - 1
+    smallest = next(a for a in range(1, q) if _multiplicative_order(a, field) == q - 1)
+    assert field.generator_code == smallest
+
+
 # -- rref ------------------------------------------------------------------
 
 
@@ -175,6 +242,45 @@ def test_rref_is_idempotent():
             again = rref(once.matrix)
             assert once.matrix == again.matrix
             assert once.rank == again.rank
+
+
+@st.composite
+def _rref_inputs(draw):
+    """A matrix up to 5 x 7 whose rows are random, zero, copies of an earlier
+    row or combinations of two earlier rows."""
+    field = field_of_order(draw(st.sampled_from([2, 3, 4, 5, 8, 9])))
+    nrows = draw(st.integers(0, 5))
+    ncols = draw(st.integers(0, 7))
+    entry = st.integers(0, field.order - 1)
+    rows = []
+    for i in range(nrows):
+        kind = draw(st.sampled_from(["random", "zero", "copy", "combination"]))
+        if kind == "zero" or (kind != "random" and i == 0):
+            row = [field.zero] * ncols
+        elif kind == "copy":
+            row = list(rows[draw(st.integers(0, i - 1))])
+        elif kind == "combination":
+            x = rows[draw(st.integers(0, i - 1))]
+            y = rows[draw(st.integers(0, i - 1))]
+            a, b = field.elem(draw(entry)), field.elem(draw(entry))
+            row = [a * s + b * t for s, t in zip(x, y)]
+        else:
+            codes = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+            row = [field.elem(c) for c in codes]
+        rows.append(row)
+    return field, nrows, ncols, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rref_inputs())
+def test_rref_matches_naive_reference(case):
+    field, nrows, ncols, rows = case
+    m = MatrixGF(field, nrows, ncols, tuple(x.code for row in rows for x in row))
+    out = rref(m)
+    reduced, rank, pivots = naive_rref(rows)
+    assert out.matrix.to_lists() == [[x.code for x in row] for row in reduced]
+    assert out.rank == rank
+    assert out.pivot_cols == pivots
 
 
 # -- gram ------------------------------------------------------------------

@@ -201,6 +201,21 @@ def test_verify_catches_corrupted_formula(capsys, monkeypatch, form, name):
     assert "cells failed" in out
 
 
+@pytest.mark.parametrize(
+    "argv, empty",
+    [
+        (["--max-n", "1", "--max-ambient", "0"], "hermitian, symplectic, euclidean"),
+        (["--form", "hermitian", "--max-k", "0"], "hermitian"),
+        (["--max-k", "0"], "hermitian, euclidean"),
+    ],
+)
+def test_verify_with_no_cells_is_an_error(capsys, argv, empty):
+    code, out, err = run(["verify", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: no cells to verify for {empty} in the requested ranges\n"
+
+
 def test_verify_work_limit_flag(capsys):
     code, _, err = run(
         ["verify", "--form", "symplectic", "--max-ambient", "8",

@@ -1,0 +1,20 @@
+"""Rules on the package source itself."""
+
+import ast
+from pathlib import Path
+
+import hullcount
+
+SOURCES = sorted(Path(hullcount.__file__).parent.glob("*.py"))
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so invariants must raise errors
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert SOURCES
+    assert found == []
