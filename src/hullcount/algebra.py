@@ -31,7 +31,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BadRangeError,
@@ -108,7 +108,7 @@ def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
         candidate = (*low, 1)
         if _is_irreducible(candidate, p):
             return candidate
-    raise AssertionError(f"no irreducible polynomial of degree {m} over F_{p}")
+    raise ArithmeticError(f"no irreducible polynomial of degree {m} over F_{p}")
 
 
 class FiniteField:
@@ -532,24 +532,45 @@ def rref(matrix: MatrixGF) -> RrefResult:
     return RrefResult(reduced, rank, tuple(pivots))
 
 
+class GramKernel(NamedTuple):
+    """The raw-code Gram/rank kernel of one (field, form, length); see
+    gram_kernel."""
+
+    gram_of: Callable[[RawRows], RawRows]
+    rank_of: Callable[[RawRows], int]
+    stepper: Callable[[int], tuple[Callable[[RawRows], int], Callable[..., int]]]
+
+
 @functools.lru_cache(maxsize=256)
-def gram_kernel(
-    field: FiniteField, form: FormKind, n: int
-) -> tuple[Callable[[RawRows], RawRows], Callable[[RawRows], int]]:
+def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     """The package's one Gram/rank kernel, for rows of length n under form.
 
-    Returns (gram_of, rank_of). gram_of maps k rows of element codes to
-    their k x k Gram matrix, filling the upper triangle and deriving the
-    lower one (conjugated for the hermitian form, negated for the
-    symplectic one). rank_of is the field's one forward elimination: it
-    reduces a matrix of codes in place and returns its rank; rref() runs
-    it too. Built once per (field, form, n).
+    gram_of maps k rows of element codes to their k x k Gram matrix,
+    filling the upper triangle and mirroring it into the lower one
+    (conjugated for the hermitian form, negated for the symplectic one).
+    rank_of is the field's one forward elimination: it reduces a matrix of
+    codes in place and returns its rank; rref() runs it too.
+
+    stepper(k) serves enumerations that change one entry of k rows at a
+    time. It returns (key_of, step): key_of packs the upper triangle of a
+    k x k Gram matrix into an int, entry (i, j) with i <= j at bit
+    (j(j+1)/2 + i) * bits; after rows[r][c] has changed from old,
+    step(g, key, rows, r, c, old) updates row and column r of g in place
+    in O(k) and returns the updated key. The change meets column c of the
+    other rows (its partner c +- n/2, with a sign, for the symplectic
+    form), the diagonal moves by the change in a*conj(a) (never, for the
+    alternating symplectic form), and the mirror entries follow.
+
+    Built once per (field, form, n).
     """
     mul = field.mul_table
     add = field.add_table
     neg = field.neg_table
     rank_of = _rank_kernel(field)
+    cols = range(n)
 
+    # per-form conventions: prod[a][b] pairs an entry of row i with the
+    # partner entry of row j, mirror maps g[i][j] to g[j][i]
     if form is FormKind.SYMPLECTIC:
         if n % 2 != 0:
             raise OddAmbientError(
@@ -557,8 +578,13 @@ def gram_kernel(
             )
         half = n // 2
         halves = range(half)
+        prod = mul
+        mirror = neg
+        partner = [c + half for c in halves] + list(halves)
+        flipped = [False] * half + [True] * half  # the -x[h+t]*y[t] terms
+        diagonal = False
 
-        def gram_symplectic(rows: RawRows) -> RawRows:
+        def gram_of(rows: RawRows) -> RawRows:
             k = len(rows)
             g = [[0] * k for _ in range(k)]
             for i in range(k):
@@ -582,54 +608,104 @@ def gram_kernel(
                         g[j][i] = neg[s]
             return g
 
-        return gram_symplectic, rank_of
-
-    if form is FormKind.HERMITIAN:
-        if field.m % 2 != 0:
-            raise NonSquareFieldError(
-                f"hermitian form needs a square field order, got {field.order}"
-            )
-        conj = field.frobenius_table(field.p ** (field.m // 2))
-        prod = [[row[c] for c in conj] for row in mul]  # prod[a][b] = a * conj(b)
     else:
-        conj = list(range(field.order))
-        prod = mul
-    cols = range(n)
+        if form is FormKind.HERMITIAN:
+            if field.m % 2 != 0:
+                raise NonSquareFieldError(
+                    f"hermitian form needs a square field order, got {field.order}"
+                )
+            mirror = field.frobenius_table(field.p ** (field.m // 2))
+            prod = [[row[c] for c in mirror] for row in mul]  # a * conj(b)
+        else:
+            mirror = list(range(field.order))
+            prod = mul
+        partner = list(cols)
+        flipped = [False] * n
+        diagonal = True
 
-    def gram_of(rows: RawRows) -> RawRows:
-        k = len(rows)
-        g = [[0] * k for _ in range(k)]
-        for i in range(k):
-            ri = rows[i]
-            gi = g[i]
-            for j in range(i, k):
-                rj = rows[j]
-                s = 0
-                for t in cols:
-                    a = ri[t]
-                    if a:
-                        b = rj[t]
-                        if b:
-                            s = add[s][prod[a][b]]
-                gi[j] = s
-                g[j][i] = conj[s]
-        return g
+        def gram_of(rows: RawRows) -> RawRows:
+            k = len(rows)
+            g = [[0] * k for _ in range(k)]
+            for i in range(k):
+                ri = rows[i]
+                gi = g[i]
+                for j in range(i, k):
+                    rj = rows[j]
+                    s = 0
+                    for t in cols:
+                        a = ri[t]
+                        if a:
+                            b = rj[t]
+                            if b:
+                                s = add[s][prod[a][b]]
+                    gi[j] = s
+                    g[j][i] = mirror[s]
+            return g
 
-    return gram_of, rank_of
+    bits = (field.order - 1).bit_length()
+
+    def stepper(k: int) -> tuple[Callable[[RawRows], int], Callable[..., int]]:
+        def shift(i: int, j: int) -> int:
+            return bits * (j * (j + 1) // 2 + i)
+
+        cells = [(i, j, shift(i, j)) for j in range(k) for i in range(j + 1)]
+        above = [[(j, shift(j, r)) for j in range(r)] for r in range(k)]
+        right = [[(j, shift(r, j)) for j in range(r + 1, k)] for r in range(k)]
+        on_diagonal = [shift(r, r) for r in range(k)]
+
+        def key_of(g: RawRows) -> int:
+            key = 0
+            for i, j, sh in cells:
+                key |= g[i][j] << sh
+            return key
+
+        def step(g: RawRows, key: int, rows: RawRows, r: int, c: int, old: int) -> int:
+            new = rows[r][c]
+            d = add[new][neg[old]]
+            if flipped[c]:
+                d = neg[d]
+            pd = prod[d]
+            pc = partner[c]
+            gr = g[r]
+            for j, sh in above[r]:  # upper-triangle entries g[j][r]
+                x = rows[j][pc]
+                if x:
+                    gj = g[j]
+                    s = add[gr[j]][pd[x]]
+                    m = mirror[s]
+                    key ^= (gj[r] ^ m) << sh
+                    gr[j] = s
+                    gj[r] = m
+            if diagonal:
+                s = add[gr[r]][add[prod[new][new]][neg[prod[old][old]]]]
+                key ^= (gr[r] ^ s) << on_diagonal[r]
+                gr[r] = s
+            for j, sh in right[r]:  # upper-triangle entries g[r][j]
+                x = rows[j][pc]
+                if x:
+                    s = add[gr[j]][pd[x]]
+                    key ^= (gr[j] ^ s) << sh
+                    gr[j] = s
+                    g[j][r] = mirror[s]
+            return key
+
+        return key_of, step
+
+    return GramKernel(gram_of, rank_of, stepper)
 
 
 def gram(generator: MatrixGF, form: FormKind) -> MatrixGF:
     """Gram matrix of the row vectors under the given bilinear/sesquilinear form."""
-    gram_of, _ = gram_kernel(generator.field, form, generator.cols)
+    gram_of = gram_kernel(generator.field, form, generator.cols).gram_of
     flat = tuple(itertools.chain.from_iterable(gram_of(generator.to_lists())))
     return MatrixGF._trusted(generator.field, generator.rows, generator.rows, flat)
 
 
 def hull_dim(generator: MatrixGF, form: FormKind) -> int:
     """dim(C intersect C^perp) = k - rank(Gram) for a full-row-rank generator."""
-    gram_of, rank_of = gram_kernel(generator.field, form, generator.cols)
+    kernel = gram_kernel(generator.field, form, generator.cols)
     k = generator.rows
-    rank = rank_of(generator.to_lists())
+    rank = kernel.rank_of(generator.to_lists())
     if rank != k:
         raise RankDeficientGeneratorError(f"generator has rank {rank} < {k} rows")
-    return k - rank_of(gram_of(generator.to_lists()))
+    return k - kernel.rank_of(kernel.gram_of(generator.to_lists()))

@@ -316,8 +316,9 @@ def _problems(comp: SpectrumComparison) -> list[str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    forms = args.forms or ["hermitian", "symplectic", "euclidean"]
-    qs = args.qs or [2]
+    # a repeated --form or -q names the same cells; check each once
+    forms = list(dict.fromkeys(args.forms or ["hermitian", "symplectic", "euclidean"]))
+    qs = list(dict.fromkeys(args.qs or [2]))
     limit = _resolve_work_limit(args.work_limit)
     sweeps = {name: _sweep_cells(_FORMS[name], args) for name in forms}
     empty = [name for name, cells in sweeps.items() if not cells]

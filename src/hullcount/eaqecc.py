@@ -104,8 +104,8 @@ def ebits_from_check_matrix(check: MatrixGF) -> int:
     only sees the row space."""
     if check.field.order != 2:
         raise BadRangeError("check matrices are binary, need the field of order 2")
-    gram_of, rank_of = gram_kernel(check.field, FormKind.SYMPLECTIC, check.cols)
-    rank = rank_of(gram_of(check.to_lists()))
+    kernel = gram_kernel(check.field, FormKind.SYMPLECTIC, check.cols)
+    rank = kernel.rank_of(kernel.gram_of(check.to_lists()))
     if rank % 2 != 0:
         raise OddGramRankError(
             f"alternating Gram rank came out odd ({rank}); this is a bug"

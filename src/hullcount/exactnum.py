@@ -48,7 +48,7 @@ def gaussian_binomial(n: int, k: int, order: int) -> int:
     Out-of-range k (k < 0 or k > n) returns 0, the usual counting
     convention. Evaluation alternates multiply and exact divide; after the
     i-th pair the running value equals the Gaussian binomial [n, i], so
-    every division is exact and is asserted to be so.
+    every division is exact and is checked to be so.
     """
     if n < 0:
         raise BadRangeError(f"n must be nonnegative, got {n}")
@@ -63,7 +63,7 @@ def gaussian_binomial(n: int, k: int, order: int) -> int:
         den = order ** (i + 1) - 1
         quot, rem = divmod(value, den)
         if rem:
-            raise AssertionError(
+            raise ArithmeticError(
                 f"non-exact division in gaussian_binomial({n}, {k}, {order})"
             )
         value = quot

@@ -3,18 +3,23 @@
 Every k-dimensional subspace of F_Q^n has a unique generator matrix in
 reduced row echelon form, so enumerating those matrices enumerates the
 subspaces exactly once: pivot-column subsets are visited in
-lexicographic order, and for each subset the free entries run through a
-mixed-radix odometer over the element codes 0..Q-1. The total yield is the
-Gaussian binomial [n, k]_Q, which doubles as a built-in consistency check
-on every spectrum.
+lexicographic order, and for each subset the free entries run through the
+element codes 0..Q-1 in loopless reflected Q-ary Gray order (Knuth, TAOCP
+4A, 7.2.1.1, Algorithm H), so consecutive matrices differ in one entry by
+one code step. The total yield is the Gaussian binomial [n, k]_Q, which
+doubles as a built-in consistency check on every spectrum.
 
 A work limit (default 10^8 subspaces) guards against accidentally
 unbounded sweeps. It is checked against the exact expected count
 [n, k]_Q before enumeration starts, not discovered mid-run.
 
-The spectrum loop itself never builds FieldElem or MatrixGF objects: the
-odometer fills a reused row buffer, and algebra.gram_kernel computes the
-Gram rank directly on integer codes through the field's lookup tables.
+The spectrum loop itself never builds FieldElem or MatrixGF objects. It
+builds each pivot subset's Gram matrix once; after that every Gray step
+changes one row and column of it, which algebra.gram_kernel's step
+updates in O(k) along with an integer key packing the Gram's upper
+triangle. The Gram rank is looked up on that key in a memo that lives for
+one spectrum and holds at most RANK_MEMO_CAP entries; past the cap the
+rank is computed directly.
 """
 
 from __future__ import annotations
@@ -37,12 +42,19 @@ from .exactnum import gaussian_binomial, prime_power_parts
 from .formulas import closed_count, hull_dims
 
 DEFAULT_WORK_LIMIT = 10 ** 8
+RANK_MEMO_CAP = 4096  # most Gram keys one spectrum remembers ranks for
 
 
-def _rref_rows(n: int, k: int, q: int) -> Iterator[list[list[int]]]:
-    """The one odometer: yield a k x n row buffer of codes holding each
-    canonical RREF generator in turn. The buffer is reused; callers must
-    copy what they keep."""
+def _rref_rows(n: int, k: int, q: int) -> Iterator[tuple[list[list[int]], int, int, int]]:
+    """The one odometer: yield (rows, r, c, old) for each canonical RREF
+    generator in turn, rows being a k x n buffer of codes.
+
+    The first yield of each pivot subset has r = -1 and every free entry
+    0; each later one changed rows[r][c] from old by one code step. The
+    buffer is reused within a pivot subset; callers must copy what they
+    keep.
+    """
+    top = q - 1
     for pivots in itertools.combinations(range(n), k):
         rows = [[0] * n for _ in range(k)]
         for row, c in zip(rows, pivots):
@@ -50,13 +62,26 @@ def _rref_rows(n: int, k: int, q: int) -> Iterator[list[list[int]]]:
         free = [
             (r, c) for r in range(k) for c in range(pivots[r] + 1, n) if c not in pivots
         ]
-        frows = [rows[r] for r, _ in free]
-        fcols = [c for _, c in free]
-        span = range(len(free))
-        for vals in itertools.product(range(q), repeat=len(free)):
-            for idx in span:
-                frows[idx][fcols[idx]] = vals[idx]
-            yield rows
+        yield rows, -1, -1, 0
+        # Algorithm H: focus[j] names the digit to move next, delta[j] is
+        # digit j's direction, and a digit reflects when it reaches 0 or top
+        m = len(free)
+        focus = list(range(m + 1))
+        delta = [1] * m
+        while True:
+            j = focus[0]
+            if j == m:
+                break
+            focus[0] = 0
+            r, c = free[j]
+            row = rows[r]
+            old = row[c]
+            new = row[c] = old + delta[j]
+            if new == 0 or new == top:
+                delta[j] = -delta[j]
+                focus[j] = focus[j + 1]
+                focus[j + 1] = j + 1
+            yield rows, r, c, old
 
 
 class SubspaceIterator:
@@ -90,7 +115,7 @@ class SubspaceIterator:
         field, n, k = self.field, self.n, self.k
         trusted = MatrixGF._trusted
         chain = itertools.chain.from_iterable
-        for rows in _rref_rows(n, k, field.order):
+        for rows, _, _, _ in _rref_rows(n, k, field.order):
             yield trusted(field, k, n, tuple(chain(rows)))
 
 
@@ -121,8 +146,7 @@ class HullSpectrum:
     def q(self) -> int:
         """Reporting order: the subfield order for hermitian spectra."""
         if self.form is FormKind.HERMITIAN:
-            root = math.isqrt(self.field_order)
-            return root
+            return math.isqrt(self.field_order)
         return self.field_order
 
 
@@ -135,10 +159,25 @@ def hull_spectrum(
 ) -> HullSpectrum:
     """Enumerate every k-dim subspace of F_Q^n and tally hull dimensions."""
     enumerate_subspaces(n, k, field, work_limit)  # checks range and work limit up front
-    gram_of, rank_of = gram_kernel(field, form, n)
+    gram_of, rank_of, stepper = gram_kernel(field, form, n)
+    key_of, step = stepper(k)
+    cap = RANK_MEMO_CAP
+    memo: dict[int, int] = {}
     acc = [0] * (k + 1)
-    for rows in _rref_rows(n, k, field.order):
-        acc[k - rank_of(gram_of(rows))] += 1
+    g: list[list[int]] = []
+    key = 0
+    for rows, r, c, old in _rref_rows(n, k, field.order):
+        if r < 0:
+            g = gram_of(rows)
+            key = key_of(g)
+        else:
+            key = step(g, key, rows, r, c, old)
+        rank = memo.get(key)
+        if rank is None:
+            rank = rank_of([row[:] for row in g])  # rank_of reduces in place
+            if len(memo) < cap:
+                memo[key] = rank
+        acc[k - rank] += 1
     counts = {ell: c for ell, c in enumerate(acc) if c}
     return HullSpectrum(n, k, form, field.order, counts)
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hullcount import algebra
 from hullcount.algebra import (
     FieldElem,
     FiniteField,
@@ -14,6 +15,7 @@ from hullcount.algebra import (
     field_of_order,
     frobenius,
     gram,
+    gram_kernel,
     hull_dim,
     make_field,
     rref,
@@ -314,6 +316,37 @@ def test_gram_form_preconditions():
         gram(g2, FormKind.SYMPLECTIC)
 
 
+def test_gram_step_matches_a_fresh_gram():
+    # one-entry changes to any value, then the kernel's O(k) update against
+    # gram_of on the changed rows; for each k the key packs the upper
+    # triangle one-to-one
+    rng = random.Random(5)
+    n = 6
+    for order in (2, 3, 4, 5, 8, 9):
+        field = field_of_order(order)
+        forms = [FormKind.EUCLIDEAN, FormKind.SYMPLECTIC]
+        if field.m % 2 == 0:
+            forms.append(FormKind.HERMITIAN)
+        for form in forms:
+            kernel = gram_kernel(field, form, n)
+            for k in range(1, 5):
+                key_of, step = kernel.stepper(k)
+                uppers: dict[int, tuple[int, ...]] = {}
+                rows = [[rng.randrange(order) for _ in range(n)] for _ in range(k)]
+                g = kernel.gram_of(rows)
+                key = key_of(g)
+                for _ in range(30):
+                    r, c = rng.randrange(k), rng.randrange(n)
+                    old = rows[r][c]
+                    rows[r][c] = rng.randrange(order)
+                    key = step(g, key, rows, r, c, old)
+                    fresh = kernel.gram_of(rows)
+                    assert g == fresh
+                    assert key == key_of(fresh)
+                    upper = tuple(fresh[i][j] for i in range(k) for j in range(i, k))
+                    assert uppers.setdefault(key, upper) == upper
+
+
 def test_gram_symplectic_is_alternating():
     rng = random.Random(99)
     for field in (F2, make_field(3)):
@@ -389,6 +422,12 @@ def test_hull_dim_matches_naive_reference(data):
     m = MatrixGF(field, k, n, tuple(codes))
     assume(naive_rank(generator_rows(m)) == k)
     assert hull_dim(m, form) == naive_hull_dim(m, form)
+
+
+def test_canonical_modulus_without_irreducible_raises(monkeypatch):
+    monkeypatch.setattr(algebra, "_is_irreducible", lambda poly, p: False)
+    with pytest.raises(ArithmeticError, match="no irreducible polynomial of degree 3 over F_2"):
+        algebra._canonical_modulus(2, 3)
 
 
 def test_matrix_validation():

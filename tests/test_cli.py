@@ -279,6 +279,37 @@ def test_verify_dump_to_stdout(capsys):
     assert out.endswith("\r\nall 6 cells pass\n")
 
 
+def test_verify_repeated_form_and_q_check_each_cell_once(capsys):
+    code, out, _ = run(
+        ["verify", "--form", "hermitian", "--form", "hermitian", "--max-n", "2",
+         "-q", "2", "-q", "2", "--dump", "-"],
+        capsys,
+    )
+    assert code == 0
+    assert out == (
+        "PASS hermitian length=2 k=1 q=2\n"
+        "n,k,q,form,ell,count\r\n"
+        "2,1,2,hermitian,0,2\r\n"
+        "2,1,2,hermitian,1,3\r\n"
+        "all 1 cells pass\n"
+    )
+    # repeats keep the first-seen order of forms and of qs
+    code, out, _ = run(
+        ["verify", "--form", "symplectic", "--form", "hermitian", "--form", "symplectic",
+         "--max-n", "2", "--max-ambient", "2", "-q", "3", "-q", "2", "-q", "3"],
+        capsys,
+    )
+    assert code == 0
+    labels = [line.split(" ", 1)[1] for line in out.splitlines()[:-1]]
+    assert labels == [
+        f"{form} length=2 k={k} q={q}"
+        for form, ks in (("symplectic", (0, 1, 2)), ("hermitian", (1,)))
+        for q in (3, 2)
+        for k in ks
+    ]
+    assert out.endswith("\nall 8 cells pass\n")
+
+
 def test_census_markdown(capsys):
     code, out, _ = run(
         ["census", "--form", "symplectic", "--ambient", "8", "-k", "4", "-q", "2"],

@@ -1,10 +1,24 @@
 """Exhaustive-enumeration oracle: subspace iteration and hull spectra."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hullcount import cli
-from hullcount.algebra import FormKind, make_field, rref
-from hullcount.errors import BadRangeError, WorkLimitExceededError
+from hullcount import cli, oracle
+from hullcount.algebra import (
+    FormKind,
+    MatrixGF,
+    field_of_order,
+    gram_kernel,
+    make_field,
+    rref,
+)
+from hullcount.errors import (
+    BadRangeError,
+    NonSquareFieldError,
+    OddAmbientError,
+    WorkLimitExceededError,
+)
 from hullcount.exactnum import gaussian_binomial
 from hullcount.oracle import (
     SubspaceIterator,
@@ -17,6 +31,17 @@ from naive_hull import naive_hull_dim
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F4 = make_field(2, 2)
+
+
+def _pivot_passes(n, k, q):
+    """The odometer's yields split per pivot subset: lists of
+    (rows snapshot, r, c, old)."""
+    passes = []
+    for rows, r, c, old in oracle._rref_rows(n, k, q):
+        if r < 0:
+            passes.append([])
+        passes[-1].append(([row[:] for row in rows], r, c, old))
+    return passes
 
 
 def test_yield_counts_match_gaussian_binomial():
@@ -44,6 +69,134 @@ def test_yield_is_canonical_rref():
         out = rref(mat)
         assert out.rank == 2
         assert out.matrix.codes == mat.codes
+
+
+@pytest.mark.parametrize("n,k,q", [(4, 2, 2), (5, 2, 3), (4, 2, 4), (5, 3, 2), (6, 1, 5)])
+def test_gray_steps_change_one_free_entry_by_one_code(n, k, q):
+    for group in _pivot_passes(n, k, q):
+        first, r, _, _ = group[0]
+        assert r == -1
+        pivots = [row.index(1) for row in first]
+        free = {(i, c) for i in range(k) for c in range(pivots[i] + 1, n) if c not in pivots}
+        assert all(first[i][c] == 0 for i, c in free)
+        for (prev, _, _, _), (cur, r, c, old) in zip(group, group[1:]):
+            changed = [
+                (i, j) for i in range(k) for j in range(n) if prev[i][j] != cur[i][j]
+            ]
+            assert changed == [(r, c)]
+            assert (r, c) in free
+            assert prev[r][c] == old
+            assert abs(cur[r][c] - old) == 1
+        # the Gray walk visits every assignment of the free entries once
+        assert len({tuple(map(tuple, rows)) for rows, *_ in group}) == q ** len(free)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=repr)
+def test_full_pass_is_the_rref_set(field):
+    q = field.order
+    saw_no_free = 0
+    for n in range(6):
+        for k in range(n + 1):
+            seen = set()
+            for group in _pivot_passes(n, k, q):
+                saw_no_free += len(group) == 1
+                for rows, *_ in group:
+                    codes = tuple(x for row in rows for x in row)
+                    mat = MatrixGF(field, k, n, codes)
+                    out = rref(mat)
+                    assert out.rank == k
+                    assert out.matrix.codes == codes
+                    seen.add(codes)
+            assert len(seen) == gaussian_binomial(n, k, q)
+    # exactly one pivot subset per (n, k) has no free entries: {n-k, ..., n-1}
+    assert saw_no_free == sum(n + 1 for n in range(6))
+
+
+@pytest.mark.parametrize(
+    "n,k,order,form",
+    [
+        (4, 2, 5, FormKind.SYMPLECTIC),
+        (4, 3, 3, FormKind.SYMPLECTIC),
+        (6, 2, 3, FormKind.SYMPLECTIC),
+        (4, 2, 9, FormKind.HERMITIAN),
+        (5, 2, 4, FormKind.EUCLIDEAN),
+        (4, 3, 3, FormKind.EUCLIDEAN),
+    ],
+)
+def test_gray_walk_keeps_gram_and_key_current(n, k, order, form):
+    # full-pass tallies can hide a wrong update (some sign errors keep
+    # them), so check the updated Gram and key at every generator
+    kernel = gram_kernel(field_of_order(order), form, n)
+    key_of, step = kernel.stepper(k)
+    for rows, r, c, old in oracle._rref_rows(n, k, order):
+        if r < 0:
+            g = kernel.gram_of(rows)
+            key = key_of(g)
+        else:
+            key = step(g, key, rows, r, c, old)
+        fresh = kernel.gram_of(rows)
+        assert g == fresh
+        assert key == key_of(fresh)
+
+
+def test_spectrum_unchanged_past_the_rank_memo_cap(monkeypatch):
+    cells = [
+        (6, 3, F2, FormKind.SYMPLECTIC),
+        (5, 2, F3, FormKind.EUCLIDEAN),
+        (4, 2, F4, FormKind.HERMITIAN),
+        (4, 3, F4, FormKind.EUCLIDEAN),
+    ]
+    expected = [hull_spectrum(*cell).counts for cell in cells]
+    for cap in (0, 1):
+        monkeypatch.setattr(oracle, "RANK_MEMO_CAP", cap)
+        assert [hull_spectrum(*cell).counts for cell in cells] == expected
+
+
+def _naive_cells():
+    cells = []
+    for order in (2, 3, 4, 5, 8, 9):
+        field = field_of_order(order)
+        forms = [FormKind.EUCLIDEAN, FormKind.SYMPLECTIC]
+        if field.m % 2 == 0:
+            forms.append(FormKind.HERMITIAN)
+        for form in forms:
+            for n in range(7):
+                if form is FormKind.SYMPLECTIC and n % 2:
+                    continue
+                cells += [
+                    (n, k, field, form)
+                    for k in range(n + 1)
+                    if gaussian_binomial(n, k, order) <= 600
+                ]
+    return cells
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_naive_cells()))
+def test_spectrum_matches_naive_tally_property(cell):
+    # the tally runs FieldElem arithmetic on every generator; it never
+    # touches the kernel's incremental Gram update or the rank memo
+    n, k, field, form = cell
+    tally: dict[int, int] = {}
+    for mat in enumerate_subspaces(n, k, field):
+        ell = naive_hull_dim(mat, form)
+        tally[ell] = tally.get(ell, 0) + 1
+    assert hull_spectrum(n, k, field, form).counts == tally
+
+
+def test_form_errors_raise_before_enumeration(monkeypatch):
+    def no_enumeration(*args):
+        pytest.fail("enumeration started")
+
+    monkeypatch.setattr(oracle, "_rref_rows", no_enumeration)
+    with pytest.raises(OddAmbientError, match=r"^symplectic form needs an even ambient length, got 5$"):
+        hull_spectrum(5, 2, F2, FormKind.SYMPLECTIC)
+    with pytest.raises(OddAmbientError, match=r"^symplectic form needs an even ambient length, got 7$"):
+        spectrum_vs_formula(7, 2, 3, FormKind.SYMPLECTIC)
+    with pytest.raises(NonSquareFieldError, match=r"^hermitian form needs a square field order, got 3$"):
+        hull_spectrum(4, 2, F3, FormKind.HERMITIAN)
+    with pytest.raises(NonSquareFieldError, match=r"^hermitian form needs a square field order, got 8$"):
+        hull_spectrum(3, 1, make_field(2, 3), FormKind.HERMITIAN)
 
 
 def test_iterator_range_validation():

@@ -6,15 +6,35 @@ from pathlib import Path
 import hullcount
 
 SOURCES = sorted(Path(hullcount.__file__).parent.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
 
 
 def test_no_assert_statements():
     # python -O strips assert statements, so invariants must raise errors
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
+    ]
+    assert SOURCES
+    assert found == []
+
+
+def _raised_name(node: ast.Raise) -> str | None:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+def test_no_raise_assertion_error():
+    # a broken invariant is an ArithmeticError or a package error, not a
+    # stand-in for an assert statement
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and _raised_name(node) == "AssertionError"
     ]
     assert SOURCES
     assert found == []
