@@ -37,6 +37,8 @@ from .exactnum import rat_str
 from .oracle import (
     DEFAULT_WORK_LIMIT,
     SpectrumComparison,
+    enumerate_subspaces,
+    field_for,
     hull_spectrum,
     spectrum_vs_formula,
 )
@@ -326,6 +328,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise BadRangeError(
             f"no cells to verify for {', '.join(empty)} in the requested ranges"
         )
+    # every cell's subspace count is known up front: refuse a sweep that has
+    # an infeasible cell before enumerating any cell
+    for name in forms:
+        for q in qs:
+            field = field_for(_FORMS[name], q)
+            for length, k in sweeps[name]:
+                enumerate_subspaces(length, k, field, limit)
     dumped: list[tuple[object, ...]] = []
     failures: list[str] = []
     checked = 0

@@ -1,34 +1,169 @@
-"""Exact arithmetic primitives: big integers, reduced rationals, Gaussian binomials.
+"""Exact arithmetic primitives: big integers, reduced rationals, exact counts.
 
 Python ints are already arbitrary-precision and fractions.Fraction already
 keeps a canonical reduced form with exact comparisons, so ExactInt and
 ExactRat are aliases rather than wrappers. What this module adds is the
-counting-specific layer: Gaussian binomial coefficients evaluated by
-alternating multiply / exact-divide steps (every partial quotient is itself
-a Gaussian binomial, hence an integer, which the divisions assert), the
-rational-to-integer cast used to finish closed-form count evaluations, and
+counting-specific layer: `exact_count`, the one evaluator of every closed
+count (Gaussian binomials, hermitian and symplectic hull counts), and
 prime-power decomposition for validating field orders.
+
+Every count is q^e times a quotient of products of |x^m - 1| over a few
+ranges of m, with x one of q, q^2 and -q. Since q^m - 1 = prod_{d | m}
+Phi_d(q), such a quotient is prod_t Phi_t(q)^(e_t), and each e_t is a sum
+of floor differences; the count is an integer polynomial in q exactly when
+no e_t is negative. Large counts are multiplied out from the Phi_t(q) with
+a balanced product tree, so no big-integer division is done (CPython's is
+quadratic). Small counts take one exact divmod of the two products, which
+is faster there.
 """
 
 from fractions import Fraction
+from operator import add, sub
+from typing import Sequence
 
 from .errors import BadRangeError
 
 ExactInt = int
 ExactRat = Fraction
 
+# the base x of a factor range: q, q^2 or -q
+Q, Q2, NEG_Q = 1, 2, -1
+FactorRange = tuple[int, int, int]  # (x, lo, hi): prod_{m=lo..hi} |x^m - 1|
 
-def as_exact_int(x: Fraction | int) -> int:
-    """Cast an exact rational with unit denominator to int.
+# Counts whose largest range end is at most this take the divmod path. The
+# two paths tie near 80 on whole hermitian and symplectic spectra (n = 64 to
+# 128, q in {2, ..., 9}, warm Phi cache, CPython 3.11); below it divmod is up
+# to 3x faster, at n = 128 the product tree is 2x faster.
+DIVMOD_MAX_TOP = 80
+# Phi_t(q) values kept between calls, one list per q indexed by t, at most
+# this many values in all; a whole n = 1000 spectrum at one q needs t up to
+# 2000.
+PHI_CACHE_SIZE = 4096
+_phi_cache: dict[int, list[int]] = {}
 
-    Raises ArithmeticError when the value is not an integer; closed-form
-    evaluators rely on this as their final integrality check.
+
+def _range_product(q: int, ranges: Sequence[FactorRange]) -> int:
+    acc = 1
+    for x, lo, hi in ranges:
+        base = -q if x == NEG_Q else q ** x
+        power = base ** (lo - 1)
+        for _ in range(lo, hi + 1):
+            power *= base
+            acc *= power - 1
+    return abs(acc)
+
+
+# Phi_t(q) divides x^m - 1 exactly when step(t) divides m. For each x, the
+# t whose step is s, as slices: (first s, s stride, first t, t stride).
+# x = q: step(t) = t. x = q^2: t for odd t, t/2 for even t. x = -q: 2t for
+# odd t, t/2 for t = 2 (mod 4), t for 4 | t.
+_STEP_SLICES = {
+    Q: ((1, 1, 1, 1),),
+    Q2: ((1, 1, 2, 2), (1, 2, 1, 2)),
+    NEG_Q: ((2, 4, 1, 2), (1, 2, 2, 4), (4, 4, 4, 4)),
+}
+
+
+def _add_exponents(exps: list[int], combine, ranges: Sequence[FactorRange]) -> None:
+    """Combine (add or sub) into each exps[t] the e_t of the ranges: the
+    number of multiples of step(t) in lo..hi."""
+    for x, lo, hi in ranges:
+        if lo > hi:
+            continue
+        counts = [0] + [hi // s - (lo - 1) // s for s in range(1, hi + 1)]
+        for s0, s_step, t0, t_step in _STEP_SLICES[x]:
+            part = counts[s0::s_step]
+            t_end = t0 + t_step * len(part)
+            exps[t0:t_end:t_step] = map(combine, exps[t0:t_end:t_step], part)
+
+
+def _phi(q: int, t: int) -> int:
+    """Phi_t(q) by Moebius inversion over the squarefree divisors d of t:
+    prod_d (q^(t/d) - 1)^mu(d). Its one division is of numbers of about t
+    base-q digits, not of a count."""
+    primes, rest, f = [], t, 2
+    while f * f <= rest:
+        if rest % f == 0:
+            primes.append(f)
+            while rest % f == 0:
+                rest //= f
+        f += 1
+    if rest > 1:
+        primes.append(rest)
+    num = den = 1
+    for mask in range(1 << len(primes)):
+        d, odd = 1, False
+        for i, p in enumerate(primes):
+            if mask >> i & 1:
+                d, odd = d * p, not odd
+        if odd:
+            den *= q ** (t // d) - 1
+        else:
+            num *= q ** (t // d) - 1
+    return num // den
+
+
+def _phis(q: int, top: int) -> list[int]:
+    """A list whose entry t is Phi_t(q) for 1 <= t <= top (entry 0 is a
+    placeholder). A longer list replaces the cached one whole, so a list
+    once returned never changes."""
+    table = _phi_cache.get(q, [1])
+    if len(table) <= top:
+        table = table + [_phi(q, t) for t in range(len(table), top + 1)]
+        if sum(map(len, _phi_cache.values())) + len(table) > PHI_CACHE_SIZE:
+            _phi_cache.clear()
+        if len(table) <= PHI_CACHE_SIZE:
+            _phi_cache[q] = table
+    return table
+
+
+def _product(factors: list[int]) -> int:
+    """Product by a balanced tree, so the big multiplies have equal sizes."""
+    while len(factors) > 1:
+        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return factors[0] if factors else 1
+
+
+def exact_count(
+    q: int, q_exp: int, up: Sequence[FactorRange], down: Sequence[FactorRange]
+) -> int:
+    """q^q_exp * prod over `up` / prod over `down`, where a range (x, lo, hi)
+    stands for prod_{m=lo..hi} |x^m - 1| (empty when lo > hi) and x is Q,
+    Q2 or NEG_Q for the base q, q^2 or -q.
+
+    Raises ArithmeticError when the value is not an integer: a negative
+    power of q, a cyclotomic exponent below zero, or a nonzero remainder.
     """
-    if isinstance(x, int):
-        return x
-    if x.denominator != 1:
-        raise ArithmeticError(f"expected an integer, got {x}")
-    return x.numerator
+    if q < 2:
+        raise BadRangeError(f"q must be at least 2, got {q}")
+    if q_exp < 0:
+        raise ArithmeticError(f"negative power q^{q_exp} in an exact count")
+    top = 0
+    for _, lo, hi in (*up, *down):
+        if lo <= hi:
+            if lo < 1:
+                raise BadRangeError(f"a factor range must start at m >= 1, got {lo}..{hi}")
+            if hi > top:
+                top = hi
+    if top <= DIVMOD_MAX_TOP:
+        quot, rem = divmod(_range_product(q, up), _range_product(q, down))
+        if rem:
+            raise ArithmeticError(f"non-integral count at q={q}: remainder {rem}")
+        return quot * q ** q_exp
+    exps = [0] * (2 * top + 1)
+    _add_exponents(exps, add, up)
+    _add_exponents(exps, sub, down)
+    if min(exps) < 0:
+        t = exps.index(min(exps))
+        raise ArithmeticError(f"non-integral count at q={q}: Phi_{t}(q) left in the denominator")
+    phis = _phis(q, max((t for t, e in enumerate(exps) if e), default=0))
+    # the list is not kept here, so the tree frees each level as it goes
+    return _product(
+        [phis[t] if e == 1 else phis[t] ** e for t, e in enumerate(exps) if e] + [q ** q_exp]
+    )
 
 
 def rat_str(x: Fraction | int) -> str:
@@ -46,9 +181,7 @@ def gaussian_binomial(n: int, k: int, order: int) -> int:
     """Number of k-dimensional subspaces of an n-dimensional space over F_order.
 
     Out-of-range k (k < 0 or k > n) returns 0, the usual counting
-    convention. Evaluation alternates multiply and exact divide; after the
-    i-th pair the running value equals the Gaussian binomial [n, i], so
-    every division is exact and is checked to be so.
+    convention. [n, k]_Q = prod_{m=n-k+1..n} (Q^m - 1) / prod_{m=1..k} (Q^m - 1).
     """
     if n < 0:
         raise BadRangeError(f"n must be nonnegative, got {n}")
@@ -57,17 +190,7 @@ def gaussian_binomial(n: int, k: int, order: int) -> int:
     if k < 0 or k > n:
         return 0
     k = min(k, n - k)  # symmetry, fewer factors
-    value = 1
-    for i in range(k):
-        value *= order ** (n - i) - 1
-        den = order ** (i + 1) - 1
-        quot, rem = divmod(value, den)
-        if rem:
-            raise ArithmeticError(
-                f"non-exact division in gaussian_binomial({n}, {k}, {order})"
-            )
-        value = quot
-    return value
+    return exact_count(order, 0, ((Q, n - k + 1, n),), ((Q, 1, k),))
 
 
 def is_prime(n: int) -> bool:

@@ -1,32 +1,30 @@
 """Closed-form counts of linear codes with prescribed hull dimension.
 
 Hermitian side: codes live in F_{q^2}^n and the hull is taken with respect
-to the form <x, y> = sum x_i * y_i^q. The count of k-dimensional codes
-whose hull has dimension l factors as
+to the form <x, y> = sum x_i * y_i^q. With k0 = k - l, the number of
+k-dimensional codes whose hull has dimension l is
 
-    A_H(n, k, l, q) = F_1 * F_2 * ... * F_l * L(n, k - l, q)
+    A_H(n, k, l, q) = q^(k0*(n-k-l)) * prod_{m=n-k-l+1..n} |(-q)^m - 1|
+                      / (prod_{j=1..k0} |(-q)^j - 1| * prod_{i=1..l} (q^(2i) - 1)),
 
-where L(n, k0, q) is the number of k0-dimensional codes with zero hull
-(complementary-dual codes) and each step factor is
+where |(-q)^m - 1| is q^m + 1 for odd m and q^m - 1 for even m. The l = 0
+case L(n, k0, q) counts the complementary-dual codes, and the step factor
+F_i = A_H(l = i) / A_H(l = i - 1) at fixed k0 is
 
     F_i = (q^(s-2i+2) + e) * (q^(s-2i+1) - e) / (q^(2*k0) * (q^(2i) - 1)),
-    s = n - k0,  e = (-1)^(s+1),  k0 = k - l.
-
-The two sign branches (s odd vs s even) are the two classical parities of
-the ambient; the e-form above unifies them. Individual F_i are rationals;
-the full product times L is always an integer, which the evaluator checks.
+    s = n - k0,  e = (-1)^(s+1).
 
 Symplectic side: codes live in F_q^(2n) with the alternating form, hull
 dimensions share the parity of k, and with k0 = (k - l)/2:
 
-    A_S(2n, k, l, q) = q^(2*k0*(n-k0-l))
-                       * prod_{m=1..l} (q^(2*(n-k0-l+m)) - 1) / (q^m - 1)
-                       * gauss(n, k0, q^2).
+    A_S(2n, k, l, q) = q^(2*k0*(n-k0-l)) * prod_{j=n-k0-l+1..n} (q^(2j) - 1)
+                       / (prod_{m=1..l} (q^m - 1) * prod_{j=1..k0} (q^(2j) - 1)).
 
-Out-of-range hull parameters count zero rather than raising, so spectrum
-sums can run over a full index range. hull_dims and closed_count hold the
-per-form conventions (which l exist, in which step, and which count
-answers them) for every caller.
+Each count is one call of exactnum.exact_count on these ranges, which also
+checks that the result is an integer. Out-of-range hull parameters count
+zero rather than raising, so spectrum sums can run over a full index range.
+hull_dims and closed_count hold the per-form conventions (which l exist, in
+which step, and which count answers them) for every caller.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from fractions import Fraction
 
 from .algebra import FormKind
 from .errors import BadIndexError, BadRangeError, OddAmbientError
-from .exactnum import as_exact_int, gaussian_binomial, is_prime_power
+from .exactnum import NEG_Q, Q, Q2, exact_count, is_prime_power
 
 
 @dataclass(frozen=True)
@@ -109,17 +107,18 @@ class SymplecticParams:
         )
 
 
+def _hermitian(n: int, k0: int, ell: int, q: int) -> int:
+    b = n - k0 - 2 * ell  # n - k - l
+    return exact_count(q, k0 * b, ((NEG_Q, b + 1, n),), ((NEG_Q, 1, k0), (Q2, 1, ell)))
+
+
 def hermitian_lcd_count(n: int, k0: int, q: int) -> int:
     """Number of k0-dimensional codes in F_{q^2}^n with zero hermitian hull."""
     if not 0 <= k0 <= n:
         raise BadRangeError(f"need 0 <= k0 <= n, got k0={k0}, n={n}")
     if not is_prime_power(q):
         raise BadRangeError(f"q must be a prime power, got {q}")
-    acc = Fraction(q ** (k0 * (n - k0)))
-    for j in range(1, k0 + 1):
-        sign = -1 if (n - k0 + j) % 2 else 1
-        acc *= Fraction(q ** (n - k0 + j) - sign, q ** j - (-1 if j % 2 else 1))
-    return as_exact_int(acc)
+    return _hermitian(n, k0, 0, q)
 
 
 def unified_factor(i: int, params: HermitianParams) -> Fraction:
@@ -137,10 +136,12 @@ def count_hermitian(params: HermitianParams) -> int:
     dimension ell; zero when the parameters admit no such code."""
     if not params.in_counting_range():
         return 0
-    acc = Fraction(hermitian_lcd_count(params.n, params.k0, params.q))
-    for i in range(1, params.ell + 1):
-        acc *= unified_factor(i, params)
-    return as_exact_int(acc)
+    return _hermitian(params.n, params.k0, params.ell, params.q)
+
+
+def _symplectic(n: int, k0: int, ell: int, q: int) -> int:
+    b = n - k0 - ell
+    return exact_count(q, 2 * k0 * b, ((Q2, b + 1, n),), ((Q, 1, ell), (Q2, 1, k0)))
 
 
 def symplectic_lcd_count(n: int, k0: int, q: int) -> int:
@@ -149,7 +150,7 @@ def symplectic_lcd_count(n: int, k0: int, q: int) -> int:
         raise BadRangeError(f"need 0 <= k0 <= n, got k0={k0}, n={n}")
     if not is_prime_power(q):
         raise BadRangeError(f"q must be a prime power, got {q}")
-    return q ** (2 * k0 * (n - k0)) * gaussian_binomial(n, k0, q * q)
+    return _symplectic(n, k0, 0, q)
 
 
 def count_symplectic(params: SymplecticParams) -> int:
@@ -157,13 +158,7 @@ def count_symplectic(params: SymplecticParams) -> int:
     dimension ell; zero off the parity class or out of range."""
     if not params.in_counting_range():
         return 0
-    q, ell, k0 = params.q, params.ell, params.k0
-    n = params.n_half
-    acc = Fraction(q ** (2 * k0 * (n - k0 - ell)))
-    for m in range(1, ell + 1):
-        acc *= Fraction(q ** (2 * (n - k0 - ell + m)) - 1, q ** m - 1)
-    acc *= gaussian_binomial(n, k0, q * q)
-    return as_exact_int(acc)
+    return _symplectic(params.n_half, params.k0, params.ell, params.q)
 
 
 def hull_dims(form: FormKind, length: int, k: int) -> range:

@@ -234,7 +234,9 @@ class SpectrumComparison:
         return None
 
 
-def _field_for(form: FormKind, q: int) -> FiniteField:
+def field_for(form: FormKind, q: int) -> FiniteField:
+    """The field a form's codes live in for the formula order q: F_{q^2}
+    for the hermitian form, F_q otherwise."""
     p, e = prime_power_parts(q)
     if form is FormKind.HERMITIAN:
         return make_field(p, 2 * e)
@@ -253,7 +255,7 @@ def spectrum_vs_formula(
     length is the ambient length (2n for symplectic); q is the formula
     order, so hermitian codes are enumerated over F_{q^2}.
     """
-    field = _field_for(form, q)
+    field = field_for(form, q)
     spectrum = hull_spectrum(length, k, field, form, work_limit)
     closed = {}
     if form is not FormKind.EUCLIDEAN:

@@ -226,6 +226,18 @@ def test_verify_work_limit_flag(capsys):
     assert "infeasible" in err
 
 
+def test_verify_refuses_an_infeasible_sweep_before_enumerating(capsys):
+    # the hermitian n=5, k=2 cell (5797 subspaces) is over the limit, and
+    # the sweep reaches seven feasible cells before it
+    code, out, err = run(
+        ["verify", "--max-n", "12", "--max-ambient", "10", "--work-limit", "1000"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: infeasible: estimated 5797 subspaces exceeds work limit 1000\n"
+
+
 def test_work_limit_env_and_flag_precedence(capsys, monkeypatch):
     argv = ["eval", "--form", "euclidean", "-n", "4", "-k", "2", "-l", "0",
             "-q", "2"]

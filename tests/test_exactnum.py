@@ -1,12 +1,17 @@
-"""Gaussian binomials and the exact-arithmetic helpers."""
+"""Gaussian binomials, the exact count evaluator and the arithmetic helpers."""
 
 from fractions import Fraction
 
 import pytest
 
+from hullcount import exactnum
+from hullcount.algebra import FormKind
 from hullcount.errors import BadRangeError
 from hullcount.exactnum import (
-    as_exact_int,
+    NEG_Q,
+    Q,
+    Q2,
+    exact_count,
     gaussian_binomial,
     is_prime,
     is_prime_power,
@@ -14,6 +19,9 @@ from hullcount.exactnum import (
     prime_power_parts,
     rat_str,
 )
+from hullcount.formulas import closed_count, hull_dims
+
+from naive_counts import naive_gaussian_binomial
 
 
 def test_two_dim_subspaces_of_f2_4_counted_from_scratch():
@@ -69,11 +77,67 @@ def test_explicit_small_values():
     assert gaussian_binomial(8, 4, 2) == 200787
 
 
-def test_as_exact_int():
-    assert as_exact_int(Fraction(12, 4)) == 3
-    assert as_exact_int(7) == 7
+# the largest range end that takes each path: 0 sends every count through
+# the cyclotomic product tree, a huge value every count through divmod
+BOTH_PATHS = pytest.mark.parametrize("divmod_max_top", [0, 10**9], ids=["cyclotomic", "divmod"])
+
+
+@BOTH_PATHS
+def test_exact_count_factor_ranges(monkeypatch, divmod_max_top):
+    monkeypatch.setattr(exactnum, "DIVMOD_MAX_TOP", divmod_max_top)
+    # |(-q)^m - 1| is q^m + 1 for odd m and q^m - 1 for even m
+    assert exact_count(3, 0, ((NEG_Q, 1, 4),), ()) == 4 * 8 * 28 * 80
+    assert exact_count(3, 2, ((Q2, 2, 3),), ((Q, 1, 2),)) == 9 * 80 * 728 // (2 * 8)
+    assert exact_count(5, 3, (), ()) == 125
+    assert exact_count(2, 0, ((Q, 4, 3),), ()) == 1  # empty range
+
+
+@BOTH_PATHS
+def test_exact_count_rejects_non_integral_specs(monkeypatch, divmod_max_top):
+    monkeypatch.setattr(exactnum, "DIVMOD_MAX_TOP", divmod_max_top)
     with pytest.raises(ArithmeticError):
-        as_exact_int(Fraction(1, 2))
+        exact_count(3, 0, (), ((Q, 1, 1),))  # 1 / 2
+    with pytest.raises(ArithmeticError):
+        exact_count(3, 0, ((Q, 1, 3),), ((Q2, 1, 2),))  # 2 * 8 * 26 / (8 * 80)
+    with pytest.raises(ArithmeticError):
+        exact_count(2, -1, ((Q, 1, 3),), ())  # a negative power of q
+    with pytest.raises(BadRangeError):
+        exact_count(2, 0, ((Q, 0, 3),), ())  # the m = 0 factor is zero
+    with pytest.raises(BadRangeError):
+        exact_count(1, 0, ((Q, 1, 3),), ())
+
+
+@BOTH_PATHS
+def test_spectra_do_not_depend_on_the_path(monkeypatch, divmod_max_top):
+    cells = [
+        (form, length, k, q)
+        for q in (2, 3, 4)
+        for form, length, k in (
+            (FormKind.HERMITIAN, 30, 12),
+            (FormKind.HERMITIAN, 90, 45),
+            (FormKind.SYMPLECTIC, 60, 29),
+            (FormKind.SYMPLECTIC, 180, 90),
+        )
+    ]
+
+    def spectra():
+        return [
+            [closed_count(form, length, k, ell, q) for ell in hull_dims(form, length, k)]
+            for form, length, k, q in cells
+        ] + [gaussian_binomial(length, k, q) for _, length, k, q in cells]
+
+    expected = spectra()
+    monkeypatch.setattr(exactnum, "DIVMOD_MAX_TOP", divmod_max_top)
+    assert spectra() == expected
+
+
+def test_phi_cache_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(exactnum, "PHI_CACHE_SIZE", 300)
+    monkeypatch.setattr(exactnum, "_phi_cache", {})
+    for q in (2, 3, 4):
+        for n in (100, 200, 400):  # n = 400 needs Phi_t(q) past t = 300
+            assert gaussian_binomial(n, n // 2, q) == naive_gaussian_binomial(n, n // 2, q)
+            assert sum(map(len, exactnum._phi_cache.values())) <= 300
 
 
 def test_rat_str_round_trip():
