@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -448,8 +447,7 @@ class MatrixGF:
         return f"MatrixGF({self.field!r}, {self.rows}x{self.cols})"
 
 
-@dataclass(frozen=True)
-class RrefResult:
+class RrefResult(NamedTuple):
     matrix: MatrixGF
     rank: int
     pivot_cols: tuple[int, ...]

@@ -20,7 +20,7 @@ signals a bug rather than bad input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import FormKind, MatrixGF, gram_kernel
 from .errors import (
@@ -29,30 +29,31 @@ from .errors import (
     OddGramRankError,
     ParityViolationError,
 )
-from .exactnum import is_prime_power
-from .formulas import closed_count, hull_dims
+from .exactnum import prime_power_parts
+from .formulas import ValidatedRecord, closed_count, hull_dims
 from .ratios import COUNT_EXCEPTIONS
 
 
-@dataclass(frozen=True)
-class EaqeccParams:
-    """Parameter tuple [[n, k_logical, d; c]]_q; d stays None when unknown."""
-
+class _EaqeccFields(NamedTuple):
     n: int
     k_logical: int
     c: int
     q: int
     d: int | None = None
 
-    def __post_init__(self):
-        if not 0 <= self.k_logical <= self.n:
-            raise BadRangeError(
-                f"need 0 <= k_logical <= n, got k={self.k_logical} n={self.n}"
-            )
-        if not 0 <= self.c <= self.n:
-            raise BadRangeError(f"need 0 <= c <= n, got c={self.c} n={self.n}")
-        if not is_prime_power(self.q):
-            raise BadRangeError(f"q must be a prime power, got {self.q}")
+
+class EaqeccParams(ValidatedRecord, _EaqeccFields):
+    """Parameter tuple [[n, k_logical, d; c]]_q; d stays None when unknown."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, k_logical: int, c: int, q: int, d: int | None = None):
+        if not 0 <= k_logical <= n:
+            raise BadRangeError(f"need 0 <= k_logical <= n, got k={k_logical} n={n}")
+        if not 0 <= c <= n:
+            raise BadRangeError(f"need 0 <= c <= n, got c={c} n={n}")
+        prime_power_parts(q)
+        return tuple.__new__(cls, (n, k_logical, c, q, d))
 
     def __str__(self) -> str:
         d = "d" if self.d is None else str(self.d)
@@ -113,8 +114,7 @@ def ebits_from_check_matrix(check: MatrixGF) -> int:
     return rank // 2
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     ell: int
     ebits: int
     count: int

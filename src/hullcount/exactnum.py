@@ -211,7 +211,7 @@ def is_prime(n: int) -> bool:
 def prime_power_parts(q: int) -> tuple[int, int]:
     """Decompose q = p^e with p prime; raises BadRangeError otherwise."""
     if q < 2:
-        raise BadRangeError(f"not a prime power: {q}")
+        raise BadRangeError(f"q must be a prime power, got {q}")
     p = q
     for f in range(2, q):
         if f * f > q:
@@ -226,13 +226,5 @@ def prime_power_parts(q: int) -> tuple[int, int]:
         rest //= p
         e += 1
     if rest != 1:
-        raise BadRangeError(f"not a prime power: {q}")
+        raise BadRangeError(f"q must be a prime power, got {q}")
     return p, e
-
-
-def is_prime_power(q: int) -> bool:
-    try:
-        prime_power_parts(q)
-    except BadRangeError:
-        return False
-    return True

@@ -29,31 +29,45 @@ which step, and which count answers them) for every caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import FormKind
 from .errors import BadIndexError, BadRangeError, OddAmbientError
-from .exactnum import NEG_Q, Q, Q2, exact_count, is_prime_power
+from .exactnum import NEG_Q, Q, Q2, exact_count, prime_power_parts
 
 
-@dataclass(frozen=True)
-class HermitianParams:
-    """Length n, code dimension k, hull dimension ell, subfield order q.
+class ValidatedRecord:
+    """Base of a NamedTuple subclass whose __new__ validates the fields:
+    _make, and so _replace, build through __new__ too."""
 
-    The ambient field is F_{q^2}; q itself must be a prime power.
-    """
+    __slots__ = ()
 
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _HermitianFields(NamedTuple):
     n: int
     k: int
     ell: int
     q: int
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise BadRangeError(f"length must be nonnegative, got {self.n}")
-        if not is_prime_power(self.q):
-            raise BadRangeError(f"q must be a prime power, got {self.q}")
+
+class HermitianParams(ValidatedRecord, _HermitianFields):
+    """Length n, code dimension k, hull dimension ell, subfield order q.
+
+    The ambient field is F_{q^2}; q itself must be a prime power.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, k: int, ell: int, q: int):
+        if n < 0:
+            raise BadRangeError(f"length must be nonnegative, got {n}")
+        prime_power_parts(q)
+        return tuple.__new__(cls, (n, k, ell, q))
 
     @property
     def k0(self) -> int:
@@ -69,27 +83,29 @@ class HermitianParams:
         return 1 if self.s % 2 else -1
 
     def in_counting_range(self) -> bool:
-        return 0 <= self.ell <= self.k <= self.n and self.ell <= self.n - self.k
+        n, k, ell, _ = self
+        return 0 <= ell <= k <= n and ell <= n - k
 
 
-@dataclass(frozen=True)
-class SymplecticParams:
-    """Ambient length two_n (even), dimension k, hull dimension ell, order q."""
-
+class _SymplecticFields(NamedTuple):
     two_n: int
     k: int
     ell: int
     q: int
 
-    def __post_init__(self):
-        if self.two_n < 0:
-            raise BadRangeError(f"ambient length must be nonnegative, got {self.two_n}")
-        if self.two_n % 2 != 0:
-            raise OddAmbientError(
-                f"symplectic ambient length must be even, got {self.two_n}"
-            )
-        if not is_prime_power(self.q):
-            raise BadRangeError(f"q must be a prime power, got {self.q}")
+
+class SymplecticParams(ValidatedRecord, _SymplecticFields):
+    """Ambient length two_n (even), dimension k, hull dimension ell, order q."""
+
+    __slots__ = ()
+
+    def __new__(cls, two_n: int, k: int, ell: int, q: int):
+        if two_n < 0:
+            raise BadRangeError(f"ambient length must be nonnegative, got {two_n}")
+        if two_n % 2 != 0:
+            raise OddAmbientError(f"symplectic ambient length must be even, got {two_n}")
+        prime_power_parts(q)
+        return tuple.__new__(cls, (two_n, k, ell, q))
 
     @property
     def n_half(self) -> int:
@@ -100,11 +116,8 @@ class SymplecticParams:
         return (self.k - self.ell) // 2
 
     def in_counting_range(self) -> bool:
-        return (
-            0 <= self.ell <= self.k <= self.two_n
-            and self.ell <= self.two_n - self.k
-            and (self.k - self.ell) % 2 == 0
-        )
+        two_n, k, ell, _ = self
+        return 0 <= ell <= k <= two_n and ell <= two_n - k and (k - ell) % 2 == 0
 
 
 def _hermitian(n: int, k0: int, ell: int, q: int) -> int:
@@ -116,8 +129,7 @@ def hermitian_lcd_count(n: int, k0: int, q: int) -> int:
     """Number of k0-dimensional codes in F_{q^2}^n with zero hermitian hull."""
     if not 0 <= k0 <= n:
         raise BadRangeError(f"need 0 <= k0 <= n, got k0={k0}, n={n}")
-    if not is_prime_power(q):
-        raise BadRangeError(f"q must be a prime power, got {q}")
+    prime_power_parts(q)
     return _hermitian(n, k0, 0, q)
 
 
@@ -136,7 +148,8 @@ def count_hermitian(params: HermitianParams) -> int:
     dimension ell; zero when the parameters admit no such code."""
     if not params.in_counting_range():
         return 0
-    return _hermitian(params.n, params.k0, params.ell, params.q)
+    n, k, ell, q = params
+    return _hermitian(n, k - ell, ell, q)
 
 
 def _symplectic(n: int, k0: int, ell: int, q: int) -> int:
@@ -148,8 +161,7 @@ def symplectic_lcd_count(n: int, k0: int, q: int) -> int:
     """Number of 2*k0-dimensional codes in F_q^(2n) with zero symplectic hull."""
     if not 0 <= k0 <= n:
         raise BadRangeError(f"need 0 <= k0 <= n, got k0={k0}, n={n}")
-    if not is_prime_power(q):
-        raise BadRangeError(f"q must be a prime power, got {q}")
+    prime_power_parts(q)
     return _symplectic(n, k0, 0, q)
 
 
@@ -158,7 +170,8 @@ def count_symplectic(params: SymplecticParams) -> int:
     dimension ell; zero off the parity class or out of range."""
     if not params.in_counting_range():
         return 0
-    return _symplectic(params.n_half, params.k0, params.ell, params.q)
+    two_n, k, ell, q = params
+    return _symplectic(two_n // 2, (k - ell) // 2, ell, q)
 
 
 def hull_dims(form: FormKind, length: int, k: int) -> range:

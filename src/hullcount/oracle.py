@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .algebra import (
     FiniteField,
@@ -128,8 +127,7 @@ def enumerate_subspaces(
 
 # -- spectra --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HullSpectrum:
+class HullSpectrum(NamedTuple):
     """Exact map hull dimension -> number of k-dim subspaces attaining it."""
 
     n: int
@@ -184,8 +182,7 @@ def hull_spectrum(
 
 # -- oracle vs closed form -------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpectrumCell:
+class SpectrumCell(NamedTuple):
     ell: int
     oracle: int
     formula: int | None
@@ -195,8 +192,7 @@ class SpectrumCell:
         return self.formula is None or self.formula == self.oracle
 
 
-@dataclass(frozen=True)
-class SpectrumComparison:
+class SpectrumComparison(NamedTuple):
     """Per-hull-dimension diff between enumeration and closed form.
 
     formula entries are None for the Euclidean form, which has no closed

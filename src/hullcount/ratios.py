@@ -29,10 +29,9 @@ b = 2n - k - l in the symplectic case):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import FieldElem, FormKind
 from .errors import (
@@ -193,23 +192,20 @@ def in_euclidean_half_bound(n: int, k: int, ell: int, q: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class HermitianClassification:
+class HermitianClassification(NamedTuple):
     classification: RatioClassification
     ratio_monotone: bool
     count_monotone: bool
 
 
-@dataclass(frozen=True)
-class SymplecticClassification:
+class SymplecticClassification(NamedTuple):
     classification: RatioClassification
     count_monotone: bool
 
 
 # -- one-step ratio reports ----------------------------------------------------
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(NamedTuple):
     """One decomposition step count(l) = alpha * cofactor * count(l + step).
 
     classification tracks the form's monotonicity discriminant: alpha
@@ -295,8 +291,7 @@ def classify_symplectic(two_n: int, k: int, ell: int, q: int) -> SymplecticClass
 
 # -- asymptotics ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(NamedTuple):
     form: FormKind
     regime: AsymptoticRegime
     ell: int
@@ -351,8 +346,7 @@ def asymptotic_symplectic(
 
 # -- cross-form comparison ------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     form: FormKind
     step: int
     alpha_lower_bound: str

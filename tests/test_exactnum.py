@@ -14,7 +14,6 @@ from hullcount.exactnum import (
     exact_count,
     gaussian_binomial,
     is_prime,
-    is_prime_power,
     parse_rat,
     prime_power_parts,
     rat_str,
@@ -163,4 +162,6 @@ def test_prime_helpers():
         prime_power_parts(6)
     with pytest.raises(BadRangeError):
         prime_power_parts(1)
-    assert is_prime_power(27) and not is_prime_power(12)
+    assert prime_power_parts(27) == (3, 3)
+    with pytest.raises(BadRangeError, match="q must be a prime power, got 12"):
+        prime_power_parts(12)

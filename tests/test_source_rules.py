@@ -1,6 +1,9 @@
 """Rules on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hullcount
@@ -38,3 +41,20 @@ def test_no_raise_assertion_error():
     ]
     assert SOURCES
     assert found == []
+
+
+def test_cli_import_does_not_load_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and building its
+    # classes execs generated methods: every CLI process would pay for it
+    src = str(Path(hullcount.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys; bare = 'dataclasses' in sys.modules; import hullcount.cli; "
+        "print(bare, 'dataclasses' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split()
+    assert out in (["False", "False"], ["True", "True"])
