@@ -30,7 +30,7 @@ from .errors import (
     ParityViolationError,
 )
 from .exactnum import prime_power_parts
-from .formulas import ValidatedRecord, closed_count, hull_dims
+from .formulas import ValidatedRecord, closed_spectrum, hull_dims
 from .ratios import COUNT_EXCEPTIONS
 
 
@@ -139,8 +139,7 @@ def entanglement_census(
         name = "n" if hermitian else "2n"
         raise BadRangeError(f"need 0 <= k <= {name}, got k={k} {name}={length}")
     rows = []
-    for ell in hull_dims(form, length, k):
+    for ell, count in zip(hull_dims(form, length, k), closed_spectrum(form, length, k, q)):
         seed = gjg_map(length, k, ell, q)[0] if hermitian else wilde_brun_map(length, k, ell, q)
-        count = closed_count(form, length, k, ell, q)
         rows.append(CensusRow(ell, seed.c, count, COUNT_EXCEPTIONS[form](length, k, ell, q)))
     return rows

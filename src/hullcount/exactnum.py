@@ -4,8 +4,9 @@ Python ints are already arbitrary-precision and fractions.Fraction already
 keeps a canonical reduced form with exact comparisons, so ExactInt and
 ExactRat are aliases rather than wrappers. What this module adds is the
 counting-specific layer: `exact_count`, the one evaluator of every closed
-count (Gaussian binomials, hermitian and symplectic hull counts), and
-prime-power decomposition for validating field orders.
+count (Gaussian binomials, hermitian and symplectic hull counts),
+`exact_step`, the quotient of two such counts from only the factors they do
+not share, and prime-power decomposition for validating field orders.
 
 Every count is q^e times a quotient of products of |x^m - 1| over a few
 ranges of m, with x one of q, q^2 and -q. Since q^m - 1 = prod_{d | m}
@@ -164,6 +165,36 @@ def exact_count(
     return _product(
         [phis[t] if e == 1 else phis[t] ** e for t, e in enumerate(exps) if e] + [q ** q_exp]
     )
+
+
+# exact_count's arguments after q: (q_exp, up, down)
+CountSpec = tuple[int, Sequence[FactorRange], Sequence[FactorRange]]
+
+
+def _minus(ranges: Sequence[FactorRange], others: Sequence[FactorRange]) -> list[FactorRange]:
+    """The factors of `ranges` missing from `others`, which pairs each range
+    with one of the same base at the same position, as ranges."""
+    out = []
+    for (x, lo, hi), (other_x, o_lo, o_hi) in zip(ranges, others, strict=True):
+        if x != other_x:
+            raise BadRangeError(f"range bases differ: {x} against {other_x}")
+        if o_lo > o_hi:
+            pieces = ((lo, hi),)
+        else:  # the parts of lo..hi below and above o_lo..o_hi
+            pieces = ((lo, min(hi, o_lo - 1)), (max(lo, o_hi + 1), hi))
+        out += [(x, a, b) for a, b in pieces if a <= b]
+    return out
+
+
+def exact_step(q: int, before: CountSpec, after: CountSpec) -> tuple[int, int]:
+    """The quotient count(after) / count(before) of two exact_count specs
+    (q_exp, up, down) whose ranges pair up position by position, as an
+    unreduced (num, den): only the factors the two specs do not share are
+    multiplied out."""
+    (e0, up0, down0), (e1, up1, down1) = before, after
+    num = _range_product(q, _minus(up1, up0) + _minus(down0, down1))
+    den = _range_product(q, _minus(up0, up1) + _minus(down1, down0))
+    return num * q ** max(e1 - e0, 0), den * q ** max(e0 - e1, 0)
 
 
 def rat_str(x: Fraction | int) -> str:

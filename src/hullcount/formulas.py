@@ -25,6 +25,19 @@ checks that the result is an integer. Out-of-range hull parameters count
 zero rather than raising, so spectrum sums can run over a full index range.
 hull_dims and closed_count hold the per-form conventions (which l exist, in
 which step, and which count answers them) for every caller.
+
+Neighbouring counts of one spectrum differ by a few small factors. With
+b = n - k - l on the hermitian side and b = n - k0 - l on the symplectic,
+
+    A_H(l+1) / A_H(l) = |(-q)^b - 1| * |(-q)^(k-l) - 1|
+                        / ((q^(2(l+1)) - 1) * q^(n-2l-1)),
+    A_S(l+2) / A_S(l) = (q^(2b) - 1) * (q^(2*k0) - 1)
+                        / ((q^(l+1) - 1) * (q^(l+2) - 1) * q^(2(k0+b-1))).
+
+closed_step reads these quotients off the two cells' exact_count ranges
+(exactnum.exact_step), and closed_spectrum, the one evaluator of a whole
+spectrum, runs exact_count for the first l only and takes each later count
+from its predecessor by an exact division.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ from typing import NamedTuple
 
 from .algebra import FormKind
 from .errors import BadIndexError, BadRangeError, OddAmbientError
-from .exactnum import NEG_Q, Q, Q2, exact_count, prime_power_parts
+from .exactnum import NEG_Q, Q, Q2, CountSpec, exact_count, exact_step, prime_power_parts
 
 
 class ValidatedRecord:
@@ -120,9 +133,9 @@ class SymplecticParams(ValidatedRecord, _SymplecticFields):
         return 0 <= ell <= k <= two_n and ell <= two_n - k and (k - ell) % 2 == 0
 
 
-def _hermitian(n: int, k0: int, ell: int, q: int) -> int:
+def _hermitian(n: int, k0: int, ell: int) -> CountSpec:
     b = n - k0 - 2 * ell  # n - k - l
-    return exact_count(q, k0 * b, ((NEG_Q, b + 1, n),), ((NEG_Q, 1, k0), (Q2, 1, ell)))
+    return k0 * b, ((NEG_Q, b + 1, n),), ((NEG_Q, 1, k0), (Q2, 1, ell))
 
 
 def hermitian_lcd_count(n: int, k0: int, q: int) -> int:
@@ -130,7 +143,7 @@ def hermitian_lcd_count(n: int, k0: int, q: int) -> int:
     if not 0 <= k0 <= n:
         raise BadRangeError(f"need 0 <= k0 <= n, got k0={k0}, n={n}")
     prime_power_parts(q)
-    return _hermitian(n, k0, 0, q)
+    return exact_count(q, *_hermitian(n, k0, 0))
 
 
 def unified_factor(i: int, params: HermitianParams) -> Fraction:
@@ -149,12 +162,12 @@ def count_hermitian(params: HermitianParams) -> int:
     if not params.in_counting_range():
         return 0
     n, k, ell, q = params
-    return _hermitian(n, k - ell, ell, q)
+    return exact_count(q, *_hermitian(n, k - ell, ell))
 
 
-def _symplectic(n: int, k0: int, ell: int, q: int) -> int:
+def _symplectic(n: int, k0: int, ell: int) -> CountSpec:
     b = n - k0 - ell
-    return exact_count(q, 2 * k0 * b, ((Q2, b + 1, n),), ((Q, 1, ell), (Q2, 1, k0)))
+    return 2 * k0 * b, ((Q2, b + 1, n),), ((Q, 1, ell), (Q2, 1, k0))
 
 
 def symplectic_lcd_count(n: int, k0: int, q: int) -> int:
@@ -162,7 +175,7 @@ def symplectic_lcd_count(n: int, k0: int, q: int) -> int:
     if not 0 <= k0 <= n:
         raise BadRangeError(f"need 0 <= k0 <= n, got k0={k0}, n={n}")
     prime_power_parts(q)
-    return _symplectic(n, k0, 0, q)
+    return exact_count(q, *_symplectic(n, k0, 0))
 
 
 def count_symplectic(params: SymplecticParams) -> int:
@@ -171,7 +184,7 @@ def count_symplectic(params: SymplecticParams) -> int:
     if not params.in_counting_range():
         return 0
     two_n, k, ell, q = params
-    return _symplectic(two_n // 2, (k - ell) // 2, ell, q)
+    return exact_count(q, *_symplectic(two_n // 2, (k - ell) // 2, ell))
 
 
 def hull_dims(form: FormKind, length: int, k: int) -> range:
@@ -192,3 +205,47 @@ def closed_count(form: FormKind, length: int, k: int, ell: int, q: int) -> int:
     if form is FormKind.SYMPLECTIC:
         return count_symplectic(SymplecticParams(length, k, ell, q))
     raise BadRangeError("no closed-form count for the euclidean form")
+
+
+def _spec(form: FormKind, length: int, k: int, ell: int, q: int) -> CountSpec:
+    """The exact_count ranges of one cell, with closed_count's checks."""
+    if form is FormKind.HERMITIAN:
+        HermitianParams(length, k, ell, q)
+        return _hermitian(length, k - ell, ell)
+    if form is FormKind.SYMPLECTIC:
+        SymplecticParams(length, k, ell, q)
+        return _symplectic(length // 2, (k - ell) // 2, ell)
+    raise BadRangeError("no closed-form count for the euclidean form")
+
+
+def closed_step(form: FormKind, length: int, k: int, ell: int, q: int) -> tuple[int, int]:
+    """count(l + step) / count(l) as an unreduced (num, den), read off the
+    two cells' exact_count ranges; l and l + step must both be in
+    hull_dims(form, length, k)."""
+    dims = hull_dims(form, length, k)
+    before = _spec(form, length, k, ell, q)
+    if ell not in dims[:-1]:
+        raise BadRangeError(
+            f"no step from l={ell}: l and l+{dims.step} must both be hull dimensions "
+            f"of length={length} k={k}"
+        )
+    return exact_step(q, before, _spec(form, length, k, ell + dims.step, q))
+
+
+def closed_spectrum(form: FormKind, length: int, k: int, q: int) -> list[int]:
+    """closed_count of every l in hull_dims(form, length, k), in that order:
+    one exact_count for the first l, then count(l + step) =
+    count(l) * num / den by closed_step, where a nonzero remainder raises
+    ArithmeticError."""
+    dims = hull_dims(form, length, k)
+    first = closed_count(form, length, k, dims.start, q)  # checks the cell even if dims is empty
+    if not dims:
+        return []
+    counts = [first]
+    for ell in dims[:-1]:
+        num, den = closed_step(form, length, k, ell, q)
+        count, rem = divmod(counts[-1] * num, den)
+        if rem:
+            raise ArithmeticError(f"non-integral step from l={ell} at q={q}")
+        counts.append(count)
+    return counts

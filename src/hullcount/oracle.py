@@ -38,7 +38,7 @@ from .algebra import (
 )
 from .errors import BadRangeError, WorkLimitExceededError
 from .exactnum import gaussian_binomial, prime_power_parts
-from .formulas import closed_count, hull_dims
+from .formulas import closed_spectrum, hull_dims
 
 DEFAULT_WORK_LIMIT = 10 ** 8
 RANK_MEMO_CAP = 4096  # most Gram keys one spectrum remembers ranks for
@@ -255,10 +255,7 @@ def spectrum_vs_formula(
     spectrum = hull_spectrum(length, k, field, form, work_limit)
     closed = {}
     if form is not FormKind.EUCLIDEAN:
-        closed = {
-            ell: closed_count(form, length, k, ell, q)
-            for ell in hull_dims(form, length, k)
-        }
+        closed = dict(zip(hull_dims(form, length, k), closed_spectrum(form, length, k, q)))
     all_ells = sorted(set(spectrum.counts) | set(closed))
     cells = tuple(
         SpectrumCell(ell, spectrum.counts.get(ell, 0), closed.get(ell))

@@ -42,7 +42,7 @@ from .errors import (
     ParityViolationError,
 )
 from .exactnum import prime_power_parts
-from .formulas import closed_count
+from .formulas import closed_step
 
 
 class RatioClassification(Enum):
@@ -266,8 +266,10 @@ def classify_hermitian(n: int, k: int, ell: int, q: int) -> HermitianClassificat
     """Boundary-family classification plus the two monotonicity booleans.
 
     ratio_monotone is alpha * (q^(l+1) - 1) > 1, taken from ratio_report;
-    count_monotone compares the two exact counts directly. They agree
-    whenever both sides are defined, but are computed by different routes.
+    count_monotone is count(l) > count(l+1), read off the closed form's
+    exact step quotient (formulas.closed_step) without evaluating either
+    count. They agree whenever both sides are defined, but are computed by
+    different routes: ratio_report never touches the closed form.
     """
     rep = ratio_report(FormKind.HERMITIAN, n, k, ell, q)
     boundary = rep.classification is RatioClassification.HERMITIAN_BOUNDARY
@@ -276,10 +278,8 @@ def classify_hermitian(n: int, k: int, ell: int, q: int) -> HermitianClassificat
             f"alpha = {rep.alpha} contradicts the boundary family "
             f"at n={n} k={k} l={ell} q={q}"
         )
-    count_monotone = closed_count(FormKind.HERMITIAN, n, k, ell, q) > closed_count(
-        FormKind.HERMITIAN, n, k, ell + 1, q
-    )
-    return HermitianClassification(rep.classification, rep.monotone_a, count_monotone)
+    num, den = closed_step(FormKind.HERMITIAN, n, k, ell, q)
+    return HermitianClassification(rep.classification, rep.monotone_a, num < den)
 
 
 def classify_symplectic(two_n: int, k: int, ell: int, q: int) -> SymplecticClassification:

@@ -12,13 +12,14 @@ from hullcount.exactnum import (
     Q,
     Q2,
     exact_count,
+    exact_step,
     gaussian_binomial,
     is_prime,
     parse_rat,
     prime_power_parts,
     rat_str,
 )
-from hullcount.formulas import closed_count, hull_dims
+from hullcount.formulas import closed_count, closed_spectrum, hull_dims
 
 from naive_counts import naive_gaussian_binomial
 
@@ -123,11 +124,48 @@ def test_spectra_do_not_depend_on_the_path(monkeypatch, divmod_max_top):
         return [
             [closed_count(form, length, k, ell, q) for ell in hull_dims(form, length, k)]
             for form, length, k, q in cells
-        ] + [gaussian_binomial(length, k, q) for _, length, k, q in cells]
+        ] + [closed_spectrum(form, length, k, q) for form, length, k, q in cells] + [
+            gaussian_binomial(length, k, q) for _, length, k, q in cells
+        ]
 
     expected = spectra()
     monkeypatch.setattr(exactnum, "DIVMOD_MAX_TOP", divmod_max_top)
     assert spectra() == expected
+
+
+def _spec_value(q, spec):
+    """An exact_count spec evaluated factor by factor as a Fraction."""
+    q_exp, up, down = spec
+    value = Fraction(q) ** q_exp
+    for ranges, sign in ((up, 1), (down, -1)):
+        for x, lo, hi in ranges:
+            base = -q if x == NEG_Q else q ** x
+            for m in range(lo, hi + 1):
+                value *= Fraction(abs(base ** m - 1)) ** sign
+    return value
+
+
+def test_exact_step_is_the_quotient_of_two_specs():
+    pairs = [  # (before, after): shifted, grown, emptied, disjoint and nested ranges
+        ((0, ((Q, 3, 6),), ((Q, 1, 2),)), (2, ((Q, 2, 6),), ((Q, 1, 3),))),
+        (
+            (3, ((NEG_Q, 5, 9),), ((NEG_Q, 1, 4), (Q2, 1, 0))),
+            (1, ((NEG_Q, 4, 9),), ((NEG_Q, 1, 3), (Q2, 1, 1))),
+        ),
+        ((0, ((Q2, 1, 0),), ()), (0, ((Q2, 1, 4),), ())),
+        ((5, ((Q2, 2, 5),), ()), (0, ((Q2, 6, 5),), ())),
+        ((0, ((Q, 2, 3),), ((NEG_Q, 1, 5),)), (0, ((Q, 6, 8),), ((NEG_Q, 2, 4),))),
+        ((0, ((Q, 4, 6),), ()), (0, ((Q, 2, 9),), ())),
+    ]
+    for q in (2, 3, 4, 9):
+        for before, after in pairs:
+            for a, b in ((before, after), (after, before)):
+                num, den = exact_step(q, a, b)
+                assert Fraction(num, den) == _spec_value(q, b) / _spec_value(q, a)
+    with pytest.raises(BadRangeError):
+        exact_step(2, (0, ((Q, 1, 3),), ()), (0, ((Q2, 1, 3),), ()))
+    with pytest.raises(ValueError):
+        exact_step(2, (0, ((Q, 1, 3),), ()), (0, ((Q, 1, 3),), ((Q, 1, 2),)))
 
 
 def test_phi_cache_stays_within_its_bound(monkeypatch):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hullcount import formulas
 from hullcount.algebra import FormKind
 from hullcount.errors import BadIndexError, BadRangeError, OddAmbientError
 from hullcount.exactnum import gaussian_binomial
@@ -11,6 +12,8 @@ from hullcount.formulas import (
     HermitianParams,
     SymplecticParams,
     closed_count,
+    closed_spectrum,
+    closed_step,
     count_hermitian,
     count_symplectic,
     hermitian_lcd_count,
@@ -134,6 +137,7 @@ def test_hermitian_table_rows():
     for (n, k, q), counts in HERMITIAN_TABLE.items():
         for ell, expected in enumerate(counts):
             assert count_hermitian(HermitianParams(n, k, ell, q)) == expected
+        assert closed_spectrum(FormKind.HERMITIAN, n, k, q) == list(counts)
 
 
 def test_symplectic_table_rows():
@@ -141,6 +145,7 @@ def test_symplectic_table_rows():
         for idx, expected in enumerate(counts):
             params = SymplecticParams(two_n, k, 2 * idx, q)
             assert count_symplectic(params) == expected
+        assert closed_spectrum(FormKind.SYMPLECTIC, two_n, k, q) == list(counts)
 
 
 def test_factor_product_clears_denominators_despite_fractional_steps():
@@ -275,3 +280,95 @@ def test_hull_dims_and_closed_count():
     assert closed_count(FormKind.HERMITIAN, 4, 1, 1, 2) == 45
     with pytest.raises(BadRangeError):
         closed_count(FormKind.EUCLIDEAN, 4, 2, 0, 2)
+
+
+def _hand_step(form, length, k, ell, q, sign=-1, q_shift=0):
+    """count(l + step) / count(l) as the written-out quotient: hermitian
+    |(-q)^b - 1| |(-q)^(k-l) - 1| / ((q^(2(l+1)) - 1) q^(n-2l-1)) with
+    b = n - k - l; symplectic (q^(2b) - 1)(q^(2k0) - 1) /
+    ((q^(l+1) - 1)(q^(l+2) - 1) q^(2(k0+b-1))) with b = n - k0 - l.
+    sign = +1 turns the -1 of the first factor into +1; q_shift moves
+    powers of q into (or, negative, out of) the denominator."""
+    if form is FormKind.HERMITIAN:
+        b, a = length - k - ell, k - ell
+        num = (q ** b + sign * (-1) ** b) * (q ** a - (-1) ** a)
+        den = (q ** (2 * (ell + 1)) - 1) * q ** (length - 2 * ell - 1)
+    else:
+        k0 = (k - ell) // 2
+        b = length // 2 - k0 - ell
+        num = (q ** (2 * b) + sign) * (q ** (2 * k0) - 1)
+        den = (q ** (ell + 1) - 1) * (q ** (ell + 2) - 1) * q ** (2 * (k0 + b - 1))
+    return num, den * q ** q_shift if q_shift >= 0 else den // q ** -q_shift
+
+
+STEP_CELLS = [
+    (form, length, k, q)
+    for form, lengths in (
+        (FormKind.HERMITIAN, range(1, 10)),
+        (FormKind.SYMPLECTIC, range(2, 20, 2)),
+    )
+    for q in (2, 3, 4, 5)
+    for length in lengths
+    for k in range(length + 1)
+    if len(hull_dims(form, length, k)) > 1
+]
+
+
+def test_closed_step_is_the_written_out_quotient():
+    for form, length, k, q in STEP_CELLS:
+        for ell in hull_dims(form, length, k)[:-1]:
+            num, den = closed_step(form, length, k, ell, q)
+            hand_num, hand_den = _hand_step(form, length, k, ell, q)
+            assert num * hand_den == hand_num * den
+
+
+@pytest.mark.parametrize(
+    "mutation, raised",
+    [
+        ({"sign": 1}, "some"),  # the first factor's -1 becomes +1
+        ({"q_shift": 1}, "all"),  # one power of q too many under the line
+        ({"q_shift": -1}, "none"),  # one too few: every count gains powers of q
+    ],
+)
+def test_a_wrong_step_factor_is_caught(monkeypatch, mutation, raised):
+    # closed_spectrum's integrality check rejects the spectrum, or the
+    # spectrum differs from the cell-by-cell counts
+    monkeypatch.setattr(formulas, "closed_step", lambda *cell: _hand_step(*cell, **mutation))
+    rejected = 0
+    for form, length, k, q in STEP_CELLS:
+        try:
+            spectrum = closed_spectrum(form, length, k, q)
+        except ArithmeticError:
+            rejected += 1
+            continue
+        dims = hull_dims(form, length, k)
+        assert spectrum != [closed_count(form, length, k, ell, q) for ell in dims]
+    share = "none" if rejected == 0 else "all" if rejected == len(STEP_CELLS) else "some"
+    assert share == raised
+
+
+def test_closed_step_and_spectrum_check_their_cell():
+    H, S = FormKind.HERMITIAN, FormKind.SYMPLECTIC
+    # the last l, below the range, off k's parity, the symplectic top, no dims
+    for bad in ((H, 6, 3, 3, 2), (H, 6, 3, -1, 2), (S, 8, 4, 1, 2), (S, 8, 4, 4, 2),
+                (H, 6, 7, 0, 2)):
+        with pytest.raises(BadRangeError, match="no step from"):
+            closed_step(*bad)
+    with pytest.raises(OddAmbientError):
+        closed_step(S, 7, 2, 0, 2)
+    with pytest.raises(BadRangeError, match="q must be a prime power, got 6"):
+        closed_step(H, 6, 3, 0, 6)
+    with pytest.raises(BadRangeError, match="euclidean"):
+        closed_step(FormKind.EUCLIDEAN, 6, 3, 0, 2)
+    # odd ambients raise as from closed_count, also with no hull dimension
+    for k in (2, 3, 9):
+        with pytest.raises(OddAmbientError):
+            closed_count(S, 7, k, k % 2, 2)
+        with pytest.raises(OddAmbientError):
+            closed_spectrum(S, 7, k, 2)
+    with pytest.raises(BadRangeError, match="q must be a prime power, got 6"):
+        closed_spectrum(H, 6, 9, 6)
+    with pytest.raises(BadRangeError, match="euclidean"):
+        closed_spectrum(FormKind.EUCLIDEAN, 6, 3, 2)
+    assert closed_spectrum(H, 6, 9, 2) == closed_spectrum(S, 6, -1, 2) == []
+    assert closed_spectrum(S, 6, 3, 2) == [closed_count(S, 6, 3, ell, 2) for ell in (1, 3)]

@@ -10,14 +10,17 @@ from hullcount.errors import (
     BadRangeError,
     BadRegimeError,
     EvenCharacteristicError,
+    HullCountError,
     OutOfValidRangeError,
     ParityViolationError,
 )
 from hullcount.formulas import (
     HermitianParams,
     SymplecticParams,
+    closed_count,
     count_hermitian,
     count_symplectic,
+    hull_dims,
 )
 from hullcount.ratios import (
     AsymptoticRegime,
@@ -139,6 +142,27 @@ def test_classify_hermitian_examples():
     out = classify_hermitian(6, 3, 1, 2)
     assert out.classification is RatioClassification.STRICTLY_ABOVE_ONE
     assert out.ratio_monotone
+
+
+def test_classify_hermitian_accepts_exactly_the_cells_with_a_successor():
+    # count_monotone comes from closed_step, which needs l and l + 1 both in
+    # the counting range: every cell classify_hermitian accepts has them
+    H = FormKind.HERMITIAN
+    for q in (2, 3, 4):
+        for n in range(9):
+            for k in range(-1, n + 2):
+                dims = hull_dims(H, n, k)
+                for ell in range(-2, n + 2):
+                    try:
+                        cls = classify_hermitian(n, k, ell, q)
+                    except HullCountError:
+                        assert ell not in dims[:-1]
+                        continue
+                    assert ell in dims and ell + 1 in dims
+                    lo, hi = closed_count(H, n, k, ell, q), closed_count(H, n, k, ell + 1, q)
+                    assert cls.count_monotone == (lo > hi)
+    with pytest.raises(BadRangeError, match="q must be a prime power, got 6"):
+        classify_hermitian(4, 2, 0, 6)
 
 
 def test_classify_hermitian_contradiction_raises(monkeypatch):

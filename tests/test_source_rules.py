@@ -58,3 +58,75 @@ def test_cli_import_does_not_load_dataclasses():
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout.split()
     assert out in (["False", "False"], ["True", "True"])
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every name and attribute name node mentions."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+    return found
+
+
+def _calls(node: ast.AST, name: str) -> bool:
+    return any(
+        isinstance(sub, ast.Call) and name in _names(sub.func) for sub in ast.walk(node)
+    )
+
+
+def test_only_classify_hermitian_reads_the_closed_form_in_ratios():
+    # ratio_report and the alpha functions are the route the closed form is
+    # checked against, so they must not reach it
+    closed = {"closed_step", "closed_spectrum", "closed_count"}
+    found = [
+        f"ratios.py:{node.name}"
+        for node in ast.walk(TREES["ratios.py"])
+        if isinstance(node, ast.FunctionDef)
+        and node.name != "classify_hermitian"
+        and _names(node) & closed
+    ]
+    assert found == []
+    classify = next(
+        node for node in ast.walk(TREES["ratios.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "classify_hermitian"
+    )
+    assert _names(classify) & closed == {"closed_step"}
+
+
+def _loops(tree: ast.AST):
+    """(iterated expression, loop body) of every for loop and comprehension."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For):
+            yield node.iter, node.body
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            body = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+            for gen in node.generators:
+                yield gen.iter, body
+
+
+def test_whole_spectra_have_one_evaluator():
+    # a loop over hull_dims (or a name bound to it) that calls closed_count
+    # builds every count from scratch; closed_spectrum steps from one count
+    found = []
+    for name, tree in TREES.items():
+        if name == "formulas.py":
+            continue
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            dims_names = {"hull_dims"} | {
+                target.id
+                for node in ast.walk(func)
+                if isinstance(node, ast.Assign) and _calls(node.value, "hull_dims")
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            for iterated, body in _loops(func):
+                if _names(iterated) & dims_names and any(
+                    _calls(part, "closed_count") for part in body
+                ):
+                    found.append(f"{name}:{func.name}:{iterated.lineno}")
+    assert found == []
