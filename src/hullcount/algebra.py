@@ -55,21 +55,12 @@ class FormKind(Enum):
 # -- polynomial helpers on coefficient tuples (low degree first) --------------
 
 def _poly_mul_mod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> tuple[int, ...]:
-    m = len(modulus) - 1
-    prod = [0] * (2 * m - 1) if m > 1 else [0]
+    prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-    for d in range(len(prod) - 1, m - 1, -1):
-        c = prod[d]
-        if c:
-            base = d - m
-            for j in range(m + 1):
-                if modulus[j]:
-                    prod[base + j] = (prod[base + j] - c * modulus[j]) % p
-    return tuple(prod[:m])
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    return _poly_rem(prod, modulus, p)
 
 
 def _poly_rem(dividend: Sequence[int], divisor: Sequence[int], p: int) -> tuple[int, ...]:
@@ -133,16 +124,15 @@ class FiniteField:
         self.order = order
         self.modulus = _canonical_modulus(p, m)
         coeffs = [self._code_to_coeffs(a) for a in range(order)]
-        one = coeffs[1]
         q1 = order - 1
         # a unit's order divides q1, so q1 steps bound each orbit
         for gen in range(1, order):
             powers = [1]
             cur = coeffs[gen]
-            while cur != one and len(powers) < q1:
-                powers.append(self._coeffs_to_code(cur))
+            while (code := self._coeffs_to_code(cur)) != 1 and len(powers) < q1:
+                powers.append(code)
                 cur = _poly_mul_mod(cur, coeffs[gen], self.modulus, p)
-            if cur == one and len(powers) == q1:
+            if code == 1 and len(powers) == q1:
                 break
         else:
             raise ArithmeticError(f"no generator of the unit group of F_{order}")
@@ -170,7 +160,7 @@ class FiniteField:
             [0] + [exp[log[a] + log[b]] for b in range(1, order)]
             for a in range(1, order)
         ]
-        # inv[0] is a sentinel 0; elimination code never reads it
+        # inv[0] is a sentinel 0; elimination and division never read it
         self.inv_table = [0] + [exp[q1 - log[a]] for a in range(1, order)]
         self._conj_table: list[int] | None = None
         if m % 2 == 0:
@@ -201,17 +191,7 @@ class FiniteField:
             )
         return self._conj_table
 
-    # code-level ops (scalar; hot loops should grab the tables directly) -
-
-    def mul_code(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
-
-    def inv_code(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self._exp[self.order - 1 - self._log[a]]
+    # powers go through exp/log; every other op reads its table ---------
 
     def pow_code(self, a: int, e: int) -> int:
         if a == 0:
@@ -341,7 +321,7 @@ class FieldElem:
         code = self._coerce(other)
         if code is NotImplemented:
             return NotImplemented
-        return FieldElem(self.field, self.field.mul_code(self.code, code))
+        return FieldElem(self.field, self.field.mul_table[self.code][code])
 
     __rmul__ = __mul__
 
@@ -349,9 +329,10 @@ class FieldElem:
         code = self._coerce(other)
         if code is NotImplemented:
             return NotImplemented
-        return FieldElem(
-            self.field, self.field.mul_code(self.code, self.field.inv_code(code))
-        )
+        if code == 0:
+            raise ZeroDivisionError("inverse of zero")
+        field = self.field
+        return FieldElem(field, field.mul_table[self.code][field.inv_table[code]])
 
     def __pow__(self, e: int):
         return FieldElem(self.field, self.field.pow_code(self.code, e))
@@ -543,9 +524,17 @@ class GramKernel(NamedTuple):
 def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     """The package's one Gram/rank kernel, for rows of length n under form.
 
+    Each form is one table set: for every column t a partner column and a
+    pairing table, so that <x, y> = sum_t pair[t][x[t]][y[partner[t]]];
+    mirror, which maps g[i][j] to g[j][i]; and whether the diagonal counts.
+    Euclidean: partner t, pair a*b, mirror the identity. Hermitian: partner
+    t, pair a*conj(b), mirror conj. Symplectic: partner t +- n/2, pair a*b
+    on the first half and -a*b on the second, mirror negation, and no
+    diagonal, since the form is alternating. gram_of and step read only
+    this table set.
+
     gram_of maps k rows of element codes to their k x k Gram matrix,
-    filling the upper triangle and mirroring it into the lower one
-    (conjugated for the hermitian form, negated for the symplectic one).
+    filling the upper triangle and mirroring it into the lower one.
     rank_of is the field's one forward elimination: it reduces a matrix of
     codes in place and returns its rank; rref() runs it too.
 
@@ -554,10 +543,10 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     k x k Gram matrix into an int, entry (i, j) with i <= j at bit
     (j(j+1)/2 + i) * bits; after rows[r][c] has changed from old,
     step(g, key, rows, r, c, old) updates row and column r of g in place
-    in O(k) and returns the updated key. The change meets column c of the
-    other rows (its partner c +- n/2, with a sign, for the symplectic
-    form), the diagonal moves by the change in a*conj(a) (never, for the
-    alternating symplectic form), and the mirror entries follow.
+    in O(k) and returns the updated key. The change d meets the partner
+    column of the other rows through pair[c][d], the diagonal (where it
+    counts) moves by the change in pair[c][a][a], and the mirror entries
+    follow.
 
     Built once per (field, form, n).
     """
@@ -567,45 +556,17 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     rank_of = _rank_kernel(field)
     cols = range(n)
 
-    # per-form conventions: prod[a][b] pairs an entry of row i with the
-    # partner entry of row j, mirror maps g[i][j] to g[j][i]
     if form is FormKind.SYMPLECTIC:
         if n % 2 != 0:
             raise OddAmbientError(
                 f"symplectic form needs an even ambient length, got {n}"
             )
         half = n // 2
-        halves = range(half)
-        prod = mul
+        partner = [*range(half, n), *range(half)]
+        # -a*b = (-a)*b: the second half's table is mul's rows, reordered
+        pair = [mul] * half + [[mul[a] for a in neg]] * half
         mirror = neg
-        partner = [c + half for c in halves] + list(halves)
-        flipped = [False] * half + [True] * half  # the -x[h+t]*y[t] terms
         diagonal = False
-
-        def gram_of(rows: RawRows) -> RawRows:
-            k = len(rows)
-            g = [[0] * k for _ in range(k)]
-            for i in range(k):
-                ri = rows[i]
-                for j in range(i + 1, k):
-                    rj = rows[j]
-                    s = 0
-                    for t in halves:
-                        a = ri[t]
-                        if a:
-                            b = rj[half + t]
-                            if b:
-                                s = add[s][mul[a][b]]
-                        a = ri[half + t]
-                        if a:
-                            b = rj[t]
-                            if b:
-                                s = add[s][neg[mul[a][b]]]
-                    if s:
-                        g[i][j] = s
-                        g[j][i] = neg[s]
-            return g
-
     else:
         if form is FormKind.HERMITIAN:
             if field.m % 2 != 0:
@@ -613,32 +574,32 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                     f"hermitian form needs a square field order, got {field.order}"
                 )
             mirror = field.frobenius_table(field.p ** (field.m // 2))
-            prod = [[row[c] for c in mirror] for row in mul]  # a * conj(b)
+            pair = [[[row[c] for c in mirror] for row in mul]] * n  # a * conj(b)
         else:
             mirror = list(range(field.order))
-            prod = mul
+            pair = [mul] * n
         partner = list(cols)
-        flipped = [False] * n
         diagonal = True
+    first = 0 if diagonal else 1
 
-        def gram_of(rows: RawRows) -> RawRows:
-            k = len(rows)
-            g = [[0] * k for _ in range(k)]
-            for i in range(k):
-                ri = rows[i]
-                gi = g[i]
-                for j in range(i, k):
-                    rj = rows[j]
-                    s = 0
-                    for t in cols:
-                        a = ri[t]
-                        if a:
-                            b = rj[t]
-                            if b:
-                                s = add[s][prod[a][b]]
-                    gi[j] = s
-                    g[j][i] = mirror[s]
-            return g
+    def gram_of(rows: RawRows) -> RawRows:
+        k = len(rows)
+        g = [[0] * k for _ in range(k)]
+        for i in range(k):
+            ri = rows[i]
+            gi = g[i]
+            for j in range(i + first, k):
+                rj = rows[j]
+                s = 0
+                for t in cols:
+                    a = ri[t]
+                    if a:
+                        b = rj[partner[t]]
+                        if b:
+                            s = add[s][pair[t][a][b]]
+                gi[j] = s
+                g[j][i] = mirror[s]
+        return g
 
     bits = (field.order - 1).bit_length()
 
@@ -659,11 +620,8 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
 
         def step(g: RawRows, key: int, rows: RawRows, r: int, c: int, old: int) -> int:
             new = rows[r][c]
-            d = add[new][neg[old]]
-            if flipped[c]:
-                d = neg[d]
-            pd = prod[d]
-            pc = partner[c]
+            pc, pt = partner[c], pair[c]
+            pd = pt[add[new][neg[old]]]
             gr = g[r]
             for j, sh in above[r]:  # upper-triangle entries g[j][r]
                 x = rows[j][pc]
@@ -675,7 +633,7 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                     gr[j] = s
                     gj[r] = m
             if diagonal:
-                s = add[gr[r]][add[prod[new][new]][neg[prod[old][old]]]]
+                s = add[gr[r]][add[pt[new][new]][neg[pt[old][old]]]]
                 key ^= (gr[r] ^ s) << on_diagonal[r]
                 gr[r] = s
             for j, sh in right[r]:  # upper-triangle entries g[r][j]

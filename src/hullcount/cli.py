@@ -15,6 +15,7 @@ integers, no locale formatting, CSV rows terminated with CRLF.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -178,23 +179,19 @@ def _records(fmt: str, keys: Sequence[str], rows: Iterable[Sequence[object]]) ->
 _COUNT_KEYS = ("length", "k", "q", "ell", "count", "monotonicity_violation")
 
 
+def _markdown(rows: Iterable[Sequence[object]]) -> str:
+    """Each row, header and rule alike, as one `| a | b |` line."""
+    return "".join("| " + " | ".join(map(str, row)) + " |\n" for row in rows)
+
+
 def _counts_markdown(form: FormKind, rows) -> str:
     ells = sorted({ell for _, _, _, cells in rows for ell, _, _ in cells})
     first = "2n" if form is FormKind.SYMPLECTIC else "n"
-    head = f"| {first} | k | q | " + " | ".join(f"A_{e}" for e in ells) + " |"
-    rule = "| ---: | ---: | ---: | " + " | ".join("---:" for _ in ells) + " |"
-    lines = [head, rule]
+    lines = [[first, "k", "q", *(f"A_{e}" for e in ells)], ["---:"] * (3 + len(ells))]
     for length, k, q, cells in rows:
-        by_ell = {e: (c, v) for e, c, v in cells}
-        rendered = []
-        for e in ells:
-            if e not in by_ell:
-                rendered.append("")
-                continue
-            c, viol = by_ell[e]
-            rendered.append(f"**{c}**" if viol else str(c))
-        lines.append(f"| {length} | {k} | {q} | " + " | ".join(rendered) + " |")
-    return "\n".join(lines) + "\n"
+        by_ell = {e: f"**{c}**" if viol else c for e, c, viol in cells}
+        lines.append([length, k, q, *(by_ell.get(e, "") for e in ells)])
+    return _markdown(lines)
 
 
 _COMPARISON_KEYS = (
@@ -225,13 +222,12 @@ def _comparison_records() -> list[tuple[object, ...]]:
 
 def _comparison_markdown(records: list[tuple[object, ...]]) -> str:
     # transposed: one column per form, one row per quantity
-    lines = [
-        "| quantity | " + " | ".join(str(r[0]) for r in records) + " |",
-        "| :--- | " + " | ".join(":---" for _ in records) + " |",
-    ]
-    for i, label in enumerate(_COMPARISON_LABELS, start=1):
-        lines.append(f"| {label} | " + " | ".join(str(r[i]) for r in records) + " |")
-    return "\n".join(lines) + "\n"
+    columns = list(zip(*records))
+    return _markdown([
+        ["quantity", *columns[0]],
+        [":---"] * (1 + len(records)),
+        *([label, *values] for label, values in zip(_COMPARISON_LABELS, columns[1:])),
+    ])
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -334,40 +330,42 @@ def cmd_verify(args: argparse.Namespace) -> int:
             field = field_for(_FORMS[name], q)
             for length, k in sweeps[name]:
                 enumerate_subspaces(length, k, field, limit)
-    dumped: list[tuple[object, ...]] = []
-    failures: list[str] = []
-    checked = 0
-    for name in forms:
-        form = _FORMS[name]
-        for q in qs:
-            for length, k in sweeps[name]:
-                label = f"{name} length={length} k={k} q={q}"
-                try:
-                    comp = spectrum_vs_formula(length, k, q, form, limit)
-                except ArithmeticError as exc:  # a closed form that is not integral
-                    problems = [f"closed form: {exc}"]
-                else:
-                    if args.dump:
-                        dumped += [
-                            (length, k, q, name, cell.ell, cell.oracle)
-                            for cell in comp.cells
-                            if cell.oracle
-                        ]
-                    problems = [] if comp.passed else [comp.first_failure()]
-                    problems += _problems(comp)
-                checked += 1
-                if problems:
-                    failures.append(f"{label}: {problems[0]}")
-                    print(f"FAIL {label}: {problems[0]}")
-                else:
-                    print(f"PASS {label}")
-    if args.dump:
-        text = _records("csv", ("n", "k", "q", "form", "ell", "count"), dumped)
-        if args.dump == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.dump, "w", newline="") as handle:
-                handle.write(text)
+    # open the dump file before any cell runs, so a bad path costs no sweep
+    try:
+        dump = None if args.dump in (None, "-") else open(args.dump, "w", newline="")
+    except OSError as exc:
+        raise BadRangeError(f"cannot write --dump {args.dump}: {exc.strerror}") from None
+    with dump or contextlib.nullcontext():
+        dumped: list[tuple[object, ...]] = []
+        failures: list[str] = []
+        checked = 0
+        for name in forms:
+            form = _FORMS[name]
+            for q in qs:
+                for length, k in sweeps[name]:
+                    label = f"{name} length={length} k={k} q={q}"
+                    try:
+                        comp = spectrum_vs_formula(length, k, q, form, limit)
+                    except ArithmeticError as exc:  # a closed form that is not integral
+                        problems = [f"closed form: {exc}"]
+                    else:
+                        if args.dump:
+                            dumped += [
+                                (length, k, q, name, cell.ell, cell.oracle)
+                                for cell in comp.cells
+                                if cell.oracle
+                            ]
+                        problems = [] if comp.passed else [comp.first_failure()]
+                        problems += _problems(comp)
+                    checked += 1
+                    if problems:
+                        failures.append(f"{label}: {problems[0]}")
+                        print(f"FAIL {label}: {problems[0]}")
+                    else:
+                        print(f"PASS {label}")
+        if args.dump:
+            text = _records("csv", ("n", "k", "q", "form", "ell", "count"), dumped)
+            (dump or sys.stdout).write(text)
     if failures:
         print(f"{len(failures)} of {checked} cells failed; first: {failures[0]}")
         return 1
@@ -384,14 +382,11 @@ def cmd_census(args: argparse.Namespace) -> int:
         raise BadRangeError(f"k must be non-negative, got {args.k}")
     rows = entanglement_census(length, args.k, args.q, form)
     if args.format == "markdown":
-        lines = [
-            "| l | ebits | count | exceptional |",
-            "| ---: | ---: | ---: | :--- |",
-        ]
-        for row in rows:
-            flag = "yes" if row.exceptional else "no"
-            lines.append(f"| {row.ell} | {row.ebits} | {row.count} | {flag} |")
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write(_markdown([
+            ("l", "ebits", "count", "exceptional"),
+            ("---:", "---:", "---:", ":---"),
+            *((row.ell, row.ebits, row.count, "yes" if row.exceptional else "no") for row in rows),
+        ]))
     else:
         records = [(row.ell, row.ebits, row.count, row.exceptional) for row in rows]
         sys.stdout.write(

@@ -82,15 +82,12 @@ def _phi(q: int, t: int) -> int:
     """Phi_t(q) by Moebius inversion over the squarefree divisors d of t:
     prod_d (q^(t/d) - 1)^mu(d). Its one division is of numbers of about t
     base-q digits, not of a count."""
-    primes, rest, f = [], t, 2
-    while f * f <= rest:
-        if rest % f == 0:
-            primes.append(f)
-            while rest % f == 0:
-                rest //= f
-        f += 1
-    if rest > 1:
-        primes.append(rest)
+    primes, rest = [], t
+    while rest > 1:
+        p = _smallest_factor(rest)
+        primes.append(p)
+        while rest % p == 0:
+            rest //= p
     num = den = 1
     for mask in range(1 << len(primes)):
         d, odd = 1, False
@@ -224,33 +221,29 @@ def gaussian_binomial(n: int, k: int, order: int) -> int:
     return exact_count(order, 0, ((Q, n - k + 1, n),), ((Q, 1, k),))
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
+def _smallest_factor(n: int) -> int:
+    """The smallest prime factor of n >= 2, by trial division (n itself
+    when n is prime)."""
     if n % 2 == 0:
-        return False
+        return 2
     f = 3
     while f * f <= n:
         if n % f == 0:
-            return False
+            return f
         f += 2
-    return True
+    return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _smallest_factor(n) == n
 
 
 def prime_power_parts(q: int) -> tuple[int, int]:
     """Decompose q = p^e with p prime; raises BadRangeError otherwise."""
     if q < 2:
         raise BadRangeError(f"q must be a prime power, got {q}")
-    p = q
-    for f in range(2, q):
-        if f * f > q:
-            break
-        if q % f == 0:
-            p = f
-            break
-    # p is the smallest prime factor; q must be a pure power of it
+    p = _smallest_factor(q)
+    # q must be a pure power of its smallest prime factor
     e = 0
     rest = q
     while rest % p == 0:

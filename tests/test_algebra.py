@@ -29,7 +29,7 @@ from hullcount.errors import (
     OddAmbientError,
     RankDeficientGeneratorError,
 )
-from naive_hull import generator_rows, naive_hull_dim, naive_rank, naive_rref
+from naive_hull import _form, generator_rows, naive_hull_dim, naive_rank, naive_rref
 
 F2 = make_field(2)
 F4 = make_field(2, 2)
@@ -314,6 +314,40 @@ def test_gram_form_preconditions():
         gram(g2, FormKind.HERMITIAN)
     with pytest.raises(OddAmbientError):
         gram(g2, FormKind.SYMPLECTIC)
+
+
+GRAM_CASES = [
+    (form, order)
+    for form, orders in (
+        (FormKind.EUCLIDEAN, (2, 3, 4, 5, 7, 9)),
+        (FormKind.SYMPLECTIC, (2, 3, 4, 5, 7, 9)),
+        (FormKind.HERMITIAN, (4, 9, 25)),
+    )
+    for order in orders
+]
+
+
+@pytest.mark.parametrize("form, order", GRAM_CASES)
+def test_gram_entries_match_the_definition(form, order):
+    # every entry, both triangles and the diagonal, against the form written
+    # out on FieldElem values; the step tests only compare gram_of with the
+    # step, which read the same pairing tables
+    field = field_of_order(order)
+    rng = random.Random(order)
+    for n in (2, 3, 4, 6):
+        if form is FormKind.SYMPLECTIC and n % 2:
+            continue
+        for k in range(1, 5):
+            for trial in range(6):
+                rows = [[rng.randrange(order) for _ in range(n)] for _ in range(k)]
+                if trial == 0:
+                    rows[rng.randrange(k)] = [0] * n
+                elif trial == 1 and k > 1:
+                    rows[0] = list(rows[-1])
+                m = MatrixGF.from_rows(field, rows)
+                elems = generator_rows(m)
+                expected = [[_form(x, y, form).code for y in elems] for x in elems]
+                assert gram(m, form).to_lists() == expected, rows
 
 
 def test_gram_step_matches_a_fresh_gram():

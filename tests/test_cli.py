@@ -279,6 +279,22 @@ def test_verify_dump_to_file(tmp_path, capsys):
     assert all(line.startswith("2,1,2,hermitian,") for line in lines[1:] if line)
 
 
+@pytest.mark.parametrize("target", ["missing/spectra.csv", "."])
+def test_verify_dump_to_an_unwritable_path_fails_before_the_sweep(tmp_path, capsys, target):
+    # a path under a missing directory, and a directory: the dump target is
+    # opened before any cell runs, so no PASS line is printed and the exit
+    # code is the precondition one, not the mismatch one
+    path = tmp_path / target
+    code, out, err = run(
+        ["verify", "--form", "hermitian", "--max-n", "3", "--dump", str(path)],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write --dump {path}: ")
+    assert err.count("\n") == 1
+
+
 def test_verify_dump_to_stdout(capsys):
     code, out, _ = run(
         ["verify", "--form", "hermitian", "--max-n", "4", "-q", "2",

@@ -130,3 +130,20 @@ def test_whole_spectra_have_one_evaluator():
                 ):
                     found.append(f"{name}:{func.name}:{iterated.lineno}")
     assert found == []
+
+
+def test_each_form_is_one_table_set_in_gram_kernel():
+    # the per-form conventions live in the table setup of gram_kernel; the
+    # one gram_of and the step only read the tables
+    defs = [
+        node for node in ast.walk(TREES["algebra.py"])
+        if isinstance(node, ast.FunctionDef)
+    ]
+    assert [node.name for node in defs].count("gram_of") == 1
+    kernel = next(node for node in defs if node.name == "gram_kernel")
+    readers = [
+        node for node in ast.walk(kernel)
+        if isinstance(node, ast.FunctionDef) and node.name in ("gram_of", "step")
+    ]
+    assert sorted(node.name for node in readers) == ["gram_of", "step"]
+    assert [node.name for node in readers if "FormKind" in _names(node)] == []
