@@ -395,7 +395,11 @@ class MatrixGF:
             if len(r) != ncols:
                 raise BadRangeError("ragged rows")
             for e in r:
-                codes.append(e.code if isinstance(e, FieldElem) else e)
+                if isinstance(e, FieldElem):
+                    if e.field != field:
+                        raise BadRangeError("elements of different fields")
+                    e = e.code
+                codes.append(e)
         return cls(field, nrows, ncols, tuple(codes))
 
     @classmethod
@@ -511,6 +515,14 @@ def rref(matrix: MatrixGF) -> RrefResult:
     return RrefResult(reduced, rank, tuple(pivots))
 
 
+@functools.lru_cache(maxsize=None)
+def _conj_mul_table(field: FiniteField) -> list[list[int]]:
+    """The hermitian pairing a * conj(b), order^2 codes, built once per
+    field and shared by the kernels of every length."""
+    conj = field.frobenius_table(field.p ** (field.m // 2))
+    return [[row[c] for c in conj] for row in field.mul_table]
+
+
 class GramKernel(NamedTuple):
     """The raw-code Gram/rank kernel of one (field, form, length); see
     gram_kernel."""
@@ -548,7 +560,8 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     counts) moves by the change in pair[c][a][a], and the mirror entries
     follow.
 
-    Built once per (field, form, n).
+    Built once per (field, form, n); the hermitian pairing table, once per
+    field (_conj_mul_table).
     """
     mul = field.mul_table
     add = field.add_table
@@ -574,7 +587,7 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                     f"hermitian form needs a square field order, got {field.order}"
                 )
             mirror = field.frobenius_table(field.p ** (field.m // 2))
-            pair = [[[row[c] for c in mirror] for row in mul]] * n  # a * conj(b)
+            pair = [_conj_mul_table(field)] * n
         else:
             mirror = list(range(field.order))
             pair = [mul] * n

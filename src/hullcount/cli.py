@@ -122,6 +122,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         count = spectrum.counts.get(ell, 0)
     else:
         count = formulas.closed_count(form, length, k, ell, q)
+        if k > length:  # the oracle refuses such a k; the closed forms count it 0
+            raise BadRangeError(f"need 0 <= k <= n, got n={length} k={k}")
     lines = [
         f"form: {form.value}",
         f"length: {length}",
@@ -318,18 +320,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     qs = list(dict.fromkeys(args.qs or [2]))
     limit = _resolve_work_limit(args.work_limit)
     sweeps = {name: _sweep_cells(_FORMS[name], args) for name in forms}
-    empty = [name for name, cells in sweeps.items() if not cells]
+    empty = [name for name, sweep in sweeps.items() if not sweep]
     if empty:
         raise BadRangeError(
             f"no cells to verify for {', '.join(empty)} in the requested ranges"
         )
+    cells = [(name, q, length, k) for name in forms for q in qs for length, k in sweeps[name]]
     # every cell's subspace count is known up front: refuse a sweep that has
     # an infeasible cell before enumerating any cell
-    for name in forms:
-        for q in qs:
-            field = field_for(_FORMS[name], q)
-            for length, k in sweeps[name]:
-                enumerate_subspaces(length, k, field, limit)
+    for name, q, length, k in cells:
+        enumerate_subspaces(length, k, field_for(_FORMS[name], q), limit)
     # open the dump file before any cell runs, so a bad path costs no sweep
     try:
         dump = None if args.dump in (None, "-") else open(args.dump, "w", newline="")
@@ -338,38 +338,33 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with dump or contextlib.nullcontext():
         dumped: list[tuple[object, ...]] = []
         failures: list[str] = []
-        checked = 0
-        for name in forms:
-            form = _FORMS[name]
-            for q in qs:
-                for length, k in sweeps[name]:
-                    label = f"{name} length={length} k={k} q={q}"
-                    try:
-                        comp = spectrum_vs_formula(length, k, q, form, limit)
-                    except ArithmeticError as exc:  # a closed form that is not integral
-                        problems = [f"closed form: {exc}"]
-                    else:
-                        if args.dump:
-                            dumped += [
-                                (length, k, q, name, cell.ell, cell.oracle)
-                                for cell in comp.cells
-                                if cell.oracle
-                            ]
-                        problems = [] if comp.passed else [comp.first_failure()]
-                        problems += _problems(comp)
-                    checked += 1
-                    if problems:
-                        failures.append(f"{label}: {problems[0]}")
-                        print(f"FAIL {label}: {problems[0]}")
-                    else:
-                        print(f"PASS {label}")
+        for name, q, length, k in cells:
+            label = f"{name} length={length} k={k} q={q}"
+            try:
+                comp = spectrum_vs_formula(length, k, q, _FORMS[name], limit)
+            except ArithmeticError as exc:  # a closed form that is not integral
+                problems = [f"closed form: {exc}"]
+            else:
+                if args.dump:
+                    dumped += [
+                        (length, k, q, name, cell.ell, cell.oracle)
+                        for cell in comp.cells
+                        if cell.oracle
+                    ]
+                problems = [] if comp.passed else [comp.first_failure()]
+                problems += _problems(comp)
+            if problems:
+                failures.append(f"{label}: {problems[0]}")
+                print(f"FAIL {label}: {problems[0]}")
+            else:
+                print(f"PASS {label}")
         if args.dump:
             text = _records("csv", ("n", "k", "q", "form", "ell", "count"), dumped)
             (dump or sys.stdout).write(text)
     if failures:
-        print(f"{len(failures)} of {checked} cells failed; first: {failures[0]}")
+        print(f"{len(failures)} of {len(cells)} cells failed; first: {failures[0]}")
         return 1
-    print(f"all {checked} cells pass")
+    print(f"all {len(cells)} cells pass")
     return 0
 
 

@@ -23,12 +23,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import FormKind, MatrixGF, gram_kernel
-from .errors import (
-    BadRangeError,
-    OddAmbientError,
-    OddGramRankError,
-    ParityViolationError,
-)
+from .errors import BadRangeError, OddGramRankError, ParityViolationError
 from .exactnum import prime_power_parts
 from .formulas import ValidatedRecord, closed_spectrum, hull_dims
 from .ratios import COUNT_EXCEPTIONS
@@ -72,7 +67,7 @@ def gjg_map(
     code of length n, dimension k, hull dimension ell."""
     if not 0 <= k <= n:
         raise BadRangeError(f"need 0 <= k <= n, got k={k} n={n}")
-    if not 0 <= ell <= min(k, n - k):
+    if ell not in hull_dims(FormKind.EUCLIDEAN, n, k):
         raise BadRangeError(
             f"hull dimension must lie in 0..min(k, n-k), got l={ell}"
         )
@@ -85,15 +80,12 @@ def wilde_brun_map(
     two_n: int, k: int, ell: int, q: int, d: int | None = None
 ) -> EaqeccParams:
     """Entanglement-assisted code from a symplectic seed of length 2n."""
-    if two_n < 0 or two_n % 2 != 0:
-        raise OddAmbientError(f"ambient length must be even, got {two_n}")
+    dims = hull_dims(FormKind.SYMPLECTIC, two_n, k)
     if (k - ell) % 2 != 0:
         raise ParityViolationError(f"k - l must be even, got k={k} l={ell}")
-    if not 0 <= ell <= k <= two_n:
-        raise BadRangeError(f"need 0 <= l <= k <= 2n, got k={k} l={ell} 2n={two_n}")
-    if k + ell > two_n:
+    if ell not in dims:
         raise BadRangeError(
-            f"k + l exceeds the ambient length, got k={k} l={ell} 2n={two_n}"
+            f"hull dimension must lie in 0..min(k, 2n-k), got k={k} l={ell} 2n={two_n}"
         )
     n = two_n // 2
     return EaqeccParams(n, n - (k + ell) // 2, (k - ell) // 2, q, d)
@@ -132,14 +124,13 @@ def entanglement_census(
     """
     if form is FormKind.EUCLIDEAN:
         raise BadRangeError("no closed-form census for the euclidean form")
+    dims = hull_dims(form, length, k)
     hermitian = form is FormKind.HERMITIAN
-    if not hermitian and length % 2 != 0:
-        raise OddAmbientError(f"ambient length must be even, got {length}")
     if not 0 <= k <= length:
         name = "n" if hermitian else "2n"
         raise BadRangeError(f"need 0 <= k <= {name}, got k={k} {name}={length}")
     rows = []
-    for ell, count in zip(hull_dims(form, length, k), closed_spectrum(form, length, k, q)):
+    for ell, count in zip(dims, closed_spectrum(form, length, k, q)):
         seed = gjg_map(length, k, ell, q)[0] if hermitian else wilde_brun_map(length, k, ell, q)
         rows.append(CensusRow(ell, seed.c, count, COUNT_EXCEPTIONS[form](length, k, ell, q)))
     return rows

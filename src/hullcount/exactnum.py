@@ -19,6 +19,7 @@ is faster there.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, sub
 from typing import Sequence
 
@@ -200,11 +201,6 @@ def rat_str(x: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_rat(s: str) -> Fraction:
-    """Inverse of rat_str; also accepts a bare integer string."""
-    return Fraction(s.strip())
-
-
 def gaussian_binomial(n: int, k: int, order: int) -> int:
     """Number of k-dimensional subspaces of an n-dimensional space over F_order.
 
@@ -238,8 +234,11 @@ def is_prime(n: int) -> bool:
     return n >= 2 and _smallest_factor(n) == n
 
 
+@lru_cache(maxsize=256)
 def prime_power_parts(q: int) -> tuple[int, int]:
-    """Decompose q = p^e with p prime; raises BadRangeError otherwise."""
+    """Decompose q = p^e with p prime; raises BadRangeError otherwise.
+    Every count, record and ratio checks its q here, so the answers for
+    the last 256 orders are kept."""
     if q < 2:
         raise BadRangeError(f"q must be a prime power, got {q}")
     p = _smallest_factor(q)

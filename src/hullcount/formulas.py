@@ -49,6 +49,10 @@ from .algebra import FormKind
 from .errors import BadIndexError, BadRangeError, OddAmbientError
 from .exactnum import NEG_Q, Q, Q2, CountSpec, exact_count, exact_step, prime_power_parts
 
+# FormKind's members as plain globals for the per-call checks: on CPython
+# 3.11 FormKind.X runs EnumType's __getattr__ hook, about 0.15 us a lookup
+EUCLIDEAN, HERMITIAN, SYMPLECTIC = FormKind
+
 
 class ValidatedRecord:
     """Base of a NamedTuple subclass whose __new__ validates the fields:
@@ -95,10 +99,6 @@ class HermitianParams(ValidatedRecord, _HermitianFields):
         # (-1)^(s+1): +1 for odd ambient defect, -1 for even
         return 1 if self.s % 2 else -1
 
-    def in_counting_range(self) -> bool:
-        n, k, ell, _ = self
-        return 0 <= ell <= k <= n and ell <= n - k
-
 
 class _SymplecticFields(NamedTuple):
     two_n: int
@@ -128,10 +128,6 @@ class SymplecticParams(ValidatedRecord, _SymplecticFields):
     def k0(self) -> int:
         return (self.k - self.ell) // 2
 
-    def in_counting_range(self) -> bool:
-        two_n, k, ell, _ = self
-        return 0 <= ell <= k <= two_n and ell <= two_n - k and (k - ell) % 2 == 0
-
 
 def _hermitian(n: int, k0: int, ell: int) -> CountSpec:
     b = n - k0 - 2 * ell  # n - k - l
@@ -142,8 +138,7 @@ def hermitian_lcd_count(n: int, k0: int, q: int) -> int:
     """Number of k0-dimensional codes in F_{q^2}^n with zero hermitian hull."""
     if not 0 <= k0 <= n:
         raise BadRangeError(f"need 0 <= k0 <= n, got k0={k0}, n={n}")
-    prime_power_parts(q)
-    return exact_count(q, *_hermitian(n, k0, 0))
+    return count_hermitian(HermitianParams(n, k0, 0, q))
 
 
 def unified_factor(i: int, params: HermitianParams) -> Fraction:
@@ -159,9 +154,9 @@ def unified_factor(i: int, params: HermitianParams) -> Fraction:
 def count_hermitian(params: HermitianParams) -> int:
     """Exact number of k-dimensional codes in F_{q^2}^n with hermitian hull
     dimension ell; zero when the parameters admit no such code."""
-    if not params.in_counting_range():
-        return 0
     n, k, ell, q = params
+    if ell not in hull_dims(HERMITIAN, n, k):
+        return 0
     return exact_count(q, *_hermitian(n, k - ell, ell))
 
 
@@ -174,27 +169,31 @@ def symplectic_lcd_count(n: int, k0: int, q: int) -> int:
     """Number of 2*k0-dimensional codes in F_q^(2n) with zero symplectic hull."""
     if not 0 <= k0 <= n:
         raise BadRangeError(f"need 0 <= k0 <= n, got k0={k0}, n={n}")
-    prime_power_parts(q)
-    return exact_count(q, *_symplectic(n, k0, 0))
+    return count_symplectic(SymplecticParams(2 * n, 2 * k0, 0, q))
 
 
 def count_symplectic(params: SymplecticParams) -> int:
     """Exact number of k-dimensional codes in F_q^(2n) with symplectic hull
     dimension ell; zero off the parity class or out of range."""
-    if not params.in_counting_range():
-        return 0
     two_n, k, ell, q = params
+    if ell not in hull_dims(SYMPLECTIC, two_n, k):
+        return 0
     return exact_count(q, *_symplectic(two_n // 2, (k - ell) // 2, ell))
 
 
 def hull_dims(form: FormKind, length: int, k: int) -> range:
     """Hull dimensions l a k-dimensional code can have, in step order:
     0..min(k, length-k) in steps of 1, or for the symplectic form (length
-    2n) only the l of k's parity, in steps of 2."""
-    top = min(k, length - k)
-    if form is FormKind.SYMPLECTIC:
+    2n) only the l of k's parity, in steps of 2. Every count, step, ratio
+    and parameter map reads a cell's shape here: l is counted when it lies
+    in the range and has a successor when it lies in the range's [:-1].
+    An odd symplectic length raises OddAmbientError."""
+    top = length - k if 2 * k > length else k  # min(k, length - k), without the call
+    if form is SYMPLECTIC:
+        if length % 2:
+            raise OddAmbientError(f"symplectic ambient length must be even, got {length}")
         return range(k % 2, top + 1, 2)
-    return range(0, top + 1)
+    return range(top + 1)
 
 
 def closed_count(form: FormKind, length: int, k: int, ell: int, q: int) -> int:
@@ -222,8 +221,8 @@ def closed_step(form: FormKind, length: int, k: int, ell: int, q: int) -> tuple[
     """count(l + step) / count(l) as an unreduced (num, den), read off the
     two cells' exact_count ranges; l and l + step must both be in
     hull_dims(form, length, k)."""
+    before = _spec(form, length, k, ell, q)  # the cell's checks come first
     dims = hull_dims(form, length, k)
-    before = _spec(form, length, k, ell, q)
     if ell not in dims[:-1]:
         raise BadRangeError(
             f"no step from l={ell}: l and l+{dims.step} must both be hull dimensions "
@@ -237,11 +236,11 @@ def closed_spectrum(form: FormKind, length: int, k: int, q: int) -> list[int]:
     one exact_count for the first l, then count(l + step) =
     count(l) * num / den by closed_step, where a nonzero remainder raises
     ArithmeticError."""
+    _spec(form, length, k, 0, q)  # the cell's checks, also when dims is empty
     dims = hull_dims(form, length, k)
-    first = closed_count(form, length, k, dims.start, q)  # checks the cell even if dims is empty
     if not dims:
         return []
-    counts = [first]
+    counts = [closed_count(form, length, k, dims.start, q)]
     for ell in dims[:-1]:
         num, den = closed_step(form, length, k, ell, q)
         count, rem = divmod(counts[-1] * num, den)

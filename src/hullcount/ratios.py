@@ -42,7 +42,7 @@ from .errors import (
     ParityViolationError,
 )
 from .exactnum import prime_power_parts
-from .formulas import closed_step
+from .formulas import EUCLIDEAN, HERMITIAN, SYMPLECTIC, closed_step, hull_dims
 
 
 class RatioClassification(Enum):
@@ -87,7 +87,7 @@ def quadratic_character(x: FieldElem | int, q: int) -> int:
 def alpha_hermitian(n: int, k: int, ell: int, q: int) -> Fraction:
     """Ratio factor with count_H(l) = alpha * (q^(l+1)-1) * count_H(l+1)."""
     prime_power_parts(q)
-    if ell < 0 or not ell + 1 <= k <= n - ell - 1:
+    if ell not in hull_dims(HERMITIAN, n, k)[:-1]:
         raise OutOfValidRangeError(
             f"alpha undefined outside l+1 <= k <= n-l-1, got n={n} k={k} l={ell}"
         )
@@ -101,9 +101,10 @@ def alpha_hermitian(n: int, k: int, ell: int, q: int) -> Fraction:
 def alpha_symplectic(two_n: int, k: int, ell: int, q: int) -> Fraction:
     """Ratio factor with count_S(l) = alpha * (q^(l+1)-1)(q^(l+2)-1) * count_S(l+2)."""
     prime_power_parts(q)
+    dims = hull_dims(SYMPLECTIC, two_n, k)
     if (k - ell) % 2 != 0:
         raise ParityViolationError(f"k - l must be even, got k={k} l={ell}")
-    if ell < 0 or not ell + 2 <= k <= two_n - ell - 2:
+    if ell not in dims[:-1]:
         raise OutOfValidRangeError(
             f"alpha undefined outside l+2 <= k <= 2n-l-2, got 2n={two_n} k={k} l={ell}"
         )
@@ -123,7 +124,7 @@ def alpha_euclidean(n: int, k: int, ell: int, q: int) -> Fraction:
     prime_power_parts(q)
     if k < 1 or 2 * k > n:
         raise OutOfValidRangeError(f"need 1 <= k <= n/2, got n={n} k={k}")
-    if not 0 <= ell <= k - 1:
+    if ell not in hull_dims(EUCLIDEAN, n, k)[:-1]:
         raise OutOfValidRangeError(f"need 0 <= l <= k-1, got k={k} l={ell}")
     kl = k - ell
     if q % 2 == 1:

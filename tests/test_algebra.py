@@ -1,6 +1,7 @@
 """Field construction, matrix reduction, Gram forms, hull dimensions."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -469,3 +470,33 @@ def test_matrix_validation():
         MatrixGF(F2, 2, 2, (0, 1, 1))
     with pytest.raises(BadRangeError):
         MatrixGF(F2, 1, 2, (0, 5))
+
+
+def test_from_rows_refuses_elements_of_another_field():
+    with pytest.raises(BadRangeError, match="^elements of different fields$"):
+        MatrixGF.from_rows(F4, [[make_field(5).elem(3), 1]])
+    with pytest.raises(BadRangeError, match="^elements of different fields$"):
+        MatrixGF.from_rows(F4, [[0, 1], [F2.one, 0]])
+    # elements of the same field and plain codes load alike
+    w = F4.generator
+    m = MatrixGF.from_rows(F4, [[w, 1], [0, F4.one]])
+    assert m == MatrixGF.from_rows(F4, [[w.code, 1], [0, 1]])
+    assert m.entry(0, 0) == w and m.entry(1, 1) == F4.one
+
+
+def test_hermitian_kernels_share_one_pairing_table_per_field():
+    # the a*conj(b) table has order^2 entries; one per length would be
+    # about 0.55 MB per kernel over F_256
+    f256 = make_field(2, 8)
+    gram_kernel.cache_clear()
+    algebra._conj_mul_table.cache_clear()
+    tracemalloc.start()
+    try:
+        kernels = [gram_kernel(f256, FormKind.HERMITIAN, n) for n in range(1, 33)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kernels) == 32
+    assert peak < 3_000_000
+    w = f256.generator
+    assert kernels[2].gram_of([[w.code, 1, 0]]) == [[(w * w ** 16 + 1).code]]

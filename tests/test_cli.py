@@ -58,6 +58,16 @@ def test_eval_out_of_range_hull_counts_zero(capsys):
     assert "count: 0" in out
 
 
+@pytest.mark.parametrize("form, flag, length", [
+    ("euclidean", "-n", 3), ("hermitian", "-n", 3), ("symplectic", "--ambient", 4),
+])
+def test_eval_refuses_k_above_the_length_for_every_form(capsys, form, flag, length):
+    code, out, err = run(
+        ["eval", "--form", form, flag, str(length), "-k", "5", "-l", "0", "-q", "2"], capsys
+    )
+    assert (code, out, err) == (2, "", f"error: need 0 <= k <= n, got n={length} k=5\n")
+
+
 def test_eval_euclidean_uses_enumeration(capsys):
     code, out, _ = run(
         ["eval", "--form", "euclidean", "-n", "4", "-k", "2", "-l", "1", "-q", "2"],

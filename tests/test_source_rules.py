@@ -147,3 +147,49 @@ def test_each_form_is_one_table_set_in_gram_kernel():
     ]
     assert sorted(node.name for node in readers) == ["gram_of", "step"]
     assert [node.name for node in readers if "FormKind" in _names(node)] == []
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    return next(
+        node for node in ast.walk(TREES[module])
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def test_cell_shapes_are_read_from_hull_dims():
+    # formulas.hull_dims is the one rule for which l a cell has and whether
+    # l has a successor; these entry points only ask it
+    readers = {
+        "formulas.py": ("count_hermitian", "count_symplectic"),
+        "ratios.py": ("alpha_hermitian", "alpha_symplectic", "alpha_euclidean"),
+        "eaqecc.py": ("gjg_map", "wilde_brun_map"),
+    }
+    found = []
+    for module, names in readers.items():
+        for name in names:
+            func = _function(module, name)
+            assert "hull_dims" in _names(func), name
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Compare):
+                    continue
+                bare_ell = any(
+                    isinstance(side, ast.Name) and side.id == "ell"
+                    for side in (node.left, *node.comparators)
+                )
+                if bare_ell and not all(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops):
+                    found.append(f"{module}:{name}:{node.lineno}")
+    assert found == []
+    assert not any("in_counting_range" in _names(tree) for tree in TREES.values())
+
+
+def test_symplectic_lengths_are_checked_even_in_hull_dims():
+    # an odd ambient length is refused by hull_dims (and the records); the
+    # EAQECC maps and the census do not test it themselves
+    found = [
+        f"eaqecc.py:{name}:{node.lineno}"
+        for name in ("wilde_brun_map", "entanglement_census")
+        for node in ast.walk(_function("eaqecc.py", name))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+        and isinstance(node.left, ast.Name) and node.left.id in ("two_n", "length")
+    ]
+    assert found == []
