@@ -52,6 +52,13 @@ class FormKind(Enum):
     SYMPLECTIC = "symplectic"
 
 
+def require_even_length(length: int) -> None:
+    """The one odd-length check: the symplectic form pairs the two halves
+    of an ambient length 2n."""
+    if length % 2:
+        raise OddAmbientError(f"symplectic ambient length must be even, got {length}")
+
+
 # -- polynomial helpers on coefficient tuples (low degree first) --------------
 
 def _poly_mul_mod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> tuple[int, ...]:
@@ -570,10 +577,7 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     cols = range(n)
 
     if form is FormKind.SYMPLECTIC:
-        if n % 2 != 0:
-            raise OddAmbientError(
-                f"symplectic form needs an even ambient length, got {n}"
-            )
+        require_even_length(n)
         half = n // 2
         partner = [*range(half, n), *range(half)]
         # -a*b = (-a)*b: the second half's table is mul's rows, reordered

@@ -45,8 +45,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import FormKind
-from .errors import BadIndexError, BadRangeError, OddAmbientError
+from .algebra import FormKind, require_even_length
+from .errors import BadIndexError, BadRangeError
 from .exactnum import NEG_Q, Q, Q2, CountSpec, exact_count, exact_step, prime_power_parts
 
 # FormKind's members as plain globals for the per-call checks: on CPython
@@ -115,8 +115,7 @@ class SymplecticParams(ValidatedRecord, _SymplecticFields):
     def __new__(cls, two_n: int, k: int, ell: int, q: int):
         if two_n < 0:
             raise BadRangeError(f"ambient length must be nonnegative, got {two_n}")
-        if two_n % 2 != 0:
-            raise OddAmbientError(f"symplectic ambient length must be even, got {two_n}")
+        require_even_length(two_n)
         prime_power_parts(q)
         return tuple.__new__(cls, (two_n, k, ell, q))
 
@@ -186,12 +185,11 @@ def hull_dims(form: FormKind, length: int, k: int) -> range:
     0..min(k, length-k) in steps of 1, or for the symplectic form (length
     2n) only the l of k's parity, in steps of 2. Every count, step, ratio
     and parameter map reads a cell's shape here: l is counted when it lies
-    in the range and has a successor when it lies in the range's [:-1].
+    in the range and has a successor when l + step lies in it too.
     An odd symplectic length raises OddAmbientError."""
     top = length - k if 2 * k > length else k  # min(k, length - k), without the call
     if form is SYMPLECTIC:
-        if length % 2:
-            raise OddAmbientError(f"symplectic ambient length must be even, got {length}")
+        require_even_length(length)
         return range(k % 2, top + 1, 2)
     return range(top + 1)
 
@@ -223,7 +221,7 @@ def closed_step(form: FormKind, length: int, k: int, ell: int, q: int) -> tuple[
     hull_dims(form, length, k)."""
     before = _spec(form, length, k, ell, q)  # the cell's checks come first
     dims = hull_dims(form, length, k)
-    if ell not in dims[:-1]:
+    if not (ell in dims and ell + dims.step in dims):
         raise BadRangeError(
             f"no step from l={ell}: l and l+{dims.step} must both be hull dimensions "
             f"of length={length} k={k}"

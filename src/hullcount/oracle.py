@@ -9,6 +9,15 @@ element codes 0..Q-1 in loopless reflected Q-ary Gray order (Knuth, TAOCP
 one code step. The total yield is the Gaussian binomial [n, k]_Q, which
 doubles as a built-in consistency check on every spectrum.
 
+The walk is taken in blocks. In a reflected Gray walk the lowest w free
+entries run through all Q^w of their values between two moves of the
+higher entries, forwards and backwards in turn, so those moves are
+precomputed, with Q^w <= BLOCK_STATES, as a forward and a reflected
+table of (digit, old, new), kept once per Q. _gray_blocks, the one
+odometer, runs Algorithm H over the higher entries only and hands out
+one table per block; hull_spectrum and SubspaceIterator apply the moves
+in their own loops.
+
 A work limit (default 10^8 subspaces) guards against accidentally
 unbounded sweeps. It is checked against the exact expected count
 [n, k]_Q before enumeration starts, not discovered mid-run.
@@ -17,16 +26,16 @@ The spectrum loop itself never builds FieldElem or MatrixGF objects. It
 builds each pivot subset's Gram matrix once; after that every Gray step
 changes one row and column of it, which algebra.gram_kernel's step
 updates in O(k) along with an integer key packing the Gram's upper
-triangle. The Gram rank is looked up on that key in a memo that lives for
-one spectrum and holds at most RANK_MEMO_CAP entries; past the cap the
-rank is computed directly.
+triangle. The hull dimension is looked up on that key in a memo that
+lives for one spectrum and holds at most RANK_MEMO_CAP entries; past the
+cap it is computed directly.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .algebra import (
     FiniteField,
@@ -41,19 +50,73 @@ from .exactnum import gaussian_binomial, prime_power_parts
 from .formulas import closed_spectrum, hull_dims
 
 DEFAULT_WORK_LIMIT = 10 ** 8
-RANK_MEMO_CAP = 4096  # most Gram keys one spectrum remembers ranks for
+RANK_MEMO_CAP = 4096  # most Gram keys one spectrum remembers hull dimensions for
+BLOCK_STATES = 256  # most Gray states one precomputed block of moves covers
+
+Move = tuple[int, int, int]  # (digit, old code, new code)
+Rows = list[list[int]]
+Block = tuple[Rows, list[tuple[int, int]], tuple[Move, ...], "tuple[int, int, int] | None"]
 
 
-def _rref_rows(n: int, k: int, q: int) -> Iterator[tuple[list[list[int]], int, int, int]]:
-    """The one odometer: yield (rows, r, c, old) for each canonical RREF
-    generator in turn, rows being a k x n buffer of codes.
+def _gray(q: int, m: int) -> Iterator[Move]:
+    """Algorithm H: the q^m - 1 moves of the loopless reflected q-ary Gray
+    walk over m digits from all zeros, digit 0 the fastest.
 
-    The first yield of each pivot subset has r = -1 and every free entry
-    0; each later one changed rows[r][c] from old by one code step. The
-    buffer is reused within a pivot subset; callers must copy what they
-    keep.
+    focus[j] names the digit to move next, delta[j] is digit j's
+    direction, and a digit reflects when it reaches 0 or q - 1.
     """
     top = q - 1
+    digits = [0] * m
+    focus = list(range(m + 1))
+    delta = [1] * m
+    while (j := focus[0]) < m:
+        focus[0] = 0
+        old = digits[j]
+        new = digits[j] = old + delta[j]
+        if new == 0 or new == top:
+            delta[j] = -delta[j]
+            focus[j] = focus[j + 1]
+            focus[j + 1] = j + 1
+        yield j, old, new
+
+
+_MOVES: dict[int, tuple[tuple[Move, ...], tuple[Move, ...]]] = {}  # per q: the widest walk built
+
+
+def _gray_moves(q: int, w: int) -> tuple[tuple[Move, ...], tuple[Move, ...]]:
+    """The w-digit walk's moves, forward and reflected (reversed, each move
+    undone). The first q^w - 1 moves of a wider walk are the w-digit walk,
+    so one pair per q, the widest asked for, serves every width by slicing."""
+    size = q ** w - 1
+    forward, reflected = _MOVES.get(q, ((), ()))
+    if len(forward) < size:
+        forward = tuple(_gray(q, w))
+        reflected = tuple((d, new, old) for d, old, new in reversed(forward))
+        _MOVES[q] = forward, reflected
+    return forward[:size], reflected[len(reflected) - size:]
+
+
+def _gray_blocks(n: int, k: int, q: int) -> Iterator[Block]:
+    """The one odometer: walk every canonical RREF generator in blocks,
+    yielding (rows, free, moves, lead) once per block.
+
+    rows is a k x n buffer of codes holding the block's first generator;
+    free lists the free entries (r, c), lowest Gray digit first. lead is
+    None for a pivot subset's first block, where every free entry is 0;
+    otherwise it is the (r, c, old) of the higher-digit move, already
+    applied, that led into the block. moves is the block's table of
+    (digit, old, new) over free[:w]: the consumer sets
+    rows[r][c] = new for (r, c) = free[digit] to reach each later
+    generator in turn, and must apply them all before asking for the next
+    block. The buffer is reused within a pivot subset; callers must copy
+    what they keep.
+    """
+    width = 0
+    while width < k * (n - k) and q ** (width + 1) <= BLOCK_STATES:
+        width += 1
+    # widest first, so the rest are slices of it; a pivot subset with
+    # w < width free entries is one block of q^w states
+    tables = {w: _gray_moves(q, w) for w in range(width, -1, -1)}
     for pivots in itertools.combinations(range(n), k):
         rows = [[0] * n for _ in range(k)]
         for row, c in zip(rows, pivots):
@@ -61,26 +124,13 @@ def _rref_rows(n: int, k: int, q: int) -> Iterator[tuple[list[list[int]], int, i
         free = [
             (r, c) for r in range(k) for c in range(pivots[r] + 1, n) if c not in pivots
         ]
-        yield rows, -1, -1, 0
-        # Algorithm H: focus[j] names the digit to move next, delta[j] is
-        # digit j's direction, and a digit reflects when it reaches 0 or top
-        m = len(free)
-        focus = list(range(m + 1))
-        delta = [1] * m
-        while True:
-            j = focus[0]
-            if j == m:
-                break
-            focus[0] = 0
-            r, c = free[j]
-            row = rows[r]
-            old = row[c]
-            new = row[c] = old + delta[j]
-            if new == 0 or new == top:
-                delta[j] = -delta[j]
-                focus[j] = focus[j + 1]
-                focus[j + 1] = j + 1
-            yield rows, r, c, old
+        w = min(width, len(free))
+        forward, reflected = tables[w]
+        yield rows, free, forward, None
+        for i, (d, old, new) in enumerate(_gray(q, len(free) - w)):
+            r, c = free[w + d]
+            rows[r][c] = new
+            yield rows, free, forward if i % 2 else reflected, (r, c, old)
 
 
 class SubspaceIterator:
@@ -114,8 +164,12 @@ class SubspaceIterator:
         field, n, k = self.field, self.n, self.k
         trusted = MatrixGF._trusted
         chain = itertools.chain.from_iterable
-        for rows, _, _, _ in _rref_rows(n, k, field.order):
+        for rows, free, moves, _ in _gray_blocks(n, k, field.order):
             yield trusted(field, k, n, tuple(chain(rows)))
+            for d, _, new in moves:
+                r, c = free[d]
+                rows[r][c] = new
+                yield trusted(field, k, n, tuple(chain(rows)))
 
 
 def enumerate_subspaces(
@@ -148,6 +202,25 @@ class HullSpectrum(NamedTuple):
         return self.field_order
 
 
+class _HullMemo(dict):
+    """Gram key -> hull dimension k - rank for one spectrum. A key it lacks
+    is answered from the Gram matrix in self.gram, the one the key packs,
+    and remembered while the memo holds fewer than RANK_MEMO_CAP keys."""
+
+    def __init__(self, k: int, rank_of: Callable[[Rows], int]):
+        super().__init__()
+        self.k = k
+        self.rank_of = rank_of
+        self.cap = RANK_MEMO_CAP
+        self.gram: Rows = []
+
+    def __missing__(self, key: int) -> int:
+        ell = self.k - self.rank_of([row[:] for row in self.gram])  # rank_of reduces in place
+        if len(self) < self.cap:
+            self[key] = ell
+        return ell
+
+
 def hull_spectrum(
     n: int,
     k: int,
@@ -159,23 +232,20 @@ def hull_spectrum(
     enumerate_subspaces(n, k, field, work_limit)  # checks range and work limit up front
     gram_of, rank_of, stepper = gram_kernel(field, form, n)
     key_of, step = stepper(k)
-    cap = RANK_MEMO_CAP
-    memo: dict[int, int] = {}
+    memo = _HullMemo(k, rank_of)
     acc = [0] * (k + 1)
-    g: list[list[int]] = []
-    key = 0
-    for rows, r, c, old in _rref_rows(n, k, field.order):
-        if r < 0:
-            g = gram_of(rows)
+    for rows, free, moves, lead in _gray_blocks(n, k, field.order):
+        if lead is None:
+            g = memo.gram = gram_of(rows)
             key = key_of(g)
         else:
+            key = step(g, key, rows, *lead)
+        acc[memo[key]] += 1
+        for d, old, new in moves:
+            r, c = free[d]
+            rows[r][c] = new
             key = step(g, key, rows, r, c, old)
-        rank = memo.get(key)
-        if rank is None:
-            rank = rank_of([row[:] for row in g])  # rank_of reduces in place
-            if len(memo) < cap:
-                memo[key] = rank
-        acc[k - rank] += 1
+            acc[memo[key]] += 1
     counts = {ell: c for ell, c in enumerate(acc) if c}
     return HullSpectrum(n, k, form, field.order, counts)
 

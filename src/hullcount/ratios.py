@@ -87,7 +87,8 @@ def quadratic_character(x: FieldElem | int, q: int) -> int:
 def alpha_hermitian(n: int, k: int, ell: int, q: int) -> Fraction:
     """Ratio factor with count_H(l) = alpha * (q^(l+1)-1) * count_H(l+1)."""
     prime_power_parts(q)
-    if ell not in hull_dims(HERMITIAN, n, k)[:-1]:
+    dims = hull_dims(HERMITIAN, n, k)
+    if not (ell in dims and ell + dims.step in dims):
         raise OutOfValidRangeError(
             f"alpha undefined outside l+1 <= k <= n-l-1, got n={n} k={k} l={ell}"
         )
@@ -104,7 +105,7 @@ def alpha_symplectic(two_n: int, k: int, ell: int, q: int) -> Fraction:
     dims = hull_dims(SYMPLECTIC, two_n, k)
     if (k - ell) % 2 != 0:
         raise ParityViolationError(f"k - l must be even, got k={k} l={ell}")
-    if ell not in dims[:-1]:
+    if not (ell in dims and ell + dims.step in dims):
         raise OutOfValidRangeError(
             f"alpha undefined outside l+2 <= k <= 2n-l-2, got 2n={two_n} k={k} l={ell}"
         )
@@ -124,7 +125,8 @@ def alpha_euclidean(n: int, k: int, ell: int, q: int) -> Fraction:
     prime_power_parts(q)
     if k < 1 or 2 * k > n:
         raise OutOfValidRangeError(f"need 1 <= k <= n/2, got n={n} k={k}")
-    if ell not in hull_dims(EUCLIDEAN, n, k)[:-1]:
+    dims = hull_dims(EUCLIDEAN, n, k)
+    if not (ell in dims and ell + dims.step in dims):
         raise OutOfValidRangeError(f"need 0 <= l <= k-1, got k={k} l={ell}")
     kl = k - ell
     if q % 2 == 1:

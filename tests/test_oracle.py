@@ -1,5 +1,7 @@
 """Exhaustive-enumeration oracle: subspace iteration and hull spectra."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,14 +35,27 @@ F3 = make_field(3, 1)
 F4 = make_field(2, 2)
 
 
+def _states(n, k, q):
+    """The odometer's blocks flattened into one (rows snapshot, r, c, old)
+    per generator: r = -1 at a pivot subset's first generator, else
+    rows[r][c] changed from old."""
+    states = []
+    for rows, free, moves, lead in oracle._gray_blocks(n, k, q):
+        states.append(([row[:] for row in rows], *(lead or (-1, -1, 0))))
+        for d, old, new in moves:
+            r, c = free[d]
+            rows[r][c] = new
+            states.append(([row[:] for row in rows], r, c, old))
+    return states
+
+
 def _pivot_passes(n, k, q):
-    """The odometer's yields split per pivot subset: lists of
-    (rows snapshot, r, c, old)."""
+    """The flattened states split per pivot subset."""
     passes = []
-    for rows, r, c, old in oracle._rref_rows(n, k, q):
-        if r < 0:
+    for state in _states(n, k, q):
+        if state[1] < 0:
             passes.append([])
-        passes[-1].append(([row[:] for row in rows], r, c, old))
+        passes[-1].append(state)
     return passes
 
 
@@ -112,23 +127,20 @@ def test_full_pass_is_the_rref_set(field):
     assert saw_no_free == sum(n + 1 for n in range(6))
 
 
-@pytest.mark.parametrize(
-    "n,k,order,form",
-    [
-        (4, 2, 5, FormKind.SYMPLECTIC),
-        (4, 3, 3, FormKind.SYMPLECTIC),
-        (6, 2, 3, FormKind.SYMPLECTIC),
-        (4, 2, 9, FormKind.HERMITIAN),
-        (5, 2, 4, FormKind.EUCLIDEAN),
-        (4, 3, 3, FormKind.EUCLIDEAN),
-    ],
-)
-def test_gray_walk_keeps_gram_and_key_current(n, k, order, form):
-    # full-pass tallies can hide a wrong update (some sign errors keep
-    # them), so check the updated Gram and key at every generator
+GRAM_CELLS = [
+    (4, 2, 5, FormKind.SYMPLECTIC),
+    (4, 3, 3, FormKind.SYMPLECTIC),
+    (6, 2, 3, FormKind.SYMPLECTIC),
+    (4, 2, 9, FormKind.HERMITIAN),
+    (5, 2, 4, FormKind.EUCLIDEAN),
+    (4, 3, 3, FormKind.EUCLIDEAN),
+]
+
+
+def _check_gram_and_key_at_every_generator(n, k, order, form):
     kernel = gram_kernel(field_of_order(order), form, n)
     key_of, step = kernel.stepper(k)
-    for rows, r, c, old in oracle._rref_rows(n, k, order):
+    for rows, r, c, old in _states(n, k, order):
         if r < 0:
             g = kernel.gram_of(rows)
             key = key_of(g)
@@ -137,6 +149,78 @@ def test_gray_walk_keeps_gram_and_key_current(n, k, order, form):
         fresh = kernel.gram_of(rows)
         assert g == fresh
         assert key == key_of(fresh)
+
+
+@pytest.mark.parametrize("n,k,order,form", GRAM_CELLS)
+def test_gray_walk_keeps_gram_and_key_current(n, k, order, form):
+    # full-pass tallies can hide a wrong update (some sign errors keep
+    # them), so check the updated Gram and key at every generator
+    _check_gram_and_key_at_every_generator(n, k, order, form)
+
+
+@pytest.mark.parametrize("digits", [1, 2])
+@pytest.mark.parametrize("n,k,order,form", GRAM_CELLS)
+def test_small_blocks_keep_gram_and_key_current(monkeypatch, n, k, order, form, digits):
+    # blocks of one and two Gray digits: most steps lead into a new block
+    monkeypatch.setattr(oracle, "BLOCK_STATES", order ** digits)
+    _check_gram_and_key_at_every_generator(n, k, order, form)
+
+
+BLOCK_CELLS = [(5, 2, 3), (6, 3, 2), (5, 2, 4)]  # each spans several default blocks
+
+
+@pytest.mark.parametrize("n,k,q", BLOCK_CELLS)
+def test_block_walk_is_the_per_state_walk(monkeypatch, n, k, q):
+    # the default blocks really split some pivot subset
+    default = oracle.BLOCK_STATES
+    assert any(lead is not None for *_, lead in oracle._gray_blocks(n, k, q))
+    # one state per block (BLOCK_STATES = 1) is Algorithm H over every
+    # free entry; wider blocks must replay exactly that sequence
+    monkeypatch.setattr(oracle, "BLOCK_STATES", 1)
+    per_state = _states(n, k, q)
+    assert len(per_state) == gaussian_binomial(n, k, q)
+    for block_states in (q, default, 10 ** 9):
+        monkeypatch.setattr(oracle, "BLOCK_STATES", block_states)
+        assert _states(n, k, q) == per_state, block_states
+
+
+@pytest.mark.parametrize("n,k,q", BLOCK_CELLS)
+def test_spectra_and_generators_do_not_depend_on_the_block_size(monkeypatch, n, k, q):
+    field = field_of_order(q)
+    forms = [FormKind.EUCLIDEAN]
+    if n % 2 == 0:
+        forms.append(FormKind.SYMPLECTIC)
+    if field.m % 2 == 0:
+        forms.append(FormKind.HERMITIAN)
+    results = []
+    for block_states in (oracle.BLOCK_STATES, q):
+        monkeypatch.setattr(oracle, "BLOCK_STATES", block_states)
+        results.append((
+            [hull_spectrum(n, k, field, form).counts for form in forms],
+            [mat.codes for mat in enumerate_subspaces(n, k, field)],
+        ))
+    assert results[0] == results[1]
+
+
+def test_move_tables_stay_bounded(monkeypatch):
+    # one forward/reflected pair per field order, at most BLOCK_STATES - 1
+    # moves each, however many cells and widths walk it
+    monkeypatch.setattr(oracle, "_MOVES", {})
+    orders = (2, 3, 4, 5, 7, 8, 9, 16, 27)
+    tracemalloc.start()
+    try:
+        for q in orders:
+            for n, k in ((2, 1), (4, 2), (8, 4), (12, 6)):
+                next(oracle._gray_blocks(n, k, q))  # builds the walk's tables
+        for q in orders:  # a full walk of a small cell
+            assert len(_states(3, 1, q)) == gaussian_binomial(3, 1, q)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(oracle._MOVES) == list(orders)
+    for forward, reflected in oracle._MOVES.values():
+        assert len(forward) == len(reflected) < oracle.BLOCK_STATES
+    assert held < 400_000  # about 200 KB
 
 
 def test_spectrum_unchanged_past_the_rank_memo_cap(monkeypatch):
@@ -188,10 +272,10 @@ def test_form_errors_raise_before_enumeration(monkeypatch):
     def no_enumeration(*args):
         pytest.fail("enumeration started")
 
-    monkeypatch.setattr(oracle, "_rref_rows", no_enumeration)
-    with pytest.raises(OddAmbientError, match=r"^symplectic form needs an even ambient length, got 5$"):
+    monkeypatch.setattr(oracle, "_gray_blocks", no_enumeration)
+    with pytest.raises(OddAmbientError, match=r"^symplectic ambient length must be even, got 5$"):
         hull_spectrum(5, 2, F2, FormKind.SYMPLECTIC)
-    with pytest.raises(OddAmbientError, match=r"^symplectic form needs an even ambient length, got 7$"):
+    with pytest.raises(OddAmbientError, match=r"^symplectic ambient length must be even, got 7$"):
         spectrum_vs_formula(7, 2, 3, FormKind.SYMPLECTIC)
     with pytest.raises(NonSquareFieldError, match=r"^hermitian form needs a square field order, got 3$"):
         hull_spectrum(4, 2, F3, FormKind.HERMITIAN)

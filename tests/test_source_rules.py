@@ -193,3 +193,19 @@ def test_symplectic_lengths_are_checked_even_in_hull_dims():
         and isinstance(node.left, ast.Name) and node.left.id in ("two_n", "length")
     ]
     assert found == []
+
+
+def test_the_oracle_has_one_odometer():
+    # one function walks the pivot subsets and their Gray blocks; the
+    # spectrum tally and the generator iterator both consume it
+    walkers = [
+        f"{name}:{func.name}"
+        for name, tree in TREES.items()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        and any(_calls(iterated, "combinations") for iterated, _ in _loops(func))
+    ]
+    assert walkers == ["oracle.py:_gray_blocks"]
+    for name in ("hull_spectrum", "__iter__"):
+        loops = [iterated for iterated, _ in _loops(_function("oracle.py", name))]
+        assert any(_calls(iterated, "_gray_blocks") for iterated in loops), name
