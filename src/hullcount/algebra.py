@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BadRangeError,
@@ -530,13 +530,23 @@ def _conj_mul_table(field: FiniteField) -> list[list[int]]:
     return [[row[c] for c in conj] for row in field.mul_table]
 
 
+class GramWalker(NamedTuple):
+    """One enumeration's walk over k rows under a kernel's form; see
+    gram_kernel."""
+
+    key_of: Callable[[RawRows], int]
+    unpack: Callable[[int], RawRows]
+    digits: Callable[[RawRows, Sequence[tuple[int, int]]], list[tuple]]
+    walk: Callable[..., int]
+
+
 class GramKernel(NamedTuple):
     """The raw-code Gram/rank kernel of one (field, form, length); see
     gram_kernel."""
 
     gram_of: Callable[[RawRows], RawRows]
     rank_of: Callable[[RawRows], int]
-    stepper: Callable[[int], tuple[Callable[[RawRows], int], Callable[..., int]]]
+    stepper: Callable[[int], GramWalker]
 
 
 @functools.lru_cache(maxsize=256)
@@ -545,12 +555,13 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
 
     Each form is one table set: for every column t a partner column and a
     pairing table, so that <x, y> = sum_t pair[t][x[t]][y[partner[t]]];
-    mirror, which maps g[i][j] to g[j][i]; and whether the diagonal counts.
+    mirror, which maps g[i][j] to g[j][i]; and diag, the diagonal term
+    pair[t][a][a] as one list, or None where the diagonal does not count.
     Euclidean: partner t, pair a*b, mirror the identity. Hermitian: partner
     t, pair a*conj(b), mirror conj. Symplectic: partner t +- n/2, pair a*b
     on the first half and -a*b on the second, mirror negation, and no
-    diagonal, since the form is alternating. gram_of and step read only
-    this table set.
+    diagonal, since the form is alternating. gram_of and walk are the only
+    readers of the field's arithmetic, and they read only this table set.
 
     gram_of maps k rows of element codes to their k x k Gram matrix,
     filling the upper triangle and mirroring it into the lower one.
@@ -558,23 +569,32 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     codes in place and returns its rank; rref() runs it too.
 
     stepper(k) serves enumerations that change one entry of k rows at a
-    time. It returns (key_of, step): key_of packs the upper triangle of a
-    k x k Gram matrix into an int, entry (i, j) with i <= j at bit
-    (j(j+1)/2 + i) * bits; after rows[r][c] has changed from old,
-    step(g, key, rows, r, c, old) updates row and column r of g in place
-    in O(k) and returns the updated key. The change d meets the partner
-    column of the other rows through pair[c][d], the diagonal (where it
-    counts) moves by the change in pair[c][a][a], and the mirror entries
-    follow.
+    time, and keeps nothing of the Gram matrix but an int key packing its
+    upper triangle, entry (i, j) with i <= j at bit (j(j+1)/2 + i) * bits.
+    It returns a GramWalker of four functions. key_of(rows) is the key of
+    the rows' Gram matrix; unpack(key) is the full k x k Gram matrix a key
+    packs, the lower triangle through mirror. digits(rows, free) describes,
+    once per set of rows, each entry (r, c) that may change: its row, its
+    column and partner column, its pairing table and, for every other row
+    j, the shift of the key entry it shares with row r and the map into
+    that entry (mirror for j < r, whose entry is g[j][r], else the
+    identity). walk(key, digits, moves, hull, acc) applies each move
+    (digit, old, new), setting the entry digits[digit] names to new; the
+    change d = new - old meets the partner column of each other row through
+    pair[c][d], the diagonal moves by diag[new] - diag[old], and those key
+    entries are updated in place. After each move it tallies
+    acc[hull[key]] += 1, and it returns the last key.
 
     Built once per (field, form, n); the hermitian pairing table, once per
-    field (_conj_mul_table).
+    field (_conj_mul_table). The tables a walk adds are O(k^2) descriptors
+    and O(order) lists.
     """
     mul = field.mul_table
     add = field.add_table
     neg = field.neg_table
     rank_of = _rank_kernel(field)
     cols = range(n)
+    identity = list(range(field.order))
 
     if form is FormKind.SYMPLECTIC:
         require_even_length(n)
@@ -583,7 +603,7 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
         # -a*b = (-a)*b: the second half's table is mul's rows, reordered
         pair = [mul] * half + [[mul[a] for a in neg]] * half
         mirror = neg
-        diagonal = False
+        diag = None
     else:
         if form is FormKind.HERMITIAN:
             if field.m % 2 != 0:
@@ -591,13 +611,14 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                     f"hermitian form needs a square field order, got {field.order}"
                 )
             mirror = field.frobenius_table(field.p ** (field.m // 2))
-            pair = [_conj_mul_table(field)] * n
+            table = _conj_mul_table(field)
         else:
-            mirror = list(range(field.order))
-            pair = [mul] * n
+            mirror = identity
+            table = mul
+        pair = [table] * n
+        diag = [row[a] for a, row in enumerate(table)]
         partner = list(cols)
-        diagonal = True
-    first = 0 if diagonal else 1
+    first = 1 if diag is None else 0
 
     def gram_of(rows: RawRows) -> RawRows:
         k = len(rows)
@@ -619,50 +640,56 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
         return g
 
     bits = (field.order - 1).bit_length()
+    mask = (1 << bits) - 1
 
-    def stepper(k: int) -> tuple[Callable[[RawRows], int], Callable[..., int]]:
+    def stepper(k: int) -> GramWalker:
         def shift(i: int, j: int) -> int:
             return bits * (j * (j + 1) // 2 + i)
 
         cells = [(i, j, shift(i, j)) for j in range(k) for i in range(j + 1)]
-        above = [[(j, shift(j, r)) for j in range(r)] for r in range(k)]
-        right = [[(j, shift(r, j)) for j in range(r + 1, k)] for r in range(k)]
-        on_diagonal = [shift(r, r) for r in range(k)]
 
-        def key_of(g: RawRows) -> int:
+        def key_of(rows: RawRows) -> int:
+            g = gram_of(rows)
             key = 0
             for i, j, sh in cells:
                 key |= g[i][j] << sh
             return key
 
-        def step(g: RawRows, key: int, rows: RawRows, r: int, c: int, old: int) -> int:
-            new = rows[r][c]
-            pc, pt = partner[c], pair[c]
-            pd = pt[add[new][neg[old]]]
-            gr = g[r]
-            for j, sh in above[r]:  # upper-triangle entries g[j][r]
-                x = rows[j][pc]
-                if x:
-                    gj = g[j]
-                    s = add[gr[j]][pd[x]]
-                    m = mirror[s]
-                    key ^= (gj[r] ^ m) << sh
-                    gr[j] = s
-                    gj[r] = m
-            if diagonal:
-                s = add[gr[r]][add[pt[new][new]][neg[pt[old][old]]]]
-                key ^= (gr[r] ^ s) << on_diagonal[r]
-                gr[r] = s
-            for j, sh in right[r]:  # upper-triangle entries g[r][j]
-                x = rows[j][pc]
-                if x:
-                    s = add[gr[j]][pd[x]]
-                    key ^= (gr[j] ^ s) << sh
-                    gr[j] = s
-                    g[j][r] = mirror[s]
+        def unpack(key: int) -> RawRows:
+            g = [[0] * k for _ in range(k)]
+            for i, j, sh in cells:
+                s = g[i][j] = key >> sh & mask
+                g[j][i] = mirror[s]
+            return g
+
+        def digits(rows: RawRows, free: Sequence[tuple[int, int]]) -> list[tuple]:
+            return [
+                (
+                    rows[r], c, partner[c], pair[c], shift(r, r),
+                    [(rows[j], shift(j, r), mirror) for j in range(r)]
+                    + [(rows[j], shift(r, j), identity) for j in range(r + 1, k)],
+                )
+                for r, c in free
+            ]
+
+        def walk(key: int, digits: list[tuple], moves: Iterable[tuple[int, int, int]],
+                 hull: Mapping[int, int], acc: list[int]) -> int:
+            for d, old, new in moves:
+                row, c, pc, pt, on_diagonal, others = digits[d]
+                row[c] = new
+                pd = pt[add[new][neg[old]]]
+                for other, sh, into in others:
+                    x = other[pc]
+                    if x:
+                        e = key >> sh & mask
+                        key ^= (e ^ add[e][into[pd[x]]]) << sh
+                if diag is not None:
+                    e = key >> on_diagonal & mask
+                    key ^= (e ^ add[e][add[diag[new]][neg[diag[old]]]]) << on_diagonal
+                acc[hull[key]] += 1
             return key
 
-        return key_of, step
+        return GramWalker(key_of, unpack, digits, walk)
 
     return GramKernel(gram_of, rank_of, stepper)
 

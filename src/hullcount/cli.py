@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import formulas
-from .algebra import FormKind, field_of_order
+from .algebra import FormKind, field_of_order, require_even_length
 from .eaqecc import entanglement_census
 from .errors import (
     BadRangeError,
@@ -94,10 +94,9 @@ def _ambient_length(form: FormKind, args: argparse.Namespace) -> int:
             raise BadRangeError("the symplectic form takes --ambient 2n, not -n")
         if args.n is not None:
             raise BadRangeError("give --ambient for the symplectic form, not -n")
-        if args.ambient < 0 or args.ambient % 2 != 0:
-            raise BadRangeError(
-                f"ambient length must be even and non-negative, got {args.ambient}"
-            )
+        if args.ambient < 0:
+            raise BadRangeError(f"ambient length must be non-negative, got {args.ambient}")
+        require_even_length(args.ambient)
         return args.ambient
     if args.n is None:
         raise BadRangeError(f"the {form.value} form needs -n")

@@ -15,20 +15,23 @@ higher entries, forwards and backwards in turn, so those moves are
 precomputed, with Q^w <= BLOCK_STATES, as a forward and a reflected
 table of (digit, old, new), kept once per Q. _gray_blocks, the one
 odometer, runs Algorithm H over the higher entries only and hands out
-one table per block; hull_spectrum and SubspaceIterator apply the moves
-in their own loops.
+one table per block, with the higher-digit move that leads into it as
+one more (digit, old, new). SubspaceIterator applies the moves itself;
+hull_spectrum hands them to the kernel's walk.
 
 A work limit (default 10^8 subspaces) guards against accidentally
 unbounded sweeps. It is checked against the exact expected count
 [n, k]_Q before enumeration starts, not discovered mid-run.
 
-The spectrum loop itself never builds FieldElem or MatrixGF objects. It
-builds each pivot subset's Gram matrix once; after that every Gray step
-changes one row and column of it, which algebra.gram_kernel's step
-updates in O(k) along with an integer key packing the Gram's upper
-triangle. The hull dimension is looked up on that key in a memo that
-lives for one spectrum and holds at most RANK_MEMO_CAP entries; past the
-cap it is computed directly.
+The spectrum loop itself never builds FieldElem or MatrixGF objects and
+keeps no Gram matrix. Its only state is an integer key packing the
+Gram's upper triangle: it keys each pivot subset's first generator once,
+and after that every move, the lead and each block move alike, goes
+through algebra.gram_kernel's walk, which updates the O(k) key entries
+the changed row and column touch and tallies the hull dimension. That
+is looked up on the key in a memo that lives for one spectrum and holds
+at most RANK_MEMO_CAP entries; a key it lacks is unpacked into its Gram
+matrix and ranked, and past the cap it is not remembered.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ BLOCK_STATES = 256  # most Gray states one precomputed block of moves covers
 
 Move = tuple[int, int, int]  # (digit, old code, new code)
 Rows = list[list[int]]
-Block = tuple[Rows, list[tuple[int, int]], tuple[Move, ...], "tuple[int, int, int] | None"]
+Block = tuple[Rows, list[tuple[int, int]], tuple[Move, ...], "Move | None"]
 
 
 def _gray(q: int, m: int) -> Iterator[Move]:
@@ -100,16 +103,16 @@ def _gray_blocks(n: int, k: int, q: int) -> Iterator[Block]:
     """The one odometer: walk every canonical RREF generator in blocks,
     yielding (rows, free, moves, lead) once per block.
 
-    rows is a k x n buffer of codes holding the block's first generator;
-    free lists the free entries (r, c), lowest Gray digit first. lead is
-    None for a pivot subset's first block, where every free entry is 0;
-    otherwise it is the (r, c, old) of the higher-digit move, already
-    applied, that led into the block. moves is the block's table of
-    (digit, old, new) over free[:w]: the consumer sets
-    rows[r][c] = new for (r, c) = free[digit] to reach each later
-    generator in turn, and must apply them all before asking for the next
-    block. The buffer is reused within a pivot subset; callers must copy
-    what they keep.
+    rows is a k x n buffer of codes; free lists the free entries (r, c),
+    lowest Gray digit first. Every move is a (digit, old, new): the
+    consumer sets rows[r][c] = new for (r, c) = free[digit]. lead is None
+    for a pivot subset's first block, where rows holds its first generator
+    (every free entry 0); otherwise it is the higher-digit move into the
+    block, and the consumer applies it to reach the block's first
+    generator. moves is the block's table over free[:w], one move to each
+    later generator in turn. The consumer must apply the lead and every
+    move before asking for the next block. The buffer is reused within a
+    pivot subset; callers must copy what they keep.
     """
     width = 0
     while width < k * (n - k) and q ** (width + 1) <= BLOCK_STATES:
@@ -128,9 +131,7 @@ def _gray_blocks(n: int, k: int, q: int) -> Iterator[Block]:
         forward, reflected = tables[w]
         yield rows, free, forward, None
         for i, (d, old, new) in enumerate(_gray(q, len(free) - w)):
-            r, c = free[w + d]
-            rows[r][c] = new
-            yield rows, free, forward if i % 2 else reflected, (r, c, old)
+            yield rows, free, forward if i % 2 else reflected, (w + d, old, new)
 
 
 class SubspaceIterator:
@@ -164,8 +165,11 @@ class SubspaceIterator:
         field, n, k = self.field, self.n, self.k
         trusted = MatrixGF._trusted
         chain = itertools.chain.from_iterable
-        for rows, free, moves, _ in _gray_blocks(n, k, field.order):
-            yield trusted(field, k, n, tuple(chain(rows)))
+        for rows, free, moves, lead in _gray_blocks(n, k, field.order):
+            if lead is None:
+                yield trusted(field, k, n, tuple(chain(rows)))
+            else:
+                moves = (lead, *moves)
             for d, _, new in moves:
                 r, c = free[d]
                 rows[r][c] = new
@@ -204,18 +208,18 @@ class HullSpectrum(NamedTuple):
 
 class _HullMemo(dict):
     """Gram key -> hull dimension k - rank for one spectrum. A key it lacks
-    is answered from the Gram matrix in self.gram, the one the key packs,
-    and remembered while the memo holds fewer than RANK_MEMO_CAP keys."""
+    is ranked from the Gram matrix it packs, and remembered while the memo
+    holds fewer than RANK_MEMO_CAP keys."""
 
-    def __init__(self, k: int, rank_of: Callable[[Rows], int]):
+    def __init__(self, k: int, rank_of: Callable[[Rows], int], unpack: Callable[[int], Rows]):
         super().__init__()
         self.k = k
         self.rank_of = rank_of
+        self.unpack = unpack
         self.cap = RANK_MEMO_CAP
-        self.gram: Rows = []
 
     def __missing__(self, key: int) -> int:
-        ell = self.k - self.rank_of([row[:] for row in self.gram])  # rank_of reduces in place
+        ell = self.k - self.rank_of(self.unpack(key))
         if len(self) < self.cap:
             self[key] = ell
         return ell
@@ -230,22 +234,18 @@ def hull_spectrum(
 ) -> HullSpectrum:
     """Enumerate every k-dim subspace of F_Q^n and tally hull dimensions."""
     enumerate_subspaces(n, k, field, work_limit)  # checks range and work limit up front
-    gram_of, rank_of, stepper = gram_kernel(field, form, n)
-    key_of, step = stepper(k)
-    memo = _HullMemo(k, rank_of)
+    kernel = gram_kernel(field, form, n)
+    key_of, unpack, digits_of, walk = kernel.stepper(k)
+    memo = _HullMemo(k, kernel.rank_of, unpack)
     acc = [0] * (k + 1)
     for rows, free, moves, lead in _gray_blocks(n, k, field.order):
         if lead is None:
-            g = memo.gram = gram_of(rows)
-            key = key_of(g)
-        else:
-            key = step(g, key, rows, *lead)
-        acc[memo[key]] += 1
-        for d, old, new in moves:
-            r, c = free[d]
-            rows[r][c] = new
-            key = step(g, key, rows, r, c, old)
+            digits = digits_of(rows, free)
+            key = key_of(rows)
             acc[memo[key]] += 1
+        else:
+            key = walk(key, digits, (lead,), memo, acc)
+        key = walk(key, digits, moves, memo, acc)
     counts = {ell: c for ell, c in enumerate(acc) if c}
     return HullSpectrum(n, k, form, field.order, counts)
 

@@ -1,5 +1,6 @@
 """Field construction, matrix reduction, Gram forms, hull dimensions."""
 
+import collections
 import random
 import tracemalloc
 
@@ -352,9 +353,9 @@ def test_gram_entries_match_the_definition(form, order):
 
 
 def test_gram_step_matches_a_fresh_gram():
-    # one-entry changes to any value, then the kernel's O(k) update against
-    # gram_of on the changed rows; for each k the key packs the upper
-    # triangle one-to-one
+    # one-entry changes to any value, each walked as one move, then the
+    # walked key against the key and Gram of the changed rows; for each k
+    # the key packs the upper triangle one-to-one
     rng = random.Random(5)
     n = 6
     for order in (2, 3, 4, 5, 8, 9):
@@ -365,21 +366,47 @@ def test_gram_step_matches_a_fresh_gram():
         for form in forms:
             kernel = gram_kernel(field, form, n)
             for k in range(1, 5):
-                key_of, step = kernel.stepper(k)
+                key_of, unpack, digits_of, walk = kernel.stepper(k)
                 uppers: dict[int, tuple[int, ...]] = {}
                 rows = [[rng.randrange(order) for _ in range(n)] for _ in range(k)]
-                g = kernel.gram_of(rows)
-                key = key_of(g)
+                digits = digits_of(rows, [(r, c) for r in range(k) for c in range(n)])
+                key = key_of(rows)
+                hull, acc = collections.defaultdict(int), [0]
                 for _ in range(30):
-                    r, c = rng.randrange(k), rng.randrange(n)
-                    old = rows[r][c]
-                    rows[r][c] = rng.randrange(order)
-                    key = step(g, key, rows, r, c, old)
+                    d = rng.randrange(k * n)
+                    r, c = divmod(d, n)
+                    move = (d, rows[r][c], rng.randrange(order))
+                    key = walk(key, digits, (move,), hull, acc)
+                    assert rows[r][c] == move[2]
                     fresh = kernel.gram_of(rows)
-                    assert g == fresh
-                    assert key == key_of(fresh)
+                    assert unpack(key) == fresh
+                    assert key == key_of(rows)
                     upper = tuple(fresh[i][j] for i in range(k) for j in range(i, k))
                     assert uppers.setdefault(key, upper) == upper
+                assert acc == [30]
+
+
+@pytest.mark.parametrize("form, order", GRAM_CASES)
+def test_unpacked_key_is_the_gram(form, order):
+    # the rank memo ranks unpack(key) on a miss, so the key must carry the
+    # whole Gram matrix, lower triangle and diagonal included
+    field = field_of_order(order)
+    rng = random.Random(order + 1)
+    for n in (2, 3, 4, 6):
+        if form is FormKind.SYMPLECTIC and n % 2:
+            continue
+        kernel = gram_kernel(field, form, n)
+        for k in range(1, 5):
+            key_of, unpack, _, _ = kernel.stepper(k)
+            for trial in range(6):
+                rows = [[rng.randrange(order) for _ in range(n)] for _ in range(k)]
+                if trial == 0:
+                    rows[rng.randrange(k)] = [0] * n
+                elif trial == 1 and k > 1:
+                    rows[0] = list(rows[-1])
+                elif trial == 2:
+                    rows = [[0] * n for _ in range(k)]
+                assert unpack(key_of(rows)) == kernel.gram_of(rows), rows
 
 
 def test_gram_symplectic_is_alternating():
@@ -493,10 +520,13 @@ def test_hermitian_kernels_share_one_pairing_table_per_field():
     tracemalloc.start()
     try:
         kernels = [gram_kernel(f256, FormKind.HERMITIAN, n) for n in range(1, 33)]
+        # each walker adds O(k^2) descriptors and no order^2 table
+        walkers = [kernel.stepper(k) for kernel in kernels for k in range(1, 5)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(kernels) == 32
+    assert len(walkers) == 128
     assert peak < 3_000_000
     w = f256.generator
     assert kernels[2].gram_of([[w.code, 1, 0]]) == [[(w * w ** 16 + 1).code]]

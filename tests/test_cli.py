@@ -98,6 +98,24 @@ def test_eval_rejects_bad_lengths(capsys):
     assert code == 2
 
 
+def test_odd_and_negative_ambient_lengths_have_one_message(capsys):
+    # the CLI reads the library's one odd-length check
+    code, out, err = run(
+        ["eval", "--form", "symplectic", "--ambient", "5", "-k", "2", "-l", "0",
+         "-q", "2"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: symplectic ambient length must be even, got 5\n"
+    code, out, err = run(
+        ["eval", "--form", "symplectic", "--ambient", "-2", "-k", "2", "-l", "0",
+         "-q", "2"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: ambient length must be non-negative, got -2\n"
+
+
 def test_eval_rejects_non_prime_power_order(capsys):
     # the oracle (euclidean) and closed-form (hermitian) paths give one message
     for form in ("euclidean", "hermitian"):

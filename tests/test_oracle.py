@@ -1,5 +1,7 @@
 """Exhaustive-enumeration oracle: subspace iteration and hull spectra."""
 
+import collections
+import math
 import tracemalloc
 
 import pytest
@@ -41,8 +43,9 @@ def _states(n, k, q):
     rows[r][c] changed from old."""
     states = []
     for rows, free, moves, lead in oracle._gray_blocks(n, k, q):
-        states.append(([row[:] for row in rows], *(lead or (-1, -1, 0))))
-        for d, old, new in moves:
+        if lead is None:
+            states.append(([row[:] for row in rows], -1, -1, 0))
+        for d, old, new in moves if lead is None else (lead, *moves):
             r, c = free[d]
             rows[r][c] = new
             states.append(([row[:] for row in rows], r, c, old))
@@ -138,17 +141,22 @@ GRAM_CELLS = [
 
 
 def _check_gram_and_key_at_every_generator(n, k, order, form):
+    # the lead and every block move go through walk one at a time, so the
+    # key is checked after each single move
     kernel = gram_kernel(field_of_order(order), form, n)
-    key_of, step = kernel.stepper(k)
-    for rows, r, c, old in _states(n, k, order):
-        if r < 0:
-            g = kernel.gram_of(rows)
-            key = key_of(g)
-        else:
-            key = step(g, key, rows, r, c, old)
-        fresh = kernel.gram_of(rows)
-        assert g == fresh
-        assert key == key_of(fresh)
+    key_of, unpack, digits_of, walk = kernel.stepper(k)
+    hull, acc = collections.defaultdict(int), [0]
+    for rows, free, moves, lead in oracle._gray_blocks(n, k, order):
+        if lead is None:
+            digits = digits_of(rows, free)
+            key = key_of(rows)
+            assert unpack(key) == kernel.gram_of(rows)
+        for move in moves if lead is None else (lead, *moves):
+            key = walk(key, digits, (move,), hull, acc)
+            assert key == key_of(rows)
+            assert unpack(key) == kernel.gram_of(rows)
+    # every generator but each pivot subset's first was reached by one move
+    assert acc == [gaussian_binomial(n, k, order) - math.comb(n, k)]
 
 
 @pytest.mark.parametrize("n,k,order,form", GRAM_CELLS)

@@ -71,6 +71,22 @@ def _names(node: ast.AST) -> set[str]:
     return found
 
 
+def _own_names(func: ast.FunctionDef) -> set[str]:
+    """The names func's body mentions outside the functions it defines."""
+    found = set()
+    todo = list(func.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.FunctionDef):
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
 def _calls(node: ast.AST, name: str) -> bool:
     return any(
         isinstance(sub, ast.Call) and name in _names(sub.func) for sub in ast.walk(node)
@@ -134,19 +150,33 @@ def test_whole_spectra_have_one_evaluator():
 
 def test_each_form_is_one_table_set_in_gram_kernel():
     # the per-form conventions live in the table setup of gram_kernel; the
-    # one gram_of and the step only read the tables
+    # one gram_of and the one walk are the only functions doing field
+    # arithmetic there, and they only read the tables
     defs = [
         node for node in ast.walk(TREES["algebra.py"])
         if isinstance(node, ast.FunctionDef)
     ]
     assert [node.name for node in defs].count("gram_of") == 1
     kernel = next(node for node in defs if node.name == "gram_kernel")
+    arithmetic = {"add", "neg", "mul", "diag"}
     readers = [
         node for node in ast.walk(kernel)
-        if isinstance(node, ast.FunctionDef) and node.name in ("gram_of", "step")
+        if isinstance(node, ast.FunctionDef) and node is not kernel
+        and _own_names(node) & arithmetic
     ]
-    assert sorted(node.name for node in readers) == ["gram_of", "step"]
+    assert sorted(node.name for node in readers) == ["gram_of", "walk"]
     assert [node.name for node in readers if "FormKind" in _names(node)] == []
+    # one update body: no per-state step is left beside walk
+    steps = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "step"
+    ]
+    assert steps == []
+    # the spectrum loop hands the key to the kernel and reads no table itself
+    tables = {"add_table", "neg_table", "mul_table", "inv_table", "frobenius_table"}
+    assert _names(_function("oracle.py", "hull_spectrum")) & tables == set()
 
 
 def _function(module: str, name: str) -> ast.FunctionDef:
