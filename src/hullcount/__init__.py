@@ -41,10 +41,10 @@ from .formulas import (
 from .oracle import (
     DEFAULT_WORK_LIMIT,
     HullSpectrum,
-    SubspaceIterator,
     enumerate_subspaces,
     hull_spectrum,
     spectrum_vs_formula,
+    subspace_count,
 )
 from .ratios import (
     AsymptoticRegime,
@@ -82,7 +82,6 @@ __all__ = [
     "MatrixGF",
     "RatioClassification",
     "RatioReport",
-    "SubspaceIterator",
     "SymplecticParams",
     "alpha_euclidean",
     "alpha_hermitian",
@@ -110,6 +109,7 @@ __all__ = [
     "ratio_report",
     "rref",
     "spectrum_vs_formula",
+    "subspace_count",
     "symplectic_lcd_count",
     "unified_factor",
     "wilde_brun_map",

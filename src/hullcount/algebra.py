@@ -530,23 +530,13 @@ def _conj_mul_table(field: FiniteField) -> list[list[int]]:
     return [[row[c] for c in conj] for row in field.mul_table]
 
 
-class GramWalker(NamedTuple):
-    """One enumeration's walk over k rows under a kernel's form; see
-    gram_kernel."""
-
-    key_of: Callable[[RawRows], int]
-    unpack: Callable[[int], RawRows]
-    digits: Callable[[RawRows, Sequence[tuple[int, int]]], list[tuple]]
-    walk: Callable[..., int]
-
-
 class GramKernel(NamedTuple):
     """The raw-code Gram/rank kernel of one (field, form, length); see
     gram_kernel."""
 
     gram_of: Callable[[RawRows], RawRows]
     rank_of: Callable[[RawRows], int]
-    stepper: Callable[[int], GramWalker]
+    stepper: Callable[[int], tuple[Callable, Callable]]  # k -> (unpack, walk)
 
 
 @functools.lru_cache(maxsize=256)
@@ -570,20 +560,21 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
 
     stepper(k) serves enumerations that change one entry of k rows at a
     time, and keeps nothing of the Gram matrix but an int key packing its
-    upper triangle, entry (i, j) with i <= j at bit (j(j+1)/2 + i) * bits.
-    It returns a GramWalker of four functions. key_of(rows) is the key of
-    the rows' Gram matrix; unpack(key) is the full k x k Gram matrix a key
-    packs, the lower triangle through mirror. digits(rows, free) describes,
-    once per set of rows, each entry (r, c) that may change: its row, its
-    column and partner column, its pairing table and, for every other row
-    j, the shift of the key entry it shares with row r and the map into
-    that entry (mirror for j < r, whose entry is g[j][r], else the
-    identity). walk(key, digits, moves, hull, acc) applies each move
-    (digit, old, new), setting the entry digits[digit] names to new; the
-    change d = new - old meets the partner column of each other row through
-    pair[c][d], the diagonal moves by diag[new] - diag[old], and those key
-    entries are updated in place. After each move it tallies
-    acc[hull[key]] += 1, and it returns the last key.
+    upper triangle, entry (i, j) with i <= j at bit (j(j+1)/2 + i) * bits;
+    only this function knows that layout. It returns (unpack, walk).
+    unpack(key) is the full k x k Gram matrix a key packs, the lower
+    triangle through mirror. walk(rows, free, blocks, hull, acc) does one
+    pivot subset: it keys the Gram of rows, the subset's first generator,
+    and tallies acc[hull[key]] += 1. It then describes each free entry
+    (r, c) once: its row, its column and partner column, its pairing table
+    and, for every other row j, the shift of the key entry it shares with
+    row r and the map into that entry (mirror for j < r, whose entry is
+    g[j][r], else the identity). Each block is a tuple of moves (digit,
+    old, new); a move sets rows[r][c] = new for (r, c) = free[digit], the
+    change d = new - old meets the partner column of each other row
+    through pair[c][d], the diagonal moves by diag[new] - diag[old], and
+    those key entries are updated in place. After every move, with rows
+    already updated, it tallies acc[hull[key]] += 1 again.
 
     Built once per (field, form, n); the hermitian pairing table, once per
     field (_conj_mul_table). The tables a walk adds are O(k^2) descriptors
@@ -642,18 +633,11 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     bits = (field.order - 1).bit_length()
     mask = (1 << bits) - 1
 
-    def stepper(k: int) -> GramWalker:
+    def stepper(k: int) -> tuple[Callable, Callable]:
         def shift(i: int, j: int) -> int:
             return bits * (j * (j + 1) // 2 + i)
 
         cells = [(i, j, shift(i, j)) for j in range(k) for i in range(j + 1)]
-
-        def key_of(rows: RawRows) -> int:
-            g = gram_of(rows)
-            key = 0
-            for i, j, sh in cells:
-                key |= g[i][j] << sh
-            return key
 
         def unpack(key: int) -> RawRows:
             g = [[0] * k for _ in range(k)]
@@ -662,8 +646,15 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                 g[j][i] = mirror[s]
             return g
 
-        def digits(rows: RawRows, free: Sequence[tuple[int, int]]) -> list[tuple]:
-            return [
+        def walk(rows: RawRows, free: Sequence[tuple[int, int]],
+                 blocks: Iterable[tuple[tuple[int, int, int], ...]],
+                 hull: Mapping[int, int], acc: list[int]) -> None:
+            g = gram_of(rows)
+            key = 0
+            for i, j, sh in cells:
+                key |= g[i][j] << sh
+            acc[hull[key]] += 1
+            digits = [
                 (
                     rows[r], c, partner[c], pair[c], shift(r, r),
                     [(rows[j], shift(j, r), mirror) for j in range(r)]
@@ -671,10 +662,7 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                 )
                 for r, c in free
             ]
-
-        def walk(key: int, digits: list[tuple], moves: Iterable[tuple[int, int, int]],
-                 hull: Mapping[int, int], acc: list[int]) -> int:
-            for d, old, new in moves:
+            for d, old, new in itertools.chain.from_iterable(blocks):
                 row, c, pc, pt, on_diagonal, others = digits[d]
                 row[c] = new
                 pd = pt[add[new][neg[old]]]
@@ -687,9 +675,8 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                     e = key >> on_diagonal & mask
                     key ^= (e ^ add[e][add[diag[new]][neg[diag[old]]]]) << on_diagonal
                 acc[hull[key]] += 1
-            return key
 
-        return GramWalker(key_of, unpack, digits, walk)
+        return unpack, walk
 
     return GramKernel(gram_of, rank_of, stepper)
 

@@ -38,10 +38,10 @@ from .exactnum import rat_str
 from .oracle import (
     DEFAULT_WORK_LIMIT,
     SpectrumComparison,
-    enumerate_subspaces,
     field_for,
     hull_spectrum,
     spectrum_vs_formula,
+    subspace_count,
 )
 from .ratios import (
     COUNT_EXCEPTIONS,
@@ -328,7 +328,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # every cell's subspace count is known up front: refuse a sweep that has
     # an infeasible cell before enumerating any cell
     for name, q, length, k in cells:
-        enumerate_subspaces(length, k, field_for(_FORMS[name], q), limit)
+        subspace_count(length, k, field_for(_FORMS[name], q).order, limit)
     # open the dump file before any cell runs, so a bad path costs no sweep
     try:
         dump = None if args.dump in (None, "-") else open(args.dump, "w", newline="")

@@ -141,7 +141,9 @@ def hermitian_lcd_count(n: int, k0: int, q: int) -> int:
 
 
 def unified_factor(i: int, params: HermitianParams) -> Fraction:
-    """Step factor F_i linking hull dimension i-1 to i in the hermitian count."""
+    """Step factor F_i = A_H(n, k0+i, i) / A_H(n, k0+i-1, i-1) of the
+    hermitian count, k0 = k - l: it steps k and l together at fixed k0,
+    where closed_step steps l at fixed k."""
     if not 1 <= i <= params.ell:
         raise BadIndexError(f"factor index {i} outside 1..{params.ell}")
     q, s, e, k0 = params.q, params.s, params.eps, params.k0

@@ -9,36 +9,36 @@ element codes 0..Q-1 in loopless reflected Q-ary Gray order (Knuth, TAOCP
 one code step. The total yield is the Gaussian binomial [n, k]_Q, which
 doubles as a built-in consistency check on every spectrum.
 
+subspace_count is the one range and work-limit check: it returns
+[n, k]_Q and refuses a count above the work limit (default 10^8
+subspaces) before anything is enumerated.
+
 The walk is taken in blocks. In a reflected Gray walk the lowest w free
 entries run through all Q^w of their values between two moves of the
 higher entries, forwards and backwards in turn, so those moves are
 precomputed, with Q^w <= BLOCK_STATES, as a forward and a reflected
 table of (digit, old, new), kept once per Q. _gray_blocks, the one
-odometer, runs Algorithm H over the higher entries only and hands out
-one table per block, with the higher-digit move that leads into it as
-one more (digit, old, new). SubspaceIterator applies the moves itself;
-hull_spectrum hands them to the kernel's walk.
+odometer, yields each pivot subset once, as its first generator, its
+free entries and its blocks: the forward table, then each move of the
+higher entries on its own, followed by the next table. The generators
+of enumerate_subspaces apply the moves themselves.
 
-A work limit (default 10^8 subspaces) guards against accidentally
-unbounded sweeps. It is checked against the exact expected count
-[n, k]_Q before enumeration starts, not discovered mid-run.
-
-The spectrum loop itself never builds FieldElem or MatrixGF objects and
-keeps no Gram matrix. Its only state is an integer key packing the
-Gram's upper triangle: it keys each pivot subset's first generator once,
-and after that every move, the lead and each block move alike, goes
-through algebra.gram_kernel's walk, which updates the O(k) key entries
-the changed row and column touch and tallies the hull dimension. That
-is looked up on the key in a memo that lives for one spectrum and holds
-at most RANK_MEMO_CAP entries; a key it lacks is unpacked into its Gram
-matrix and ranked, and past the cap it is not remembered.
+The spectrum loop never builds FieldElem or MatrixGF objects and keeps
+no Gram matrix: hull_spectrum hands each pivot subset to
+algebra.gram_kernel's walk, which keys the first generator's Gram as an
+int, updates the O(k) key entries each move touches and tallies the
+hull dimension looked up on the key. That lookup goes to a memo that
+lives for one spectrum, sees the key as an opaque int and holds at most
+RANK_MEMO_CAP entries; a key it lacks is unpacked into its Gram matrix
+by the kernel and ranked, and past the cap it is not remembered.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .algebra import (
     FiniteField,
@@ -58,24 +58,24 @@ BLOCK_STATES = 256  # most Gray states one precomputed block of moves covers
 
 Move = tuple[int, int, int]  # (digit, old code, new code)
 Rows = list[list[int]]
-Block = tuple[Rows, list[tuple[int, int]], tuple[Move, ...], "Move | None"]
 
 
 def _gray(q: int, m: int) -> Iterator[Move]:
     """Algorithm H: the q^m - 1 moves of the loopless reflected q-ary Gray
     walk over m digits from all zeros, digit 0 the fastest.
 
-    focus[j] names the digit to move next, delta[j] is digit j's
-    direction, and a digit reflects when it reaches 0 or q - 1.
+    a[j] is digit j (Knuth's a_j), focus[j] names the digit to move
+    next, delta[j] is digit j's direction, and a digit reflects when it
+    reaches 0 or q - 1.
     """
     top = q - 1
-    digits = [0] * m
+    a = [0] * m
     focus = list(range(m + 1))
     delta = [1] * m
     while (j := focus[0]) < m:
         focus[0] = 0
-        old = digits[j]
-        new = digits[j] = old + delta[j]
+        old = a[j]
+        new = a[j] = old + delta[j]
         if new == 0 or new == top:
             delta[j] = -delta[j]
             focus[j] = focus[j + 1]
@@ -99,20 +99,20 @@ def _gray_moves(q: int, w: int) -> tuple[tuple[Move, ...], tuple[Move, ...]]:
     return forward[:size], reflected[len(reflected) - size:]
 
 
-def _gray_blocks(n: int, k: int, q: int) -> Iterator[Block]:
-    """The one odometer: walk every canonical RREF generator in blocks,
-    yielding (rows, free, moves, lead) once per block.
+def _gray_blocks(
+    n: int, k: int, q: int
+) -> Iterator[tuple[Rows, list[tuple[int, int]], Iterator[tuple[Move, ...]]]]:
+    """The one odometer: walk every canonical RREF generator, yielding
+    (rows, free, blocks) once per pivot subset.
 
-    rows is a k x n buffer of codes; free lists the free entries (r, c),
-    lowest Gray digit first. Every move is a (digit, old, new): the
-    consumer sets rows[r][c] = new for (r, c) = free[digit]. lead is None
-    for a pivot subset's first block, where rows holds its first generator
-    (every free entry 0); otherwise it is the higher-digit move into the
-    block, and the consumer applies it to reach the block's first
-    generator. moves is the block's table over free[:w], one move to each
-    later generator in turn. The consumer must apply the lead and every
-    move before asking for the next block. The buffer is reused within a
-    pivot subset; callers must copy what they keep.
+    rows is a k x n buffer of codes holding the subset's first generator
+    (every free entry 0); free lists the free entries (r, c), lowest Gray
+    digit first. blocks yields tuples of moves (digit, old, new), and the
+    consumer sets rows[r][c] = new for (r, c) = free[digit], one move to
+    each later generator in turn: the table over free[:w], then each move
+    of a higher digit on its own followed by the next table, reflected
+    and forward in turn. The consumer must apply every move before asking
+    for the next pivot subset, and copy what it keeps of rows.
     """
     width = 0
     while width < k * (n - k) and q ** (width + 1) <= BLOCK_STATES:
@@ -120,6 +120,15 @@ def _gray_blocks(n: int, k: int, q: int) -> Iterator[Block]:
     # widest first, so the rest are slices of it; a pivot subset with
     # w < width free entries is one block of q^w states
     tables = {w: _gray_moves(q, w) for w in range(width, -1, -1)}
+
+    def blocks(forward, reflected, w, higher):
+        # the table over the w low digits, then Algorithm H over the higher
+        # ones with a table after each of its moves
+        yield forward
+        for i, (d, old, new) in enumerate(_gray(q, higher)):
+            yield ((w + d, old, new),)
+            yield forward if i % 2 else reflected
+
     for pivots in itertools.combinations(range(n), k):
         rows = [[0] * n for _ in range(k)]
         for row, c in zip(rows, pivots):
@@ -128,71 +137,58 @@ def _gray_blocks(n: int, k: int, q: int) -> Iterator[Block]:
             (r, c) for r in range(k) for c in range(pivots[r] + 1, n) if c not in pivots
         ]
         w = min(width, len(free))
-        forward, reflected = tables[w]
-        yield rows, free, forward, None
-        for i, (d, old, new) in enumerate(_gray(q, len(free) - w)):
-            yield rows, free, forward if i % 2 else reflected, (w + d, old, new)
+        yield rows, free, blocks(*tables[w], w, len(free) - w)
 
 
-class SubspaceIterator:
-    """Restartable iterator over canonical RREF generators of k-dim subspaces.
-
-    expected_count is the exact number of matrices a full pass yields, the
-    Gaussian binomial [n, k]_Q; the work limit is checked against it here,
-    before anything is enumerated.
-    """
-
-    def __init__(
-        self,
-        field: FiniteField,
-        n: int,
-        k: int,
-        work_limit: int | None = DEFAULT_WORK_LIMIT,
-    ):
-        if n < 0 or not 0 <= k <= n:
-            raise BadRangeError(f"need 0 <= k <= n, got n={n} k={k}")
-        self.field = field
-        self.n = n
-        self.k = k
-        self.expected_count = gaussian_binomial(n, k, field.order)
-        if work_limit is not None and self.expected_count > work_limit:
-            raise WorkLimitExceededError(
-                f"estimated {self.expected_count} subspaces exceeds "
-                f"work limit {work_limit}"
-            )
-
-    def __iter__(self) -> Iterator[MatrixGF]:
-        field, n, k = self.field, self.n, self.k
-        trusted = MatrixGF._trusted
-        chain = itertools.chain.from_iterable
-        for rows, free, moves, lead in _gray_blocks(n, k, field.order):
-            if lead is None:
-                yield trusted(field, k, n, tuple(chain(rows)))
-            else:
-                moves = (lead, *moves)
-            for d, _, new in moves:
-                r, c = free[d]
-                rows[r][c] = new
-                yield trusted(field, k, n, tuple(chain(rows)))
+def subspace_count(
+    n: int, k: int, order: int, work_limit: int | None = DEFAULT_WORK_LIMIT
+) -> int:
+    """[n, k]_Q, the number of k-dimensional subspaces of F_Q^n for Q =
+    order: the one range and work-limit check, made before anything is
+    enumerated. work_limit None disables the limit."""
+    if n < 0 or not 0 <= k <= n:
+        raise BadRangeError(f"need 0 <= k <= n, got n={n} k={k}")
+    count = gaussian_binomial(n, k, order)
+    if work_limit is not None and count > work_limit:
+        raise WorkLimitExceededError(
+            f"estimated {count} subspaces exceeds work limit {work_limit}"
+        )
+    return count
 
 
 def enumerate_subspaces(
     n: int, k: int, field: FiniteField, work_limit: int | None = DEFAULT_WORK_LIMIT
-) -> SubspaceIterator:
-    """All k-dimensional subspaces of F_Q^n as canonical generator matrices."""
-    return SubspaceIterator(field, n, k, work_limit=work_limit)
+) -> Iterator[MatrixGF]:
+    """All k-dimensional subspaces of F_Q^n as canonical generator matrices.
+
+    The range and the work limit are checked on the call; the generator it
+    returns makes one pass."""
+    subspace_count(n, k, field.order, work_limit)
+    return _generators(n, k, field)
+
+
+def _generators(n: int, k: int, field: FiniteField) -> Iterator[MatrixGF]:
+    trusted = MatrixGF._trusted
+    chain = itertools.chain.from_iterable
+    for rows, free, blocks in _gray_blocks(n, k, field.order):
+        yield trusted(field, k, n, tuple(chain(rows)))
+        for d, _, new in chain(blocks):
+            r, c = free[d]
+            rows[r][c] = new
+            yield trusted(field, k, n, tuple(chain(rows)))
 
 
 # -- spectra --------------------------------------------------------------------
 
 class HullSpectrum(NamedTuple):
-    """Exact map hull dimension -> number of k-dim subspaces attaining it."""
+    """Exact map hull dimension -> number of k-dim subspaces attaining it,
+    as a read-only mapping."""
 
     n: int
     k: int
     form: FormKind
     field_order: int
-    counts: dict[int, int]
+    counts: Mapping[int, int]
 
     @property
     def total(self) -> int:
@@ -207,9 +203,10 @@ class HullSpectrum(NamedTuple):
 
 
 class _HullMemo(dict):
-    """Gram key -> hull dimension k - rank for one spectrum. A key it lacks
-    is ranked from the Gram matrix it packs, and remembered while the memo
-    holds fewer than RANK_MEMO_CAP keys."""
+    """Gram key, an opaque int, -> hull dimension k - rank for one
+    spectrum. A key it lacks is unpacked by the kernel into its Gram matrix
+    and ranked, and remembered while the memo holds fewer than
+    RANK_MEMO_CAP keys."""
 
     def __init__(self, k: int, rank_of: Callable[[Rows], int], unpack: Callable[[int], Rows]):
         super().__init__()
@@ -233,20 +230,14 @@ def hull_spectrum(
     work_limit: int | None = DEFAULT_WORK_LIMIT,
 ) -> HullSpectrum:
     """Enumerate every k-dim subspace of F_Q^n and tally hull dimensions."""
-    enumerate_subspaces(n, k, field, work_limit)  # checks range and work limit up front
+    subspace_count(n, k, field.order, work_limit)
     kernel = gram_kernel(field, form, n)
-    key_of, unpack, digits_of, walk = kernel.stepper(k)
+    unpack, walk = kernel.stepper(k)
     memo = _HullMemo(k, kernel.rank_of, unpack)
     acc = [0] * (k + 1)
-    for rows, free, moves, lead in _gray_blocks(n, k, field.order):
-        if lead is None:
-            digits = digits_of(rows, free)
-            key = key_of(rows)
-            acc[memo[key]] += 1
-        else:
-            key = walk(key, digits, (lead,), memo, acc)
-        key = walk(key, digits, moves, memo, acc)
-    counts = {ell: c for ell, c in enumerate(acc) if c}
+    for rows, free, blocks in _gray_blocks(n, k, field.order):
+        walk(rows, free, blocks, memo, acc)
+    counts = MappingProxyType({ell: c for ell, c in enumerate(acc) if c})
     return HullSpectrum(n, k, form, field.order, counts)
 
 

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import FieldElem, FormKind
 from .errors import (
@@ -354,7 +355,7 @@ class ComparisonRow(NamedTuple):
     step: int
     alpha_lower_bound: str
     alpha_asymptotic: str
-    count_ratio_limits: dict[int, Fraction]
+    count_ratio_limits: Mapping[int, Fraction]  # read-only
     exceptions: str
 
 
@@ -363,13 +364,13 @@ def comparison_rows(q_values: Sequence[int] = (2, 3)) -> list[ComparisonRow]:
     and the l = 0 joint count-ratio limit at each requested q."""
     for q in q_values:
         prime_power_parts(q)
-    euclid = {q: Fraction(q * q - 1, q) for q in q_values}
-    herm = {
+    euclid = MappingProxyType({q: Fraction(q * q - 1, q) for q in q_values})
+    herm = MappingProxyType({
         q: asymptotic_hermitian(AsymptoticRegime.JOINT, 0, q).limit for q in q_values
-    }
-    sympl = {
+    })
+    sympl = MappingProxyType({
         q: asymptotic_symplectic(AsymptoticRegime.JOINT, 0, q).limit for q in q_values
-    }
+    })
     return [
         ComparisonRow(
             FormKind.EUCLIDEAN,

@@ -32,6 +32,7 @@ from hullcount.errors import (
     RankDeficientGeneratorError,
 )
 from naive_hull import _form, generator_rows, naive_hull_dim, naive_rank, naive_rref
+from walk_recorder import RecordingHull, packed_key
 
 F2 = make_field(2)
 F4 = make_field(2, 2)
@@ -353,37 +354,46 @@ def test_gram_entries_match_the_definition(form, order):
 
 
 def test_gram_step_matches_a_fresh_gram():
-    # one-entry changes to any value, each walked as one move, then the
-    # walked key against the key and Gram of the changed rows; for each k
-    # the key packs the upper triangle one-to-one
+    # one-entry changes to any value, each walked as a block of one move;
+    # the recorded lookups give the walked key after each move, checked
+    # against the key and Gram of the changed rows; for each k the key
+    # packs the upper triangle one-to-one
     rng = random.Random(5)
     n = 6
     for order in (2, 3, 4, 5, 8, 9):
         field = field_of_order(order)
+        bits = (order - 1).bit_length()
         forms = [FormKind.EUCLIDEAN, FormKind.SYMPLECTIC]
         if field.m % 2 == 0:
             forms.append(FormKind.HERMITIAN)
         for form in forms:
             kernel = gram_kernel(field, form, n)
             for k in range(1, 5):
-                key_of, unpack, digits_of, walk = kernel.stepper(k)
+                unpack, walk = kernel.stepper(k)
                 uppers: dict[int, tuple[int, ...]] = {}
                 rows = [[rng.randrange(order) for _ in range(n)] for _ in range(k)]
-                digits = digits_of(rows, [(r, c) for r in range(k) for c in range(n)])
-                key = key_of(rows)
-                hull, acc = collections.defaultdict(int), [0]
-                for _ in range(30):
-                    d = rng.randrange(k * n)
-                    r, c = divmod(d, n)
-                    move = (d, rows[r][c], rng.randrange(order))
-                    key = walk(key, digits, (move,), hull, acc)
-                    assert rows[r][c] == move[2]
-                    fresh = kernel.gram_of(rows)
+                made = []
+
+                def blocks():
+                    # each move reads old from rows as walk has left them
+                    for _ in range(30):
+                        d = rng.randrange(k * n)
+                        r, c = divmod(d, n)
+                        made.append((r, c, rng.randrange(order)))
+                        yield ((d, rows[r][c], made[-1][2]),)
+
+                hull, acc = RecordingHull(rows), [0]
+                free = [(r, c) for r in range(k) for c in range(n)]
+                walk(rows, free, blocks(), hull, acc)
+                assert acc == [31] and len(hull.seen) == 31
+                for (r, c, new), (_, after) in zip(made, hull.seen[1:]):
+                    assert after[r][c] == new
+                for key, seen_rows in hull.seen:
+                    fresh = kernel.gram_of(seen_rows)
                     assert unpack(key) == fresh
-                    assert key == key_of(rows)
+                    assert key == packed_key(fresh, bits)
                     upper = tuple(fresh[i][j] for i in range(k) for j in range(i, k))
                     assert uppers.setdefault(key, upper) == upper
-                assert acc == [30]
 
 
 @pytest.mark.parametrize("form, order", GRAM_CASES)
@@ -397,7 +407,7 @@ def test_unpacked_key_is_the_gram(form, order):
             continue
         kernel = gram_kernel(field, form, n)
         for k in range(1, 5):
-            key_of, unpack, _, _ = kernel.stepper(k)
+            unpack, walk = kernel.stepper(k)
             for trial in range(6):
                 rows = [[rng.randrange(order) for _ in range(n)] for _ in range(k)]
                 if trial == 0:
@@ -406,7 +416,13 @@ def test_unpacked_key_is_the_gram(form, order):
                     rows[0] = list(rows[-1])
                 elif trial == 2:
                     rows = [[0] * n for _ in range(k)]
-                assert unpack(key_of(rows)) == kernel.gram_of(rows), rows
+                # a walk with no moves keys the rows once
+                hull = RecordingHull(rows)
+                walk(rows, [], (), hull, [0])
+                [(key, _)] = hull.seen
+                gram = kernel.gram_of(rows)
+                assert key == packed_key(gram, (order - 1).bit_length()), rows
+                assert unpack(key) == gram, rows
 
 
 def test_gram_symplectic_is_alternating():
@@ -520,13 +536,21 @@ def test_hermitian_kernels_share_one_pairing_table_per_field():
     tracemalloc.start()
     try:
         kernels = [gram_kernel(f256, FormKind.HERMITIAN, n) for n in range(1, 33)]
-        # each walker adds O(k^2) descriptors and no order^2 table
-        walkers = [kernel.stepper(k) for kernel in kernels for k in range(1, 5)]
+        # each walker, and each walk's descriptors for every entry of its
+        # rows, add O(k n) and no order^2 table
+        walkers = [
+            (n, k, kernel.stepper(k)) for n, kernel in enumerate(kernels, 1) for k in range(1, 5)
+        ]
+        hull, acc = collections.defaultdict(int), [0]
+        for n, k, (_, walk) in walkers:
+            free = [(r, c) for r in range(k) for c in range(n)]
+            walk([[1] * n for _ in range(k)], free, (), hull, acc)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(kernels) == 32
     assert len(walkers) == 128
+    assert acc == [128]
     assert peak < 3_000_000
     w = f256.generator
     assert kernels[2].gram_of([[w.code, 1, 0]]) == [[(w * w ** 16 + 1).code]]

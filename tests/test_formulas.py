@@ -133,6 +133,24 @@ def test_unified_factor_matches_parity_branches():
                         assert unified_factor(i, params) == expected
 
 
+def test_unified_factor_is_the_quotient_of_two_counts():
+    # F_i = A_H(n, k0+i, i) / A_H(n, k0+i-1, i-1): k and l step together
+    # at fixed k0 = k - l, unlike closed_step, which holds k
+    checked = 0
+    for q in (2, 3, 4, 5):
+        for n in range(13):
+            for k in range(n + 1):
+                for ell in hull_dims(FormKind.HERMITIAN, n, k):
+                    params = HermitianParams(n, k, ell, q)
+                    k0 = params.k0
+                    for i in range(1, ell + 1):
+                        after = count_hermitian(HermitianParams(n, k0 + i, i, q))
+                        before = count_hermitian(HermitianParams(n, k0 + i - 1, i - 1, q))
+                        assert unified_factor(i, params) == Fraction(after, before)
+                        checked += 1
+    assert checked == 1344
+
+
 def test_hermitian_table_rows():
     for (n, k, q), counts in HERMITIAN_TABLE.items():
         for ell, expected in enumerate(counts):

@@ -1,7 +1,5 @@
 """Exhaustive-enumeration oracle: subspace iteration and hull spectra."""
 
-import collections
-import math
 import tracemalloc
 
 import pytest
@@ -25,12 +23,13 @@ from hullcount.errors import (
 )
 from hullcount.exactnum import gaussian_binomial
 from hullcount.oracle import (
-    SubspaceIterator,
     enumerate_subspaces,
     hull_spectrum,
     spectrum_vs_formula,
+    subspace_count,
 )
 from naive_hull import naive_hull_dim
+from walk_recorder import RecordingHull, packed_key
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -38,17 +37,17 @@ F4 = make_field(2, 2)
 
 
 def _states(n, k, q):
-    """The odometer's blocks flattened into one (rows snapshot, r, c, old)
-    per generator: r = -1 at a pivot subset's first generator, else
-    rows[r][c] changed from old."""
+    """The odometer's pivot subsets and blocks flattened into one (rows
+    snapshot, r, c, old) per generator: r = -1 at a pivot subset's first
+    generator, else rows[r][c] changed from old."""
     states = []
-    for rows, free, moves, lead in oracle._gray_blocks(n, k, q):
-        if lead is None:
-            states.append(([row[:] for row in rows], -1, -1, 0))
-        for d, old, new in moves if lead is None else (lead, *moves):
-            r, c = free[d]
-            rows[r][c] = new
-            states.append(([row[:] for row in rows], r, c, old))
+    for rows, free, blocks in oracle._gray_blocks(n, k, q):
+        states.append(([row[:] for row in rows], -1, -1, 0))
+        for moves in blocks:
+            for d, old, new in moves:
+                r, c = free[d]
+                rows[r][c] = new
+                states.append(([row[:] for row in rows], r, c, old))
     return states
 
 
@@ -70,9 +69,8 @@ def test_yield_counts_match_gaussian_binomial():
         q = field.order
         for n in range(7):
             for k in range(n + 1):
-                it = enumerate_subspaces(n, k, field)
-                got = sum(1 for _ in it)
-                assert got == it.expected_count == gaussian_binomial(n, k, q)
+                got = sum(1 for _ in enumerate_subspaces(n, k, field))
+                assert got == subspace_count(n, k, q) == gaussian_binomial(n, k, q)
 
 
 def test_no_duplicate_subspaces():
@@ -141,22 +139,23 @@ GRAM_CELLS = [
 
 
 def _check_gram_and_key_at_every_generator(n, k, order, form):
-    # the lead and every block move go through walk one at a time, so the
-    # key is checked after each single move
+    # walk looks the key up at each pivot subset's first generator and
+    # after every single move, so the recorded lookups check the key of
+    # every generator against a key packed from a fresh Gram
     kernel = gram_kernel(field_of_order(order), form, n)
-    key_of, unpack, digits_of, walk = kernel.stepper(k)
-    hull, acc = collections.defaultdict(int), [0]
-    for rows, free, moves, lead in oracle._gray_blocks(n, k, order):
-        if lead is None:
-            digits = digits_of(rows, free)
-            key = key_of(rows)
-            assert unpack(key) == kernel.gram_of(rows)
-        for move in moves if lead is None else (lead, *moves):
-            key = walk(key, digits, (move,), hull, acc)
-            assert key == key_of(rows)
-            assert unpack(key) == kernel.gram_of(rows)
-    # every generator but each pivot subset's first was reached by one move
-    assert acc == [gaussian_binomial(n, k, order) - math.comb(n, k)]
+    unpack, walk = kernel.stepper(k)
+    bits = (order - 1).bit_length()
+    hull, acc = RecordingHull(), [0]
+    for rows, free, blocks in oracle._gray_blocks(n, k, order):
+        hull.rows = rows
+        walk(rows, free, blocks, hull, acc)
+    for key, rows in hull.seen:
+        gram = kernel.gram_of(rows)
+        assert key == packed_key(gram, bits)
+        assert unpack(key) == gram
+    # one lookup and one tally per generator, in the odometer's order
+    assert [rows for _, rows in hull.seen] == [rows for rows, *_ in _states(n, k, order)]
+    assert acc == [gaussian_binomial(n, k, order)]
 
 
 @pytest.mark.parametrize("n,k,order,form", GRAM_CELLS)
@@ -181,7 +180,7 @@ BLOCK_CELLS = [(5, 2, 3), (6, 3, 2), (5, 2, 4)]  # each spans several default bl
 def test_block_walk_is_the_per_state_walk(monkeypatch, n, k, q):
     # the default blocks really split some pivot subset
     default = oracle.BLOCK_STATES
-    assert any(lead is not None for *_, lead in oracle._gray_blocks(n, k, q))
+    assert any(len(list(blocks)) > 1 for *_, blocks in oracle._gray_blocks(n, k, q))
     # one state per block (BLOCK_STATES = 1) is Algorithm H over every
     # free entry; wider blocks must replay exactly that sequence
     monkeypatch.setattr(oracle, "BLOCK_STATES", 1)
@@ -292,24 +291,50 @@ def test_form_errors_raise_before_enumeration(monkeypatch):
 
 
 def test_iterator_range_validation():
-    with pytest.raises(BadRangeError):
-        SubspaceIterator(F2, 3, 4)
-    with pytest.raises(BadRangeError):
-        SubspaceIterator(F2, -1, 0)
+    for n, k in ((3, 4), (-1, 0), (3, -1)):
+        with pytest.raises(BadRangeError, match=rf"^need 0 <= k <= n, got n={n} k={k}$"):
+            subspace_count(n, k, 2)
+        with pytest.raises(BadRangeError):
+            enumerate_subspaces(n, k, F2)
+        with pytest.raises(BadRangeError):
+            hull_spectrum(n, k, F2, FormKind.EUCLIDEAN)
 
 
 def test_work_limit_reports_estimate():
     with pytest.raises(WorkLimitExceededError) as err:
+        subspace_count(10, 5, 4, work_limit=1000)
+    assert str(err.value) == (
+        f"estimated {gaussian_binomial(10, 5, 4)} subspaces exceeds work limit 1000"
+    )
+    with pytest.raises(WorkLimitExceededError, match=rf"^{err.value}$"):
         enumerate_subspaces(10, 5, F4, work_limit=1000)
-    msg = str(err.value)
-    assert str(gaussian_binomial(10, 5, 4)) in msg
-    assert "1000" in msg
     # the default limit is checked before any pivot subset is visited
     with pytest.raises(WorkLimitExceededError):
         enumerate_subspaces(22, 11, F2)
-    # limit None disables the guard entirely
-    it = enumerate_subspaces(10, 5, F4, work_limit=None)
-    assert it.expected_count == gaussian_binomial(10, 5, 4)
+    with pytest.raises(WorkLimitExceededError):
+        hull_spectrum(22, 11, F2, FormKind.EUCLIDEAN)
+    # a count at the limit passes, and None disables the guard entirely
+    total = gaussian_binomial(10, 5, 4)
+    assert subspace_count(10, 5, 4, work_limit=total) == total
+    assert subspace_count(10, 5, 4, work_limit=None) == total
+
+
+def test_enumerate_subspaces_checks_on_the_call(monkeypatch):
+    # a plain generator function would raise only at the first next()
+    def no_enumeration(*args):
+        pytest.fail("enumeration started")
+
+    monkeypatch.setattr(oracle, "_gray_blocks", no_enumeration)
+    with pytest.raises(BadRangeError):
+        enumerate_subspaces(3, 4, F2)
+    with pytest.raises(WorkLimitExceededError):
+        enumerate_subspaces(10, 5, F4, work_limit=1000)
+    monkeypatch.undo()
+    # what it returns makes one pass
+    gens = enumerate_subspaces(4, 2, F2)
+    assert iter(gens) is gens
+    assert len(list(gens)) == 35
+    assert list(gens) == []
 
 
 def test_spectrum_hermitian_example():

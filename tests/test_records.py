@@ -53,7 +53,7 @@ RECORDS = [
         hull_spectrum(4, 2, F2, E),
         ("n", "k", "form", "field_order", "counts"),
         "HullSpectrum(n=4, k=2, form=<FormKind.EUCLIDEAN: 'euclidean'>, "
-        "field_order=2, counts={0: 20, 1: 12, 2: 3})",
+        "field_order=2, counts=mappingproxy({0: 20, 1: 12, 2: 3}))",
     ),
     (
         _COMPARISON.cells[0],
@@ -105,7 +105,7 @@ RECORDS = [
          "count_ratio_limits", "exceptions"),
         "ComparisonRow(form=<FormKind.HERMITIAN: 'hermitian'>, step=1, "
         "alpha_lower_bound='q/(q+1) >= 2/3', alpha_asymptotic='(q+1)/q', "
-        "count_ratio_limits={2: Fraction(3, 2), 3: Fraction(8, 3)}, "
+        "count_ratio_limits=mappingproxy({2: Fraction(3, 2), 3: Fraction(8, 3)}), "
         "exceptions='l = 0, n even, k in {1, n-1}')",
     ),
 ]
@@ -123,6 +123,24 @@ def test_record_contract(record, fields, text):
         setattr(record, fields[0], getattr(record, fields[0]))
     with pytest.raises(AttributeError):
         record.extra = 1
+
+
+def test_mapping_fields_are_read_only():
+    spectrum = hull_spectrum(4, 2, F2, E)
+    with pytest.raises(TypeError):
+        spectrum.counts[0] = 1
+    with pytest.raises(TypeError):
+        del spectrum.counts[0]
+    assert spectrum.total == 35
+    assert spectrum.counts == {0: 20, 1: 12, 2: 3} == dict(spectrum.counts)
+    row = comparison_rows((2, 3))[1]
+    with pytest.raises(TypeError):
+        row.count_ratio_limits[2] = 0
+    assert comparison_rows((2, 3))[1] == row
+    # the views are read-only, not hashable: the two records still are not
+    for record in (spectrum, row):
+        with pytest.raises(TypeError):
+            hash(record)
 
 
 def test_record_defaults():

@@ -174,7 +174,8 @@ def test_each_form_is_one_table_set_in_gram_kernel():
         if isinstance(node, ast.FunctionDef) and node.name == "step"
     ]
     assert steps == []
-    # the spectrum loop hands the key to the kernel and reads no table itself
+    # the spectrum loop hands each pivot subset to the kernel and reads no
+    # table itself
     tables = {"add_table", "neg_table", "mul_table", "inv_table", "frobenius_table"}
     assert _names(_function("oracle.py", "hull_spectrum")) & tables == set()
 
@@ -227,7 +228,8 @@ def test_symplectic_lengths_are_checked_even_in_hull_dims():
 
 def test_the_oracle_has_one_odometer():
     # one function walks the pivot subsets and their Gray blocks; the
-    # spectrum tally and the generator iterator both consume it
+    # spectrum tally and the generators of enumerate_subspaces both
+    # consume it
     walkers = [
         f"{name}:{func.name}"
         for name, tree in TREES.items()
@@ -236,6 +238,61 @@ def test_the_oracle_has_one_odometer():
         and any(_calls(iterated, "combinations") for iterated, _ in _loops(func))
     ]
     assert walkers == ["oracle.py:_gray_blocks"]
-    for name in ("hull_spectrum", "__iter__"):
+    for name in ("hull_spectrum", "_generators"):
         loops = [iterated for iterated, _ in _loops(_function("oracle.py", name))]
         assert any(_calls(iterated, "_gray_blocks") for iterated in loops), name
+    assert _calls(_function("oracle.py", "enumerate_subspaces"), "_generators")
+
+
+def _identifiers(tree: ast.AST) -> set[str]:
+    """Every name, attribute, argument and definition name tree mentions."""
+    found = _names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            found.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found
+
+
+def test_the_oracle_hands_each_pivot_subset_to_one_walk():
+    # the kernel keys the first generator and describes the free entries
+    # inside walk; the oracle has no lead move, key builder or descriptors
+    assert _identifiers(TREES["oracle.py"]) & {"lead", "key_of", "digits"} == set()
+    stepper = _function("algebra.py", "stepper")
+    [returned] = [
+        node.value for node in stepper.body if isinstance(node, ast.Return)
+    ]
+    assert [name.id for name in returned.elts] == ["unpack", "walk"]
+    assert "GramWalker" not in _identifiers(TREES["algebra.py"])
+    spectrum = _function("oracle.py", "hull_spectrum")
+    [loop] = [node for node in ast.walk(spectrum) if isinstance(node, ast.For)]
+    assert _calls(loop.iter, "_gray_blocks")
+    [statement] = loop.body
+    assert isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Call)
+    assert isinstance(statement.value.func, ast.Name) and statement.value.func.id == "walk"
+
+
+def test_the_work_limit_has_one_check():
+    # subspace_count is the one range and work-limit check; the spectrum,
+    # the generators and verify's up-front loop all call it
+    raisers = [
+        f"{name}:{func.name}"
+        for name, tree in TREES.items()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and _raised_name(node) == "WorkLimitExceededError"
+    ]
+    assert raisers == ["oracle.py:subspace_count"]
+    for module, name in (
+        ("oracle.py", "hull_spectrum"),
+        ("oracle.py", "enumerate_subspaces"),
+        ("cli.py", "cmd_verify"),
+    ):
+        assert _calls(_function(module, name), "subspace_count"), name
+    assert not any(
+        "SubspaceIterator" in _identifiers(tree) or "expected_count" in _identifiers(tree)
+        for tree in TREES.values()
+    )
