@@ -563,18 +563,18 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     upper triangle, entry (i, j) with i <= j at bit (j(j+1)/2 + i) * bits;
     only this function knows that layout. It returns (unpack, walk).
     unpack(key) is the full k x k Gram matrix a key packs, the lower
-    triangle through mirror. walk(rows, free, blocks, hull, acc) does one
+    triangle through mirror. walk(rows, free, moves, hull, acc) does one
     pivot subset: it keys the Gram of rows, the subset's first generator,
     and tallies acc[hull[key]] += 1. It then describes each free entry
     (r, c) once: its row, its column and partner column, its pairing table
     and, for every other row j, the shift of the key entry it shares with
     row r and the map into that entry (mirror for j < r, whose entry is
-    g[j][r], else the identity). Each block is a tuple of moves (digit,
-    old, new); a move sets rows[r][c] = new for (r, c) = free[digit], the
-    change d = new - old meets the partner column of each other row
-    through pair[c][d], the diagonal moves by diag[new] - diag[old], and
-    those key entries are updated in place. After every move, with rows
-    already updated, it tallies acc[hull[key]] += 1 again.
+    g[j][r], else the identity). Each move (digit, old, new) sets
+    rows[r][c] = new for (r, c) = free[digit]; the change d = new - old
+    meets the partner column of each other row through pair[c][d], the
+    diagonal moves by diag[new] - diag[old], and those key entries are
+    updated in place. After every move, with rows already updated, it
+    tallies acc[hull[key]] += 1 again.
 
     Built once per (field, form, n); the hermitian pairing table, once per
     field (_conj_mul_table). The tables a walk adds are O(k^2) descriptors
@@ -647,7 +647,7 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
             return g
 
         def walk(rows: RawRows, free: Sequence[tuple[int, int]],
-                 blocks: Iterable[tuple[tuple[int, int, int], ...]],
+                 moves: Iterable[tuple[int, int, int]],
                  hull: Mapping[int, int], acc: list[int]) -> None:
             g = gram_of(rows)
             key = 0
@@ -662,7 +662,7 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                 )
                 for r, c in free
             ]
-            for d, old, new in itertools.chain.from_iterable(blocks):
+            for d, old, new in moves:
                 row, c, pc, pt, on_diagonal, others = digits[d]
                 row[c] = new
                 pd = pt[add[new][neg[old]]]

@@ -19,8 +19,8 @@ higher entries, forwards and backwards in turn, so those moves are
 precomputed, with Q^w <= BLOCK_STATES, as a forward and a reflected
 table of (digit, old, new), kept once per Q. _gray_blocks, the one
 odometer, yields each pivot subset once, as its first generator, its
-free entries and its blocks: the forward table, then each move of the
-higher entries on its own, followed by the next table. The generators
+free entries and one iterator of its moves: the forward table, then each
+move of the higher entries followed by the next table. The generators
 of enumerate_subspaces apply the moves themselves.
 
 The spectrum loop never builds FieldElem or MatrixGF objects and keeps
@@ -101,18 +101,18 @@ def _gray_moves(q: int, w: int) -> tuple[tuple[Move, ...], tuple[Move, ...]]:
 
 def _gray_blocks(
     n: int, k: int, q: int
-) -> Iterator[tuple[Rows, list[tuple[int, int]], Iterator[tuple[Move, ...]]]]:
+) -> Iterator[tuple[Rows, list[tuple[int, int]], Iterator[Move]]]:
     """The one odometer: walk every canonical RREF generator, yielding
-    (rows, free, blocks) once per pivot subset.
+    (rows, free, moves) once per pivot subset.
 
     rows is a k x n buffer of codes holding the subset's first generator
     (every free entry 0); free lists the free entries (r, c), lowest Gray
-    digit first. blocks yields tuples of moves (digit, old, new), and the
-    consumer sets rows[r][c] = new for (r, c) = free[digit], one move to
-    each later generator in turn: the table over free[:w], then each move
-    of a higher digit on its own followed by the next table, reflected
-    and forward in turn. The consumer must apply every move before asking
-    for the next pivot subset, and copy what it keeps of rows.
+    digit first. moves yields (digit, old, new), and the consumer sets
+    rows[r][c] = new for (r, c) = free[digit], one move to each later
+    generator in turn: the table over free[:w], then each move of a
+    higher digit followed by the next table, reflected and forward in
+    turn. The consumer must apply every move before asking for the next
+    pivot subset, and copy what it keeps of rows.
     """
     width = 0
     while width < k * (n - k) and q ** (width + 1) <= BLOCK_STATES:
@@ -120,6 +120,7 @@ def _gray_blocks(
     # widest first, so the rest are slices of it; a pivot subset with
     # w < width free entries is one block of q^w states
     tables = {w: _gray_moves(q, w) for w in range(width, -1, -1)}
+    chain = itertools.chain.from_iterable
 
     def blocks(forward, reflected, w, higher):
         # the table over the w low digits, then Algorithm H over the higher
@@ -137,7 +138,7 @@ def _gray_blocks(
             (r, c) for r in range(k) for c in range(pivots[r] + 1, n) if c not in pivots
         ]
         w = min(width, len(free))
-        yield rows, free, blocks(*tables[w], w, len(free) - w)
+        yield rows, free, chain(blocks(*tables[w], w, len(free) - w))
 
 
 def subspace_count(
@@ -170,9 +171,9 @@ def enumerate_subspaces(
 def _generators(n: int, k: int, field: FiniteField) -> Iterator[MatrixGF]:
     trusted = MatrixGF._trusted
     chain = itertools.chain.from_iterable
-    for rows, free, blocks in _gray_blocks(n, k, field.order):
+    for rows, free, moves in _gray_blocks(n, k, field.order):
         yield trusted(field, k, n, tuple(chain(rows)))
-        for d, _, new in chain(blocks):
+        for d, _, new in moves:
             r, c = free[d]
             rows[r][c] = new
             yield trusted(field, k, n, tuple(chain(rows)))
@@ -235,8 +236,8 @@ def hull_spectrum(
     unpack, walk = kernel.stepper(k)
     memo = _HullMemo(k, kernel.rank_of, unpack)
     acc = [0] * (k + 1)
-    for rows, free, blocks in _gray_blocks(n, k, field.order):
-        walk(rows, free, blocks, memo, acc)
+    for rows, free, moves in _gray_blocks(n, k, field.order):
+        walk(rows, free, moves, memo, acc)
     counts = MappingProxyType({ell: c for ell, c in enumerate(acc) if c})
     return HullSpectrum(n, k, form, field.order, counts)
 

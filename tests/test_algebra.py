@@ -374,17 +374,17 @@ def test_gram_step_matches_a_fresh_gram():
                 rows = [[rng.randrange(order) for _ in range(n)] for _ in range(k)]
                 made = []
 
-                def blocks():
+                def moves():
                     # each move reads old from rows as walk has left them
                     for _ in range(30):
                         d = rng.randrange(k * n)
                         r, c = divmod(d, n)
                         made.append((r, c, rng.randrange(order)))
-                        yield ((d, rows[r][c], made[-1][2]),)
+                        yield d, rows[r][c], made[-1][2]
 
                 hull, acc = RecordingHull(rows), [0]
                 free = [(r, c) for r in range(k) for c in range(n)]
-                walk(rows, free, blocks(), hull, acc)
+                walk(rows, free, moves(), hull, acc)
                 assert acc == [31] and len(hull.seen) == 31
                 for (r, c, new), (_, after) in zip(made, hull.seen[1:]):
                     assert after[r][c] == new

@@ -37,17 +37,16 @@ F4 = make_field(2, 2)
 
 
 def _states(n, k, q):
-    """The odometer's pivot subsets and blocks flattened into one (rows
+    """The odometer's pivot subsets and moves flattened into one (rows
     snapshot, r, c, old) per generator: r = -1 at a pivot subset's first
     generator, else rows[r][c] changed from old."""
     states = []
-    for rows, free, blocks in oracle._gray_blocks(n, k, q):
+    for rows, free, moves in oracle._gray_blocks(n, k, q):
         states.append(([row[:] for row in rows], -1, -1, 0))
-        for moves in blocks:
-            for d, old, new in moves:
-                r, c = free[d]
-                rows[r][c] = new
-                states.append(([row[:] for row in rows], r, c, old))
+        for d, old, new in moves:
+            r, c = free[d]
+            rows[r][c] = new
+            states.append(([row[:] for row in rows], r, c, old))
     return states
 
 
@@ -146,9 +145,9 @@ def _check_gram_and_key_at_every_generator(n, k, order, form):
     unpack, walk = kernel.stepper(k)
     bits = (order - 1).bit_length()
     hull, acc = RecordingHull(), [0]
-    for rows, free, blocks in oracle._gray_blocks(n, k, order):
+    for rows, free, moves in oracle._gray_blocks(n, k, order):
         hull.rows = rows
-        walk(rows, free, blocks, hull, acc)
+        walk(rows, free, moves, hull, acc)
     for key, rows in hull.seen:
         gram = kernel.gram_of(rows)
         assert key == packed_key(gram, bits)
@@ -178,9 +177,10 @@ BLOCK_CELLS = [(5, 2, 3), (6, 3, 2), (5, 2, 4)]  # each spans several default bl
 
 @pytest.mark.parametrize("n,k,q", BLOCK_CELLS)
 def test_block_walk_is_the_per_state_walk(monkeypatch, n, k, q):
-    # the default blocks really split some pivot subset
+    # the default blocks really split some pivot subset: it has more
+    # states than one block covers
     default = oracle.BLOCK_STATES
-    assert any(len(list(blocks)) > 1 for *_, blocks in oracle._gray_blocks(n, k, q))
+    assert any(len(list(moves)) + 1 > default for *_, moves in oracle._gray_blocks(n, k, q))
     # one state per block (BLOCK_STATES = 1) is Algorithm H over every
     # free entry; wider blocks must replay exactly that sequence
     monkeypatch.setattr(oracle, "BLOCK_STATES", 1)
@@ -317,6 +317,18 @@ def test_work_limit_reports_estimate():
     total = gaussian_binomial(10, 5, 4)
     assert subspace_count(10, 5, 4, work_limit=total) == total
     assert subspace_count(10, 5, 4, work_limit=None) == total
+    first = next(enumerate_subspaces(10, 5, F4, work_limit=None))
+    assert first.codes[:10] == (1, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+
+
+def test_work_limit_none_reaches_the_spectrum(monkeypatch):
+    # [10, 5]_4 is far above the default limit; with no pivot subsets to
+    # walk, a spectrum that passes None on returns empty instead of raising
+    monkeypatch.setattr(oracle, "_gray_blocks", lambda n, k, q: iter(()))
+    with pytest.raises(WorkLimitExceededError):
+        hull_spectrum(10, 5, F4, FormKind.EUCLIDEAN)
+    spectrum = hull_spectrum(10, 5, F4, FormKind.EUCLIDEAN, work_limit=None)
+    assert dict(spectrum.counts) == {} and spectrum.total == 0
 
 
 def test_enumerate_subspaces_checks_on_the_call(monkeypatch):

@@ -227,7 +227,7 @@ def test_symplectic_lengths_are_checked_even_in_hull_dims():
 
 
 def test_the_oracle_has_one_odometer():
-    # one function walks the pivot subsets and their Gray blocks; the
+    # one function walks the pivot subsets and their Gray moves; the
     # spectrum tally and the generators of enumerate_subspaces both
     # consume it
     walkers = [

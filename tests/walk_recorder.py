@@ -1,6 +1,6 @@
 """Watching the Gram kernel's walk from outside.
 
-walk(rows, free, blocks, hull, acc) looks the Gram key up in hull once for
+walk(rows, free, moves, hull, acc) looks the Gram key up in hull once for
 a pivot subset's first generator and once after every move, with rows
 already updated. RecordingHull stands in for the hull mapping and keeps
 each key with a copy of the rows it was looked up for; packed_key packs a
