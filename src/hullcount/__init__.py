@@ -28,7 +28,7 @@ from .eaqecc import (
     wilde_brun_map,
 )
 from .errors import HullCountError
-from .exactnum import ExactInt, ExactRat, gaussian_binomial
+from .exactnum import gaussian_binomial
 from .formulas import (
     HermitianParams,
     SymplecticParams,
@@ -71,8 +71,6 @@ __all__ = [
     "CensusRow",
     "DEFAULT_WORK_LIMIT",
     "EaqeccParams",
-    "ExactInt",
-    "ExactRat",
     "FieldElem",
     "FiniteField",
     "FormKind",

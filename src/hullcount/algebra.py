@@ -41,7 +41,7 @@ from .errors import (
     OddAmbientError,
     RankDeficientGeneratorError,
 )
-from .exactnum import is_prime
+from .exactnum import is_prime, prime_power_parts
 
 MAX_FIELD_ORDER = 256
 
@@ -259,23 +259,18 @@ class FiniteField:
         return f"F_{self.order}"
 
 
-_FIELD_CACHE: dict[tuple[int, int], FiniteField] = {}
+_cached_field = functools.lru_cache(maxsize=None)(FiniteField)
 
 
 def make_field(p: int, m: int = 1) -> FiniteField:
     """Cached constructor for F_{p^m} on the canonical modulus."""
-    key = (p, m)
-    field = _FIELD_CACHE.get(key)
-    if field is None:
-        field = FiniteField(p, m)
-        _FIELD_CACHE[key] = field
-    return field
+    # one positional call shape, so make_field(p) and make_field(p, 1)
+    # share a cache entry
+    return _cached_field(p, m)
 
 
 def field_of_order(q: int) -> FiniteField:
     """F_q for a prime power q (cached)."""
-    from .exactnum import prime_power_parts
-
     p, e = prime_power_parts(q)
     return make_field(p, e)
 

@@ -22,11 +22,11 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import formulas
 from .algebra import FormKind, field_of_order, require_even_length
-from .eaqecc import entanglement_census
+from .eaqecc import CensusRow, entanglement_census
 from .errors import (
     BadRangeError,
     HullCountError,
@@ -50,8 +50,6 @@ from .ratios import (
     in_euclidean_half_bound,
     ratio_report,
 )
-
-_FORMS = {f.value: f for f in FormKind}
 
 # reference grids: (length, k, q) per row, ambient length first
 HERMITIAN_TABLE_ROWS = [
@@ -110,7 +108,7 @@ def _ambient_length(form: FormKind, args: argparse.Namespace) -> int:
 # -- eval -----------------------------------------------------------------------
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    form = _FORMS[args.form]
+    form = FormKind(args.form)
     length = _ambient_length(form, args)
     k, ell, q = args.k, args.ell, args.q
     if k < 0 or ell < 0:
@@ -149,50 +147,52 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 # -- table ----------------------------------------------------------------------
 
-def _table_cells(form: FormKind) -> list[tuple[int, int, int, list[tuple[int, int, bool]]]]:
-    """Rows (length, k, q, cells) with cells (ell, count, violation); the
-    violation flag marks a count strictly above its predecessor in ell."""
-    grid = SYMPLECTIC_TABLE_ROWS if form is FormKind.SYMPLECTIC else HERMITIAN_TABLE_ROWS
-    out = []
-    for length, k, q in grid:
-        counts = formulas.closed_spectrum(form, length, k, q)
-        cells = [
-            (ell, c, prev is not None and c > prev)
-            for ell, c, prev in zip(formulas.hull_dims(form, length, k), counts, [None, *counts])
-        ]
-        out.append((length, k, q, cells))
-    return out
-
-
-def _records(fmt: str, keys: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    """Rows of values under keys as CRLF-terminated CSV, booleans written
-    true/false, or as an indented JSON list of objects."""
+def _render(
+    fmt: str, keys: Sequence[str], records: Sequence, markdown: Callable | None = None
+) -> str:
+    """The one output writer: records of values under keys as
+    CRLF-terminated CSV with booleans written true/false, as an indented
+    JSON list of objects, or as `| a | b |` lines, one per row that the
+    markdown callback builds from the records (header and rule included)."""
+    if fmt == "markdown":
+        return "".join("| " + " | ".join(map(str, row)) + " |\n" for row in markdown(records))
     if fmt == "json":
-        return json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
+        return json.dumps([dict(zip(keys, record)) for record in records], indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(keys)
-    for row in rows:
-        writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in row])
+    for record in records:
+        writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in record])
     return buf.getvalue()
 
 
 _COUNT_KEYS = ("length", "k", "q", "ell", "count", "monotonicity_violation")
 
 
-def _markdown(rows: Iterable[Sequence[object]]) -> str:
-    """Each row, header and rule alike, as one `| a | b |` line."""
-    return "".join("| " + " | ".join(map(str, row)) + " |\n" for row in rows)
+def _count_records(form: FormKind) -> list[tuple[int, int, int, int, int, bool]]:
+    """(length, k, q, ell, count, violation) over the form's grid; the
+    violation flag marks a count strictly above its predecessor in ell."""
+    grid = SYMPLECTIC_TABLE_ROWS if form is FormKind.SYMPLECTIC else HERMITIAN_TABLE_ROWS
+    records = []
+    for length, k, q in grid:
+        prev = None
+        for ell, count in formulas.closed_spectrum(form, length, k, q).items():
+            records.append((length, k, q, ell, count, prev is not None and count > prev))
+            prev = count
+    return records
 
 
-def _counts_markdown(form: FormKind, rows) -> str:
-    ells = sorted({ell for _, _, _, cells in rows for ell, _, _ in cells})
-    first = "2n" if form is FormKind.SYMPLECTIC else "n"
-    lines = [[first, "k", "q", *(f"A_{e}" for e in ells)], ["---:"] * (3 + len(ells))]
-    for length, k, q, cells in rows:
-        by_ell = {e: f"**{c}**" if viol else c for e, c, viol in cells}
-        lines.append([length, k, q, *(by_ell.get(e, "") for e in ells)])
-    return _markdown(lines)
+def _counts_markdown(first: str, records) -> list[list[object]]:
+    # pivoted: one row per (length, k, q), one column per ell
+    ells = sorted({ell for _, _, _, ell, _, _ in records})
+    rows: dict[tuple[int, int, int], dict[int, object]] = {}
+    for length, k, q, ell, count, violation in records:
+        rows.setdefault((length, k, q), {})[ell] = f"**{count}**" if violation else count
+    return [
+        [first, "k", "q", *(f"A_{e}" for e in ells)],
+        ["---:"] * (3 + len(ells)),
+        *([*cell, *(by_ell.get(e, "") for e in ells)] for cell, by_ell in rows.items()),
+    ]
 
 
 _COMPARISON_KEYS = (
@@ -221,59 +221,46 @@ def _comparison_records() -> list[tuple[object, ...]]:
     ]
 
 
-def _comparison_markdown(records: list[tuple[object, ...]]) -> str:
+def _comparison_markdown(records) -> list[list[object]]:
     # transposed: one column per form, one row per quantity
     columns = list(zip(*records))
-    return _markdown([
+    return [
         ["quantity", *columns[0]],
         [":---"] * (1 + len(records)),
         *([label, *values] for label, values in zip(_COMPARISON_LABELS, columns[1:])),
-    ])
+    ]
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     if args.which == "comparison":
-        records = _comparison_records()
-        if args.format == "markdown":
-            sys.stdout.write(_comparison_markdown(records))
-        else:
-            sys.stdout.write(_records(args.format, _COMPARISON_KEYS, records))
-        return 0
-    form = _FORMS[args.which]
-    rows = _table_cells(form)
-    if args.format == "markdown":
-        sys.stdout.write(_counts_markdown(form, rows))
+        text = _render(args.format, _COMPARISON_KEYS, _comparison_records(), _comparison_markdown)
     else:
-        records = [
-            (length, k, q, ell, c, viol)
-            for length, k, q, cells in rows
-            for ell, c, viol in cells
-        ]
-        sys.stdout.write(_records(args.format, _COUNT_KEYS, records))
+        form = FormKind(args.which)
+        first = "2n" if form is FormKind.SYMPLECTIC else "n"
+        text = _render(
+            args.format, _COUNT_KEYS, _count_records(form),
+            lambda records: _counts_markdown(first, records),
+        )
+    sys.stdout.write(text)
     return 0
 
 
 # -- verify ---------------------------------------------------------------------
 
 def _sweep_cells(form: FormKind, args: argparse.Namespace) -> list[tuple[int, int]]:
-    cells = []
     if form is FormKind.SYMPLECTIC:
-        for length in range(2, args.max_ambient + 1, 2):
-            for k in range(0, length + 1):
-                if args.max_k is not None and k > args.max_k:
-                    break
-                cells.append((length, k))
-        return cells
-    top = args.max_n
-    for n in range(2, top + 1):
+        cells = [
+            (length, k) for length in range(2, args.max_ambient + 1, 2) for k in range(length + 1)
+        ]
+    else:
         # closed-form sweeps cover every k; the euclidean identities are
         # stated for k up to n/2 only
-        k_hi = n // 2 if form is FormKind.EUCLIDEAN else n - 1
-        for k in range(1, k_hi + 1):
-            if args.max_k is not None and k > args.max_k:
-                break
-            cells.append((n, k))
-    return cells
+        cells = [
+            (n, k)
+            for n in range(2, args.max_n + 1)
+            for k in range(1, (n // 2 if form is FormKind.EUCLIDEAN else n - 1) + 1)
+        ]
+    return [(length, k) for length, k in cells if args.max_k is None or k <= args.max_k]
 
 
 def _problems(comp: SpectrumComparison) -> list[str]:
@@ -318,7 +305,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     forms = list(dict.fromkeys(args.forms or ["hermitian", "symplectic", "euclidean"]))
     qs = list(dict.fromkeys(args.qs or [2]))
     limit = _resolve_work_limit(args.work_limit)
-    sweeps = {name: _sweep_cells(_FORMS[name], args) for name in forms}
+    sweeps = {name: _sweep_cells(FormKind(name), args) for name in forms}
     empty = [name for name, sweep in sweeps.items() if not sweep]
     if empty:
         raise BadRangeError(
@@ -328,7 +315,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # every cell's subspace count is known up front: refuse a sweep that has
     # an infeasible cell before enumerating any cell
     for name, q, length, k in cells:
-        subspace_count(length, k, field_for(_FORMS[name], q).order, limit)
+        subspace_count(length, k, field_for(FormKind(name), q).order, limit)
     # open the dump file before any cell runs, so a bad path costs no sweep
     try:
         dump = None if args.dump in (None, "-") else open(args.dump, "w", newline="")
@@ -340,7 +327,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for name, q, length, k in cells:
             label = f"{name} length={length} k={k} q={q}"
             try:
-                comp = spectrum_vs_formula(length, k, q, _FORMS[name], limit)
+                comp = spectrum_vs_formula(length, k, q, FormKind(name), limit)
             except ArithmeticError as exc:  # a closed form that is not integral
                 problems = [f"closed form: {exc}"]
             else:
@@ -358,7 +345,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             else:
                 print(f"PASS {label}")
         if args.dump:
-            text = _records("csv", ("n", "k", "q", "form", "ell", "count"), dumped)
+            text = _render("csv", ("n", "k", "q", "form", "ell", "count"), dumped)
             (dump or sys.stdout).write(text)
     if failures:
         print(f"{len(failures)} of {len(cells)} cells failed; first: {failures[0]}")
@@ -369,23 +356,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # -- census ---------------------------------------------------------------------
 
+def _census_markdown(rows) -> list[tuple[object, ...]]:
+    return [
+        ("l", "ebits", "count", "exceptional"),
+        ("---:", "---:", "---:", ":---"),
+        *((ell, ebits, count, "yes" if exceptional else "no")
+          for ell, ebits, count, exceptional in rows),
+    ]
+
+
 def cmd_census(args: argparse.Namespace) -> int:
-    form = _FORMS[args.form]
+    form = FormKind(args.form)
     length = _ambient_length(form, args)
     if args.k < 0:
         raise BadRangeError(f"k must be non-negative, got {args.k}")
     rows = entanglement_census(length, args.k, args.q, form)
-    if args.format == "markdown":
-        sys.stdout.write(_markdown([
-            ("l", "ebits", "count", "exceptional"),
-            ("---:", "---:", "---:", ":---"),
-            *((row.ell, row.ebits, row.count, "yes" if row.exceptional else "no") for row in rows),
-        ]))
-    else:
-        records = [(row.ell, row.ebits, row.count, row.exceptional) for row in rows]
-        sys.stdout.write(
-            _records(args.format, ("ell", "ebits", "count", "exceptional"), records)
-        )
+    sys.stdout.write(_render(args.format, CensusRow._fields, rows, _census_markdown))
     return 0
 
 
@@ -412,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate one parameter cell")
-    p_eval.add_argument("--form", required=True, choices=sorted(_FORMS))
+    p_eval.add_argument("--form", required=True, choices=[f.value for f in FormKind])
     _add_cell_arguments(p_eval, with_ell=True)
     p_eval.add_argument("--work-limit", type=int, default=None,
                         help="subspace cap for euclidean enumeration")
@@ -426,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="enumeration sweep against the closed forms"
     )
     p_verify.add_argument("--form", action="append", dest="forms",
-                          choices=sorted(_FORMS),
+                          choices=[f.value for f in FormKind],
                           help="repeatable; default all three")
     p_verify.add_argument("--max-n", type=int, default=4,
                           help="largest euclidean/hermitian length")

@@ -124,13 +124,13 @@ def entanglement_census(
     """
     if form is FormKind.EUCLIDEAN:
         raise BadRangeError("no closed-form census for the euclidean form")
-    dims = hull_dims(form, length, k)
+    hull_dims(form, length, k)  # an odd symplectic length is refused first
     hermitian = form is FormKind.HERMITIAN
     if not 0 <= k <= length:
         name = "n" if hermitian else "2n"
         raise BadRangeError(f"need 0 <= k <= {name}, got k={k} {name}={length}")
     rows = []
-    for ell, count in zip(dims, closed_spectrum(form, length, k, q)):
+    for ell, count in closed_spectrum(form, length, k, q).items():
         seed = gjg_map(length, k, ell, q)[0] if hermitian else wilde_brun_map(length, k, ell, q)
         rows.append(CensusRow(ell, seed.c, count, COUNT_EXCEPTIONS[form](length, k, ell, q)))
     return rows

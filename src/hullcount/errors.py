@@ -1,8 +1,12 @@
 """Exception types shared across the package.
 
-Every error raised on purpose by this package derives from HullCountError,
-so callers can catch the whole family with one except clause. Most kinds
-also derive from ValueError because they flag bad argument values.
+Every error that flags a bad argument or an infeasible request derives
+from HullCountError, so callers can catch the whole family with one except
+clause; most kinds also derive from ValueError. A failed integrality or
+invariant check raises the builtin ArithmeticError instead (exact_count,
+closed_spectrum, classify_hermitian, the field build): it signals a wrong
+formula or a bug, not bad input, and verify reports it as a failed cell.
+FieldElem division by zero raises ZeroDivisionError, as numbers do.
 """
 
 

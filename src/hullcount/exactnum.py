@@ -1,9 +1,7 @@
 """Exact arithmetic primitives: big integers, reduced rationals, exact counts.
 
-Python ints are already arbitrary-precision and fractions.Fraction already
-keeps a canonical reduced form with exact comparisons, so ExactInt and
-ExactRat are aliases rather than wrappers. What this module adds is the
-counting-specific layer: `exact_count`, the one evaluator of every closed
+Python ints and fractions.Fraction serve as they are; what this module adds
+is the counting-specific layer: `exact_count`, the one evaluator of every closed
 count (Gaussian binomials, hermitian and symplectic hull counts),
 `exact_step`, the quotient of two such counts from only the factors they do
 not share, and prime-power decomposition for validating field orders.
@@ -24,9 +22,6 @@ from operator import add, sub
 from typing import Sequence
 
 from .errors import BadRangeError
-
-ExactInt = int
-ExactRat = Fraction
 
 # the base x of a factor range: q, q^2 or -q
 Q, Q2, NEG_Q = 1, 2, -1

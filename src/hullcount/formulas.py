@@ -37,7 +37,8 @@ b = n - k - l on the hermitian side and b = n - k0 - l on the symplectic,
 closed_step reads these quotients off the two cells' exact_count ranges
 (exactnum.exact_step), and closed_spectrum, the one evaluator of a whole
 spectrum, runs exact_count for the first l only and takes each later count
-from its predecessor by an exact division.
+from its predecessor by an exact division. It returns the counts keyed by
+l, the shape of the oracle's HullSpectrum.counts.
 """
 
 from __future__ import annotations
@@ -231,20 +232,21 @@ def closed_step(form: FormKind, length: int, k: int, ell: int, q: int) -> tuple[
     return exact_step(q, before, _spec(form, length, k, ell + dims.step, q))
 
 
-def closed_spectrum(form: FormKind, length: int, k: int, q: int) -> list[int]:
-    """closed_count of every l in hull_dims(form, length, k), in that order:
-    one exact_count for the first l, then count(l + step) =
-    count(l) * num / den by closed_step, where a nonzero remainder raises
-    ArithmeticError."""
+def closed_spectrum(form: FormKind, length: int, k: int, q: int) -> dict[int, int]:
+    """closed_count of every l in hull_dims(form, length, k), as a dict
+    from l to count in that order: one exact_count for the first l, then
+    count(l + step) = count(l) * num / den by closed_step, where a nonzero
+    remainder raises ArithmeticError."""
     _spec(form, length, k, 0, q)  # the cell's checks, also when dims is empty
     dims = hull_dims(form, length, k)
     if not dims:
-        return []
-    counts = [closed_count(form, length, k, dims.start, q)]
+        return {}
+    count = closed_count(form, length, k, dims.start, q)
+    counts = {dims.start: count}
     for ell in dims[:-1]:
         num, den = closed_step(form, length, k, ell, q)
-        count, rem = divmod(counts[-1] * num, den)
+        count, rem = divmod(count * num, den)
         if rem:
             raise ArithmeticError(f"non-integral step from l={ell} at q={q}")
-        counts.append(count)
+        counts[ell + dims.step] = count
     return counts

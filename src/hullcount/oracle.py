@@ -50,7 +50,7 @@ from .algebra import (
 )
 from .errors import BadRangeError, WorkLimitExceededError
 from .exactnum import gaussian_binomial, prime_power_parts
-from .formulas import closed_spectrum, hull_dims
+from .formulas import closed_spectrum
 
 DEFAULT_WORK_LIMIT = 10 ** 8
 RANK_MEMO_CAP = 4096  # most Gram keys one spectrum remembers hull dimensions for
@@ -249,10 +249,6 @@ class SpectrumCell(NamedTuple):
     oracle: int
     formula: int | None
 
-    @property
-    def ok(self) -> bool:
-        return self.formula is None or self.formula == self.oracle
-
 
 class SpectrumComparison(NamedTuple):
     """Per-hull-dimension diff between enumeration and closed form.
@@ -270,24 +266,15 @@ class SpectrumComparison(NamedTuple):
     expected_total: int
 
     @property
-    def sum_ok(self) -> bool:
-        return self.oracle_total == self.expected_total
-
-    @property
-    def cells_ok(self) -> bool:
-        return all(c.ok for c in self.cells)
-
-    @property
     def passed(self) -> bool:
-        return self.sum_ok and self.cells_ok
+        return self.first_failure() is None
 
     def first_failure(self) -> str | None:
+        """The first wrong cell, else a wrong total, else None."""
         for c in self.cells:
-            if not c.ok:
-                return (
-                    f"l={c.ell}: oracle {c.oracle} != formula {c.formula}"
-                )
-        if not self.sum_ok:
+            if c.formula is not None and c.formula != c.oracle:
+                return f"l={c.ell}: oracle {c.oracle} != formula {c.formula}"
+        if self.oracle_total != self.expected_total:
             return f"sum {self.oracle_total} != expected {self.expected_total}"
         return None
 
@@ -315,9 +302,7 @@ def spectrum_vs_formula(
     """
     field = field_for(form, q)
     spectrum = hull_spectrum(length, k, field, form, work_limit)
-    closed = {}
-    if form is not FormKind.EUCLIDEAN:
-        closed = dict(zip(hull_dims(form, length, k), closed_spectrum(form, length, k, q)))
+    closed = {} if form is FormKind.EUCLIDEAN else closed_spectrum(form, length, k, q)
     all_ells = sorted(set(spectrum.counts) | set(closed))
     cells = tuple(
         SpectrumCell(ell, spectrum.counts.get(ell, 0), closed.get(ell))

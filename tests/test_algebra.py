@@ -85,6 +85,8 @@ def test_construction_errors():
 def test_field_cache_and_lookup():
     assert make_field(2, 2) is F4
     assert field_of_order(9) is F9
+    # the default degree and an explicit 1 are one cache entry
+    assert make_field(2) is make_field(2, 1) is make_field(p=2, m=1) is field_of_order(2)
 
 
 def test_frobenius_on_f4():

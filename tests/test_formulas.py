@@ -155,7 +155,7 @@ def test_hermitian_table_rows():
     for (n, k, q), counts in HERMITIAN_TABLE.items():
         for ell, expected in enumerate(counts):
             assert count_hermitian(HermitianParams(n, k, ell, q)) == expected
-        assert closed_spectrum(FormKind.HERMITIAN, n, k, q) == list(counts)
+        assert closed_spectrum(FormKind.HERMITIAN, n, k, q) == dict(enumerate(counts))
 
 
 def test_symplectic_table_rows():
@@ -163,7 +163,8 @@ def test_symplectic_table_rows():
         for idx, expected in enumerate(counts):
             params = SymplecticParams(two_n, k, 2 * idx, q)
             assert count_symplectic(params) == expected
-        assert closed_spectrum(FormKind.SYMPLECTIC, two_n, k, q) == list(counts)
+        expected = {2 * idx: count for idx, count in enumerate(counts)}
+        assert closed_spectrum(FormKind.SYMPLECTIC, two_n, k, q) == expected
 
 
 def test_factor_product_clears_denominators_despite_fractional_steps():
@@ -360,7 +361,7 @@ def test_a_wrong_step_factor_is_caught(monkeypatch, mutation, raised):
             rejected += 1
             continue
         dims = hull_dims(form, length, k)
-        assert spectrum != [closed_count(form, length, k, ell, q) for ell in dims]
+        assert spectrum != {ell: closed_count(form, length, k, ell, q) for ell in dims}
     share = "none" if rejected == 0 else "all" if rejected == len(STEP_CELLS) else "some"
     assert share == raised
 
@@ -388,5 +389,5 @@ def test_closed_step_and_spectrum_check_their_cell():
         closed_spectrum(H, 6, 9, 6)
     with pytest.raises(BadRangeError, match="euclidean"):
         closed_spectrum(FormKind.EUCLIDEAN, 6, 3, 2)
-    assert closed_spectrum(H, 6, 9, 2) == closed_spectrum(S, 6, -1, 2) == []
-    assert closed_spectrum(S, 6, 3, 2) == [closed_count(S, 6, 3, ell, 2) for ell in (1, 3)]
+    assert closed_spectrum(H, 6, 9, 2) == closed_spectrum(S, 6, -1, 2) == {}
+    assert closed_spectrum(S, 6, 3, 2) == {ell: closed_count(S, 6, 3, ell, 2) for ell in (1, 3)}

@@ -427,6 +427,25 @@ def test_spectrum_vs_formula_euclidean_sum_only():
     assert comp.first_failure() is None
 
 
+@pytest.mark.parametrize(
+    "cells, totals, failure",
+    [
+        (((0, 40, 40), (1, 45, 46)), (85, 85), "l=1: oracle 45 != formula 46"),
+        (((0, 40, 40), (1, 45, 45)), (85, 86), "sum 85 != expected 86"),
+        # a wrong cell is named before a wrong total
+        (((0, 41, 40), (1, 45, 45)), (86, 85), "l=0: oracle 41 != formula 40"),
+        (((0, 40, 40), (1, 45, 45)), (85, 85), None),
+        (((0, 40, None), (1, 45, None)), (85, 85), None),
+    ],
+)
+def test_the_verdict_is_the_first_failure(cells, totals, failure):
+    comp = oracle.SpectrumComparison(
+        4, 1, 2, FormKind.HERMITIAN, tuple(oracle.SpectrumCell(*c) for c in cells), *totals
+    )
+    assert comp.first_failure() == failure
+    assert comp.passed is (failure is None)
+
+
 def test_spectra_csv_layout(tmp_path):
     path = tmp_path / "spectra.csv"
     code = cli.main(["verify", "--form", "hermitian", "--max-n", "4", "-q", "2",

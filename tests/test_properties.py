@@ -116,8 +116,9 @@ def test_closed_spectrum_matches_every_cell_and_the_naive_references(cell):
     naive = naive_count_hermitian if form is H else naive_count_symplectic
     dims = hull_dims(form, length, k)
     spectrum = closed_spectrum(form, length, k, q)
-    assert spectrum == [closed_count(form, length, k, ell, q) for ell in dims]
-    assert spectrum == [naive(length, k, ell, q) for ell in dims]
+    assert list(spectrum) == list(dims)
+    assert spectrum == {ell: closed_count(form, length, k, ell, q) for ell in dims}
+    assert spectrum == {ell: naive(length, k, ell, q) for ell in dims}
 
 
 @settings(max_examples=100, deadline=None)

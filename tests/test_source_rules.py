@@ -123,6 +123,17 @@ def _loops(tree: ast.AST):
                 yield gen.iter, body
 
 
+def _dims_names(func: ast.FunctionDef) -> set[str]:
+    """hull_dims and every name func binds to a hull_dims call."""
+    return {"hull_dims"} | {
+        target.id
+        for node in ast.walk(func)
+        if isinstance(node, ast.Assign) and _calls(node.value, "hull_dims")
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+
 def test_whole_spectra_have_one_evaluator():
     # a loop over hull_dims (or a name bound to it) that calls closed_count
     # builds every count from scratch; closed_spectrum steps from one count
@@ -133,19 +144,53 @@ def test_whole_spectra_have_one_evaluator():
         for func in ast.walk(tree):
             if not isinstance(func, ast.FunctionDef):
                 continue
-            dims_names = {"hull_dims"} | {
-                target.id
-                for node in ast.walk(func)
-                if isinstance(node, ast.Assign) and _calls(node.value, "hull_dims")
-                for target in node.targets
-                if isinstance(target, ast.Name)
-            }
+            dims_names = _dims_names(func)
             for iterated, body in _loops(func):
                 if _names(iterated) & dims_names and any(
                     _calls(part, "closed_count") for part in body
                 ):
                     found.append(f"{name}:{func.name}:{iterated.lineno}")
     assert found == []
+
+
+def test_closed_spectra_carry_their_own_labels():
+    # closed_spectrum keys its counts by l, so no caller zips hull_dims (or
+    # a name bound to it) with the counts to label them
+    found = [
+        f"{name}:{func.name}:{node.lineno}"
+        for name, tree in TREES.items()
+        if name != "formulas.py"
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and _calls(func, "closed_spectrum")
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "zip" and any(_names(arg) & _dims_names(func) for arg in node.args)
+    ]
+    assert found == []
+
+
+def test_the_cli_has_one_output_writer():
+    # _render is the one CSV, JSON and markdown writer; no command picks a
+    # format itself, and the forms are FormKind's own values
+    cli = TREES["cli.py"]
+    for writer in ("writer", "dumps"):
+        calls = [
+            node for node in ast.walk(cli)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == writer
+        ]
+        assert len(calls) == 1, writer
+    format_tests = [
+        f"{func.name}:{node.lineno}"
+        for func in ast.walk(cli)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(side, ast.Constant) and side.value in ("markdown", "json", "csv")
+                for side in (node.left, *node.comparators))
+    ]
+    assert [test.split(":")[0] for test in format_tests] == ["_render", "_render"]
+    assert _identifiers(cli) & {"_FORMS", "_records", "_markdown"} == set()
 
 
 def test_each_form_is_one_table_set_in_gram_kernel():
