@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -38,25 +37,12 @@ from .errors import (
     DegreeTooLargeError,
     NonPrimeError,
     NonSquareFieldError,
-    OddAmbientError,
     RankDeficientGeneratorError,
 )
 from .exactnum import is_prime, prime_power_parts
+from .formulas import FormKind, require_even_length
 
 MAX_FIELD_ORDER = 256
-
-
-class FormKind(Enum):
-    EUCLIDEAN = "euclidean"
-    HERMITIAN = "hermitian"
-    SYMPLECTIC = "symplectic"
-
-
-def require_even_length(length: int) -> None:
-    """The one odd-length check: the symplectic form pairs the two halves
-    of an ambient length 2n."""
-    if length % 2:
-        raise OddAmbientError(f"symplectic ambient length must be even, got {length}")
 
 
 # -- polynomial helpers on coefficient tuples (low degree first) --------------

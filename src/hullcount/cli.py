@@ -10,23 +10,22 @@ infeasible enumeration. The oracle work limit resolves from --work-limit,
 then the HULLCOUNT_WORK_LIMIT environment variable, then the package
 default. Table and census output is byte-stable across runs: plain decimal
 integers, no locale formatting, CSV rows terminated with CRLF.
+
+Each command imports the modules it uses when it runs, so a process that
+only prints a table never compiles the finite fields or the oracle.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
-import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import formulas
-from .algebra import FormKind, field_of_order, require_even_length
-from .eaqecc import CensusRow, entanglement_census
 from .errors import (
     BadRangeError,
     HullCountError,
@@ -35,21 +34,10 @@ from .errors import (
     WorkLimitExceededError,
 )
 from .exactnum import rat_str
-from .oracle import (
-    DEFAULT_WORK_LIMIT,
-    SpectrumComparison,
-    field_for,
-    hull_spectrum,
-    spectrum_vs_formula,
-    subspace_count,
-)
-from .ratios import (
-    COUNT_EXCEPTIONS,
-    RatioClassification,
-    comparison_rows,
-    in_euclidean_half_bound,
-    ratio_report,
-)
+from .formulas import FormKind, require_even_length
+
+if TYPE_CHECKING:
+    from .oracle import SpectrumComparison
 
 # reference grids: (length, k, q) per row, ambient length first
 HERMITIAN_TABLE_ROWS = [
@@ -67,6 +55,8 @@ SYMPLECTIC_TABLE_ROWS = [
 
 
 def _resolve_work_limit(flag: int | None) -> int:
+    from .oracle import DEFAULT_WORK_LIMIT
+
     if flag is not None:
         if flag <= 0:
             raise BadRangeError(f"work limit must be positive, got {flag}")
@@ -114,6 +104,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if k < 0 or ell < 0:
         raise BadRangeError(f"k and l must be non-negative, got k={k} l={ell}")
     if form is FormKind.EUCLIDEAN:
+        from .algebra import field_of_order
+        from .oracle import hull_spectrum
+
         limit = _resolve_work_limit(args.work_limit)
         spectrum = hull_spectrum(length, k, field_of_order(q), form, limit)
         count = spectrum.counts.get(ell, 0)
@@ -129,6 +122,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         f"q: {q}",
         f"count: {count}",
     ]
+    from .ratios import ratio_report
+
     try:
         report = ratio_report(form, length, k, ell, q)
     except (OutOfValidRangeError, ParityViolationError) as exc:
@@ -157,7 +152,11 @@ def _render(
     if fmt == "markdown":
         return "".join("| " + " | ".join(map(str, row)) + " |\n" for row in markdown(records))
     if fmt == "json":
+        import json
+
         return json.dumps([dict(zip(keys, record)) for record in records], indent=2) + "\n"
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(keys)
@@ -207,6 +206,8 @@ _COMPARISON_LABELS = (
 
 
 def _comparison_records() -> list[tuple[object, ...]]:
+    from .ratios import comparison_rows
+
     return [
         (
             row.form.value,
@@ -268,6 +269,13 @@ def _problems(comp: SpectrumComparison) -> list[str]:
     against ratio_report: the ratio identity, the exception family or the
     Euclidean half-bound regime, count against ratio monotonicity, and the
     alpha floor."""
+    from .ratios import (
+        COUNT_EXCEPTIONS,
+        RatioClassification,
+        in_euclidean_half_bound,
+        ratio_report,
+    )
+
     form, length, k, q = comp.form, comp.length, comp.k, comp.q
     counts = {cell.ell: cell.oracle for cell in comp.cells}
     dims = formulas.hull_dims(form, length, k)
@@ -301,6 +309,8 @@ def _problems(comp: SpectrumComparison) -> list[str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import field_for, spectrum_vs_formula, subspace_count
+
     # a repeated --form or -q names the same cells; check each once
     forms = list(dict.fromkeys(args.forms or ["hermitian", "symplectic", "euclidean"]))
     qs = list(dict.fromkeys(args.qs or [2]))
@@ -366,6 +376,8 @@ def _census_markdown(rows) -> list[tuple[object, ...]]:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
+    from .eaqecc import CensusRow, entanglement_census
+
     form = FormKind(args.form)
     length = _ambient_length(form, args)
     if args.k < 0:

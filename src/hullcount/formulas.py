@@ -23,8 +23,9 @@ dimensions share the parity of k, and with k0 = (k - l)/2:
 Each count is one call of exactnum.exact_count on these ranges, which also
 checks that the result is an integer. Out-of-range hull parameters count
 zero rather than raising, so spectrum sums can run over a full index range.
-hull_dims and closed_count hold the per-form conventions (which l exist, in
-which step, and which count answers them) for every caller.
+FormKind names the three forms, and hull_dims, require_even_length and
+closed_count hold the per-form conventions (which l exist, in which step,
+which lengths are allowed, and which count answers them) for every caller.
 
 Neighbouring counts of one spectrum differ by a few small factors. With
 b = n - k - l on the hermitian side and b = n - k0 - l on the symplectic,
@@ -43,12 +44,19 @@ l, the shape of the oracle's HullSpectrum.counts.
 
 from __future__ import annotations
 
+from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import FormKind, require_even_length
-from .errors import BadIndexError, BadRangeError
+from .errors import BadIndexError, BadRangeError, OddAmbientError
 from .exactnum import NEG_Q, Q, Q2, CountSpec, exact_count, exact_step, prime_power_parts
+
+
+class FormKind(Enum):
+    EUCLIDEAN = "euclidean"
+    HERMITIAN = "hermitian"
+    SYMPLECTIC = "symplectic"
+
 
 # FormKind's members as plain globals for the per-call checks: on CPython
 # 3.11 FormKind.X runs EnumType's __getattr__ hook, about 0.15 us a lookup
@@ -181,6 +189,13 @@ def count_symplectic(params: SymplecticParams) -> int:
     if ell not in hull_dims(SYMPLECTIC, two_n, k):
         return 0
     return exact_count(q, *_symplectic(two_n // 2, (k - ell) // 2, ell))
+
+
+def require_even_length(length: int) -> None:
+    """The one odd-length check: the symplectic form pairs the two halves
+    of an ambient length 2n."""
+    if length % 2:
+        raise OddAmbientError(f"symplectic ambient length must be even, got {length}")
 
 
 def hull_dims(form: FormKind, length: int, k: int) -> range:

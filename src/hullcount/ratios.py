@@ -32,9 +32,8 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .algebra import FieldElem, FormKind
 from .errors import (
     BadRangeError,
     BadRegimeError,
@@ -43,7 +42,10 @@ from .errors import (
     ParityViolationError,
 )
 from .exactnum import prime_power_parts
-from .formulas import EUCLIDEAN, HERMITIAN, SYMPLECTIC, closed_step, hull_dims
+from .formulas import EUCLIDEAN, HERMITIAN, SYMPLECTIC, FormKind, closed_step, hull_dims
+
+if TYPE_CHECKING:
+    from .algebra import FieldElem
 
 
 class RatioClassification(Enum):
@@ -65,7 +67,7 @@ def quadratic_character(x: FieldElem | int, q: int) -> int:
     Integer x is reduced into the prime subfield, so the computation never
     needs the extension field itself.
     """
-    if isinstance(x, FieldElem):
+    if not isinstance(x, int):
         field = x.field
         if field.p == 2:
             raise EvenCharacteristicError("quadratic character needs odd characteristic")

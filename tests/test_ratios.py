@@ -128,6 +128,14 @@ def test_quadratic_character_values():
         assert quadratic_character(e, 9) == expected
     with pytest.raises(EvenCharacteristicError):
         quadratic_character(1, 4)
+    # the field-element branch checks the element's own field
+    with pytest.raises(EvenCharacteristicError):
+        quadratic_character(make_field(2, 2).one, 4)
+    with pytest.raises(BadRangeError):
+        quadratic_character(f9.one, 3)
+    # a bool is an int, reduced into the prime field like any other
+    assert quadratic_character(True, 3) == 1
+    assert quadratic_character(False, 5) == 0
 
 
 def test_classify_hermitian_examples():

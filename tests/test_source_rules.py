@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hullcount
 
 SOURCES = sorted(Path(hullcount.__file__).parent.glob("*.py"))
@@ -43,21 +45,45 @@ def test_no_raise_assertion_error():
     assert found == []
 
 
-def test_cli_import_does_not_load_dataclasses():
-    # dataclasses pulls in inspect, ast, dis and tokenize, and building its
-    # classes execs generated methods: every CLI process would pay for it
+# the modules a table or a hermitian/symplectic eval has no use for: the
+# finite fields and the oracle, and dataclasses, which pulls in inspect, ast,
+# dis and tokenize and execs generated methods for every class it builds
+_HEAVY = ("hullcount.algebra", "hullcount.oracle")
+_CLI_UNUSED = (*_HEAVY, "hullcount.ratios", "hullcount.eaqecc", "json", "csv", "dataclasses")
+
+
+@pytest.mark.parametrize(
+    "statement, unwanted",
+    [
+        ("import hullcount", ("hullcount.",)),
+        ("import hullcount.cli", _CLI_UNUSED),
+        ("import hullcount.cli; hullcount.cli.main(['table', 'hermitian'])", _HEAVY),
+        (
+            "import hullcount.cli; hullcount.cli.main(['eval', '--form', 'hermitian',"
+            " '-n', '4', '-k', '2', '-l', '1', '-q', '2'])",
+            _HEAVY,
+        ),
+    ],
+    ids=["root", "cli", "table", "eval"],
+)
+def test_import_footprint(statement, unwanted):
+    # every CLI process compiles what it imports; a command loads only the
+    # modules it uses, and the package root loads none
     src = str(Path(hullcount.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
-        "import sys; bare = 'dataclasses' in sys.modules; import hullcount.cli; "
-        "print(bare, 'dataclasses' in sys.modules)"
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    {statement}\n"
+        "print(*sorted(set(sys.modules) - before))\n"
     )
-    out = subprocess.run(
+    loaded = subprocess.run(
         [sys.executable, "-c", script],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout.split()
-    assert out in (["False", "False"], ["True", "True"])
+    assert [name for name in loaded if name.startswith(unwanted)] == []
 
 
 def _names(node: ast.AST) -> set[str]:
