@@ -57,22 +57,19 @@ SYMPLECTIC_TABLE_ROWS = [
 def _resolve_work_limit(flag: int | None) -> int:
     from .oracle import DEFAULT_WORK_LIMIT
 
-    if flag is not None:
-        if flag <= 0:
-            raise BadRangeError(f"work limit must be positive, got {flag}")
-        return flag
-    env = os.environ.get("HULLCOUNT_WORK_LIMIT")
-    if env is not None:
+    name, value = "work limit", flag
+    if flag is None:
+        env = os.environ.get("HULLCOUNT_WORK_LIMIT")
+        if env is None:
+            return DEFAULT_WORK_LIMIT
+        name = "HULLCOUNT_WORK_LIMIT"
         try:
             value = int(env)
         except ValueError:
-            raise BadRangeError(
-                f"HULLCOUNT_WORK_LIMIT must be an integer, got {env!r}"
-            ) from None
-        if value <= 0:
-            raise BadRangeError(f"HULLCOUNT_WORK_LIMIT must be positive, got {value}")
-        return value
-    return DEFAULT_WORK_LIMIT
+            raise BadRangeError(f"{name} must be an integer, got {env!r}") from None
+    if value <= 0:
+        raise BadRangeError(f"{name} must be positive, got {value}")
+    return value
 
 
 def _ambient_length(form: FormKind, args: argparse.Namespace) -> int:

@@ -128,14 +128,6 @@ class SymplecticParams(ValidatedRecord, _SymplecticFields):
         prime_power_parts(q)
         return tuple.__new__(cls, (two_n, k, ell, q))
 
-    @property
-    def n_half(self) -> int:
-        return self.two_n // 2
-
-    @property
-    def k0(self) -> int:
-        return (self.k - self.ell) // 2
-
 
 def _hermitian(n: int, k0: int, ell: int) -> CountSpec:
     b = n - k0 - 2 * ell  # n - k - l
@@ -203,7 +195,7 @@ def hull_dims(form: FormKind, length: int, k: int) -> range:
     0..min(k, length-k) in steps of 1, or for the symplectic form (length
     2n) only the l of k's parity, in steps of 2. Every count, step, ratio
     and parameter map reads a cell's shape here: l is counted when it lies
-    in the range and has a successor when l + step lies in it too.
+    in the range and has a successor when it lies in hull_dims(...)[:-1].
     An odd symplectic length raises OddAmbientError."""
     top = length - k if 2 * k > length else k  # min(k, length - k), without the call
     if form is SYMPLECTIC:
@@ -239,7 +231,7 @@ def closed_step(form: FormKind, length: int, k: int, ell: int, q: int) -> tuple[
     hull_dims(form, length, k)."""
     before = _spec(form, length, k, ell, q)  # the cell's checks come first
     dims = hull_dims(form, length, k)
-    if not (ell in dims and ell + dims.step in dims):
+    if ell not in dims[:-1]:
         raise BadRangeError(
             f"no step from l={ell}: l and l+{dims.step} must both be hull dimensions "
             f"of length={length} k={k}"

@@ -36,7 +36,6 @@ by the kernel and ranked, and past the cap it is not remembered.
 from __future__ import annotations
 
 import itertools
-import math
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, NamedTuple
 
@@ -44,7 +43,6 @@ from .algebra import (
     FiniteField,
     FormKind,
     MatrixGF,
-    field_of_order,
     gram_kernel,
     make_field,
 )
@@ -145,11 +143,12 @@ def subspace_count(
     n: int, k: int, order: int, work_limit: int | None = DEFAULT_WORK_LIMIT
 ) -> int:
     """[n, k]_Q, the number of k-dimensional subspaces of F_Q^n for Q =
-    order: the one range and work-limit check, made before anything is
-    enumerated. work_limit None disables the limit."""
+    order, a prime power: the one range, order and work-limit check, made
+    before anything is enumerated. work_limit None disables the limit."""
     if n < 0 or not 0 <= k <= n:
         raise BadRangeError(f"need 0 <= k <= n, got n={n} k={k}")
     count = gaussian_binomial(n, k, order)
+    prime_power_parts(order)  # after gaussian_binomial's refusal of orders below 2
     if work_limit is not None and count > work_limit:
         raise WorkLimitExceededError(
             f"estimated {count} subspaces exceeds work limit {work_limit}"
@@ -194,13 +193,6 @@ class HullSpectrum(NamedTuple):
     @property
     def total(self) -> int:
         return sum(self.counts.values())
-
-    @property
-    def q(self) -> int:
-        """Reporting order: the subfield order for hermitian spectra."""
-        if self.form is FormKind.HERMITIAN:
-            return math.isqrt(self.field_order)
-        return self.field_order
 
 
 class _HullMemo(dict):
@@ -283,9 +275,7 @@ def field_for(form: FormKind, q: int) -> FiniteField:
     """The field a form's codes live in for the formula order q: F_{q^2}
     for the hermitian form, F_q otherwise."""
     p, e = prime_power_parts(q)
-    if form is FormKind.HERMITIAN:
-        return make_field(p, 2 * e)
-    return field_of_order(q)
+    return make_field(p, 2 * e if form is FormKind.HERMITIAN else e)
 
 
 def spectrum_vs_formula(

@@ -67,31 +67,23 @@ def quadratic_character(x: FieldElem | int, q: int) -> int:
     Integer x is reduced into the prime subfield, so the computation never
     needs the extension field itself.
     """
-    if not isinstance(x, int):
-        field = x.field
-        if field.p == 2:
-            raise EvenCharacteristicError("quadratic character needs odd characteristic")
-        if field.order != q:
-            raise BadRangeError(f"element of {field!r} against q={q}")
-        r = field.pow_code(x.code, (q - 1) // 2)
-        if r == 0:
-            return 0
-        return 1 if r == 1 else -1
-    p, _ = prime_power_parts(q)
+    field = None if isinstance(x, int) else x.field
+    p = prime_power_parts(q)[0] if field is None else field.p
     if p == 2:
         raise EvenCharacteristicError("quadratic character needs odd characteristic")
-    xm = x % p
-    if xm == 0:
-        return 0
-    r = pow(xm, (q - 1) // 2, p)
-    return 1 if r == 1 else -1
+    if field is None:
+        r = pow(x % p, (q - 1) // 2, p)
+    elif field.order != q:
+        raise BadRangeError(f"element of {field!r} against q={q}")
+    else:
+        r = field.pow_code(x.code, (q - 1) // 2)
+    return 0 if r == 0 else 1 if r == 1 else -1
 
 
 def alpha_hermitian(n: int, k: int, ell: int, q: int) -> Fraction:
     """Ratio factor with count_H(l) = alpha * (q^(l+1)-1) * count_H(l+1)."""
     prime_power_parts(q)
-    dims = hull_dims(HERMITIAN, n, k)
-    if not (ell in dims and ell + dims.step in dims):
+    if ell not in hull_dims(HERMITIAN, n, k)[:-1]:
         raise OutOfValidRangeError(
             f"alpha undefined outside l+1 <= k <= n-l-1, got n={n} k={k} l={ell}"
         )
@@ -108,7 +100,7 @@ def alpha_symplectic(two_n: int, k: int, ell: int, q: int) -> Fraction:
     dims = hull_dims(SYMPLECTIC, two_n, k)
     if (k - ell) % 2 != 0:
         raise ParityViolationError(f"k - l must be even, got k={k} l={ell}")
-    if not (ell in dims and ell + dims.step in dims):
+    if ell not in dims[:-1]:
         raise OutOfValidRangeError(
             f"alpha undefined outside l+2 <= k <= 2n-l-2, got 2n={two_n} k={k} l={ell}"
         )
@@ -128,38 +120,32 @@ def alpha_euclidean(n: int, k: int, ell: int, q: int) -> Fraction:
     prime_power_parts(q)
     if k < 1 or 2 * k > n:
         raise OutOfValidRangeError(f"need 1 <= k <= n/2, got n={n} k={k}")
-    dims = hull_dims(EUCLIDEAN, n, k)
-    if not (ell in dims and ell + dims.step in dims):
+    if ell not in hull_dims(EUCLIDEAN, n, k)[:-1]:
         raise OutOfValidRangeError(f"need 0 <= l <= k-1, got k={k} l={ell}")
     kl = k - ell
+    if n % 2 == 1:  # the same factor for odd and even q
+        t = q ** (n - k - ell if kl % 2 else kl)
+        return Fraction(t, t - 1)
     if q % 2 == 1:
-        if n % 2 == 0:
-            eta = quadratic_character((-1) ** (n // 2), q)
-            if kl % 2 == 1:
-                den = q ** (n // 2 - 1) + eta * q ** ell
-                if den == 0:
-                    raise OutOfValidRangeError(
-                        "no finite ratio: the hull-(l+1) count vanishes "
-                        f"(n={n} k={k} l={ell} q={q})"
-                    )
-                return Fraction(q ** (n // 2 - 1), den)
-            num = q ** (n // 2 - ell) * (q ** (n // 2 - ell) + eta)
-            den = (q ** (n - k - ell) - 1) * (q ** kl - 1)
-            return Fraction(num, den)
+        eta = quadratic_character((-1) ** (n // 2), q)
         if kl % 2 == 1:
-            return Fraction(q ** (n - k - ell), q ** (n - k - ell) - 1)
-        return Fraction(q ** kl, q ** kl - 1)
-    if n % 2 == 0:
-        if kl % 2 == 1:
-            t = q ** (n - ell - 1)
-            return Fraction(t, t - 1)
-        return Fraction(
-            q ** (n - ell) - 1,
-            q ** ell * (q ** (n - k - ell) - 1) * (q ** kl - 1),
-        )
+            den = q ** (n // 2 - 1) + eta * q ** ell
+            if den == 0:
+                raise OutOfValidRangeError(
+                    "no finite ratio: the hull-(l+1) count vanishes "
+                    f"(n={n} k={k} l={ell} q={q})"
+                )
+            return Fraction(q ** (n // 2 - 1), den)
+        num = q ** (n // 2 - ell) * (q ** (n // 2 - ell) + eta)
+        den = (q ** (n - k - ell) - 1) * (q ** kl - 1)
+        return Fraction(num, den)
     if kl % 2 == 1:
-        return Fraction(q ** (n - k - ell), q ** (n - k - ell) - 1)
-    return Fraction(q ** kl, q ** kl - 1)
+        t = q ** (n - ell - 1)
+        return Fraction(t, t - 1)
+    return Fraction(
+        q ** (n - ell) - 1,
+        q ** ell * (q ** (n - k - ell) - 1) * (q ** kl - 1),
+    )
 
 
 # -- classification -----------------------------------------------------------
@@ -306,6 +292,16 @@ class AsymptoticReport(NamedTuple):
     limit: Fraction
 
 
+def _check_asymptotic(regime: AsymptoticRegime, ell: int, q: int, a: int | None) -> None:
+    """The arguments both forms' limits share: l >= 0, a prime power q,
+    and no fixed a in the joint regime."""
+    if ell < 0 or q < 2:
+        raise BadRegimeError(f"need l >= 0 and q >= 2, got l={ell} q={q}")
+    prime_power_parts(q)
+    if regime is AsymptoticRegime.JOINT and a is not None:
+        raise BadRegimeError("joint regime takes no fixed a")
+
+
 def asymptotic_hermitian(
     regime: AsymptoticRegime, ell: int, q: int, a: int | None = None
 ) -> AsymptoticReport:
@@ -314,12 +310,8 @@ def asymptotic_hermitian(
     Boundary regime fixes a = k - l >= 1; the joint regime sends a and b
     to infinity together, giving (q^(2(l+1)) - 1)/q.
     """
-    if ell < 0 or q < 2:
-        raise BadRegimeError(f"need l >= 0 and q >= 2, got l={ell} q={q}")
-    prime_power_parts(q)
+    _check_asymptotic(regime, ell, q, a)
     if regime is AsymptoticRegime.JOINT:
-        if a is not None:
-            raise BadRegimeError("joint regime takes no fixed a")
         limit = Fraction(q ** (2 * (ell + 1)) - 1, q)
         return AsymptoticReport(FormKind.HERMITIAN, regime, ell, q, None, limit)
     if a is None or a < 1:
@@ -334,12 +326,8 @@ def asymptotic_symplectic(
 ) -> AsymptoticReport:
     """Limit of count(l)/count(l+2); boundary fixes even a = k - l >= 2,
     joint gives (q^(l+1) - 1)(q^(l+2) - 1)/q^2."""
-    if ell < 0 or q < 2:
-        raise BadRegimeError(f"need l >= 0 and q >= 2, got l={ell} q={q}")
-    prime_power_parts(q)
+    _check_asymptotic(regime, ell, q, a)
     if regime is AsymptoticRegime.JOINT:
-        if a is not None:
-            raise BadRegimeError("joint regime takes no fixed a")
         limit = Fraction((q ** (ell + 1) - 1) * (q ** (ell + 2) - 1), q * q)
         return AsymptoticReport(FormKind.SYMPLECTIC, regime, ell, q, None, limit)
     if a is None or a < 2 or a % 2 != 0:
@@ -364,15 +352,13 @@ class ComparisonRow(NamedTuple):
 def comparison_rows(q_values: Sequence[int] = (2, 3)) -> list[ComparisonRow]:
     """Side-by-side summary of the three forms: step size, alpha bounds,
     and the l = 0 joint count-ratio limit at each requested q."""
-    for q in q_values:
-        prime_power_parts(q)
-    euclid = MappingProxyType({q: Fraction(q * q - 1, q) for q in q_values})
-    herm = MappingProxyType({
+    herm = MappingProxyType({  # asymptotic_hermitian checks each q first
         q: asymptotic_hermitian(AsymptoticRegime.JOINT, 0, q).limit for q in q_values
     })
     sympl = MappingProxyType({
         q: asymptotic_symplectic(AsymptoticRegime.JOINT, 0, q).limit for q in q_values
     })
+    euclid = MappingProxyType({q: Fraction(q * q - 1, q) for q in q_values})
     return [
         ComparisonRow(
             FormKind.EUCLIDEAN,

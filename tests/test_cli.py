@@ -274,22 +274,30 @@ def test_work_limit_env_and_flag_precedence(capsys, monkeypatch):
     code, _, err = run(argv, capsys)
     assert code == 2
     assert "infeasible" in err
-    # explicit flag wins over the environment
-    code, out, _ = run(argv + ["--work-limit", "100"], capsys)
-    assert code == 0
-    assert "count: 20" in out
+    # explicit flag wins over the environment, which is then not parsed
+    for env in ("10", "abc", "-5"):
+        monkeypatch.setenv("HULLCOUNT_WORK_LIMIT", env)
+        code, out, err = run(argv + ["--work-limit", "100"], capsys)
+        assert (code, err) == (0, "")
+        assert "count: 20" in out
 
 
 def test_work_limit_env_validation(capsys, monkeypatch):
     argv = ["eval", "--form", "euclidean", "-n", "4", "-k", "2", "-l", "0",
             "-q", "2"]
     monkeypatch.setenv("HULLCOUNT_WORK_LIMIT", "abc")
-    code, _, err = run(argv, capsys)
-    assert code == 2
-    assert "HULLCOUNT_WORK_LIMIT" in err
+    assert run(argv, capsys) == (
+        2, "", "error: HULLCOUNT_WORK_LIMIT must be an integer, got 'abc'\n"
+    )
     monkeypatch.setenv("HULLCOUNT_WORK_LIMIT", "-5")
-    code, _, err = run(argv, capsys)
-    assert code == 2
+    assert run(argv, capsys) == (
+        2, "", "error: HULLCOUNT_WORK_LIMIT must be positive, got -5\n"
+    )
+    # the flag is checked the same way, under its own name
+    monkeypatch.delenv("HULLCOUNT_WORK_LIMIT")
+    assert run(argv + ["--work-limit", "0"], capsys) == (
+        2, "", "error: work limit must be positive, got 0\n"
+    )
 
 
 def test_verify_dump_to_file(tmp_path, capsys):

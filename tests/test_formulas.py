@@ -206,8 +206,8 @@ def _symplectic_printed_form(params: SymplecticParams) -> Fraction:
     """Mis-indexed variant of the symplectic count: the running index enters
     the numerator undoubled and the denominator doubled, which breaks the
     telescoping and stops the product from being an integer."""
-    q, ell, k0 = params.q, params.ell, params.k0
-    n = params.n_half
+    q, ell, k0 = params.q, params.ell, (params.k - params.ell) // 2
+    n = params.two_n // 2
     acc = Fraction(q ** (2 * k0 * (n - k0 - ell)))
     for m in range(1, ell + 1):
         acc *= Fraction(q ** (2 * (n - k0) - ell + m) - 1, q ** (2 * m) - 1)

@@ -300,6 +300,13 @@ def test_iterator_range_validation():
             hull_spectrum(n, k, F2, FormKind.EUCLIDEAN)
 
 
+def test_subspace_count_refuses_a_non_prime_power_order():
+    # no field F_6 or F_12 exists, so there is nothing to count
+    for order in (6, 12):
+        with pytest.raises(BadRangeError, match=rf"^q must be a prime power, got {order}$"):
+            subspace_count(4, 2, order)
+
+
 def test_work_limit_reports_estimate():
     with pytest.raises(WorkLimitExceededError) as err:
         subspace_count(10, 5, 4, work_limit=1000)
@@ -352,7 +359,6 @@ def test_enumerate_subspaces_checks_on_the_call(monkeypatch):
 def test_spectrum_hermitian_example():
     spectrum = hull_spectrum(4, 1, F4, FormKind.HERMITIAN)
     assert spectrum.counts == {0: 40, 1: 45}
-    assert spectrum.q == 2
     assert spectrum.field_order == 4
     spectrum = hull_spectrum(5, 2, F4, FormKind.HERMITIAN)
     assert spectrum.counts == {0: 3520, 1: 1980, 2: 297}
@@ -361,7 +367,7 @@ def test_spectrum_hermitian_example():
 def test_spectrum_symplectic_example():
     spectrum = hull_spectrum(4, 2, F2, FormKind.SYMPLECTIC)
     assert spectrum.counts == {0: 20, 2: 15}
-    assert spectrum.q == 2
+    assert spectrum.field_order == 2
 
 
 def test_full_space_has_zero_hull():

@@ -18,6 +18,7 @@ from hullcount.formulas import (
     HermitianParams,
     SymplecticParams,
     closed_count,
+    closed_spectrum,
     count_hermitian,
     count_symplectic,
     hull_dims,
@@ -301,6 +302,8 @@ def test_non_prime_power_q_rejected(q):
         asymptotic_hermitian(AsymptoticRegime.JOINT, 0, q)
     with pytest.raises(BadRangeError):
         asymptotic_symplectic(AsymptoticRegime.BOUNDARY_FIXED_A, 0, q, a=2)
+    with pytest.raises(BadRangeError, match=rf"^q must be a prime power, got {q}$"):
+        comparison_rows((2, q))
 
 
 def test_hermitian_ratio_converges_to_joint_limit():
@@ -335,6 +338,28 @@ def test_symplectic_ratio_converges_to_joint_limit():
                 if last is not None:
                     assert gap < last
                 last = gap
+
+
+@pytest.mark.parametrize(
+    "form, asymptotic, a_values, ambient",
+    [
+        (FormKind.HERMITIAN, asymptotic_hermitian, (1, 2, 3), lambda n: n),
+        (FormKind.SYMPLECTIC, asymptotic_symplectic, (2, 4), lambda n: 2 * n),
+    ],
+)
+def test_ratio_converges_to_boundary_limit(form, asymptotic, a_values, ambient):
+    # with a = k - l fixed, exact count ratios approach the boundary limit
+    # with strictly shrinking error as the length grows, on both parities
+    for q in (2, 3):
+        for ell in (0, 1):
+            for a in a_values:
+                limit = asymptotic(AsymptoticRegime.BOUNDARY_FIXED_A, ell, q, a=a).limit
+                gaps = []
+                for n in (10, 11, 12, 13, 20, 21):
+                    counts = closed_spectrum(form, ambient(n), ell + a, q)
+                    step = hull_dims(form, ambient(n), ell + a).step
+                    gaps.append(abs(Fraction(counts[ell], counts[ell + step]) - limit))
+                assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
 
 
 def test_comparison_rows():

@@ -284,6 +284,45 @@ def test_cell_shapes_are_read_from_hull_dims():
     assert not any("in_counting_range" in _names(tree) for tree in TREES.values())
 
 
+def _adds_a_step_to_ell(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+        and isinstance(node.left, ast.Name) and node.left.id == "ell"
+        and "step" in _names(node.right)
+    )
+
+
+def test_the_successor_test_has_one_spelling():
+    # l has a successor when it lies in hull_dims(...)[:-1]; no function
+    # adds the step to l and asks the range again
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+        and any(_adds_a_step_to_ell(side) for side in (node.left, *node.comparators))
+    ]
+    assert found == []
+    sites = {
+        "formulas.py": ("closed_step",),
+        "ratios.py": ("alpha_hermitian", "alpha_symplectic", "alpha_euclidean"),
+    }
+    for module, names in sites.items():
+        for name in names:
+            func = _function(module, name)
+            dims_names = _dims_names(func)
+            assert any(
+                isinstance(node, ast.Compare)
+                and isinstance(node.left, ast.Name) and node.left.id == "ell"
+                and isinstance(node.ops[0], (ast.In, ast.NotIn))
+                and isinstance(rest := node.comparators[0], ast.Subscript)
+                and ast.unparse(rest.slice) == ":-1"
+                and _names(rest.value) & dims_names
+                for node in ast.walk(func)
+            ), name
+
+
 def test_symplectic_lengths_are_checked_even_in_hull_dims():
     # an odd ambient length is refused by hull_dims (and the records); the
     # EAQECC maps and the census do not test it themselves
