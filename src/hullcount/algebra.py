@@ -43,6 +43,7 @@ from .exactnum import is_prime, prime_power_parts
 from .formulas import FormKind, require_even_length
 
 MAX_FIELD_ORDER = 256
+DELTA_MEMO_CAP = 4096  # most key changes one walker's memo of a (row, pairing table) remembers
 
 
 # -- polynomial helpers on coefficient tuples (low degree first) --------------
@@ -511,6 +512,23 @@ def _conj_mul_table(field: FiniteField) -> list[list[int]]:
     return [[row[c] for c in conj] for row in field.mul_table]
 
 
+class CappedMemo(dict):
+    """key -> build(key), built on the first lookup of a key and remembered
+    while the memo holds fewer than cap keys; past the cap a key it lacks
+    is built again on every lookup."""
+
+    def __init__(self, build: Callable[[int], int], cap: int):
+        super().__init__()
+        self.build = build
+        self.cap = cap
+
+    def __missing__(self, key: int) -> int:
+        value = self.build(key)
+        if len(self) < self.cap:
+            self[key] = value
+        return value
+
+
 class GramKernel(NamedTuple):
     """The raw-code Gram/rank kernel of one (field, form, length); see
     gram_kernel."""
@@ -531,8 +549,9 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     Euclidean: partner t, pair a*b, mirror the identity. Hermitian: partner
     t, pair a*conj(b), mirror conj. Symplectic: partner t +- n/2, pair a*b
     on the first half and -a*b on the second, mirror negation, and no
-    diagonal, since the form is alternating. gram_of and walk are the only
-    readers of the field's arithmetic, and they read only this table set.
+    diagonal, since the form is alternating. gram_of, the two walks and
+    delta are the only readers of the field's arithmetic, and they read
+    only this table set.
 
     gram_of maps k rows of element codes to their k x k Gram matrix,
     filling the upper triangle and mirroring it into the lower one.
@@ -546,20 +565,33 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     unpack(key) is the full k x k Gram matrix a key packs, the lower
     triangle through mirror. walk(rows, free, moves, hull, acc) does one
     pivot subset: it keys the Gram of rows, the subset's first generator,
-    and tallies acc[hull[key]] += 1. It then describes each free entry
-    (r, c) once: its row, its column and partner column, its pairing table
-    and, for every other row j, the shift of the key entry it shares with
-    row r and the map into that entry (mirror for j < r, whose entry is
-    g[j][r], else the identity). Each move (digit, old, new) sets
-    rows[r][c] = new for (r, c) = free[digit]; the change d = new - old
-    meets the partner column of each other row through pair[c][d], the
-    diagonal moves by diag[new] - diag[old], and those key entries are
-    updated in place. After every move, with rows already updated, it
-    tallies acc[hull[key]] += 1 again.
+    and tallies acc[hull[key]] += 1. In odd characteristic it then
+    describes each free entry (r, c) once: its row, its column and
+    partner column, its pairing table and, for every other row j, the
+    shift of the key entry it shares with row r and the map into that
+    entry (mirror for j < r, whose entry is g[j][r], else the identity).
+    Each move (digit, old, new) sets rows[r][c] = new for (r, c) =
+    free[digit]; the change d = new - old meets the partner column of
+    each other row through pair[c][d], the diagonal moves by diag[new] -
+    diag[old], and those key entries are updated in place. After every
+    move, with rows already updated, it tallies acc[hull[key]] += 1 again.
+
+    In characteristic 2 (field.p == 2, the only choice between the two
+    walks) addition is XOR on codes and mirror is additive, so a move
+    changes the key by one XOR, key ^= delta. delta depends only on the
+    row r, the pairing table of column c, the change dd = old ^ new and
+    the codes of the partner column pc, packed as one int col[pc] (row
+    j's code at bit bits * j; the walk keeps col current, col[c] ^= dd <<
+    bits * r). The diagonal term is read from slot r of that same int,
+    the entry before the move. delta is looked up, by dd << bits * k |
+    col[pc], in a memo per (row, pairing table) that lives for one
+    stepper: delta builds a key change it lacks from pair, mirror and
+    diag, and the memo remembers at most DELTA_MEMO_CAP of them.
 
     Built once per (field, form, n); the hermitian pairing table, once per
-    field (_conj_mul_table). The tables a walk adds are O(k^2) descriptors
-    and O(order) lists.
+    field (_conj_mul_table). The tables a walk adds are O(k^2) descriptors,
+    O(order) lists and, in characteristic 2, the column ints and at most
+    DELTA_MEMO_CAP key changes per (row, pairing table), built lazily.
     """
     mul = field.mul_table
     add = field.add_table
@@ -627,35 +659,82 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                 g[j][i] = mirror[s]
             return g
 
-        def walk(rows: RawRows, free: Sequence[tuple[int, int]],
-                 moves: Iterable[tuple[int, int, int]],
-                 hull: Mapping[int, int], acc: list[int]) -> None:
+        def key_of(rows: RawRows) -> int:
             g = gram_of(rows)
             key = 0
             for i, j, sh in cells:
                 key |= g[i][j] << sh
-            acc[hull[key]] += 1
-            digits = [
-                (
-                    rows[r], c, partner[c], pair[c], shift(r, r),
-                    [(rows[j], shift(j, r), mirror) for j in range(r)]
-                    + [(rows[j], shift(r, j), identity) for j in range(r + 1, k)],
-                )
-                for r, c in free
-            ]
-            for d, old, new in moves:
-                row, c, pc, pt, on_diagonal, others = digits[d]
-                row[c] = new
-                pd = pt[add[new][neg[old]]]
-                for other, sh, into in others:
-                    x = other[pc]
-                    if x:
-                        e = key >> sh & mask
-                        key ^= (e ^ add[e][into[pd[x]]]) << sh
-                if diag is not None:
-                    e = key >> on_diagonal & mask
-                    key ^= (e ^ add[e][add[diag[new]][neg[diag[old]]]]) << on_diagonal
+            return key
+
+        if field.p == 2:
+            top = bits * k
+            memos: dict[tuple[int, int], CappedMemo] = {}  # per (row, id of its pairing table)
+
+            def delta(r: int, pt: list[list[int]], m: int) -> int:
+                # the key change of a move in row r under pairing table pt,
+                # for m = dd << top | the partner column's codes, row j's
+                # at bit bits * j; the diagonal reads the old entry there
+                dd = m >> top
+                change = 0
+                for j in range(k):
+                    x = m >> bits * j & mask
+                    if j > r:
+                        change |= pt[dd][x] << shift(r, j)
+                    elif j < r:
+                        change |= mirror[pt[dd][x]] << shift(j, r)
+                    elif diag is not None:
+                        change |= (diag[x ^ dd] ^ diag[x]) << shift(r, r)
+                return change
+
+            def walk(rows: RawRows, free: Sequence[tuple[int, int]],
+                     moves: Iterable[tuple[int, int, int]],
+                     hull: Mapping[int, int], acc: list[int]) -> None:
+                key = key_of(rows)
                 acc[hull[key]] += 1
+                col = [sum(row[c] << bits * j for j, row in enumerate(rows)) for c in cols]
+                digits = []
+                for r, c in free:
+                    pt = pair[c]
+                    memo = memos.get((r, id(pt)))
+                    if memo is None:
+                        memo = memos[r, id(pt)] = CappedMemo(
+                            functools.partial(delta, r, pt), DELTA_MEMO_CAP
+                        )
+                    digits.append((rows[r], c, partner[c], bits * r, memo))
+                for d, old, new in moves:
+                    row, c, pc, sh, memo = digits[d]
+                    row[c] = new
+                    dd = old ^ new
+                    key ^= memo[dd << top | col[pc]]
+                    col[c] ^= dd << sh
+                    acc[hull[key]] += 1
+        else:
+            def walk(rows: RawRows, free: Sequence[tuple[int, int]],
+                     moves: Iterable[tuple[int, int, int]],
+                     hull: Mapping[int, int], acc: list[int]) -> None:
+                key = key_of(rows)
+                acc[hull[key]] += 1
+                digits = [
+                    (
+                        rows[r], c, partner[c], pair[c], shift(r, r),
+                        [(rows[j], shift(j, r), mirror) for j in range(r)]
+                        + [(rows[j], shift(r, j), identity) for j in range(r + 1, k)],
+                    )
+                    for r, c in free
+                ]
+                for d, old, new in moves:
+                    row, c, pc, pt, on_diagonal, others = digits[d]
+                    row[c] = new
+                    pd = pt[add[new][neg[old]]]
+                    for other, sh, into in others:
+                        x = other[pc]
+                        if x:
+                            e = key >> sh & mask
+                            key ^= (e ^ add[e][into[pd[x]]]) << sh
+                    if diag is not None:
+                        e = key >> on_diagonal & mask
+                        key ^= (e ^ add[e][add[diag[new]][neg[diag[old]]]]) << on_diagonal
+                    acc[hull[key]] += 1
 
         return unpack, walk
 

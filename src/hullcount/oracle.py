@@ -27,19 +27,26 @@ The spectrum loop never builds FieldElem or MatrixGF objects and keeps
 no Gram matrix: hull_spectrum hands each pivot subset to
 algebra.gram_kernel's walk, which keys the first generator's Gram as an
 int, updates the O(k) key entries each move touches and tallies the
-hull dimension looked up on the key. That lookup goes to a memo that
-lives for one spectrum, sees the key as an opaque int and holds at most
-RANK_MEMO_CAP entries; a key it lacks is unpacked into its Gram matrix
-by the kernel and ranked, and past the cap it is not remembered.
+hull dimension looked up on the key. In characteristic 2 (Q = 2, 4, 8,
+...) the walk instead changes the key by one XOR per move: the change
+depends only on the moved row, its pairing table, old ^ new and the
+partner column packed as one int, and it comes from a memo per (row,
+pairing table) that builds a change on a miss and remembers at most
+algebra.DELTA_MEMO_CAP of them. The hull lookup goes to an
+algebra.CappedMemo that lives for one spectrum, sees the key as an
+opaque int and holds at most RANK_MEMO_CAP entries; a key it lacks is
+unpacked into its Gram matrix by the kernel and ranked, and past the cap
+it is not remembered.
 """
 
 from __future__ import annotations
 
 import itertools
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .algebra import (
+    CappedMemo,
     FiniteField,
     FormKind,
     MatrixGF,
@@ -147,8 +154,8 @@ def subspace_count(
     before anything is enumerated. work_limit None disables the limit."""
     if n < 0 or not 0 <= k <= n:
         raise BadRangeError(f"need 0 <= k <= n, got n={n} k={k}")
+    prime_power_parts(order)
     count = gaussian_binomial(n, k, order)
-    prime_power_parts(order)  # after gaussian_binomial's refusal of orders below 2
     if work_limit is not None and count > work_limit:
         raise WorkLimitExceededError(
             f"estimated {count} subspaces exceeds work limit {work_limit}"
@@ -195,26 +202,6 @@ class HullSpectrum(NamedTuple):
         return sum(self.counts.values())
 
 
-class _HullMemo(dict):
-    """Gram key, an opaque int, -> hull dimension k - rank for one
-    spectrum. A key it lacks is unpacked by the kernel into its Gram matrix
-    and ranked, and remembered while the memo holds fewer than
-    RANK_MEMO_CAP keys."""
-
-    def __init__(self, k: int, rank_of: Callable[[Rows], int], unpack: Callable[[int], Rows]):
-        super().__init__()
-        self.k = k
-        self.rank_of = rank_of
-        self.unpack = unpack
-        self.cap = RANK_MEMO_CAP
-
-    def __missing__(self, key: int) -> int:
-        ell = self.k - self.rank_of(self.unpack(key))
-        if len(self) < self.cap:
-            self[key] = ell
-        return ell
-
-
 def hull_spectrum(
     n: int,
     k: int,
@@ -226,7 +213,7 @@ def hull_spectrum(
     subspace_count(n, k, field.order, work_limit)
     kernel = gram_kernel(field, form, n)
     unpack, walk = kernel.stepper(k)
-    memo = _HullMemo(k, kernel.rank_of, unpack)
+    memo = CappedMemo(lambda key: k - kernel.rank_of(unpack(key)), RANK_MEMO_CAP)
     acc = [0] * (k + 1)
     for rows, free, moves in _gray_blocks(n, k, field.order):
         walk(rows, free, moves, memo, acc)

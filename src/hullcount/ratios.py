@@ -295,8 +295,8 @@ class AsymptoticReport(NamedTuple):
 def _check_asymptotic(regime: AsymptoticRegime, ell: int, q: int, a: int | None) -> None:
     """The arguments both forms' limits share: l >= 0, a prime power q,
     and no fixed a in the joint regime."""
-    if ell < 0 or q < 2:
-        raise BadRegimeError(f"need l >= 0 and q >= 2, got l={ell} q={q}")
+    if ell < 0:
+        raise BadRegimeError(f"need l >= 0, got l={ell}")
     prime_power_parts(q)
     if regime is AsymptoticRegime.JOINT and a is not None:
         raise BadRegimeError("joint regime takes no fixed a")

@@ -1,12 +1,13 @@
 """Exhaustive-enumeration oracle: subspace iteration and hull spectra."""
 
+import collections
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hullcount import cli, oracle
+from hullcount import algebra, cli, oracle
 from hullcount.algebra import (
     FormKind,
     MatrixGF,
@@ -134,6 +135,11 @@ GRAM_CELLS = [
     (4, 2, 9, FormKind.HERMITIAN),
     (5, 2, 4, FormKind.EUCLIDEAN),
     (4, 3, 3, FormKind.EUCLIDEAN),
+    # characteristic 2: the walk changes the key by one XOR per move
+    (6, 3, 2, FormKind.SYMPLECTIC),
+    (6, 3, 2, FormKind.EUCLIDEAN),
+    (4, 2, 4, FormKind.HERMITIAN),
+    (4, 2, 8, FormKind.EUCLIDEAN),
 ]
 
 
@@ -230,17 +236,67 @@ def test_move_tables_stay_bounded(monkeypatch):
     assert held < 400_000  # about 200 KB
 
 
+MEMO_CELLS = [
+    (6, 3, F2, FormKind.SYMPLECTIC),
+    (5, 2, F3, FormKind.EUCLIDEAN),
+    (4, 2, F4, FormKind.HERMITIAN),
+    (4, 3, F4, FormKind.EUCLIDEAN),
+]
+
+
 def test_spectrum_unchanged_past_the_rank_memo_cap(monkeypatch):
-    cells = [
-        (6, 3, F2, FormKind.SYMPLECTIC),
-        (5, 2, F3, FormKind.EUCLIDEAN),
-        (4, 2, F4, FormKind.HERMITIAN),
-        (4, 3, F4, FormKind.EUCLIDEAN),
-    ]
-    expected = [hull_spectrum(*cell).counts for cell in cells]
+    expected = [hull_spectrum(*cell).counts for cell in MEMO_CELLS]
     for cap in (0, 1):
         monkeypatch.setattr(oracle, "RANK_MEMO_CAP", cap)
+        assert [hull_spectrum(*cell).counts for cell in MEMO_CELLS] == expected
+
+
+def test_spectrum_unchanged_past_the_delta_memo_cap(monkeypatch):
+    # the characteristic-2 walk builds each key change on a miss; past the
+    # cap it builds it again instead of remembering it
+    cells = [*MEMO_CELLS, (4, 2, make_field(2, 3), FormKind.SYMPLECTIC)]
+    expected = [hull_spectrum(*cell).counts for cell in cells]
+    for cap in (0, 1):
+        monkeypatch.setattr(algebra, "DELTA_MEMO_CAP", cap)
         assert [hull_spectrum(*cell).counts for cell in cells] == expected
+
+
+@pytest.mark.parametrize("order", [2, 4, 8])
+def test_characteristic_2_spectra_match_hull_dim_of_every_generator(order):
+    # hull_dim ranks a fresh Gram of each generator: a route with no walk,
+    # no key and no memo
+    field = field_of_order(order)
+    forms = [FormKind.EUCLIDEAN, FormKind.SYMPLECTIC]
+    if field.m % 2 == 0:
+        forms.append(FormKind.HERMITIAN)
+    for form in forms:
+        for n in range(1, 7):
+            if form is FormKind.SYMPLECTIC and n % 2:
+                continue
+            for k in range(1, n + 1):
+                if gaussian_binomial(n, k, order) > 5000:
+                    continue
+                tally = collections.Counter(
+                    algebra.hull_dim(mat, form) for mat in enumerate_subspaces(n, k, field)
+                )
+                assert hull_spectrum(n, k, field, form).counts == tally, (n, k, form)
+
+
+def test_the_benchmark_cells_keep_their_spectra():
+    # the six cells of bench's oracle_sweep, length/k/q with q the formula
+    # order: 541,688 subspaces, 273,141 of them in k = 2 cells
+    cells = {
+        (8, 4, 2, FormKind.SYMPLECTIC): {0: 91392, 2: 107100, 4: 2295},
+        (10, 2, 2, FormKind.EUCLIDEAN): {0: 87296, 1: 65280, 2: 21675},
+        (6, 2, 2, FormKind.HERMITIAN): {0: 59136, 1: 27720, 2: 6237},
+        (6, 3, 3, FormKind.SYMPLECTIC): {1: 32760, 3: 1120},
+        (6, 3, 3, FormKind.EUCLIDEAN): {0: 22680, 1: 10080, 2: 1120},
+        (5, 2, 4, FormKind.EUCLIDEAN): {0: 4352, 1: 1360, 2: 85},
+    }
+    for (length, k, q, form), counts in cells.items():
+        assert hull_spectrum(length, k, oracle.field_for(form, q), form).counts == counts
+    assert sum(sum(counts.values()) for counts in cells.values()) == 541_688
+    assert sum(sum(c.values()) for (_, k, _, _), c in cells.items() if k == 2) == 273_141
 
 
 def _naive_cells():

@@ -38,6 +38,7 @@ from hullcount.ratios import (
     quadratic_character,
     ratio_report,
 )
+from hullcount.oracle import subspace_count
 
 
 def test_alpha_hermitian_values():
@@ -282,6 +283,8 @@ def test_asymptotic_hermitian():
         asymptotic_hermitian(AsymptoticRegime.JOINT, 0, 2, a=3)
     with pytest.raises(BadRegimeError):
         asymptotic_hermitian(AsymptoticRegime.BOUNDARY_FIXED_A, 0, 2)
+    with pytest.raises(BadRegimeError, match=r"^need l >= 0, got l=-1$"):
+        asymptotic_hermitian(AsymptoticRegime.JOINT, -1, 2)
 
 
 def test_asymptotic_symplectic():
@@ -304,6 +307,22 @@ def test_non_prime_power_q_rejected(q):
         asymptotic_symplectic(AsymptoticRegime.BOUNDARY_FIXED_A, 0, q, a=2)
     with pytest.raises(BadRangeError, match=rf"^q must be a prime power, got {q}$"):
         comparison_rows((2, q))
+
+
+@pytest.mark.parametrize("q", [0, 1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q: asymptotic_hermitian(AsymptoticRegime.JOINT, 0, q),
+        lambda q: asymptotic_symplectic(AsymptoticRegime.JOINT, 0, q),
+        lambda q: subspace_count(4, 2, q),
+    ],
+    ids=["asymptotic_hermitian", "asymptotic_symplectic", "subspace_count"],
+)
+def test_orders_below_two_are_not_prime_powers(call, q):
+    # prime_power_parts is the one q check, with one message for every q
+    with pytest.raises(BadRangeError, match=rf"^q must be a prime power, got {q}$"):
+        call(q)
 
 
 def test_hermitian_ratio_converges_to_joint_limit():

@@ -221,7 +221,8 @@ def test_the_cli_has_one_output_writer():
 
 def test_each_form_is_one_table_set_in_gram_kernel():
     # the per-form conventions live in the table setup of gram_kernel; the
-    # one gram_of and the one walk are the only functions doing field
+    # one gram_of, the walk of each characteristic and the builder of the
+    # characteristic-2 key changes are the only functions doing field
     # arithmetic there, and they only read the tables
     defs = [
         node for node in ast.walk(TREES["algebra.py"])
@@ -229,13 +230,13 @@ def test_each_form_is_one_table_set_in_gram_kernel():
     ]
     assert [node.name for node in defs].count("gram_of") == 1
     kernel = next(node for node in defs if node.name == "gram_kernel")
-    arithmetic = {"add", "neg", "mul", "diag"}
+    arithmetic = {"add", "neg", "mul", "diag", "pair"}
     readers = [
         node for node in ast.walk(kernel)
         if isinstance(node, ast.FunctionDef) and node is not kernel
         and _own_names(node) & arithmetic
     ]
-    assert sorted(node.name for node in readers) == ["gram_of", "walk"]
+    assert sorted(node.name for node in readers) == ["delta", "gram_of", "walk", "walk"]
     assert [node.name for node in readers if "FormKind" in _names(node)] == []
     # one update body: no per-state step is left beside walk
     steps = [
@@ -375,6 +376,13 @@ def test_the_oracle_hands_each_pivot_subset_to_one_walk():
     ]
     assert [name.id for name in returned.elts] == ["unpack", "walk"]
     assert "GramWalker" not in _identifiers(TREES["algebra.py"])
+    # the walk is chosen on the field's characteristic alone: one walk per
+    # branch, and no option or environment variable picks one
+    [choice] = [node for node in stepper.body if isinstance(node, ast.If)]
+    assert ast.unparse(choice.test) == "field.p == 2"
+    for branch in (choice.body, choice.orelse):
+        assert [node.name for node in branch if isinstance(node, ast.FunctionDef)][-1] == "walk"
+    assert {"environ", "getenv"} & _names(TREES["algebra.py"]) == set()
     spectrum = _function("oracle.py", "hull_spectrum")
     [loop] = [node for node in ast.walk(spectrum) if isinstance(node, ast.For)]
     assert _calls(loop.iter, "_gray_blocks")
