@@ -668,7 +668,6 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
 
         if field.p == 2:
             top = bits * k
-            memos: dict[tuple[int, int], CappedMemo] = {}  # per (row, id of its pairing table)
 
             def delta(r: int, pt: list[list[int]], m: int) -> int:
                 # the key change of a move in row r under pairing table pt,
@@ -686,6 +685,8 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                         change |= (diag[x ^ dd] ^ diag[x]) << shift(r, r)
                 return change
 
+            memos: dict[tuple[int, int], CappedMemo] = {}  # per (row, id of a pairing table)
+
             def walk(rows: RawRows, free: Sequence[tuple[int, int]],
                      moves: Iterable[tuple[int, int, int]],
                      hull: Mapping[int, int], acc: list[int]) -> None:
@@ -695,12 +696,10 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                 digits = []
                 for r, c in free:
                     pt = pair[c]
-                    memo = memos.get((r, id(pt)))
-                    if memo is None:
-                        memo = memos[r, id(pt)] = CappedMemo(
-                            functools.partial(delta, r, pt), DELTA_MEMO_CAP
-                        )
-                    digits.append((rows[r], c, partner[c], bits * r, memo))
+                    if (r, id(pt)) not in memos:
+                        build = functools.partial(delta, r, pt)
+                        memos[r, id(pt)] = CappedMemo(build, DELTA_MEMO_CAP)
+                    digits.append((rows[r], c, partner[c], bits * r, memos[r, id(pt)]))
                 for d, old, new in moves:
                     row, c, pc, sh, memo = digits[d]
                     row[c] = new
