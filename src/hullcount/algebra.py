@@ -43,7 +43,7 @@ from .exactnum import is_prime, prime_power_parts
 from .formulas import FormKind, require_even_length
 
 MAX_FIELD_ORDER = 256
-DELTA_MEMO_CAP = 4096  # most key changes one walker's memo of a (row, pairing table) remembers
+DELTA_MEMO_CAP = 4096  # most keys a delta memo may have for the XOR walk to run
 
 
 # -- polynomial helpers on coefficient tuples (low degree first) --------------
@@ -565,8 +565,8 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     unpack(key) is the full k x k Gram matrix a key packs, the lower
     triangle through mirror. walk(rows, free, moves, hull, acc) does one
     pivot subset: it keys the Gram of rows, the subset's first generator,
-    and tallies acc[hull[key]] += 1. In odd characteristic it then
-    describes each free entry (r, c) once: its row, its column and
+    and tallies acc[hull[key]] += 1. The per-entry walk then describes
+    each free entry (r, c) once: its row, its column and
     partner column, its pairing table and, for every other row j, the
     shift of the key entry it shares with row r and the map into that
     entry (mirror for j < r, whose entry is g[j][r], else the identity).
@@ -576,21 +576,27 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     diag[old], and those key entries are updated in place. After every
     move, with rows already updated, it tallies acc[hull[key]] += 1 again.
 
-    In characteristic 2 (field.p == 2, the only choice between the two
-    walks) addition is XOR on codes and mirror is additive, so a move
-    changes the key by one XOR, key ^= delta. delta depends only on the
-    row r, the pairing table of column c, the change dd = old ^ new and
-    the codes of the partner column pc, packed as one int col[pc] (row
-    j's code at bit bits * j; the walk keeps col current, col[c] ^= dd <<
-    bits * r). The diagonal term is read from slot r of that same int,
-    the entry before the move. delta is looked up, by dd << bits * k |
-    col[pc], in a memo per (row, pairing table) that lives for one
-    stepper: delta builds a key change it lacks from pair, mirror and
-    diag, and the memo remembers at most DELTA_MEMO_CAP of them.
+    In characteristic 2 addition is XOR on codes and mirror is additive,
+    so a move can change the key by one XOR, key ^= delta. delta depends
+    only on the row r, the pairing table of column c, the change dd = old
+    ^ new and the codes of the partner column pc, packed as one int
+    col[pc] (row j's code at bit bits * j; the walk keeps col current,
+    col[c] ^= dd << bits * r). The diagonal term is read from slot r of
+    that same int, the entry before the move; where the diagonal does not
+    count, slot r is masked out. delta is looked up, by dd << bits * k |
+    col[pc], in a memo per (row, pairing table) that lives for one stepper
+    and builds a key change it lacks from pair, mirror and diag. A move
+    changes slots key entries (k with the diagonal, else k - 1), and a
+    memo has at most (order - 1) * order**slots keys. The XOR walk runs
+    where field.p == 2, slots >= 2 and those keys fit DELTA_MEMO_CAP, so
+    its lookups all hit once a memo is warm; elsewhere, and in odd
+    characteristic, the per-entry walk runs. (One lookup costs about as
+    much as updating one entry, so with one entry a move the XOR walk
+    does not pay.) Both walks tally the same spectra.
 
     Built once per (field, form, n); the hermitian pairing table, once per
     field (_conj_mul_table). The tables a walk adds are O(k^2) descriptors,
-    O(order) lists and, in characteristic 2, the column ints and at most
+    O(order) lists and, in the XOR walk, the column ints and at most
     DELTA_MEMO_CAP key changes per (row, pairing table), built lazily.
     """
     mul = field.mul_table
@@ -604,8 +610,10 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
         require_even_length(n)
         half = n // 2
         partner = [*range(half, n), *range(half)]
-        # -a*b = (-a)*b: the second half's table is mul's rows, reordered
-        pair = [mul] * half + [[mul[a] for a in neg]] * half
+        # -a*b = (-a)*b: the second half's table is mul's rows, reordered,
+        # or mul itself where negation is the identity, so that both halves
+        # share the XOR walk's delta memos
+        pair = [mul] * half + [mul if neg == identity else [mul[a] for a in neg]] * half
         mirror = neg
         diag = None
     else:
@@ -666,23 +674,35 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                 key |= g[i][j] << sh
             return key
 
-        if field.p == 2:
+        # for row r, each other row j, the shift of the key entry they share
+        # and the map into it: mirror for j < r, whose entry is g[j][r]
+        shared = [
+            [(j, shift(j, r), mirror) for j in range(r)]
+            + [(j, shift(r, j), identity) for j in range(r + 1, k)]
+            for r in range(k)
+        ]
+        # the key entries one move changes: the other rows' and, where it
+        # counts (first == 0), the diagonal; a delta memo's keys are dd != 0
+        # and the partner column's codes in those rows
+        slots = k - first
+        keys = (field.order - 1) * field.order ** slots
+
+        if field.p == 2 and 2 <= slots and keys <= DELTA_MEMO_CAP:
             top = bits * k
+            every = (1 << top) - 1  # the partner column's codes, all rows
 
             def delta(r: int, pt: list[list[int]], m: int) -> int:
                 # the key change of a move in row r under pairing table pt,
                 # for m = dd << top | the partner column's codes, row j's
                 # at bit bits * j; the diagonal reads the old entry there
                 dd = m >> top
+                pd = pt[dd]
                 change = 0
-                for j in range(k):
-                    x = m >> bits * j & mask
-                    if j > r:
-                        change |= pt[dd][x] << shift(r, j)
-                    elif j < r:
-                        change |= mirror[pt[dd][x]] << shift(j, r)
-                    elif diag is not None:
-                        change |= (diag[x ^ dd] ^ diag[x]) << shift(r, r)
+                for j, sh, into in shared[r]:
+                    change |= into[pd[m >> bits * j & mask]] << sh
+                if diag is not None:
+                    x = m >> bits * r & mask
+                    change |= (diag[x ^ dd] ^ diag[x]) << shift(r, r)
                 return change
 
             memos: dict[tuple[int, int], CappedMemo] = {}  # per (row, id of a pairing table)
@@ -699,12 +719,13 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                     if (r, id(pt)) not in memos:
                         build = functools.partial(delta, r, pt)
                         memos[r, id(pt)] = CappedMemo(build, DELTA_MEMO_CAP)
-                    digits.append((rows[r], c, partner[c], bits * r, memos[r, id(pt)]))
+                    keep = every if diag is not None else every ^ mask << bits * r
+                    digits.append((rows[r], c, partner[c], bits * r, keep, memos[r, id(pt)]))
                 for d, old, new in moves:
-                    row, c, pc, sh, memo = digits[d]
+                    row, c, pc, sh, keep, memo = digits[d]
                     row[c] = new
                     dd = old ^ new
-                    key ^= memo[dd << top | col[pc]]
+                    key ^= memo[dd << top | col[pc] & keep]
                     col[c] ^= dd << sh
                     acc[hull[key]] += 1
         else:
@@ -716,8 +737,7 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                 digits = [
                     (
                         rows[r], c, partner[c], pair[c], shift(r, r),
-                        [(rows[j], shift(j, r), mirror) for j in range(r)]
-                        + [(rows[j], shift(r, j), identity) for j in range(r + 1, k)],
+                        [(rows[j], sh, into) for j, sh, into in shared[r]],
                     )
                     for r, c in free
                 ]

@@ -28,11 +28,13 @@ no Gram matrix: hull_spectrum hands each pivot subset to
 algebra.gram_kernel's walk, which keys the first generator's Gram as an
 int, updates the O(k) key entries each move touches and tallies the
 hull dimension looked up on the key. In characteristic 2 (Q = 2, 4, 8,
-...) the walk instead changes the key by one XOR per move: the change
+...) the walk may instead change the key by one XOR per move: the change
 depends only on the moved row, its pairing table, old ^ new and the
 partner column packed as one int, and it comes from a memo per (row,
-pairing table) that builds a change on a miss and remembers at most
-algebra.DELTA_MEMO_CAP of them. The hull lookup goes to an
+pairing table) that builds a change on a miss. The kernel takes that
+walk where a move changes at least two key entries and every key such a
+memo can meet fits algebra.DELTA_MEMO_CAP, and the per-entry walk
+elsewhere. The hull lookup goes to an
 algebra.CappedMemo that lives for one spectrum, sees the key as an
 opaque int and holds at most RANK_MEMO_CAP entries; a key it lacks is
 unpacked into its Gram matrix by the kernel and ranked, and past the cap

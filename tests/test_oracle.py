@@ -251,12 +251,19 @@ def test_spectrum_unchanged_past_the_rank_memo_cap(monkeypatch):
         assert [hull_spectrum(*cell).counts for cell in MEMO_CELLS] == expected
 
 
-def test_spectrum_unchanged_past_the_delta_memo_cap(monkeypatch):
-    # the characteristic-2 walk builds each key change on a miss; past the
-    # cap it builds it again instead of remembering it
-    cells = [*MEMO_CELLS, (4, 2, make_field(2, 3), FormKind.SYMPLECTIC)]
+def test_both_walks_give_the_same_spectra(monkeypatch):
+    # a characteristic-2 cell takes the XOR walk where a delta memo's keys
+    # fit DELTA_MEMO_CAP: at cap 0 or 1 every cell takes the per-entry
+    # walk, and at a huge cap the XOR walk runs past 4096 keys too, as in
+    # the last two cells (28,672 and 258,048 keys)
+    cells = [
+        *MEMO_CELLS,
+        (4, 2, make_field(2, 3), FormKind.SYMPLECTIC),
+        (5, 4, make_field(2, 3), FormKind.EUCLIDEAN),
+        (3, 2, make_field(2, 6), FormKind.HERMITIAN),
+    ]
     expected = [hull_spectrum(*cell).counts for cell in cells]
-    for cap in (0, 1):
+    for cap in (0, 1, 10 ** 9):
         monkeypatch.setattr(algebra, "DELTA_MEMO_CAP", cap)
         assert [hull_spectrum(*cell).counts for cell in cells] == expected
 

@@ -376,10 +376,12 @@ def test_the_oracle_hands_each_pivot_subset_to_one_walk():
     ]
     assert [name.id for name in returned.elts] == ["unpack", "walk"]
     assert "GramWalker" not in _identifiers(TREES["algebra.py"])
-    # the walk is chosen on the field's characteristic alone: one walk per
-    # branch, and no option or environment variable picks one
+    # the walk is chosen on what the kernel sees, the field's characteristic
+    # and the key entries a move changes against the delta memo's bound:
+    # one walk per branch, and no option or environment variable picks one
     [choice] = [node for node in stepper.body if isinstance(node, ast.If)]
-    assert ast.unparse(choice.test) == "field.p == 2"
+    assert ast.unparse(choice.test).startswith("field.p == 2 and ")
+    assert _names(choice.test) == {"field", "p", "slots", "keys", "DELTA_MEMO_CAP"}
     for branch in (choice.body, choice.orelse):
         assert [node.name for node in branch if isinstance(node, ast.FunctionDef)][-1] == "walk"
     assert {"environ", "getenv"} & _names(TREES["algebra.py"]) == set()
