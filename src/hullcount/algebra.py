@@ -771,7 +771,9 @@ def hull_dim(generator: MatrixGF, form: FormKind) -> int:
     """dim(C intersect C^perp) = k - rank(Gram) for a full-row-rank generator."""
     kernel = gram_kernel(generator.field, form, generator.cols)
     k = generator.rows
-    rank = kernel.rank_of(generator.to_lists())
+    rows = generator.to_lists()
+    gram = kernel.gram_of(rows)  # before rank_of reduces the rows in place
+    rank = kernel.rank_of(rows)
     if rank != k:
         raise RankDeficientGeneratorError(f"generator has rank {rank} < {k} rows")
-    return k - kernel.rank_of(kernel.gram_of(generator.to_lists()))
+    return k - kernel.rank_of(gram)

@@ -11,13 +11,18 @@ ranges of m, with x one of q, q^2 and -q. Since q^m - 1 = prod_{d | m}
 Phi_d(q), such a quotient is prod_t Phi_t(q)^(e_t), and each e_t is a sum
 of floor differences; the count is an integer polynomial in q exactly when
 no e_t is negative. Large counts are multiplied out from the Phi_t(q) with
-a balanced product tree, so no big-integer division is done (CPython's is
-quadratic). Small counts take one exact divmod of the two products, which
-is faster there.
+a balanced product tree, split where the bit lengths reach half, so no
+big-integer division is done (CPython's is quadratic) and each big multiply
+has operands of about equal size; q^e joins the tree as one factor, or is a
+shift when q is a power of two. Small counts take one exact divmod of the
+two products, which is faster there.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from math import prod
 from operator import add, sub
 from typing import Sequence
 
@@ -27,15 +32,22 @@ from .errors import BadRangeError
 Q, Q2, NEG_Q = 1, 2, -1
 FactorRange = tuple[int, int, int]  # (x, lo, hi): prod_{m=lo..hi} |x^m - 1|
 
-# Counts whose largest range end is at most this take the divmod path. The
-# two paths tie near 80 on whole hermitian and symplectic spectra (n = 64 to
-# 128, q in {2, ..., 9}, warm Phi cache, CPython 3.11); below it divmod is up
-# to 3x faster, at n = 128 the product tree is 2x faster.
+# Counts whose largest range end is at most this take the divmod path.
+# Timed at ends 48 to 128, q in {2, ..., 9}, warm Phi cache, CPython 3.11:
+# whole hermitian and symplectic spectra tie between 64 and 80; single
+# counts tie near 64 on the mean over q, but at q = 2 divmod is faster up to
+# about 100 (1.4x at 80). At 48 divmod is up to 2.9x faster, at 128 the
+# product tree up to 3.7x.
 DIVMOD_MAX_TOP = 80
 # Phi_t(q) values kept between calls, one list per q indexed by t, at most
 # this many values in all; a whole n = 1000 spectrum at one q needs t up to
 # 2000.
 PHI_CACHE_SIZE = 4096
+# _product folds a run of factors of at most this many bits in all with
+# math.prod, and splits a longer run in two. 1024 to 4096 time alike on
+# counts at n = 81 to 1000; 0 makes those near n = 100 1.5x slower, 8192
+# 1.2x.
+LEAF_BITS = 2048
 _phi_cache: dict[int, list[int]] = {}
 
 
@@ -112,13 +124,22 @@ def _phis(q: int, top: int) -> list[int]:
 
 
 def _product(factors: list[int]) -> int:
-    """Product by a balanced tree, so the big multiplies have equal sizes."""
-    while len(factors) > 1:
-        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
-        if len(factors) % 2:
-            paired.append(factors[-1])
-        factors = paired
-    return factors[0] if factors else 1
+    """Product by a tree balanced by bit length: each run of factors is cut
+    where its running bit length passes half its total, so the two halves
+    multiplied have about equal sizes; a run of at most LEAF_BITS bits in
+    all is folded by math.prod."""
+    ends = list(accumulate(map(int.bit_length, factors), initial=0))
+    return _subproduct(factors, ends, 0, len(factors))
+
+
+def _subproduct(factors: list[int], ends: list[int], lo: int, hi: int) -> int:
+    """The product of factors[lo:hi], where ends[i] is the bit length of
+    factors[:i] summed. A module-level function, not a nested one: a nested
+    function that calls itself is a reference cycle holding the factors."""
+    if hi - lo < 2 or ends[hi] - ends[lo] <= LEAF_BITS:
+        return prod(factors[lo:hi])
+    mid = bisect_left(ends, (ends[lo] + ends[hi]) // 2, lo + 1, hi - 1)
+    return _subproduct(factors, ends, lo, mid) * _subproduct(factors, ends, mid, hi)
 
 
 def exact_count(
@@ -154,10 +175,10 @@ def exact_count(
         t = exps.index(min(exps))
         raise ArithmeticError(f"non-integral count at q={q}: Phi_{t}(q) left in the denominator")
     phis = _phis(q, max((t for t, e in enumerate(exps) if e), default=0))
-    # the list is not kept here, so the tree frees each level as it goes
-    return _product(
-        [phis[t] if e == 1 else phis[t] ** e for t, e in enumerate(exps) if e] + [q ** q_exp]
-    )
+    factors = [phis[t] if e == 1 else phis[t] ** e for t, e in enumerate(exps) if e]
+    if q & (q - 1):
+        return _product(factors + [q ** q_exp])
+    return _product(factors) << q_exp * (q.bit_length() - 1)  # q = 2^j
 
 
 # exact_count's arguments after q: (q_exp, up, down)

@@ -249,9 +249,9 @@ def ratio_report(form: FormKind, length: int, k: int, ell: int, q: int) -> Ratio
         and ell == k - 1
         and in_euclidean_half_bound(length, k, ell, q)
     )
-    full = alpha * cof
+    num, den = alpha.numerator * cof, alpha.denominator  # cof and den are positive
     step = 2 if form is FormKind.SYMPLECTIC else 1
-    return RatioReport(form, step, alpha, cof, full, cls, full > 1, equality)
+    return RatioReport(form, step, alpha, cof, Fraction(num, den), cls, num > den, equality)
 
 
 def classify_hermitian(n: int, k: int, ell: int, q: int) -> HermitianClassification:

@@ -1,8 +1,13 @@
 """Gaussian binomials, the exact count evaluator and the arithmetic helpers."""
 
+import gc
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hullcount import exactnum
 from hullcount.algebra import FormKind
@@ -18,7 +23,7 @@ from hullcount.exactnum import (
     prime_power_parts,
     rat_str,
 )
-from hullcount.formulas import closed_count, closed_spectrum, hull_dims
+from hullcount.formulas import SymplecticParams, closed_count, closed_spectrum, count_symplectic, hull_dims
 
 from naive_counts import naive_gaussian_binomial
 
@@ -110,7 +115,7 @@ def test_exact_count_rejects_non_integral_specs(monkeypatch, divmod_max_top):
 def test_spectra_do_not_depend_on_the_path(monkeypatch, divmod_max_top):
     cells = [
         (form, length, k, q)
-        for q in (2, 3, 4)
+        for q in (2, 3, 4, 5, 8, 9)  # q = 2, 4, 8 take a shift for q^e
         for form, length, k in (
             (FormKind.HERMITIAN, 30, 12),
             (FormKind.HERMITIAN, 90, 45),
@@ -130,6 +135,43 @@ def test_spectra_do_not_depend_on_the_path(monkeypatch, divmod_max_top):
     expected = spectra()
     monkeypatch.setattr(exactnum, "DIVMOD_MAX_TOP", divmod_max_top)
     assert spectra() == expected
+
+
+def _factors(bit_sizes, seed=0):
+    """Random factors with the given bit lengths."""
+    rng = random.Random(seed)
+    return [rng.getrandbits(b) | 1 << b - 1 if b else 0 for b in bit_sizes]
+
+
+def test_product_equals_math_prod_around_the_leaf_size():
+    leaf = exactnum.LEAF_BITS
+    cases = [
+        [],
+        [12345],
+        _factors([leaf // 16] * 10),  # all below LEAF_BITS, folded at once
+        _factors([leaf // 3 + 1] * 3),  # just over LEAF_BITS, split once
+        _factors([leaf + 1, 5, leaf // 2, 3 * leaf]),
+    ]
+    for factors in cases:
+        assert exactnum._product(factors) == math.prod(factors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 100_000), max_size=16), st.integers(0, 2**32))
+def test_product_equals_math_prod(bit_sizes, seed):
+    factors = _factors(bit_sizes, seed)
+    assert exactnum._product(factors) == math.prod(factors)
+
+
+def test_big_count_leaves_no_reference_cycle():
+    # a self-calling nested function would leave a cycle for the collector
+    gc.collect()
+    gc.disable()
+    try:
+        count_symplectic(SymplecticParams(2000, 972, 2, 2))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _spec_value(q, spec):

@@ -262,6 +262,21 @@ def test_ratio_report_fields():
     assert rep.classification is RatioClassification.EUCLIDEAN_HALF_BOUND
     assert rep.alpha == Fraction(3, 4)
     assert not rep.equality_boundary
+    cells = [
+        (form, length, k, q)
+        for form in FormKind
+        for q in (2, 3, 4, 5, 9)
+        for length in range(2, 15, 2 if form is FormKind.SYMPLECTIC else 1)
+        for k in range(1, (length // 2 if form is FormKind.EUCLIDEAN else length) + 1)
+    ]
+    for form, length, k, q in cells:
+        for ell in hull_dims(form, length, k)[:-1]:
+            try:
+                rep = ratio_report(form, length, k, ell, q)
+            except OutOfValidRangeError:  # the Euclidean cells with no finite ratio
+                continue
+            assert rep.full_ratio == rep.alpha * rep.cofactor
+            assert rep.monotone_a == (rep.full_ratio > 1)
 
 
 def test_euclidean_equality_boundary_metadata():
