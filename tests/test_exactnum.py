@@ -23,7 +23,13 @@ from hullcount.exactnum import (
     prime_power_parts,
     rat_str,
 )
-from hullcount.formulas import SymplecticParams, closed_count, closed_spectrum, count_symplectic, hull_dims
+from hullcount.formulas import (
+    SymplecticParams,
+    closed_count,
+    closed_spectrum,
+    count_symplectic,
+    hull_dims,
+)
 
 from naive_counts import naive_gaussian_binomial
 
@@ -115,7 +121,7 @@ def test_exact_count_rejects_non_integral_specs(monkeypatch, divmod_max_top):
 def test_spectra_do_not_depend_on_the_path(monkeypatch, divmod_max_top):
     cells = [
         (form, length, k, q)
-        for q in (2, 3, 4, 5, 8, 9)  # q = 2, 4, 8 take a shift for q^e
+        for q in (2, 3, 4, 5, 8, 9)  # on the product path q^e is a shift at q = 2, 4, 8
         for form, length, k in (
             (FormKind.HERMITIAN, 30, 12),
             (FormKind.HERMITIAN, 90, 45),
