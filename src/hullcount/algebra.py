@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BadRangeError,
@@ -43,7 +43,6 @@ from .exactnum import is_prime, prime_power_parts
 from .formulas import FormKind, require_even_length
 
 MAX_FIELD_ORDER = 256
-DELTA_MEMO_CAP = 4096  # most keys a delta memo may have for the XOR walk to run
 
 
 # -- polynomial helpers on coefficient tuples (low degree first) --------------
@@ -517,12 +516,12 @@ class CappedMemo(dict):
     while the memo holds fewer than cap keys; past the cap a key it lacks
     is built again on every lookup."""
 
-    def __init__(self, build: Callable[[int], int], cap: int):
+    def __init__(self, build: Callable[[Hashable], Any], cap: int):
         super().__init__()
         self.build = build
         self.cap = cap
 
-    def __missing__(self, key: int) -> int:
+    def __missing__(self, key: Hashable) -> Any:
         value = self.build(key)
         if len(self) < self.cap:
             self[key] = value
@@ -535,7 +534,7 @@ class GramKernel(NamedTuple):
 
     gram_of: Callable[[RawRows], RawRows]
     rank_of: Callable[[RawRows], int]
-    stepper: Callable[[int], tuple[Callable, Callable]]  # k -> (unpack, walk)
+    stepper: Callable[[int], tuple[Callable, Callable, Callable]]  # k -> (unpack, block_tally, walk)
 
 
 @functools.lru_cache(maxsize=256)
@@ -549,55 +548,51 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     Euclidean: partner t, pair a*b, mirror the identity. Hermitian: partner
     t, pair a*conj(b), mirror conj. Symplectic: partner t +- n/2, pair a*b
     on the first half and -a*b on the second, mirror negation, and no
-    diagonal, since the form is alternating. gram_of, the two walks and
-    delta are the only readers of the field's arithmetic, and they read
-    only this table set.
+    diagonal, since the form is alternating. gram_of, walk and block_tally
+    are the only readers of the field's arithmetic, and they read only this
+    table set.
 
     gram_of maps k rows of element codes to their k x k Gram matrix,
     filling the upper triangle and mirroring it into the lower one.
     rank_of is the field's one forward elimination: it reduces a matrix of
     codes in place and returns its rank; rref() runs it too.
 
-    stepper(k) serves enumerations that change one entry of k rows at a
-    time, and keeps nothing of the Gram matrix but an int key packing its
-    upper triangle, entry (i, j) with i <= j at bit (j(j+1)/2 + i) * bits;
-    only this function knows that layout. It returns (unpack, walk).
+    stepper(k) serves the enumeration of k-row generators, and keeps
+    nothing of a Gram matrix but an int key packing its upper triangle,
+    entry (i, j) with i <= j at bit (j(j+1)/2 + i) * bits; only this
+    function knows that layout. It returns (unpack, block_tally, walk).
     unpack(key) is the full k x k Gram matrix a key packs, the lower
-    triangle through mirror. walk(rows, free, moves, hull, acc) does one
-    pivot subset: it keys the Gram of rows, the subset's first generator,
-    and tallies acc[hull[key]] += 1. The per-entry walk then describes
-    each free entry (r, c) once: its row, its column and
-    partner column, its pairing table and, for every other row j, the
-    shift of the key entry it shares with row r and the map into that
-    entry (mirror for j < r, whose entry is g[j][r], else the identity).
-    Each move (digit, old, new) sets rows[r][c] = new for (r, c) =
-    free[digit]; the change d = new - old meets the partner column of
-    each other row through pair[c][d], the diagonal moves by diag[new] -
-    diag[old], and those key entries are updated in place. After every
-    move, with rows already updated, it tallies acc[hull[key]] += 1 again.
+    triangle through mirror.
 
-    In characteristic 2 addition is XOR on codes and mirror is additive,
-    so a move can change the key by one XOR, key ^= delta. delta depends
-    only on the row r, the pairing table of column c, the change dd = old
-    ^ new and the codes of the partner column pc, packed as one int
-    col[pc] (row j's code at bit bits * j; the walk keeps col current,
-    col[c] ^= dd << bits * r). The diagonal term is read from slot r of
-    that same int, the entry before the move; where the diagonal does not
-    count, slot r is masked out. delta is looked up, by dd << bits * k |
-    col[pc], in a memo per (row, pairing table) that lives for one stepper
-    and builds a key change it lacks from pair, mirror and diag. A move
-    changes slots key entries (k with the diagonal, else k - 1), and a
-    memo has at most (order - 1) * order**slots keys. The XOR walk runs
-    where field.p == 2, slots >= 2 and those keys fit DELTA_MEMO_CAP, so
-    its lookups all hit once a memo is warm; elsewhere, and in odd
-    characteristic, the per-entry walk runs. (One lookup costs about as
-    much as updating one entry, so with one entry a move the XOR walk
-    does not pay.) Both walks tally the same spectra.
+    walk(rows, free, width, moves, tallies, acc) does one pivot subset.
+    free[:width] is the block: free entries of row 0, all 0 in rows, the
+    subset's first generator. The block's order**width fills differ only
+    in row 0, so only the key entries (0, j) move, each by a sum over the
+    block's columns c of pair[c][x_c][code of row j in partner(c)], plus
+    diag[x_c] on (0, 0). The multiset of those offsets is the convolution
+    of one offset multiset per column, fixed by the codes of rows 1..k-1
+    in its partner column: over all x_c, pair[c][x_c][y] runs through the
+    row mul[mirror[y]] in some order, on both symplectic halves too.
+    walk keys the Gram of rows, with the block at 0, and describes the
+    block as the sorted tuple of its columns' partner codes, packed one int
+    a column; tallies[key, description] is the block's tally, a tuple of
+    (l, count), and walk adds it into acc. The other free entries follow
+    moves, Algorithm H's (digit, old, new) over free[width:]: each sets
+    rows[r][c] = new for (r, c) = free[width + digit], the change d = new
+    - old meets the partner column of each other row through pair[c][d],
+    the diagonal moves by diag[new] - diag[old], those key entries are
+    updated in place, and the block is tallied again. The block entries
+    stay 0 in rows throughout.
+
+    block_tally(hull, (key, description)) builds a tally: it convolves the
+    block columns' offsets into the key's row-0 entries, one column at a
+    time, merging equal keys with their counts, and counts hull[key] over
+    the keys that result, hull mapping a key to the hull dimension of its
+    Gram matrix. Each distinct key is looked up once.
 
     Built once per (field, form, n); the hermitian pairing table, once per
-    field (_conj_mul_table). The tables a walk adds are O(k^2) descriptors,
-    O(order) lists and, in the XOR walk, the column ints and at most
-    DELTA_MEMO_CAP key changes per (row, pairing table), built lazily.
+    field (_conj_mul_table). The tables a walk adds are O(k^2) descriptors
+    and O(n) column ints.
     """
     mul = field.mul_table
     add = field.add_table
@@ -611,8 +606,7 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
         half = n // 2
         partner = [*range(half, n), *range(half)]
         # -a*b = (-a)*b: the second half's table is mul's rows, reordered,
-        # or mul itself where negation is the identity, so that both halves
-        # share the XOR walk's delta memos
+        # or mul itself where negation is the identity
         pair = [mul] * half + [mul if neg == identity else [mul[a] for a in neg]] * half
         mirror = neg
         diag = None
@@ -653,8 +647,13 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
 
     bits = (field.order - 1).bit_length()
     mask = (1 << bits) - 1
+    order = field.order
+    # column[x] is pair[t][a][x] over all codes a, for any t, up to the
+    # order of a: a*x, a*conj(x), or +-a*x under the symplectic form, where
+    # a -> -a reorders the codes
+    column = [mul[y] for y in mirror]
 
-    def stepper(k: int) -> tuple[Callable, Callable]:
+    def stepper(k: int) -> tuple[Callable, Callable, Callable]:
         def shift(i: int, j: int) -> int:
             return bits * (j * (j + 1) // 2 + i)
 
@@ -681,81 +680,76 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
             + [(j, shift(r, j), identity) for j in range(r + 1, k)]
             for r in range(k)
         ]
-        # the key entries one move changes: the other rows' and, where it
-        # counts (first == 0), the diagonal; a delta memo's keys are dd != 0
-        # and the partner column's codes in those rows
-        slots = k - first
-        keys = (field.order - 1) * field.order ** slots
+        # a block column moves row 0's key entries, (0, j) at lead[j], and
+        # is described by the codes of rows 1..k-1 in its partner column, row
+        # j's at bit bits * (j - 1)
+        lead = [shift(0, j) for j in range(k)]
 
-        if field.p == 2 and 2 <= slots and keys <= DELTA_MEMO_CAP:
-            top = bits * k
-            every = (1 << top) - 1  # the partner column's codes, all rows
+        def block_tally(hull: Mapping[int, int],
+                        state: tuple[int, tuple[int, ...]]) -> tuple[tuple[int, int], ...]:
+            key, described = state
+            keys = {key: 1}
+            for d in described:
+                # the row-0 entries the column moves, each with its offset
+                # per code a of the column's block entry
+                moved = [(lead[0], diag)] if diag is not None else []
+                for j, sh in enumerate(lead[1:]):
+                    x = d >> bits * j & mask
+                    if x:
+                        moved.append((sh, column[x]))
+                grown: dict[int, int] = {}
+                for base, count in keys.items():
+                    spread = [base] * order
+                    for sh, offsets in moved:
+                        e = base >> sh & mask
+                        to = add[e]
+                        spread = [s ^ (e ^ to[v]) << sh for s, v in zip(spread, offsets)]
+                    for new in spread:
+                        grown[new] = grown.get(new, 0) + count
+                keys = grown
+            tally = [0] * (k + 1)
+            for key, count in keys.items():
+                tally[hull[key]] += count
+            return tuple((ell, c) for ell, c in enumerate(tally) if c)
 
-            def delta(r: int, pt: list[list[int]], m: int) -> int:
-                # the key change of a move in row r under pairing table pt,
-                # for m = dd << top | the partner column's codes, row j's
-                # at bit bits * j; the diagonal reads the old entry there
-                dd = m >> top
-                pd = pt[dd]
-                change = 0
-                for j, sh, into in shared[r]:
-                    change |= into[pd[m >> bits * j & mask]] << sh
+        def walk(rows: RawRows, free: Sequence[tuple[int, int]], width: int,
+                 moves: Iterable[tuple[int, int, int]],
+                 tallies: Mapping[tuple[int, tuple[int, ...]], tuple[tuple[int, int], ...]],
+                 acc: list[int]) -> None:
+            key = key_of(rows)
+            col = [sum(row[c] << bits * j for j, row in enumerate(rows)) for c in cols]
+            partners = [partner[c] for _, c in free[:width]]
+            watched = set(partners)
+            digits = [
+                (
+                    rows[r], c, partner[c], pair[c], shift(r, r), bits * r,
+                    [(rows[j], sh, into) for j, sh, into in shared[r]],
+                    r > 0 and c in watched,
+                )
+                for r, c in free[width:]
+            ]
+            described = tuple(sorted([col[pc] >> bits for pc in partners]))
+            for ell, count in tallies[key, described]:
+                acc[ell] += count
+            for d, old, new in moves:
+                row, c, pc, pt, on_diagonal, sh_row, others, redescribe = digits[d]
+                row[c] = new
+                pd = pt[add[new][neg[old]]]
+                for other, sh, into in others:
+                    x = other[pc]
+                    if x:
+                        e = key >> sh & mask
+                        key ^= (e ^ add[e][into[pd[x]]]) << sh
                 if diag is not None:
-                    x = m >> bits * r & mask
-                    change |= (diag[x ^ dd] ^ diag[x]) << shift(r, r)
-                return change
+                    e = key >> on_diagonal & mask
+                    key ^= (e ^ add[e][add[diag[new]][neg[diag[old]]]]) << on_diagonal
+                if redescribe:
+                    col[c] ^= (old ^ new) << sh_row
+                    described = tuple(sorted([col[pc] >> bits for pc in partners]))
+                for ell, count in tallies[key, described]:
+                    acc[ell] += count
 
-            memos: dict[tuple[int, int], CappedMemo] = {}  # per (row, id of a pairing table)
-
-            def walk(rows: RawRows, free: Sequence[tuple[int, int]],
-                     moves: Iterable[tuple[int, int, int]],
-                     hull: Mapping[int, int], acc: list[int]) -> None:
-                key = key_of(rows)
-                acc[hull[key]] += 1
-                col = [sum(row[c] << bits * j for j, row in enumerate(rows)) for c in cols]
-                digits = []
-                for r, c in free:
-                    pt = pair[c]
-                    if (r, id(pt)) not in memos:
-                        build = functools.partial(delta, r, pt)
-                        memos[r, id(pt)] = CappedMemo(build, DELTA_MEMO_CAP)
-                    keep = every if diag is not None else every ^ mask << bits * r
-                    digits.append((rows[r], c, partner[c], bits * r, keep, memos[r, id(pt)]))
-                for d, old, new in moves:
-                    row, c, pc, sh, keep, memo = digits[d]
-                    row[c] = new
-                    dd = old ^ new
-                    key ^= memo[dd << top | col[pc] & keep]
-                    col[c] ^= dd << sh
-                    acc[hull[key]] += 1
-        else:
-            def walk(rows: RawRows, free: Sequence[tuple[int, int]],
-                     moves: Iterable[tuple[int, int, int]],
-                     hull: Mapping[int, int], acc: list[int]) -> None:
-                key = key_of(rows)
-                acc[hull[key]] += 1
-                digits = [
-                    (
-                        rows[r], c, partner[c], pair[c], shift(r, r),
-                        [(rows[j], sh, into) for j, sh, into in shared[r]],
-                    )
-                    for r, c in free
-                ]
-                for d, old, new in moves:
-                    row, c, pc, pt, on_diagonal, others = digits[d]
-                    row[c] = new
-                    pd = pt[add[new][neg[old]]]
-                    for other, sh, into in others:
-                        x = other[pc]
-                        if x:
-                            e = key >> sh & mask
-                            key ^= (e ^ add[e][into[pd[x]]]) << sh
-                    if diag is not None:
-                        e = key >> on_diagonal & mask
-                        key ^= (e ^ add[e][add[diag[new]][neg[diag[old]]]]) << on_diagonal
-                    acc[hull[key]] += 1
-
-        return unpack, walk
+        return unpack, block_tally, walk
 
     return GramKernel(gram_of, rank_of, stepper)
 

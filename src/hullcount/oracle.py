@@ -13,36 +13,32 @@ subspace_count is the one range and work-limit check: it returns
 [n, k]_Q and refuses a count above the work limit (default 10^8
 subspaces) before anything is enumerated.
 
-The walk is taken in blocks. In a reflected Gray walk the lowest w free
-entries run through all Q^w of their values between two moves of the
-higher entries, forwards and backwards in turn, so those moves are
-precomputed, with Q^w <= BLOCK_STATES, as a forward and a reflected
-table of (digit, old, new), kept once per Q. _gray_blocks, the one
-odometer, yields each pivot subset once, as its first generator, its
-free entries and one iterator of its moves: the forward table, then each
-move of the higher entries followed by the next table. The generators
-of enumerate_subspaces apply the moves themselves.
+_pivot_subsets, the one odometer, yields each pivot subset once, as its
+first generator, its free entries and the width of its block: row 0's
+lowest free entries, as many as have at most BLOCK_STATES states
+together. The generators of enumerate_subspaces walk Algorithm H over
+all the free entries themselves.
 
 The spectrum loop never builds FieldElem or MatrixGF objects and keeps
 no Gram matrix: hull_spectrum hands each pivot subset to
-algebra.gram_kernel's walk, which keys the first generator's Gram as an
-int, updates the O(k) key entries each move touches and tallies the
-hull dimension looked up on the key. In characteristic 2 (Q = 2, 4, 8,
-...) the walk may instead change the key by one XOR per move: the change
-depends only on the moved row, its pairing table, old ^ new and the
-partner column packed as one int, and it comes from a memo per (row,
-pairing table) that builds a change on a miss. The kernel takes that
-walk where a move changes at least two key entries and every key such a
-memo can meet fits algebra.DELTA_MEMO_CAP, and the per-entry walk
-elsewhere. The hull lookup goes to an
-algebra.CappedMemo that lives for one spectrum, sees the key as an
-opaque int and holds at most RANK_MEMO_CAP entries; a key it lacks is
-unpacked into its Gram matrix by the kernel and ranked, and past the cap
-it is not remembered.
+algebra.gram_kernel's walk, which runs Algorithm H over the free entries
+above the block only. At each of those states it keys the Gram, with the
+block at 0, as an int, updates the O(k) key entries each move touches,
+and adds the block's tally: the hull dimensions of all Q^width fills of
+the block, which move only row 0's key entries. The tallies come from an
+algebra.CappedMemo that lives for one spectrum and holds at most
+BLOCK_MEMO_CAP of them, keyed by the key and a description of the block
+columns' partner codes; a tally it lacks is built by the kernel, which
+convolves the columns' key offsets and looks each combined key up in a
+second CappedMemo. That one maps a key to its hull dimension, sees the
+key as an opaque int and holds at most RANK_MEMO_CAP entries; a key it
+lacks is unpacked into its Gram matrix by the kernel and ranked, and
+past the cap it is not remembered.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
@@ -61,7 +57,8 @@ from .formulas import closed_spectrum
 
 DEFAULT_WORK_LIMIT = 10 ** 8
 RANK_MEMO_CAP = 4096  # most Gram keys one spectrum remembers hull dimensions for
-BLOCK_STATES = 256  # most Gray states one precomputed block of moves covers
+BLOCK_MEMO_CAP = 4096  # most (key, block) states one spectrum remembers tallies for
+BLOCK_STATES = 256  # most states of row 0's free entries one block tally covers
 
 Move = tuple[int, int, int]  # (digit, old code, new code)
 Rows = list[list[int]]
@@ -90,53 +87,21 @@ def _gray(q: int, m: int) -> Iterator[Move]:
         yield j, old, new
 
 
-_MOVES: dict[int, tuple[tuple[Move, ...], tuple[Move, ...]]] = {}  # per q: the widest walk built
-
-
-def _gray_moves(q: int, w: int) -> tuple[tuple[Move, ...], tuple[Move, ...]]:
-    """The w-digit walk's moves, forward and reflected (reversed, each move
-    undone). The first q^w - 1 moves of a wider walk are the w-digit walk,
-    so one pair per q, the widest asked for, serves every width by slicing."""
-    size = q ** w - 1
-    forward, reflected = _MOVES.get(q, ((), ()))
-    if len(forward) < size:
-        forward = tuple(_gray(q, w))
-        reflected = tuple((d, new, old) for d, old, new in reversed(forward))
-        _MOVES[q] = forward, reflected
-    return forward[:size], reflected[len(reflected) - size:]
-
-
-def _gray_blocks(
+def _pivot_subsets(
     n: int, k: int, q: int
-) -> Iterator[tuple[Rows, list[tuple[int, int]], Iterator[Move]]]:
-    """The one odometer: walk every canonical RREF generator, yielding
-    (rows, free, moves) once per pivot subset.
+) -> Iterator[tuple[Rows, list[tuple[int, int]], int]]:
+    """The one odometer: every pivot subset once, as (rows, free, width).
 
     rows is a k x n buffer of codes holding the subset's first generator
     (every free entry 0); free lists the free entries (r, c), lowest Gray
-    digit first. moves yields (digit, old, new), and the consumer sets
-    rows[r][c] = new for (r, c) = free[digit], one move to each later
-    generator in turn: the table over free[:w], then each move of a
-    higher digit followed by the next table, reflected and forward in
-    turn. The consumer must apply every move before asking for the next
-    pivot subset, and copy what it keeps of rows.
+    digit first, so row 0's come first. width counts row 0's lowest free
+    entries, as many as have at most BLOCK_STATES states together: the
+    block hull_spectrum tallies at once. A consumer walks _gray(q, m) over
+    free or its tail and must finish before asking for the next subset.
     """
-    width = 0
-    while width < k * (n - k) and q ** (width + 1) <= BLOCK_STATES:
-        width += 1
-    # widest first, so the rest are slices of it; a pivot subset with
-    # w < width free entries is one block of q^w states
-    tables = {w: _gray_moves(q, w) for w in range(width, -1, -1)}
-    chain = itertools.chain.from_iterable
-
-    def blocks(forward, reflected, w, higher):
-        # the table over the w low digits, then Algorithm H over the higher
-        # ones with a table after each of its moves
-        yield forward
-        for i, (d, old, new) in enumerate(_gray(q, higher)):
-            yield ((w + d, old, new),)
-            yield forward if i % 2 else reflected
-
+    most = 0
+    while q ** (most + 1) <= BLOCK_STATES:
+        most += 1
     for pivots in itertools.combinations(range(n), k):
         rows = [[0] * n for _ in range(k)]
         for row, c in zip(rows, pivots):
@@ -144,8 +109,7 @@ def _gray_blocks(
         free = [
             (r, c) for r in range(k) for c in range(pivots[r] + 1, n) if c not in pivots
         ]
-        w = min(width, len(free))
-        yield rows, free, chain(blocks(*tables[w], w, len(free) - w))
+        yield rows, free, min(most, sum(r == 0 for r, _ in free))
 
 
 def subspace_count(
@@ -179,9 +143,9 @@ def enumerate_subspaces(
 def _generators(n: int, k: int, field: FiniteField) -> Iterator[MatrixGF]:
     trusted = MatrixGF._trusted
     chain = itertools.chain.from_iterable
-    for rows, free, moves in _gray_blocks(n, k, field.order):
+    for rows, free, _ in _pivot_subsets(n, k, field.order):
         yield trusted(field, k, n, tuple(chain(rows)))
-        for d, _, new in moves:
+        for d, _, new in _gray(field.order, len(free)):
             r, c = free[d]
             rows[r][c] = new
             yield trusted(field, k, n, tuple(chain(rows)))
@@ -213,12 +177,14 @@ def hull_spectrum(
 ) -> HullSpectrum:
     """Enumerate every k-dim subspace of F_Q^n and tally hull dimensions."""
     subspace_count(n, k, field.order, work_limit)
+    q = field.order
     kernel = gram_kernel(field, form, n)
-    unpack, walk = kernel.stepper(k)
-    memo = CappedMemo(lambda key: k - kernel.rank_of(unpack(key)), RANK_MEMO_CAP)
+    unpack, block_tally, walk = kernel.stepper(k)
+    hull = CappedMemo(lambda key: k - kernel.rank_of(unpack(key)), RANK_MEMO_CAP)
+    tallies = CappedMemo(functools.partial(block_tally, hull), BLOCK_MEMO_CAP)
     acc = [0] * (k + 1)
-    for rows, free, moves in _gray_blocks(n, k, field.order):
-        walk(rows, free, moves, memo, acc)
+    for rows, free, width in _pivot_subsets(n, k, q):
+        walk(rows, free, width, _gray(q, len(free) - width), tallies, acc)
     counts = MappingProxyType({ell: c for ell, c in enumerate(acc) if c})
     return HullSpectrum(n, k, form, field.order, counts)
 

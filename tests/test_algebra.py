@@ -1,6 +1,7 @@
 """Field construction, matrix reduction, Gram forms, hull dimensions."""
 
 import collections
+import itertools
 import random
 import tracemalloc
 
@@ -32,7 +33,7 @@ from hullcount.errors import (
     RankDeficientGeneratorError,
 )
 from naive_hull import _form, generator_rows, naive_hull_dim, naive_rank, naive_rref
-from walk_recorder import RecordingHull, packed_key
+from walk_recorder import RecordingHull, RecordingTallies, packed_key
 
 F2 = make_field(2)
 F4 = make_field(2, 2)
@@ -356,10 +357,11 @@ def test_gram_entries_match_the_definition(form, order):
 
 
 def test_gram_step_matches_a_fresh_gram():
-    # one-entry changes to any value, each walked as a block of one move;
-    # the recorded lookups give the walked key after each move, checked
-    # against the key and Gram of the changed rows; for each k the key
-    # packs the upper triangle one-to-one
+    # one-entry changes to any value, walked above a block of up to two row 0
+    # entries held at 0; the recorded lookups give the walked key after each
+    # move, checked against the key and Gram of the changed rows, and each
+    # lookup's block tally against the hull dimensions of every fill of the
+    # block; for each k the key packs the upper triangle one-to-one
     rng = random.Random(5)
     n = 6
     for order in (2, 3, 4, 5, 8, 9):
@@ -371,31 +373,45 @@ def test_gram_step_matches_a_fresh_gram():
         for form in forms:
             kernel = gram_kernel(field, form, n)
             for k in range(1, 5):
-                unpack, walk = kernel.stepper(k)
+                unpack, block_tally, walk = kernel.stepper(k)
                 uppers: dict[int, tuple[int, ...]] = {}
                 rows = [[rng.randrange(order) for _ in range(n)] for _ in range(k)]
+                block = [(0, c) for c in rng.sample(range(n), rng.randrange(3 if order < 8 else 2))]
+                for _, c in block:
+                    rows[0][c] = 0
+                rest = [(r, c) for r in range(k) for c in range(n) if (r, c) not in block]
                 made = []
 
                 def moves():
                     # each move reads old from rows as walk has left them
                     for _ in range(30):
-                        d = rng.randrange(k * n)
-                        r, c = divmod(d, n)
+                        d = rng.randrange(len(rest))
+                        r, c = rest[d]
                         made.append((r, c, rng.randrange(order)))
                         yield d, rows[r][c], made[-1][2]
 
-                hull, acc = RecordingHull(rows), [0]
-                free = [(r, c) for r in range(k) for c in range(n)]
-                walk(rows, free, moves(), hull, acc)
-                assert acc == [31] and len(hull.seen) == 31
-                for (r, c, new), (_, after) in zip(made, hull.seen[1:]):
+                tallies, acc = RecordingTallies(rows), [0]
+                walk(rows, block + rest, len(block), moves(), tallies, acc)
+                assert acc == [31] and len(tallies.seen) == 31
+                for (r, c, new), (_, after) in zip(made, tallies.seen[1:]):
                     assert after[r][c] == new
-                for key, seen_rows in hull.seen:
+                for state, seen_rows in tallies.seen:
+                    key = state[0]
                     fresh = kernel.gram_of(seen_rows)
                     assert unpack(key) == fresh
                     assert key == packed_key(fresh, bits)
                     upper = tuple(fresh[i][j] for i in range(k) for j in range(i, k))
                     assert uppers.setdefault(key, upper) == upper
+                    keys = []
+                    for values in itertools.product(range(order), repeat=len(block)):
+                        filled = [row[:] for row in seen_rows]
+                        for (_, c), x in zip(block, values):
+                            filled[0][c] = x
+                        keys.append(packed_key(kernel.gram_of(filled), bits))
+                    hull = RecordingHull(lambda key: k - kernel.rank_of(unpack(key)))
+                    tally = collections.Counter(hull.dims(x) for x in keys)
+                    assert block_tally(hull, state) == tuple(sorted(tally.items()))
+                    assert sorted(hull.seen) == sorted(set(keys))
 
 
 @pytest.mark.parametrize("form, order", GRAM_CASES)
@@ -409,7 +425,7 @@ def test_unpacked_key_is_the_gram(form, order):
             continue
         kernel = gram_kernel(field, form, n)
         for k in range(1, 5):
-            unpack, walk = kernel.stepper(k)
+            unpack, _, walk = kernel.stepper(k)
             for trial in range(6):
                 rows = [[rng.randrange(order) for _ in range(n)] for _ in range(k)]
                 if trial == 0:
@@ -418,10 +434,10 @@ def test_unpacked_key_is_the_gram(form, order):
                     rows[0] = list(rows[-1])
                 elif trial == 2:
                     rows = [[0] * n for _ in range(k)]
-                # a walk with no moves keys the rows once
-                hull = RecordingHull(rows)
-                walk(rows, [], (), hull, [0])
-                [(key, _)] = hull.seen
+                # a walk with no block and no moves keys the rows once
+                tallies = RecordingTallies(rows)
+                walk(rows, [], 0, (), tallies, [0])
+                [((key, _), _)] = tallies.seen
                 gram = kernel.gram_of(rows)
                 assert key == packed_key(gram, (order - 1).bit_length()), rows
                 assert unpack(key) == gram, rows
@@ -538,21 +554,24 @@ def test_hermitian_kernels_share_one_pairing_table_per_field():
     tracemalloc.start()
     try:
         kernels = [gram_kernel(f256, FormKind.HERMITIAN, n) for n in range(1, 33)]
-        # each walker, and each walk's descriptors for every entry of its
-        # rows, add O(k n) and no order^2 table
+        # each walker, each walk's descriptors for every entry of its rows
+        # and each tally of a one-entry block add O(k n + order) and no
+        # order^2 table
         walkers = [
             (n, k, kernel.stepper(k)) for n, kernel in enumerate(kernels, 1) for k in range(1, 5)
         ]
         hull, acc = collections.defaultdict(int), [0]
-        for n, k, (_, walk) in walkers:
+        for n, k, (_, block_tally, walk) in walkers:
+            tallies = algebra.CappedMemo(lambda state: block_tally(hull, state), 0)
+            rows = [[0] + [1] * (n - 1)] + [[1] * n for _ in range(k - 1)]
             free = [(r, c) for r in range(k) for c in range(n)]
-            walk([[1] * n for _ in range(k)], free, (), hull, acc)
+            walk(rows, free, 1, (), tallies, acc)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(kernels) == 32
     assert len(walkers) == 128
-    assert acc == [128]
+    assert acc == [128 * 256]
     assert peak < 3_000_000
     w = f256.generator
     assert kernels[2].gram_of([[w.code, 1, 0]]) == [[(w * w ** 16 + 1).code]]

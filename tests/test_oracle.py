@@ -1,6 +1,7 @@
 """Exhaustive-enumeration oracle: subspace iteration and hull spectra."""
 
 import collections
+import itertools
 import tracemalloc
 
 import pytest
@@ -30,7 +31,7 @@ from hullcount.oracle import (
     subspace_count,
 )
 from naive_hull import naive_hull_dim
-from walk_recorder import RecordingHull, packed_key
+from walk_recorder import RecordingHull, RecordingTallies, packed_key
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -38,13 +39,13 @@ F4 = make_field(2, 2)
 
 
 def _states(n, k, q):
-    """The odometer's pivot subsets and moves flattened into one (rows
-    snapshot, r, c, old) per generator: r = -1 at a pivot subset's first
-    generator, else rows[r][c] changed from old."""
+    """The odometer's pivot subsets and Algorithm H over their free entries,
+    flattened into one (rows snapshot, r, c, old) per generator: r = -1 at
+    a pivot subset's first generator, else rows[r][c] changed from old."""
     states = []
-    for rows, free, moves in oracle._gray_blocks(n, k, q):
+    for rows, free, _ in oracle._pivot_subsets(n, k, q):
         states.append(([row[:] for row in rows], -1, -1, 0))
-        for d, old, new in moves:
+        for d, old, new in oracle._gray(q, len(free)):
             r, c = free[d]
             rows[r][c] = new
             states.append(([row[:] for row in rows], r, c, old))
@@ -105,6 +106,9 @@ def test_gray_steps_change_one_free_entry_by_one_code(n, k, q):
             assert abs(cur[r][c] - old) == 1
         # the Gray walk visits every assignment of the free entries once
         assert len({tuple(map(tuple, rows)) for rows, *_ in group}) == q ** len(free)
+    # enumerate_subspaces yields exactly these generators, in this order
+    flat = [tuple(x for row in rows for x in row) for rows, *_ in _states(n, k, q)]
+    assert [mat.codes for mat in enumerate_subspaces(n, k, field_of_order(q))] == flat
 
 
 @pytest.mark.parametrize("field", [F2, F3, F4], ids=repr)
@@ -135,7 +139,7 @@ GRAM_CELLS = [
     (4, 2, 9, FormKind.HERMITIAN),
     (5, 2, 4, FormKind.EUCLIDEAN),
     (4, 3, 3, FormKind.EUCLIDEAN),
-    # characteristic 2: the walk changes the key by one XOR per move
+    # characteristic 2, where field addition is XOR on codes
     (6, 3, 2, FormKind.SYMPLECTIC),
     (6, 3, 2, FormKind.EUCLIDEAN),
     (4, 2, 4, FormKind.HERMITIAN),
@@ -143,24 +147,64 @@ GRAM_CELLS = [
 ]
 
 
+def _walked(rows, free, q):
+    """Copies of rows at each state of Algorithm H over free."""
+    rows = [row[:] for row in rows]
+    states = [[row[:] for row in rows]]
+    for d, _, new in oracle._gray(q, len(free)):
+        r, c = free[d]
+        rows[r][c] = new
+        states.append([row[:] for row in rows])
+    return states
+
+
+def _fills(rows, block, q):
+    """rows with the block entries set to each of their q^len(block) values."""
+    fills = []
+    for values in itertools.product(range(q), repeat=len(block)):
+        filled = [row[:] for row in rows]
+        for (r, c), x in zip(block, values):
+            filled[r][c] = x
+        fills.append(filled)
+    return fills
+
+
 def _check_gram_and_key_at_every_generator(n, k, order, form):
-    # walk looks the key up at each pivot subset's first generator and
-    # after every single move, so the recorded lookups check the key of
-    # every generator against a key packed from a fresh Gram
-    kernel = gram_kernel(field_of_order(order), form, n)
-    unpack, walk = kernel.stepper(k)
+    # walk looks the block's tally up at each state above the block, and
+    # block_tally looks up the key of every fill of the block: check the
+    # walked key against a key packed from a fresh Gram at every state, and
+    # the tallied keys against fresh Grams of every generator
+    field = field_of_order(order)
+    kernel = gram_kernel(field, form, n)
+    unpack, block_tally, walk = kernel.stepper(k)
     bits = (order - 1).bit_length()
-    hull, acc = RecordingHull(), [0]
-    for rows, free, moves in oracle._gray_blocks(n, k, order):
-        hull.rows = rows
-        walk(rows, free, moves, hull, acc)
-    for key, rows in hull.seen:
-        gram = kernel.gram_of(rows)
-        assert key == packed_key(gram, bits)
-        assert unpack(key) == gram
-    # one lookup and one tally per generator, in the odometer's order
-    assert [rows for _, rows in hull.seen] == [rows for rows, *_ in _states(n, k, order)]
-    assert acc == [gaussian_binomial(n, k, order)]
+    generators = []
+    for rows, free, width in oracle._pivot_subsets(n, k, order):
+        block, rest = free[:width], free[width:]
+        assert all(r == 0 for r, _ in block)
+        states = _walked(rows, rest, order)
+        tallies, acc = RecordingTallies(rows), [0]
+        walk(rows, free, width, oracle._gray(order, len(rest)), tallies, acc)
+        # one lookup and one tally per state above the block, in Algorithm
+        # H's order, with the block entries at 0
+        assert [walked for _, walked in tallies.seen] == states
+        assert acc == [len(states)]
+        for (key, description), walked in tallies.seen:
+            gram = kernel.gram_of(walked)
+            assert key == packed_key(gram, bits)
+            assert unpack(key) == gram
+            # each distinct key of the block's fills is asked for once, and
+            # the tally counts the fills at each hull dimension
+            fills = _fills(walked, block, order)
+            keys = [packed_key(kernel.gram_of(f), bits) for f in fills]
+            hull = RecordingHull(lambda key: k - kernel.rank_of(unpack(key)))
+            tally = collections.Counter(hull.dims(key) for key in keys)
+            assert block_tally(hull, (key, description)) == tuple(sorted(tally.items()))
+            assert sorted(hull.seen) == sorted(set(keys))
+            generators += fills
+    # the blocks and the states above them cover every generator once
+    flat = sorted(tuple(x for row in rows for x in row) for rows in generators)
+    assert flat == sorted(mat.codes for mat in enumerate_subspaces(n, k, field))
 
 
 @pytest.mark.parametrize("n,k,order,form", GRAM_CELLS)
@@ -173,7 +217,8 @@ def test_gray_walk_keeps_gram_and_key_current(n, k, order, form):
 @pytest.mark.parametrize("digits", [1, 2])
 @pytest.mark.parametrize("n,k,order,form", GRAM_CELLS)
 def test_small_blocks_keep_gram_and_key_current(monkeypatch, n, k, order, form, digits):
-    # blocks of one and two Gray digits: most steps lead into a new block
+    # blocks of one and two entries: most free entries are walked one
+    # state at a time
     monkeypatch.setattr(oracle, "BLOCK_STATES", order ** digits)
     _check_gram_and_key_at_every_generator(n, k, order, form)
 
@@ -181,30 +226,66 @@ def test_small_blocks_keep_gram_and_key_current(monkeypatch, n, k, order, form, 
 BLOCK_CELLS = [(5, 2, 3), (6, 3, 2), (5, 2, 4)]  # each spans several default blocks
 
 
-@pytest.mark.parametrize("n,k,q", BLOCK_CELLS)
-def test_block_walk_is_the_per_state_walk(monkeypatch, n, k, q):
-    # the default blocks really split some pivot subset: it has more
-    # states than one block covers
-    default = oracle.BLOCK_STATES
-    assert any(len(list(moves)) + 1 > default for *_, moves in oracle._gray_blocks(n, k, q))
-    # one state per block (BLOCK_STATES = 1) is Algorithm H over every
-    # free entry; wider blocks must replay exactly that sequence
-    monkeypatch.setattr(oracle, "BLOCK_STATES", 1)
-    per_state = _states(n, k, q)
-    assert len(per_state) == gaussian_binomial(n, k, q)
-    for block_states in (q, default, 10 ** 9):
-        monkeypatch.setattr(oracle, "BLOCK_STATES", block_states)
-        assert _states(n, k, q) == per_state, block_states
-
-
-@pytest.mark.parametrize("n,k,q", BLOCK_CELLS)
-def test_spectra_and_generators_do_not_depend_on_the_block_size(monkeypatch, n, k, q):
-    field = field_of_order(q)
+def _forms(field, n):
     forms = [FormKind.EUCLIDEAN]
     if n % 2 == 0:
         forms.append(FormKind.SYMPLECTIC)
     if field.m % 2 == 0:
         forms.append(FormKind.HERMITIAN)
+    return forms
+
+
+def _subset_tallies(n, k, field, form):
+    """Per pivot subset, the hull-dimension tally a walk adds and the keys
+    it asks hull for, with no tally remembered."""
+    kernel = gram_kernel(field, form, n)
+    unpack, block_tally, walk = kernel.stepper(k)
+    hull = RecordingHull(lambda key: k - kernel.rank_of(unpack(key)))
+    tallies = algebra.CappedMemo(lambda state: block_tally(hull, state), 0)
+    q = field.order
+    found = []
+    for rows, free, width in oracle._pivot_subsets(n, k, q):
+        acc = [0] * (k + 1)
+        hull.seen.clear()
+        walk(rows, free, width, oracle._gray(q, len(free) - width), tallies, acc)
+        found.append((acc, set(hull.seen)))
+    return found
+
+
+@pytest.mark.parametrize("n,k,q", BLOCK_CELLS)
+def test_block_walk_is_the_per_state_walk(monkeypatch, n, k, q):
+    # the default blocks really split some pivot subset: it has free
+    # entries above a block of more than one entry
+    field = field_of_order(q)
+    default = oracle.BLOCK_STATES
+    assert any(1 < w < len(free) for _, free, w in oracle._pivot_subsets(n, k, q))
+    # blocks of one state (BLOCK_STATES = 1) are Algorithm H over every
+    # free entry, one key per generator; wider blocks must tally each pivot
+    # subset alike and ask for exactly the same keys
+    monkeypatch.setattr(oracle, "BLOCK_STATES", 1)
+    assert {w for *_, w in oracle._pivot_subsets(n, k, q)} == {0}
+    bits = (q - 1).bit_length()
+    for form in _forms(field, n):
+        kernel = gram_kernel(field, form, n)
+        per_state = _subset_tallies(n, k, field, form)
+        expected = []
+        for group in _pivot_passes(n, k, q):
+            keys = {packed_key(kernel.gram_of(rows), bits) for rows, *_ in group}
+            acc = [0] * (k + 1)
+            for rows, *_ in group:
+                acc[algebra.hull_dim(MatrixGF(field, k, n, tuple(sum(rows, []))), form)] += 1
+            expected.append((acc, keys))
+        assert per_state == expected
+        for block_states in (q, default, 10 ** 9):
+            monkeypatch.setattr(oracle, "BLOCK_STATES", block_states)
+            assert _subset_tallies(n, k, field, form) == per_state, (form, block_states)
+        monkeypatch.setattr(oracle, "BLOCK_STATES", 1)
+
+
+@pytest.mark.parametrize("n,k,q", BLOCK_CELLS)
+def test_spectra_and_generators_do_not_depend_on_the_block_size(monkeypatch, n, k, q):
+    field = field_of_order(q)
+    forms = _forms(field, n)
     results = []
     for block_states in (oracle.BLOCK_STATES, q):
         monkeypatch.setattr(oracle, "BLOCK_STATES", block_states)
@@ -215,25 +296,37 @@ def test_spectra_and_generators_do_not_depend_on_the_block_size(monkeypatch, n, 
     assert results[0] == results[1]
 
 
-def test_move_tables_stay_bounded(monkeypatch):
-    # one forward/reflected pair per field order, at most BLOCK_STATES - 1
-    # moves each, however many cells and widths walk it
-    monkeypatch.setattr(oracle, "_MOVES", {})
+def test_spectrum_memos_stay_bounded(monkeypatch):
+    # each spectrum makes one rank memo and one tally memo, which fill up
+    # to their caps and no further; the odometer keeps no tables between
+    # cells or field orders
+    made = []
+
+    class Watched(algebra.CappedMemo):
+        def __init__(self, build, cap):
+            super().__init__(build, cap)
+            made.append(self)
+
+    monkeypatch.setattr(oracle, "CappedMemo", Watched)
+    monkeypatch.setattr(oracle, "RANK_MEMO_CAP", 40)
+    monkeypatch.setattr(oracle, "BLOCK_MEMO_CAP", 30)
+    # 4,096 distinct Gram keys and 513 distinct (key, block) states, past
+    # both caps
+    expected = {0: 4096, 1: 585}
+    assert hull_spectrum(5, 4, make_field(2, 3), FormKind.EUCLIDEAN).counts == expected
+    assert [(memo.cap, len(memo)) for memo in made] == [(40, 40), (30, 30)]
     orders = (2, 3, 4, 5, 7, 8, 9, 16, 27)
     tracemalloc.start()
     try:
         for q in orders:
             for n, k in ((2, 1), (4, 2), (8, 4), (12, 6)):
-                next(oracle._gray_blocks(n, k, q))  # builds the walk's tables
+                next(oracle._pivot_subsets(n, k, q))
         for q in orders:  # a full walk of a small cell
             assert len(_states(3, 1, q)) == gaussian_binomial(3, 1, q)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sorted(oracle._MOVES) == list(orders)
-    for forward, reflected in oracle._MOVES.values():
-        assert len(forward) == len(reflected) < oracle.BLOCK_STATES
-    assert held < 400_000  # about 200 KB
+    assert held < 100_000  # freed tuples kept for reuse, no tables
 
 
 MEMO_CELLS = [
@@ -251,11 +344,10 @@ def test_spectrum_unchanged_past_the_rank_memo_cap(monkeypatch):
         assert [hull_spectrum(*cell).counts for cell in MEMO_CELLS] == expected
 
 
-def test_both_walks_give_the_same_spectra(monkeypatch):
-    # a characteristic-2 cell takes the XOR walk where a delta memo's keys
-    # fit DELTA_MEMO_CAP: at cap 0 or 1 every cell takes the per-entry
-    # walk, and at a huge cap the XOR walk runs past 4096 keys too, as in
-    # the last two cells (28,672 and 258,048 keys)
+def test_block_memo_caps_give_the_same_spectra(monkeypatch):
+    # at cap 0 every block is tallied afresh from its offsets, at cap 1 one
+    # tally is remembered and the rest rebuilt; the last three cells walk
+    # F_8 and F_64
     cells = [
         *MEMO_CELLS,
         (4, 2, make_field(2, 3), FormKind.SYMPLECTIC),
@@ -263,15 +355,14 @@ def test_both_walks_give_the_same_spectra(monkeypatch):
         (3, 2, make_field(2, 6), FormKind.HERMITIAN),
     ]
     expected = [hull_spectrum(*cell).counts for cell in cells]
-    for cap in (0, 1, 10 ** 9):
-        monkeypatch.setattr(algebra, "DELTA_MEMO_CAP", cap)
+    for cap in (0, 1, oracle.BLOCK_MEMO_CAP):
+        monkeypatch.setattr(oracle, "BLOCK_MEMO_CAP", cap)
         assert [hull_spectrum(*cell).counts for cell in cells] == expected
 
 
-@pytest.mark.parametrize("order", [2, 4, 8])
-def test_characteristic_2_spectra_match_hull_dim_of_every_generator(order):
+def _check_spectra_against_hull_dim_of_every_generator(order):
     # hull_dim ranks a fresh Gram of each generator: a route with no walk,
-    # no key and no memo
+    # no key, no block tally and no memo
     field = field_of_order(order)
     forms = [FormKind.EUCLIDEAN, FormKind.SYMPLECTIC]
     if field.m % 2 == 0:
@@ -287,6 +378,17 @@ def test_characteristic_2_spectra_match_hull_dim_of_every_generator(order):
                     algebra.hull_dim(mat, form) for mat in enumerate_subspaces(n, k, field)
                 )
                 assert hull_spectrum(n, k, field, form).counts == tally, (n, k, form)
+
+
+@pytest.mark.parametrize("order", [2, 4, 8])
+def test_characteristic_2_spectra_match_hull_dim_of_every_generator(order):
+    _check_spectra_against_hull_dim_of_every_generator(order)
+
+
+@pytest.mark.parametrize("order", [3, 5, 7, 9])
+def test_odd_characteristic_spectra_match_hull_dim_of_every_generator(order):
+    # a block's offsets combine by entrywise field addition here
+    _check_spectra_against_hull_dim_of_every_generator(order)
 
 
 def test_the_benchmark_cells_keep_their_spectra():
@@ -342,7 +444,7 @@ def test_form_errors_raise_before_enumeration(monkeypatch):
     def no_enumeration(*args):
         pytest.fail("enumeration started")
 
-    monkeypatch.setattr(oracle, "_gray_blocks", no_enumeration)
+    monkeypatch.setattr(oracle, "_pivot_subsets", no_enumeration)
     with pytest.raises(OddAmbientError, match=r"^symplectic ambient length must be even, got 5$"):
         hull_spectrum(5, 2, F2, FormKind.SYMPLECTIC)
     with pytest.raises(OddAmbientError, match=r"^symplectic ambient length must be even, got 7$"):
@@ -394,7 +496,7 @@ def test_work_limit_reports_estimate():
 def test_work_limit_none_reaches_the_spectrum(monkeypatch):
     # [10, 5]_4 is far above the default limit; with no pivot subsets to
     # walk, a spectrum that passes None on returns empty instead of raising
-    monkeypatch.setattr(oracle, "_gray_blocks", lambda n, k, q: iter(()))
+    monkeypatch.setattr(oracle, "_pivot_subsets", lambda n, k, q: iter(()))
     with pytest.raises(WorkLimitExceededError):
         hull_spectrum(10, 5, F4, FormKind.EUCLIDEAN)
     spectrum = hull_spectrum(10, 5, F4, FormKind.EUCLIDEAN, work_limit=None)
@@ -406,7 +508,7 @@ def test_enumerate_subspaces_checks_on_the_call(monkeypatch):
     def no_enumeration(*args):
         pytest.fail("enumeration started")
 
-    monkeypatch.setattr(oracle, "_gray_blocks", no_enumeration)
+    monkeypatch.setattr(oracle, "_pivot_subsets", no_enumeration)
     with pytest.raises(BadRangeError):
         enumerate_subspaces(3, 4, F2)
     with pytest.raises(WorkLimitExceededError):
@@ -479,6 +581,12 @@ def test_spectrum_vs_formula_symplectic():
     assert comp.oracle_total == comp.expected_total == 11011
     assert all(c.formula == c.oracle for c in comp.cells)
     assert [c.ell for c in comp.cells] == [0, 2]
+
+
+def test_odd_q_symplectic_sign_cell():
+    # the smallest cell seen to expose a sign error in the odd-q symplectic
+    # Gram: verify's default grid tallies the same with the sign dropped
+    assert spectrum_vs_formula(6, 3, 5, FormKind.SYMPLECTIC).passed
 
 
 def test_spectrum_vs_formula_hermitian():

@@ -221,22 +221,21 @@ def test_the_cli_has_one_output_writer():
 
 def test_each_form_is_one_table_set_in_gram_kernel():
     # the per-form conventions live in the table setup of gram_kernel; the
-    # one gram_of, the walk of each characteristic and the builder of the
-    # characteristic-2 key changes are the only functions doing field
-    # arithmetic there, and they only read the tables
+    # one gram_of, the one walk and the block tally are the only functions
+    # doing field arithmetic there, and they only read the tables
     defs = [
         node for node in ast.walk(TREES["algebra.py"])
         if isinstance(node, ast.FunctionDef)
     ]
     assert [node.name for node in defs].count("gram_of") == 1
     kernel = next(node for node in defs if node.name == "gram_kernel")
-    arithmetic = {"add", "neg", "mul", "diag", "pair"}
+    arithmetic = {"add", "neg", "mul", "diag", "pair", "column"}
     readers = [
         node for node in ast.walk(kernel)
         if isinstance(node, ast.FunctionDef) and node is not kernel
         and _own_names(node) & arithmetic
     ]
-    assert sorted(node.name for node in readers) == ["delta", "gram_of", "walk", "walk"]
+    assert sorted(node.name for node in readers) == ["block_tally", "gram_of", "walk"]
     assert [node.name for node in readers if "FormKind" in _names(node)] == []
     # one update body: no per-state step is left beside walk
     steps = [
@@ -348,10 +347,10 @@ def test_the_oracle_has_one_odometer():
         if isinstance(func, ast.FunctionDef)
         and any(_calls(iterated, "combinations") for iterated, _ in _loops(func))
     ]
-    assert walkers == ["oracle.py:_gray_blocks"]
+    assert walkers == ["oracle.py:_pivot_subsets"]
     for name in ("hull_spectrum", "_generators"):
         loops = [iterated for iterated, _ in _loops(_function("oracle.py", name))]
-        assert any(_calls(iterated, "_gray_blocks") for iterated in loops), name
+        assert any(_calls(iterated, "_pivot_subsets") for iterated in loops), name
     assert _calls(_function("oracle.py", "enumerate_subspaces"), "_generators")
 
 
@@ -374,20 +373,22 @@ def test_the_oracle_hands_each_pivot_subset_to_one_walk():
     [returned] = [
         node.value for node in stepper.body if isinstance(node, ast.Return)
     ]
-    assert [name.id for name in returned.elts] == ["unpack", "walk"]
+    assert [name.id for name in returned.elts] == ["unpack", "block_tally", "walk"]
     assert "GramWalker" not in _identifiers(TREES["algebra.py"])
-    # the walk is chosen on what the kernel sees, the field's characteristic
-    # and the key entries a move changes against the delta memo's bound:
-    # one walk per branch, and no option or environment variable picks one
-    [choice] = [node for node in stepper.body if isinstance(node, ast.If)]
-    assert ast.unparse(choice.test).startswith("field.p == 2 and ")
-    assert _names(choice.test) == {"field", "p", "slots", "keys", "DELTA_MEMO_CAP"}
-    for branch in (choice.body, choice.orelse):
-        assert [node.name for node in branch if isinstance(node, ast.FunctionDef)][-1] == "walk"
-    assert {"environ", "getenv"} & _names(TREES["algebra.py"]) == set()
+    # one walk, with no if choosing between walks, and no option, memo
+    # bound or environment variable that could pick a walk or a block size
+    assert [node for node in stepper.body if isinstance(node, ast.If)] == []
+    walks = [
+        node for node in ast.walk(stepper)
+        if isinstance(node, ast.FunctionDef) and node.name == "walk"
+    ]
+    assert len(walks) == 1
+    assert "DELTA_MEMO_CAP" not in _identifiers(TREES["algebra.py"])
+    for module in ("algebra.py", "oracle.py"):
+        assert {"environ", "getenv"} & _names(TREES[module]) == set(), module
     spectrum = _function("oracle.py", "hull_spectrum")
     [loop] = [node for node in ast.walk(spectrum) if isinstance(node, ast.For)]
-    assert _calls(loop.iter, "_gray_blocks")
+    assert _calls(loop.iter, "_pivot_subsets")
     [statement] = loop.body
     assert isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Call)
     assert isinstance(statement.value.func, ast.Name) and statement.value.func.id == "walk"
