@@ -43,6 +43,7 @@ from .exactnum import is_prime, prime_power_parts
 from .formulas import FormKind, require_even_length
 
 MAX_FIELD_ORDER = 256
+RUN_MEMO_CAP = 1024  # most runs of block columns one stepper remembers offsets for
 
 
 # -- polynomial helpers on coefficient tuples (low degree first) --------------
@@ -522,7 +523,10 @@ class CappedMemo(dict):
         self.cap = cap
 
     def __missing__(self, key: Hashable) -> Any:
-        value = self.build(key)
+        return self.keep(key, self.build(key))
+
+    def keep(self, key: Hashable, value: Any) -> Any:
+        """value, remembered under key while the memo is below its cap."""
         if len(self) < self.cap:
             self[key] = value
         return value
@@ -584,11 +588,15 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     updated in place, and the block is tallied again. The block entries
     stay 0 in rows throughout.
 
-    block_tally(hull, (key, description)) builds a tally: it convolves the
-    block columns' offsets into the key's row-0 entries, one column at a
-    time, merging equal keys with their counts, and counts hull[key] over
-    the keys that result, hull mapping a key to the hull dimension of its
-    Gram matrix. Each distinct key is looked up once.
+    block_tally(hull, (key, description)) builds a tally. A run, a prefix
+    of the sorted description, has one merged multiset of row-0 offsets
+    over all fills of its columns, convolved from zero one column at a
+    time, so it serves every key. Each stepper remembers up to RUN_MEMO_CAP
+    runs, as lists of packed offsets and counts, and a description extends
+    its longest remembered prefix. The tally adds each offset to the key's
+    row-0 entries, entry by entry, and counts hull[key] over the keys that
+    result, hull mapping a key to the hull dimension of its Gram matrix.
+    Distinct offsets give distinct keys, so each is looked up once.
 
     Built once per (field, form, n); the hermitian pairing table, once per
     field (_conj_mul_table). The tables a walk adds are O(k^2) descriptors
@@ -647,7 +655,7 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
 
     bits = (field.order - 1).bit_length()
     mask = (1 << bits) - 1
-    order = field.order
+    codes = range(field.order)
     # column[x] is pair[t][a][x] over all codes a, for any t, up to the
     # order of a: a*x, a*conj(x), or +-a*x under the symplectic form, where
     # a -> -a reorders the codes
@@ -684,12 +692,21 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
         # is described by the codes of rows 1..k-1 in its partner column, row
         # j's at bit bits * (j - 1)
         lead = [shift(0, j) for j in range(k)]
+        rest = ~sum(mask << sh for sh in lead)  # every key entry but row 0's
+
+        # run (a prefix of a description) -> (offsets packed like the key,
+        # counts); lookups build only the empty run
+        runs = CappedMemo(lambda run: ([0], [1]), RUN_MEMO_CAP)
 
         def block_tally(hull: Mapping[int, int],
                         state: tuple[int, tuple[int, ...]]) -> tuple[tuple[int, int], ...]:
             key, described = state
-            keys = {key: 1}
-            for d in described:
+            known = len(described)
+            while known and described[:known] not in runs:
+                known -= 1
+            offsets, counts = runs[described[:known]]
+            for m in range(known, len(described)):
+                d = described[m]
                 # the row-0 entries the column moves, each with its offset
                 # per code a of the column's block entry
                 moved = [(lead[0], diag)] if diag is not None else []
@@ -697,19 +714,29 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                     x = d >> bits * j & mask
                     if x:
                         moved.append((sh, column[x]))
+                # each offset of the run once per code, the code fastest
+                spread = [base for base in offsets for _ in codes]
+                for sh, column_offsets in moved:
+                    spread = [
+                        s ^ ((e := s >> sh & mask) ^ add[e][v]) << sh
+                        for s, v in zip(spread, column_offsets * len(offsets))
+                    ]
                 grown: dict[int, int] = {}
-                for base, count in keys.items():
-                    spread = [base] * order
-                    for sh, offsets in moved:
-                        e = base >> sh & mask
-                        to = add[e]
-                        spread = [s ^ (e ^ to[v]) << sh for s, v in zip(spread, offsets)]
-                    for new in spread:
-                        grown[new] = grown.get(new, 0) + count
-                keys = grown
+                for new, count in zip(spread, [count for count in counts for _ in codes]):
+                    grown[new] = grown.get(new, 0) + count
+                offsets, counts = runs.keep(described[:m + 1], (list(grown), list(grown.values())))
+            # key + offset entry by entry, where 0 + x = x needs no table;
+            # distinct offsets give distinct keys, one hull lookup each
+            spread = [key & rest | o for o in offsets]
+            for sh in lead[first:]:
+                if e := key >> sh & mask:
+                    to = add[e]
+                    spread = [
+                        s ^ ((x := o >> sh & mask) ^ to[x]) << sh for s, o in zip(spread, offsets)
+                    ]
             tally = [0] * (k + 1)
-            for key, count in keys.items():
-                tally[hull[key]] += count
+            for new, count in zip(spread, counts):
+                tally[hull[new]] += count
             return tuple((ell, c) for ell, c in enumerate(tally) if c)
 
         def walk(rows: RawRows, free: Sequence[tuple[int, int]], width: int,

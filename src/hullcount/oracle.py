@@ -28,12 +28,15 @@ and adds the block's tally: the hull dimensions of all Q^width fills of
 the block, which move only row 0's key entries. The tallies come from an
 algebra.CappedMemo that lives for one spectrum and holds at most
 BLOCK_MEMO_CAP of them, keyed by the key and a description of the block
-columns' partner codes; a tally it lacks is built by the kernel, which
-convolves the columns' key offsets and looks each combined key up in a
-second CappedMemo. That one maps a key to its hull dimension, sees the
-key as an opaque int and holds at most RANK_MEMO_CAP entries; a key it
-lacks is unpacked into its Gram matrix by the kernel and ranked, and
-past the cap it is not remembered.
+columns' partner codes. A tally it lacks is built by the kernel from the
+merged row-0 offsets of the block's columns, which its stepper remembers
+per run of columns for the whole spectrum: it adds each offset to the key
+and looks the sum up in a second CappedMemo. That one maps a key to its
+hull dimension and sees the key as an opaque int. It holds at most
+RANK_MEMO_CAP entries, or Q^(k(k+1)/2), the number of values a Gram's
+upper triangle can take, where that is fewer. A key it lacks is unpacked
+into its Gram matrix by the kernel and ranked, and past the cap it is not
+remembered.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .exactnum import gaussian_binomial, prime_power_parts
 from .formulas import closed_spectrum
 
 DEFAULT_WORK_LIMIT = 10 ** 8
-RANK_MEMO_CAP = 4096  # most Gram keys one spectrum remembers hull dimensions for
+RANK_MEMO_CAP = 2 ** 16  # most Gram keys any spectrum remembers hull dimensions for
 BLOCK_MEMO_CAP = 4096  # most (key, block) states one spectrum remembers tallies for
 BLOCK_STATES = 256  # most states of row 0's free entries one block tally covers
 
@@ -180,7 +183,9 @@ def hull_spectrum(
     q = field.order
     kernel = gram_kernel(field, form, n)
     unpack, block_tally, walk = kernel.stepper(k)
-    hull = CappedMemo(lambda key: k - kernel.rank_of(unpack(key)), RANK_MEMO_CAP)
+    # a key packs the k(k+1)/2 entries of a Gram's upper triangle
+    keys = q ** (k * (k + 1) // 2)
+    hull = CappedMemo(lambda key: k - kernel.rank_of(unpack(key)), min(keys, RANK_MEMO_CAP))
     tallies = CappedMemo(functools.partial(block_tally, hull), BLOCK_MEMO_CAP)
     acc = [0] * (k + 1)
     for rows, free, width in _pivot_subsets(n, k, q):

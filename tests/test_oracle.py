@@ -297,9 +297,9 @@ def test_spectra_and_generators_do_not_depend_on_the_block_size(monkeypatch, n, 
 
 
 def test_spectrum_memos_stay_bounded(monkeypatch):
-    # each spectrum makes one rank memo and one tally memo, which fill up
-    # to their caps and no further; the odometer keeps no tables between
-    # cells or field orders
+    # each spectrum makes one run memo (its stepper's), one rank memo and
+    # one tally memo, which fill up to their caps and no further; the
+    # odometer keeps no tables between cells or field orders
     made = []
 
     class Watched(algebra.CappedMemo):
@@ -308,13 +308,15 @@ def test_spectrum_memos_stay_bounded(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(oracle, "CappedMemo", Watched)
+    monkeypatch.setattr(algebra, "CappedMemo", Watched)
+    monkeypatch.setattr(algebra, "RUN_MEMO_CAP", 20)
     monkeypatch.setattr(oracle, "RANK_MEMO_CAP", 40)
     monkeypatch.setattr(oracle, "BLOCK_MEMO_CAP", 30)
-    # 4,096 distinct Gram keys and 513 distinct (key, block) states, past
-    # both caps
+    # 513 runs of block columns, 4,096 distinct Gram keys and 513 distinct
+    # (key, block) states, past all three caps
     expected = {0: 4096, 1: 585}
     assert hull_spectrum(5, 4, make_field(2, 3), FormKind.EUCLIDEAN).counts == expected
-    assert [(memo.cap, len(memo)) for memo in made] == [(40, 40), (30, 30)]
+    assert [(memo.cap, len(memo)) for memo in made] == [(20, 20), (40, 40), (30, 30)]
     orders = (2, 3, 4, 5, 7, 8, 9, 16, 27)
     tracemalloc.start()
     try:
@@ -334,30 +336,103 @@ MEMO_CELLS = [
     (5, 2, F3, FormKind.EUCLIDEAN),
     (4, 2, F4, FormKind.HERMITIAN),
     (4, 3, F4, FormKind.EUCLIDEAN),
+    (4, 3, F4, FormKind.HERMITIAN),
 ]
 
 
 def test_spectrum_unchanged_past_the_rank_memo_cap(monkeypatch):
+    # the last two cells have k = n - 1, where nearly every block tally
+    # meets new keys: their spectra at the derived cap, which holds every
+    # key, stay the same with no key or one key remembered
     expected = [hull_spectrum(*cell).counts for cell in MEMO_CELLS]
     for cap in (0, 1):
         monkeypatch.setattr(oracle, "RANK_MEMO_CAP", cap)
         assert [hull_spectrum(*cell).counts for cell in MEMO_CELLS] == expected
 
 
+def test_rank_memo_cap_is_the_cell_key_space_or_the_bound(monkeypatch):
+    # a Gram key packs the k(k+1)/2 entries of the upper triangle, so a
+    # cell has at most Q^(k(k+1)/2) keys; the memo is capped there unless
+    # RANK_MEMO_CAP is lower
+    caps = []
+
+    class Watched(algebra.CappedMemo):
+        def __init__(self, build, cap):
+            super().__init__(build, cap)
+            caps.append(cap)
+
+    monkeypatch.setattr(oracle, "CappedMemo", Watched)
+    hull_spectrum(4, 3, F2, FormKind.EUCLIDEAN)
+    hull_spectrum(4, 2, F3, FormKind.SYMPLECTIC)
+    hull_spectrum(4, 3, make_field(2, 3), FormKind.EUCLIDEAN)
+    assert 8 ** 6 > oracle.RANK_MEMO_CAP
+    # each spectrum makes its rank memo, then its tally memo
+    assert caps[::2] == [2 ** 6, 3 ** 3, oracle.RANK_MEMO_CAP]
+
+
+CAP_CELLS = [  # the last three walk F_8 and F_64
+    *MEMO_CELLS,
+    (4, 2, make_field(2, 3), FormKind.SYMPLECTIC),
+    (5, 4, make_field(2, 3), FormKind.EUCLIDEAN),
+    (3, 2, make_field(2, 6), FormKind.HERMITIAN),
+]
+
+
 def test_block_memo_caps_give_the_same_spectra(monkeypatch):
     # at cap 0 every block is tallied afresh from its offsets, at cap 1 one
-    # tally is remembered and the rest rebuilt; the last three cells walk
-    # F_8 and F_64
-    cells = [
-        *MEMO_CELLS,
-        (4, 2, make_field(2, 3), FormKind.SYMPLECTIC),
-        (5, 4, make_field(2, 3), FormKind.EUCLIDEAN),
-        (3, 2, make_field(2, 6), FormKind.HERMITIAN),
-    ]
-    expected = [hull_spectrum(*cell).counts for cell in cells]
+    # tally is remembered and the rest rebuilt
+    expected = [hull_spectrum(*cell).counts for cell in CAP_CELLS]
     for cap in (0, 1, oracle.BLOCK_MEMO_CAP):
         monkeypatch.setattr(oracle, "BLOCK_MEMO_CAP", cap)
-        assert [hull_spectrum(*cell).counts for cell in cells] == expected
+        assert [hull_spectrum(*cell).counts for cell in CAP_CELLS] == expected
+
+
+def test_run_memo_caps_give_the_same_spectra(monkeypatch):
+    # at cap 0 every tally convolves all its columns, at cap 1 only the
+    # empty run is remembered; every cell here has more runs than that
+    expected = [hull_spectrum(*cell).counts for cell in CAP_CELLS]
+    for cap in (0, 1, algebra.RUN_MEMO_CAP):
+        monkeypatch.setattr(algebra, "RUN_MEMO_CAP", cap)
+        assert [hull_spectrum(*cell).counts for cell in CAP_CELLS] == expected
+
+
+def _block_states(n, k, field, form):
+    """Every (key, description) a spectrum's walk looks a tally up for, in
+    walk order."""
+    walk = gram_kernel(field, form, n).stepper(k)[2]
+    q = field.order
+    seen = []
+    for rows, free, width in oracle._pivot_subsets(n, k, q):
+        tallies = RecordingTallies(rows)
+        walk(rows, free, width, oracle._gray(q, len(free) - width), tallies, [0])
+        seen += [state for state, _ in tallies.seen]
+    return seen
+
+
+@pytest.mark.parametrize("n,k,q,form", [
+    (6, 3, 2, FormKind.SYMPLECTIC),
+    (5, 2, 3, FormKind.EUCLIDEAN),
+    (4, 2, 4, FormKind.HERMITIAN),
+    (6, 3, 3, FormKind.SYMPLECTIC),
+])
+def test_tallies_on_remembered_runs_are_fresh_tallies(n, k, q, form):
+    # one stepper tallies every state of a spectrum in walk order, so later
+    # descriptions extend runs that earlier ones left; each tally must be
+    # what a fresh stepper, with nothing remembered, builds for that state
+    field = oracle.field_for(form, q)
+    kernel = gram_kernel(field, form, n)
+    unpack, block_tally, _ = kernel.stepper(k)
+    hull = RecordingHull(lambda key: k - kernel.rank_of(unpack(key)))
+    states = list(dict.fromkeys(_block_states(n, k, field, form)))
+    runs, reused = set(), 0
+    for key, described in states:
+        reused += described[:1] in runs
+        runs.update(described[:m] for m in range(1, len(described) + 1))
+        fresh = kernel.stepper(k)[1]
+        assert block_tally(hull, (key, described)) == fresh(hull, (key, described))
+    # most states start from a remembered run: a shared first column, or
+    # the whole description under another key
+    assert reused > len(states) // 2
 
 
 def _check_spectra_against_hull_dim_of_every_generator(order):
