@@ -43,7 +43,7 @@ from .exactnum import is_prime, prime_power_parts
 from .formulas import FormKind, require_even_length
 
 MAX_FIELD_ORDER = 256
-RUN_MEMO_CAP = 1024  # most runs of block columns one stepper remembers offsets for
+RUN_MEMO_CAP = 4096  # most row-0 offsets one stepper remembers for runs of block columns
 
 
 # -- polynomial helpers on coefficient tuples (low degree first) --------------
@@ -514,21 +514,23 @@ def _conj_mul_table(field: FiniteField) -> list[list[int]]:
 
 class CappedMemo(dict):
     """key -> build(key), built on the first lookup of a key and remembered
-    while the memo holds fewer than cap keys; past the cap a key it lacks
-    is built again on every lookup."""
+    while the sizes held (1 a key, unless keep is given one) fit in cap;
+    past the cap a key it lacks is built again on every lookup."""
 
     def __init__(self, build: Callable[[Hashable], Any], cap: int):
         super().__init__()
         self.build = build
         self.cap = cap
+        self.held = 0
 
     def __missing__(self, key: Hashable) -> Any:
         return self.keep(key, self.build(key))
 
-    def keep(self, key: Hashable, value: Any) -> Any:
-        """value, remembered under key while the memo is below its cap."""
-        if len(self) < self.cap:
+    def keep(self, key: Hashable, value: Any, size: int = 1) -> Any:
+        """value, remembered under key if its size still fits in the cap."""
+        if self.held + size <= self.cap:
             self[key] = value
+            self.held += size
         return value
 
 
@@ -591,10 +593,10 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     block_tally(hull, (key, description)) builds a tally. A run, a prefix
     of the sorted description, has one merged multiset of row-0 offsets
     over all fills of its columns, convolved from zero one column at a
-    time, so it serves every key. Each stepper remembers up to RUN_MEMO_CAP
-    runs, as lists of packed offsets and counts, and a description extends
-    its longest remembered prefix. The tally adds each offset to the key's
-    row-0 entries, entry by entry, and counts hull[key] over the keys that
+    time, so it serves every key. Each stepper remembers runs as lists of
+    packed offsets and counts, up to RUN_MEMO_CAP offsets in all, and a
+    description extends its longest remembered prefix. The tally adds each
+    offset to the key's row-0 entries, entry by entry, and counts hull[key] over the keys that
     result, hull mapping a key to the hull dimension of its Gram matrix.
     Distinct offsets give distinct keys, so each is looked up once.
 
@@ -695,7 +697,7 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
         rest = ~sum(mask << sh for sh in lead)  # every key entry but row 0's
 
         # run (a prefix of a description) -> (offsets packed like the key,
-        # counts); lookups build only the empty run
+        # counts), sized by its offsets; lookups build only the empty run
         runs = CappedMemo(lambda run: ([0], [1]), RUN_MEMO_CAP)
 
         def block_tally(hull: Mapping[int, int],
@@ -724,7 +726,8 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                 grown: dict[int, int] = {}
                 for new, count in zip(spread, [count for count in counts for _ in codes]):
                     grown[new] = grown.get(new, 0) + count
-                offsets, counts = runs.keep(described[:m + 1], (list(grown), list(grown.values())))
+                offsets, counts = list(grown), list(grown.values())
+                runs.keep(described[:m + 1], (offsets, counts), len(offsets))
             # key + offset entry by entry, where 0 + x = x needs no table;
             # distinct offsets give distinct keys, one hull lookup each
             spread = [key & rest | o for o in offsets]

@@ -2,17 +2,18 @@
 
 Subcommands: eval (one parameter cell: count, ratio factor,
 classification), table (the reference tables in markdown, CSV or JSON),
-verify (enumeration sweeps diffed against the closed forms plus ratio and
-classification checks), census (entanglement-assisted parameter rows).
+verify (enumeration sweeps diffed against the closed forms and the
+euclidean chain, plus ratio and classification checks), census
+(entanglement-assisted parameter rows).
 
 Exit codes: 0 success, 1 verification mismatch, 2 violated precondition or
-infeasible enumeration. The oracle work limit resolves from --work-limit,
+infeasible enumeration. verify's work limit resolves from --work-limit,
 then the HULLCOUNT_WORK_LIMIT environment variable, then the package
 default. Table and census output is byte-stable across runs: plain decimal
 integers, no locale formatting, CSV rows terminated with CRLF.
 
-Each command imports the modules it uses when it runs, so a process that
-only prints a table never compiles the finite fields or the oracle.
+Each command imports the modules it uses when it runs, so only verify
+compiles the finite fields and the oracle.
 """
 
 from __future__ import annotations
@@ -100,16 +101,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     k, ell, q = args.k, args.ell, args.q
     if k < 0 or ell < 0:
         raise BadRangeError(f"k and l must be non-negative, got k={k} l={ell}")
-    if form is FormKind.EUCLIDEAN:
-        from .algebra import field_of_order
-        from .oracle import hull_spectrum
+    from .ratios import euclidean_spectrum, ratio_report
 
-        limit = _resolve_work_limit(args.work_limit)
-        spectrum = hull_spectrum(length, k, field_of_order(q), form, limit)
-        count = spectrum.counts.get(ell, 0)
+    if form is FormKind.EUCLIDEAN:
+        count = euclidean_spectrum(length, k, q).get(ell, 0)
     else:
         count = formulas.closed_count(form, length, k, ell, q)
-        if k > length:  # the oracle refuses such a k; the closed forms count it 0
+        if k > length:  # euclidean_spectrum refuses such a k; the closed forms count it 0
             raise BadRangeError(f"need 0 <= k <= n, got n={length} k={k}")
     lines = [
         f"form: {form.value}",
@@ -119,8 +117,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         f"q: {q}",
         f"count: {count}",
     ]
-    from .ratios import ratio_report
-
     try:
         report = ratio_report(form, length, k, ell, q)
     except (OutOfValidRangeError, ParityViolationError) as exc:
@@ -335,8 +331,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             label = f"{name} length={length} k={k} q={q}"
             try:
                 comp = spectrum_vs_formula(length, k, q, FormKind(name), limit)
-            except ArithmeticError as exc:  # a closed form that is not integral
-                problems = [f"closed form: {exc}"]
+            except ArithmeticError as exc:  # a formula count that is not integral
+                problems = [f"formula: {exc}"]
             else:
                 if args.dump:
                     dumped += [
@@ -409,8 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate one parameter cell")
     p_eval.add_argument("--form", required=True, choices=[f.value for f in FormKind])
     _add_cell_arguments(p_eval, with_ell=True)
-    p_eval.add_argument("--work-limit", type=int, default=None,
-                        help="subspace cap for euclidean enumeration")
 
     p_table = sub.add_parser("table", help="render a reference table")
     p_table.add_argument("which", choices=["hermitian", "symplectic", "comparison"])

@@ -20,13 +20,15 @@ signals a bug rather than bad input.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .algebra import FormKind, MatrixGF, gram_kernel
 from .errors import BadRangeError, OddGramRankError, ParityViolationError
 from .exactnum import prime_power_parts
-from .formulas import ValidatedRecord, closed_spectrum, hull_dims
+from .formulas import FormKind, ValidatedRecord, closed_spectrum, hull_dims
 from .ratios import COUNT_EXCEPTIONS
+
+if TYPE_CHECKING:
+    from .algebra import MatrixGF
 
 
 class _EaqeccFields(NamedTuple):
@@ -95,6 +97,8 @@ def ebits_from_check_matrix(check: MatrixGF) -> int:
     """Ebits consumed by a binary check matrix [H_Z | H_X]: half the rank of
     the symplectic Gram of its rows. Accepts dependent rows; the Gram rank
     only sees the row space."""
+    from .algebra import gram_kernel
+
     if check.field.order != 2:
         raise BadRangeError("check matrices are binary, need the field of order 2")
     kernel = gram_kernel(check.field, FormKind.SYMPLECTIC, check.cols)

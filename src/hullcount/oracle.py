@@ -57,6 +57,7 @@ from .algebra import (
 from .errors import BadRangeError, WorkLimitExceededError
 from .exactnum import gaussian_binomial, prime_power_parts
 from .formulas import closed_spectrum
+from .ratios import euclidean_spectrum
 
 DEFAULT_WORK_LIMIT = 10 ** 8
 RANK_MEMO_CAP = 2 ** 16  # most Gram keys any spectrum remembers hull dimensions for
@@ -199,15 +200,12 @@ def hull_spectrum(
 class SpectrumCell(NamedTuple):
     ell: int
     oracle: int
-    formula: int | None
+    formula: int
 
 
 class SpectrumComparison(NamedTuple):
-    """Per-hull-dimension diff between enumeration and closed form.
-
-    formula entries are None for the Euclidean form, which has no closed
-    count here; the Gaussian-binomial sum check still applies.
-    """
+    """Per-hull-dimension diff between enumeration and formula (see
+    spectrum_vs_formula); a hull dimension one side lacks counts 0 there."""
 
     length: int
     k: int
@@ -224,7 +222,7 @@ class SpectrumComparison(NamedTuple):
     def first_failure(self) -> str | None:
         """The first wrong cell, else a wrong total, else None."""
         for c in self.cells:
-            if c.formula is not None and c.formula != c.oracle:
+            if c.formula != c.oracle:
                 return f"l={c.ell}: oracle {c.oracle} != formula {c.formula}"
         if self.oracle_total != self.expected_total:
             return f"sum {self.oracle_total} != expected {self.expected_total}"
@@ -245,17 +243,21 @@ def spectrum_vs_formula(
     form: FormKind,
     work_limit: int | None = DEFAULT_WORK_LIMIT,
 ) -> SpectrumComparison:
-    """Run the oracle at (length, k, q) and diff it against the closed form.
+    """Run the oracle at (length, k, q) and diff it against closed_spectrum,
+    or for the Euclidean form against the ratio layer's euclidean_spectrum.
 
     length is the ambient length (2n for symplectic); q is the formula
     order, so hermitian codes are enumerated over F_{q^2}.
     """
     field = field_for(form, q)
     spectrum = hull_spectrum(length, k, field, form, work_limit)
-    closed = {} if form is FormKind.EUCLIDEAN else closed_spectrum(form, length, k, q)
-    all_ells = sorted(set(spectrum.counts) | set(closed))
+    if form is FormKind.EUCLIDEAN:
+        formula = euclidean_spectrum(length, k, q)
+    else:
+        formula = closed_spectrum(form, length, k, q)
+    all_ells = sorted(set(spectrum.counts) | set(formula))
     cells = tuple(
-        SpectrumCell(ell, spectrum.counts.get(ell, 0), closed.get(ell))
+        SpectrumCell(ell, spectrum.counts.get(ell, 0), formula.get(ell, 0))
         for ell in all_ells
     )
     return SpectrumComparison(

@@ -24,7 +24,8 @@ b = 2n - k - l in the symplectic case):
   four (n parity) x (k - l parity) cases split further along the
   quadratic character eta((-1)^(n/2)); alpha drops into [1/2, 1) exactly
   when n is even, k - l is odd and eta = +1, with equality 1/2 at
-  k = n/2, l = k - 1. For even q alpha is always above 1.
+  k = n/2, l = k - 1. For even q alpha is always above 1. With the sum
+  [n, k]_q these ratios fix every count, at every q (euclidean_spectrum).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
     OutOfValidRangeError,
     ParityViolationError,
 )
-from .exactnum import prime_power_parts
+from .exactnum import gaussian_binomial, prime_power_parts
 from .formulas import EUCLIDEAN, HERMITIAN, SYMPLECTIC, FormKind, closed_step, hull_dims
 
 if TYPE_CHECKING:
@@ -252,6 +253,41 @@ def ratio_report(form: FormKind, length: int, k: int, ell: int, q: int) -> Ratio
     num, den = alpha.numerator * cof, alpha.denominator  # cof and den are positive
     step = 2 if form is FormKind.SYMPLECTIC else 1
     return RatioReport(form, step, alpha, cof, Fraction(num, den), cls, num > den, equality)
+
+
+def euclidean_spectrum(n: int, k: int, q: int) -> dict[int, int]:
+    """Exact number of k-dimensional codes in F_q^n per Euclidean hull
+    dimension l, as a dict in increasing l, from the step ratios alone.
+
+    The chain runs at j = min(k, n - k), as C -> C^perp keeps the hull.
+    With r_l the full ratio of ratio_report, count(l) = r_l * count(l + 1),
+    so Horner's rule h <- 1 + r_l * h from l = 0 up gives [n, k]_q =
+    count(top) * h. Where alpha has no finite value (l = n/2 - 1, eta =
+    -1) no self-dual code exists and count(j) = 0 is left out. A
+    non-integral count raises ArithmeticError.
+    """
+    prime_power_parts(q)
+    if n < 0 or not 0 <= k <= n:
+        raise BadRangeError(f"need 0 <= k <= n, got n={n} k={k}")
+    j = n - k if 2 * k > n else k
+    steps = []
+    for ell in hull_dims(EUCLIDEAN, n, j)[:-1]:
+        try:
+            steps.append(ratio_report(EUCLIDEAN, n, j, ell, q).full_ratio)
+        except OutOfValidRangeError:  # the last step, and only for eta = -1
+            break
+    h = Fraction(1)
+    for r in steps:
+        h = 1 + r * h
+    count = gaussian_binomial(n, k, q) / h
+    counts = {}
+    for ell in range(len(steps), -1, -1):
+        if count.denominator != 1:
+            raise ArithmeticError(f"non-integral count at l={ell} (n={n} k={k} q={q})")
+        counts[ell] = count.numerator
+        if ell:
+            count *= steps[ell - 1]
+    return dict(reversed(counts.items()))
 
 
 def classify_hermitian(n: int, k: int, ell: int, q: int) -> HermitianClassification:

@@ -1,4 +1,4 @@
-"""CLI behavior: subcommands, formats, exit codes, work-limit plumbing."""
+"""CLI behavior: subcommands, formats, exit codes, verify's work-limit plumbing."""
 
 import json
 
@@ -68,13 +68,35 @@ def test_eval_refuses_k_above_the_length_for_every_form(capsys, form, flag, leng
     assert (code, out, err) == (2, "", f"error: need 0 <= k <= n, got n={length} k=5\n")
 
 
-def test_eval_euclidean_uses_enumeration(capsys):
+def test_eval_euclidean_uses_the_ratio_chain(capsys, monkeypatch):
+    # eval counts from ratios.euclidean_spectrum and never enumerates
+    from hullcount import oracle
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("eval enumerated subspaces")
+
+    monkeypatch.setattr(oracle, "hull_spectrum", no_enumeration)
     code, out, _ = run(
         ["eval", "--form", "euclidean", "-n", "4", "-k", "2", "-l", "1", "-q", "2"],
         capsys,
     )
     assert code == 0
     assert "count: 12" in out
+    # 25,734,890 subspaces, about 30 s for the oracle, which tallies 1508580
+    code, out, _ = run(
+        ["eval", "--form", "euclidean", "-n", "5", "-k", "2", "-l", "1", "-q", "17"],
+        capsys,
+    )
+    assert code == 0
+    assert "count: 1508580\n" in out
+
+
+def test_eval_takes_no_work_limit(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--form", "euclidean", "-n", "4", "-k", "2", "-l", "0",
+                  "-q", "2", "--work-limit", "100"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --work-limit 100" in capsys.readouterr().err
 
 
 def test_eval_rejects_bad_lengths(capsys):
@@ -117,7 +139,7 @@ def test_odd_and_negative_ambient_lengths_have_one_message(capsys):
 
 
 def test_eval_rejects_non_prime_power_order(capsys):
-    # the oracle (euclidean) and closed-form (hermitian) paths give one message
+    # the ratio chain (euclidean) and closed-form (hermitian) paths give one message
     for form in ("euclidean", "hermitian"):
         code, out, err = run(
             ["eval", "--form", form, "-n", "4", "-k", "2", "-l", "0", "-q", "6"],
@@ -267,9 +289,12 @@ def test_verify_refuses_an_infeasible_sweep_before_enumerating(capsys):
     assert err == "error: infeasible: estimated 5797 subspaces exceeds work limit 1000\n"
 
 
+# euclidean cells up to n = 4 over F_2, the largest E[4,2]_2 of 35 subspaces
+WORK_LIMIT_SWEEP = ["verify", "--form", "euclidean", "--max-n", "4", "-q", "2"]
+
+
 def test_work_limit_env_and_flag_precedence(capsys, monkeypatch):
-    argv = ["eval", "--form", "euclidean", "-n", "4", "-k", "2", "-l", "0",
-            "-q", "2"]
+    argv = WORK_LIMIT_SWEEP
     monkeypatch.setenv("HULLCOUNT_WORK_LIMIT", "10")
     code, _, err = run(argv, capsys)
     assert code == 2
@@ -279,12 +304,12 @@ def test_work_limit_env_and_flag_precedence(capsys, monkeypatch):
         monkeypatch.setenv("HULLCOUNT_WORK_LIMIT", env)
         code, out, err = run(argv + ["--work-limit", "100"], capsys)
         assert (code, err) == (0, "")
-        assert "count: 20" in out
+        assert "PASS euclidean length=4 k=2 q=2" in out
+        assert "all 4 cells pass" in out
 
 
 def test_work_limit_env_validation(capsys, monkeypatch):
-    argv = ["eval", "--form", "euclidean", "-n", "4", "-k", "2", "-l", "0",
-            "-q", "2"]
+    argv = WORK_LIMIT_SWEEP
     monkeypatch.setenv("HULLCOUNT_WORK_LIMIT", "abc")
     assert run(argv, capsys) == (
         2, "", "error: HULLCOUNT_WORK_LIMIT must be an integer, got 'abc'\n"

@@ -298,7 +298,8 @@ def test_spectra_and_generators_do_not_depend_on_the_block_size(monkeypatch, n, 
 
 def test_spectrum_memos_stay_bounded(monkeypatch):
     # each spectrum makes one run memo (its stepper's), one rank memo and
-    # one tally memo, which fill up to their caps and no further; the
+    # one tally memo, which fill up to their caps and no further: the run
+    # memo's cap counts stored offsets, the other two count keys; the
     # odometer keeps no tables between cells or field orders
     made = []
 
@@ -316,7 +317,12 @@ def test_spectrum_memos_stay_bounded(monkeypatch):
     # (key, block) states, past all three caps
     expected = {0: 4096, 1: 585}
     assert hull_spectrum(5, 4, make_field(2, 3), FormKind.EUCLIDEAN).counts == expected
-    assert [(memo.cap, len(memo)) for memo in made] == [(20, 20), (40, 40), (30, 30)]
+    assert [(memo.cap, memo.held) for memo in made] == [(20, 17), (40, 40), (30, 30)]
+    runs, *keyed = made
+    assert [len(memo) for memo in keyed] == [40, 30]
+    # the empty run's one offset and two runs of 8: a third run of 8 would
+    # pass the cap of 20 offsets, so it is not kept
+    assert sorted(len(offsets) for offsets, _ in runs.values()) == [1, 8, 8]
     orders = (2, 3, 4, 5, 7, 8, 9, 16, 27)
     tracemalloc.start()
     try:
@@ -671,12 +677,18 @@ def test_spectrum_vs_formula_hermitian():
     assert comp.expected_total == gaussian_binomial(4, 2, 4)
 
 
-def test_spectrum_vs_formula_euclidean_sum_only():
+def test_spectrum_vs_formula_euclidean():
+    # the formula side is the ratio layer's chain, compared at every l
     comp = spectrum_vs_formula(4, 2, 2, FormKind.EUCLIDEAN)
     assert comp.passed
-    assert all(c.formula is None for c in comp.cells)
+    assert all(c.formula == c.oracle for c in comp.cells)
+    assert [c.ell for c in comp.cells] == [0, 1, 2]
     assert comp.expected_total == 35
     assert comp.first_failure() is None
+    # no self-dual code of length 2 over F_3: both sides leave l = 1 out
+    comp = spectrum_vs_formula(2, 1, 3, FormKind.EUCLIDEAN)
+    assert comp.cells == (oracle.SpectrumCell(0, 4, 4),)
+    assert comp.passed
 
 
 @pytest.mark.parametrize(
@@ -687,7 +699,8 @@ def test_spectrum_vs_formula_euclidean_sum_only():
         # a wrong cell is named before a wrong total
         (((0, 41, 40), (1, 45, 45)), (86, 85), "l=0: oracle 41 != formula 40"),
         (((0, 40, 40), (1, 45, 45)), (85, 85), None),
-        (((0, 40, None), (1, 45, None)), (85, 85), None),
+        # a hull dimension one side lacks counts 0 on both
+        (((0, 4, 4), (1, 0, 0)), (4, 4), None),
     ],
 )
 def test_the_verdict_is_the_first_failure(cells, totals, failure):

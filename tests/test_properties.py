@@ -9,7 +9,7 @@ from hullcount.algebra import FormKind
 from hullcount.errors import HullCountError
 from hullcount.exactnum import DIVMOD_MAX_TOP, gaussian_binomial
 from hullcount.formulas import closed_count, closed_spectrum, closed_step, hull_dims
-from hullcount.ratios import classify_hermitian, ratio_report
+from hullcount.ratios import classify_hermitian, euclidean_spectrum, ratio_report
 
 from naive_counts import naive_count_hermitian, naive_count_symplectic, naive_gaussian_binomial
 
@@ -49,6 +49,20 @@ def test_ratio_identity_on_every_consecutive_pair(cell):
         assert rep.step == dims.step
         num, den = rep.full_ratio.numerator, rep.full_ratio.denominator
         assert counts[ell] * den == num * counts[ell + dims.step]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 60).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n), st.sampled_from(QS))))
+def test_euclidean_spectrum_shape(cell):
+    # non-negative int counts over hull dimensions of the cell that sum to
+    # [n, k]_q, and C -> C^perp keeps the hull, so k and n - k agree
+    n, k, q = cell
+    counts = euclidean_spectrum(n, k, q)
+    assert all(type(c) is int and c >= 0 for c in counts.values())
+    assert sum(counts.values()) == gaussian_binomial(n, k, q)
+    assert set(counts) <= set(hull_dims(FormKind.EUCLIDEAN, n, k))
+    assert euclidean_spectrum(n, n - k, q) == counts
 
 
 @st.composite

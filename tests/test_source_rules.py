@@ -45,7 +45,7 @@ def test_no_raise_assertion_error():
     assert found == []
 
 
-# the modules a table or a hermitian/symplectic eval has no use for: the
+# the modules a table, an eval of any form or a census has no use for: the
 # finite fields and the oracle, and dataclasses, which pulls in inspect, ast,
 # dis and tokenize and execs generated methods for every class it builds
 _HEAVY = ("hullcount.algebra", "hullcount.oracle")
@@ -63,8 +63,18 @@ _CLI_UNUSED = (*_HEAVY, "hullcount.ratios", "hullcount.eaqecc", "json", "csv", "
             " '-n', '4', '-k', '2', '-l', '1', '-q', '2'])",
             _HEAVY,
         ),
+        (
+            "import hullcount.cli; hullcount.cli.main(['eval', '--form', 'euclidean',"
+            " '-n', '6', '-k', '3', '-l', '1', '-q', '3'])",
+            _HEAVY,
+        ),
+        (
+            "import hullcount.cli; hullcount.cli.main(['census', '--form', 'hermitian',"
+            " '-n', '4', '-k', '2', '-q', '2'])",
+            _HEAVY,
+        ),
     ],
-    ids=["root", "cli", "table", "eval"],
+    ids=["root", "cli", "table", "eval", "eval-euclidean", "census"],
 )
 def test_import_footprint(statement, unwanted):
     # every CLI process compiles what it imports; a command loads only the
@@ -136,6 +146,42 @@ def test_only_classify_hermitian_reads_the_closed_form_in_ratios():
         if isinstance(node, ast.FunctionDef) and node.name == "classify_hermitian"
     )
     assert _names(classify) & closed == {"closed_step"}
+
+
+def _module_names(module: str) -> set[str]:
+    """The names module defines at its top level: functions, classes and
+    assigned globals, not what it imports."""
+    found = set()
+    for node in TREES[module].body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found |= {name for target in targets for name in _names(target)}
+    return found
+
+
+def test_the_euclidean_chain_reads_only_the_ratio_layer():
+    # the oracle is the chain's independent check, so the chain reaches
+    # neither it nor the closed forms' evaluator
+    chain = _names(_function("ratios.py", "euclidean_spectrum"))
+    closed = {"closed_count", "closed_spectrum", "closed_step", "exact_count"}
+    heavy = {"algebra", "oracle"} | _module_names("algebra.py") | _module_names("oracle.py")
+    assert "ratio_report" in chain
+    assert chain & (closed | heavy) == set()
+
+
+def test_only_verify_enumerates_in_the_cli():
+    # eval counts every form from a formula; only verify runs the oracle
+    outside = [
+        f"cli.py:{node.lineno}"
+        for statement in TREES["cli.py"].body
+        if getattr(statement, "name", None) != "cmd_verify"
+        for node in ast.walk(statement)
+        if "hull_spectrum" in _names(node)
+        or isinstance(node, ast.alias) and node.name == "hull_spectrum"
+    ]
+    assert outside == []
 
 
 def _loops(tree: ast.AST):
