@@ -3,7 +3,7 @@
 Closed-form evaluators for hermitian and symplectic hull-dimension counts,
 the ratio factors linking consecutive hull dimensions (all three classical
 forms) with their exception classification and asymptotic limits, an
-exhaustive enumeration oracle for cross-checking, and parameter maps into
+exact oracle over every subspace for cross-checking, and parameter maps into
 entanglement-assisted quantum codes.
 
 Importing the package loads none of its modules: each public name, and

@@ -11,7 +11,7 @@ and all arithmetic routes through dense lookup tables, all built when the
 field is: exp/log over the generator, which is the smallest nonzero code
 whose powers run through every unit, digitwise tables for addition and
 negation, and the conjugation table of a square order. The operator API on
-FieldElem and the raw-code hot loops in the enumeration oracle hit the
+FieldElem and the raw-code hot loops of the oracle's counting hit the
 same precomputed data. Orders are capped at 256, which keeps every table
 comfortably small.
 
@@ -20,13 +20,14 @@ echelon form, the three Gram matrices (Euclidean G*G^T, Hermitian
 G*conj(G)^T with entrywise q-th power, symplectic G*Omega*G^T), and the
 hull dimension k - rank(Gram) for a full-row-rank generator. There is one
 forward elimination, rank_of, built once per field. All Gram and rank
-work, here and in the enumeration oracle and the ebit count, goes through
+work, here and in the oracle and the ebit count, goes through
 one raw-code kernel, gram_kernel(field, form, n); rref() runs the same
 rank_of and adds one back pass for the canonical form.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -43,7 +44,7 @@ from .exactnum import is_prime, prime_power_parts
 from .formulas import FormKind, require_even_length
 
 MAX_FIELD_ORDER = 256
-RUN_MEMO_CAP = 4096  # most row-0 offsets one stepper remembers for runs of block columns
+TABLE_CAP = 4096  # most column fills one step table keeps; a larger one is streamed
 
 
 # -- polynomial helpers on coefficient tuples (low degree first) --------------
@@ -514,23 +515,18 @@ def _conj_mul_table(field: FiniteField) -> list[list[int]]:
 
 class CappedMemo(dict):
     """key -> build(key), built on the first lookup of a key and remembered
-    while the sizes held (1 a key, unless keep is given one) fit in cap;
-    past the cap a key it lacks is built again on every lookup."""
+    while the memo holds fewer than cap keys; past the cap a key it lacks is
+    built again on every lookup."""
 
     def __init__(self, build: Callable[[Hashable], Any], cap: int):
         super().__init__()
         self.build = build
         self.cap = cap
-        self.held = 0
 
     def __missing__(self, key: Hashable) -> Any:
-        return self.keep(key, self.build(key))
-
-    def keep(self, key: Hashable, value: Any, size: int = 1) -> Any:
-        """value, remembered under key if its size still fits in the cap."""
-        if self.held + size <= self.cap:
+        value = self.build(key)
+        if len(self) < self.cap:
             self[key] = value
-            self.held += size
         return value
 
 
@@ -540,86 +536,67 @@ class GramKernel(NamedTuple):
 
     gram_of: Callable[[RawRows], RawRows]
     rank_of: Callable[[RawRows], int]
-    stepper: Callable[[int], tuple[Callable, Callable, Callable]]  # k -> (unpack, block_tally, walk)
+    columns: Callable[[int], tuple[Callable, Callable, Callable, Callable]]  # k -> (unpack, offset, table, count)
 
 
 @functools.lru_cache(maxsize=256)
 def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     """The package's one Gram/rank kernel, for rows of length n under form.
 
-    Each form is one table set: for every column t a partner column and a
-    pairing table, so that <x, y> = sum_t pair[t][x[t]][y[partner[t]]];
-    mirror, which maps g[i][j] to g[j][i]; and diag, the diagonal term
-    pair[t][a][a] as one list, or None where the diagonal does not count.
-    Euclidean: partner t, pair a*b, mirror the identity. Hermitian: partner
-    t, pair a*conj(b), mirror conj. Symplectic: partner t +- n/2, pair a*b
-    on the first half and -a*b on the second, mirror negation, and no
-    diagonal, since the form is alternating. gram_of, walk and block_tally
-    are the only readers of the field's arithmetic, and they read only this
-    table set.
+    Each form is one table set: lanes, each a pairing table and the lane it
+    pairs with, column t being lane t // steps of step t % steps, so that
+    <x, y> = sum_t pair[t][x[t]][y[partner[t]]] with partner[t] the paired
+    lane's column of the same step; and mirror, which maps g[i][j] to
+    g[j][i]. Euclidean: one lane, pair a*b, mirror the identity. Hermitian:
+    one lane, pair a*conj(b), mirror conj. Symplectic: lanes t and t + n/2,
+    pair a*b and -a*b, mirror negation, and no diagonal. gram_of and the
+    DP's pairing, paired and count are the only readers of the field's
+    arithmetic, and they read only this table set.
 
     gram_of maps k rows of element codes to their k x k Gram matrix,
     filling the upper triangle and mirroring it into the lower one.
     rank_of is the field's one forward elimination: it reduces a matrix of
     codes in place and returns its rank; rref() runs it too.
 
-    stepper(k) serves the enumeration of k-row generators, and keeps
-    nothing of a Gram matrix but an int key packing its upper triangle,
-    entry (i, j) with i <= j at bit (j(j+1)/2 + i) * bits; only this
-    function knows that layout. It returns (unpack, block_tally, walk).
-    unpack(key) is the full k x k Gram matrix a key packs, the lower
-    triangle through mirror.
-
-    walk(rows, free, width, moves, tallies, acc) does one pivot subset.
-    free[:width] is the block: free entries of row 0, all 0 in rows, the
-    subset's first generator. The block's order**width fills differ only
-    in row 0, so only the key entries (0, j) move, each by a sum over the
-    block's columns c of pair[c][x_c][code of row j in partner(c)], plus
-    diag[x_c] on (0, 0). The multiset of those offsets is the convolution
-    of one offset multiset per column, fixed by the codes of rows 1..k-1
-    in its partner column: over all x_c, pair[c][x_c][y] runs through the
-    row mul[mirror[y]] in some order, on both symplectic halves too.
-    walk keys the Gram of rows, with the block at 0, and describes the
-    block as the sorted tuple of its columns' partner codes, packed one int
-    a column; tallies[key, description] is the block's tally, a tuple of
-    (l, count), and walk adds it into acc. The other free entries follow
-    moves, Algorithm H's (digit, old, new) over free[width:]: each sets
-    rows[r][c] = new for (r, c) = free[width + digit], the change d = new
-    - old meets the partner column of each other row through pair[c][d],
-    the diagonal moves by diag[new] - diag[old], those key entries are
-    updated in place, and the block is tallied again. The block entries
-    stay 0 in rows throughout.
-
-    block_tally(hull, (key, description)) builds a tally. A run, a prefix
-    of the sorted description, has one merged multiset of row-0 offsets
-    over all fills of its columns, convolved from zero one column at a
-    time, so it serves every key. Each stepper remembers runs as lists of
-    packed offsets and counts, up to RUN_MEMO_CAP offsets in all, and a
-    description extends its longest remembered prefix. The tally adds each
-    offset to the key's row-0 entries, entry by entry, and counts hull[key] over the keys that
-    result, hull mapping a key to the hull dimension of its Gram matrix.
-    Distinct offsets give distinct keys, so each is looked up once.
+    columns(k) counts k-row generators by a dynamic program over the steps
+    and returns (unpack, offset, table, count). A Gram is kept only as an
+    int key packing its upper triangle, entry (i, j) with i <= j at bit
+    (j(j+1)/2 + i) * bits, a layout only this function knows; unpack(key)
+    is the k x k Gram a key packs. Every subspace has one generator in
+    reduced row echelon form for the steps' column order (0, n/2, 1, n/2 +
+    1, ... under the symplectic form). In a step at r pivots each lane is a
+    pivot, e at the row of the pivots before it, or free, with entries in
+    the rows above that, and a generator's Gram is the sum over its steps
+    of the Gram of their columns alone: offset(rows) packs that for one
+    fill, rows[i][u] being row i's code in lane u. table(r, r2) is the step
+    from r to r2 pivots as chunks, maps from distinct offsets to how many
+    fills give them, each built from at most TABLE_CAP enumerated fills;
+    a table of at most TABLE_CAP fills is kept for the spectrum, and a
+    larger one rebuilt at every use. count(hull) maps each state (r, key)
+    to the number of generator prefixes that reach it, from (0, 0), for
+    steps that can still reach k pivots, adding offsets to keys entry by
+    entry: XOR in characteristic 2, else add on the key's nonzero entries,
+    which a step that places a pivot never meets. Once the steps left can
+    only place pivots, their offset is fixed, and count tallies the state
+    at hull[key + offset], the key's hull dimension, instead of keeping
+    it. It returns that tally, k + 1 counts indexed by hull dimension.
 
     Built once per (field, form, n); the hermitian pairing table, once per
-    field (_conj_mul_table). The tables a walk adds are O(k^2) descriptors
-    and O(n) column ints.
+    field (_conj_mul_table). A kernel holds O(n) table references.
     """
     mul = field.mul_table
     add = field.add_table
     neg = field.neg_table
     rank_of = _rank_kernel(field)
-    cols = range(n)
     identity = list(range(field.order))
 
     if form is FormKind.SYMPLECTIC:
         require_even_length(n)
-        half = n // 2
-        partner = [*range(half, n), *range(half)]
-        # -a*b = (-a)*b: the second half's table is mul's rows, reordered,
+        # -a*b = (-a)*b: the second lane's table is mul's rows, reordered,
         # or mul itself where negation is the identity
-        pair = [mul] * half + [mul if neg == identity else [mul[a] for a in neg]] * half
+        lanes = [(mul, 1), (mul if neg == identity else [mul[a] for a in neg], 0)]
         mirror = neg
-        diag = None
+        first = 1
     else:
         if form is FormKind.HERMITIAN:
             if field.m % 2 != 0:
@@ -627,14 +604,16 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                     f"hermitian form needs a square field order, got {field.order}"
                 )
             mirror = field.frobenius_table(field.p ** (field.m // 2))
-            table = _conj_mul_table(field)
+            lanes = [(_conj_mul_table(field), 0)]
         else:
             mirror = identity
-            table = mul
-        pair = [table] * n
-        diag = [row[a] for a, row in enumerate(table)]
-        partner = list(cols)
-    first = 1 if diag is None else 0
+            lanes = [(mul, 0)]
+        first = 0
+    width = len(lanes)
+    steps = n // width
+    pair = [table for table, _ in lanes for _ in range(steps)]
+    partner = [other * steps + t for _, other in lanes for t in range(steps)]
+    cols = range(n)
 
     def gram_of(rows: RawRows) -> RawRows:
         k = len(rows)
@@ -658,15 +637,17 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     bits = (field.order - 1).bit_length()
     mask = (1 << bits) - 1
     codes = range(field.order)
-    # column[x] is pair[t][a][x] over all codes a, for any t, up to the
-    # order of a: a*x, a*conj(x), or +-a*x under the symplectic form, where
-    # a -> -a reorders the codes
-    column = [mul[y] for y in mirror]
+    # pair[c][xa][xb] = pair[c][x][x] * pair[c][a][b] on every lane, so a
+    # unit x with pair[c][x][x] = 1 scales a fill of free columns without
+    # moving its offset; leaders holds the smallest code of each coset of them
+    units = [x for x in codes if lanes[0][0][x][x] == 1]
+    leaders = {min(mul[a][x] for x in units) for a in codes if a}
 
-    def stepper(k: int) -> tuple[Callable, Callable, Callable]:
-        def shift(i: int, j: int) -> int:
-            return bits * (j * (j + 1) // 2 + i)
+    def shift(i: int, j: int) -> int:
+        return bits * (j * (j + 1) // 2 + i)
 
+    def columns(k: int) -> tuple[Callable, Callable, Callable, Callable]:
+        # (i, j, shift), j-major, so the entries of rows < r come first
         cells = [(i, j, shift(i, j)) for j in range(k) for i in range(j + 1)]
 
         def unpack(key: int) -> RawRows:
@@ -676,112 +657,160 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                 g[j][i] = mirror[s]
             return g
 
-        def key_of(rows: RawRows) -> int:
-            g = gram_of(rows)
-            key = 0
-            for i, j, sh in cells:
-                key |= g[i][j] << sh
-            return key
+        def pairing(x: Sequence[int], y: Sequence[int]) -> int:
+            # <x, y> for two rows of one step's lanes
+            s = 0
+            for (table, other), a in zip(lanes, x):
+                if a:
+                    s = add[s][table[a][y[other]]]
+            return s
 
-        # for row r, each other row j, the shift of the key entry they share
-        # and the map into it: mirror for j < r, whose entry is g[j][r]
-        shared = [
-            [(j, shift(j, r), mirror) for j in range(r)]
-            + [(j, shift(r, j), identity) for j in range(r + 1, k)]
-            for r in range(k)
-        ]
-        # a block column moves row 0's key entries, (0, j) at lead[j], and
-        # is described by the codes of rows 1..k-1 in its partner column, row
-        # j's at bit bits * (j - 1)
-        lead = [shift(0, j) for j in range(k)]
-        rest = ~sum(mask << sh for sh in lead)  # every key entry but row 0's
+        def offset(rows: Sequence[Sequence[int]]) -> int:
+            live = [(i, row) for i, row in enumerate(rows) if any(row)]
+            return sum(pairing(x, y) << shift(i, j) for j, y in live for i, x in live if i <= j)
 
-        # run (a prefix of a description) -> (offsets packed like the key,
-        # counts), sized by its offsets; lookups build only the empty run
-        runs = CappedMemo(lambda run: ([0], [1]), RUN_MEMO_CAP)
-
-        def block_tally(hull: Mapping[int, int],
-                        state: tuple[int, tuple[int, ...]]) -> tuple[tuple[int, int], ...]:
-            key, described = state
-            known = len(described)
-            while known and described[:known] not in runs:
-                known -= 1
-            offsets, counts = runs[described[:known]]
-            for m in range(known, len(described)):
-                d = described[m]
-                # the row-0 entries the column moves, each with its offset
-                # per code a of the column's block entry
-                moved = [(lead[0], diag)] if diag is not None else []
-                for j, sh in enumerate(lead[1:]):
-                    x = d >> bits * j & mask
-                    if x:
-                        moved.append((sh, column[x]))
-                # each offset of the run once per code, the code fastest
-                spread = [base for base in offsets for _ in codes]
-                for sh, column_offsets in moved:
-                    spread = [
-                        s ^ ((e := s >> sh & mask) ^ add[e][v]) << sh
-                        for s, v in zip(spread, column_offsets * len(offsets))
+        def shapes(r: int, r2: int) -> Iterator[list[tuple[int, tuple[int, ...]]]]:
+            # per choice of the lanes that place the step's pivots, each
+            # lane's free height h and the fixed rest of its column
+            for placed in itertools.product((False, True), repeat=width):
+                if sum(placed) == r2 - r:
+                    yield [
+                        (0, (0,) * at + (1,) + (0,) * (r2 - at - 1)) if placed[u]
+                        else (at, (0,) * (r2 - at))
+                        for u, at in enumerate(r + sum(placed[:u]) for u in range(width))
                     ]
-                grown: dict[int, int] = {}
-                for new, count in zip(spread, [count for count in counts for _ in codes]):
-                    grown[new] = grown.get(new, 0) + count
-                offsets, counts = list(grown), list(grown.values())
-                runs.keep(described[:m + 1], (offsets, counts), len(offsets))
-            # key + offset entry by entry, where 0 + x = x needs no table;
-            # distinct offsets give distinct keys, one hull lookup each
-            spread = [key & rest | o for o in offsets]
-            for sh in lead[first:]:
-                if e := key >> sh & mask:
-                    to = add[e]
-                    spread = [
-                        s ^ ((x := o >> sh & mask) ^ to[x]) << sh for s, o in zip(spread, offsets)
+
+        def blocks(shape: list[tuple[int, tuple[int, ...]]]) -> Iterator[list[tuple[int, ...]]]:
+            # every fill of a shape's free entries, as rows
+            for values in itertools.product(codes, repeat=sum(h for h, _ in shape)):
+                lane_columns, at = [], 0
+                for h, rest in shape:
+                    lane_columns.append(values[at:at + h] + rest)
+                    at += h
+                yield list(zip(*lane_columns))
+
+        def chunks(r: int, r2: int) -> Iterator[Mapping[int, int]]:
+            # rows below split are free in every lane with free entries, so
+            # a fill is a low block of those rows over a high block of the
+            # rest, and its offset is the low block's, the high block's, and
+            # each low row's pairings with the high rows, in their columns
+            tally: collections.Counter[int] = collections.Counter()
+            filled = weight = 0
+            for shape in shapes(r, r2):
+                freed = [u for u, (h, _) in enumerate(shape) if h]
+                # the most rows that make at most TABLE_CAP low blocks
+                split = 0
+                while freed and split < r and field.order ** ((split + 1) * len(freed)) <= TABLE_CAP:
+                    split += 1
+                low_rows = [
+                    tuple(dict(zip(freed, values)).get(u, 0) for u in range(width))
+                    for values in itertools.product(codes, repeat=len(freed))
+                ]
+
+                def paired(y: Sequence[int]) -> list[int]:
+                    # <x, y> for each low row x, in low_rows' order
+                    terms = [0]
+                    for u in freed:
+                        table, other = lanes[u]
+                        terms = [add[s][row[y[other]]] for s in terms for row in table]
+                    return terms
+
+                def spread(packed: list[int], rows: int, start: int = 0) -> list[int]:
+                    # start + sum_i packed[x_i] << bits * i over all blocks
+                    # x_0 .. x_{rows-1} of low rows, row 0 slowest
+                    out = [start]
+                    for i in range(rows):
+                        shifted = [p << bits * i for p in packed]
+                        out = [c | p for c in out for p in shifted]
+                    return out
+
+                low_offsets = [0]
+                for j in range(split):  # row j pairs with the rows above it and itself
+                    column, diagonal = shift(0, j), shift(j, j)
+                    extended = [
+                        spread([p << column for p in paired(x)] if j else [], j, pairing(x, x) << diagonal)
+                        for x in low_rows
                     ]
-            tally = [0] * (k + 1)
-            for new, count in zip(spread, counts):
-                tally[hull[new]] += count
-            return tuple((ell, c) for ell, c in enumerate(tally) if c)
+                    low_offsets = [o | c for o, row in zip(low_offsets, zip(*extended)) for c in row]
+                zeros = [(0,) * width] * split
+                for high in blocks([(h - split, rest) if h else (0, rest[split:]) for h, rest in shape]):
+                    # with no pivot in the step, a high block whose first
+                    # nonzero entry is a leader stands for its coset's blocks
+                    leader = next((x for row in high for x in row if x), 0) if r2 == r else 0
+                    if leader and leader not in leaders:
+                        continue
+                    # per low row x, its pairings with the high rows
+                    packed = [0] * len(low_rows)
+                    for j, y in enumerate(high, split):
+                        if any(y):
+                            sh = shift(0, j)
+                            packed = [p | x << sh for p, x in zip(packed, paired(y))]
+                    crossed = spread(packed, split, offset(zeros + high))
+                    if tally and (filled + len(crossed) > TABLE_CAP or weight != (leader > 0)):
+                        yield {o: c * len(units) for o, c in tally.items()} if weight else tally
+                        tally, filled = collections.Counter(), 0
+                    weight = leader > 0
+                    tally.update(map(int.__or__, low_offsets, crossed))
+                    filled += len(crossed)
+            if tally:
+                yield {o: c * len(units) for o, c in tally.items()} if weight else tally
 
-        def walk(rows: RawRows, free: Sequence[tuple[int, int]], width: int,
-                 moves: Iterable[tuple[int, int, int]],
-                 tallies: Mapping[tuple[int, tuple[int, ...]], tuple[tuple[int, int], ...]],
-                 acc: list[int]) -> None:
-            key = key_of(rows)
-            col = [sum(row[c] << bits * j for j, row in enumerate(rows)) for c in cols]
-            partners = [partner[c] for _, c in free[:width]]
-            watched = set(partners)
-            digits = [
-                (
-                    rows[r], c, partner[c], pair[c], shift(r, r), bits * r,
-                    [(rows[j], sh, into) for j, sh, into in shared[r]],
-                    r > 0 and c in watched,
-                )
-                for r, c in free[width:]
-            ]
-            described = tuple(sorted([col[pc] >> bits for pc in partners]))
-            for ell, count in tallies[key, described]:
-                acc[ell] += count
-            for d, old, new in moves:
-                row, c, pc, pt, on_diagonal, sh_row, others, redescribe = digits[d]
-                row[c] = new
-                pd = pt[add[new][neg[old]]]
-                for other, sh, into in others:
-                    x = other[pc]
-                    if x:
-                        e = key >> sh & mask
-                        key ^= (e ^ add[e][into[pd[x]]]) << sh
-                if diag is not None:
-                    e = key >> on_diagonal & mask
-                    key ^= (e ^ add[e][add[diag[new]][neg[diag[old]]]]) << on_diagonal
-                if redescribe:
-                    col[c] ^= (old ^ new) << sh_row
-                    described = tuple(sorted([col[pc] >> bits for pc in partners]))
-                for ell, count in tallies[key, described]:
-                    acc[ell] += count
+        kept: dict[tuple[int, int], list[Mapping[int, int]]] = {}
 
-        return unpack, block_tally, walk
+        def table(r: int, r2: int) -> Iterable[Mapping[int, int]]:
+            if (r, r2) not in kept:
+                if sum(field.order ** sum(h for h, _ in shape) for shape in shapes(r, r2)) > TABLE_CAP:
+                    return chunks(r, r2)
+                kept[r, r2] = list(chunks(r, r2))
+            return kept[r, r2]
 
-    return GramKernel(gram_of, rank_of, stepper)
+        def count(hull: Mapping[int, int]) -> list[int]:
+            acc = [0] * (k + 1)
+            # the fixed offset of the pivots placed from row r up to row k
+            tails = {k: 0}
+            for r in range(k - width, -1, -width):
+                [[pivots]] = table(r, r + width)
+                tails[r] = tails[r + width] | pivots
+            layer: dict[int, dict[int, int]] = {0: {0: 1}}
+            if k == width * steps:
+                layer = {}
+                acc[hull[tails[0]]] += 1
+            for left in range(steps - 1, -1, -1):
+                grown: dict[int, dict[int, int]] = {}
+                for r, states in layer.items():
+                    met = cells[: r * (r + 1) // 2]  # the key's entries, rows < r
+                    for r2 in range(r, min(r + width, k) + 1):
+                        if k - r2 > width * left:
+                            continue
+                        tail = tails[r2] if k - r2 == width * left else None
+                        out = grown.setdefault(r2, {}) if tail is None else None
+                        adds = field.p != 2 and r2 == r
+                        for chunk in table(r, r2):
+                            counts = chunk.values()
+                            for key, c in states.items():
+                                if adds and key:
+                                    sums = chunk
+                                    for _, _, sh in met:
+                                        if e := key >> sh & mask:
+                                            to = add[e]
+                                            sums = [
+                                                s ^ ((x := s >> sh & mask) ^ to[x]) << sh for s in sums
+                                            ]
+                                else:
+                                    sums = [key ^ o for o in chunk]
+                                if tail is None:
+                                    get = out.get
+                                    for new, m in zip(sums, counts):
+                                        out[new] = get(new, 0) + c * m
+                                else:
+                                    for new, m in zip(sums, counts):
+                                        acc[hull[new | tail]] += c * m
+                layer = grown
+            return acc
+
+        return unpack, offset, table, count
+
+    return GramKernel(gram_of, rank_of, columns)
 
 
 def gram(generator: MatrixGF, form: FormKind) -> MatrixGF:

@@ -117,8 +117,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         f"q: {q}",
         f"count: {count}",
     ]
+    # C -> C^perp keeps the Euclidean hull, so the dual cell's ratios hold
+    dual = form is FormKind.EUCLIDEAN and 2 * k > length
     try:
-        report = ratio_report(form, length, k, ell, q)
+        report = ratio_report(form, length, length - k if dual else k, ell, q)
     except (OutOfValidRangeError, ParityViolationError) as exc:
         lines.append(f"alpha: undefined ({exc})")
     else:
@@ -129,6 +131,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         lines.append(f"count_monotone: {'yes' if report.monotone_a else 'no'}")
         if report.equality_boundary:
             lines.append("note: alpha sits exactly on the 1/2 floor")
+    if dual:
+        lines.append(f"note: ratios of the dual cell k={length - k}, which has the same counts")
     print("\n".join(lines))
     return 0
 

@@ -1,47 +1,29 @@
-"""Brute-force hull spectra by exhaustive subspace enumeration.
+"""Exact hull spectra over every subspace, and subspace enumeration.
 
-Every k-dimensional subspace of F_Q^n has a unique generator matrix in
-reduced row echelon form, so enumerating those matrices enumerates the
-subspaces exactly once: pivot-column subsets are visited in
-lexicographic order, and for each subset the free entries run through the
-element codes 0..Q-1 in loopless reflected Q-ary Gray order (Knuth, TAOCP
-4A, 7.2.1.1, Algorithm H), so consecutive matrices differ in one entry by
-one code step. The total yield is the Gaussian binomial [n, k]_Q, which
-doubles as a built-in consistency check on every spectrum.
+Every k-dimensional subspace of F_Q^n has one generator matrix in reduced
+row echelon form for any fixed column order, so counting those matrices
+counts each subspace once; the total is the Gaussian binomial [n, k]_Q, a
+built-in check on every spectrum. subspace_count is the one range and
+work-limit check: it returns [n, k]_Q and refuses a count above the work
+limit (default 10^8 subspaces) before anything is counted.
 
-subspace_count is the one range and work-limit check: it returns
-[n, k]_Q and refuses a count above the work limit (default 10^8
-subspaces) before anything is enumerated.
-
-_pivot_subsets, the one odometer, yields each pivot subset once, as its
-first generator, its free entries and the width of its block: row 0's
-lowest free entries, as many as have at most BLOCK_STATES states
-together. The generators of enumerate_subspaces walk Algorithm H over
-all the free entries themselves.
-
-The spectrum loop never builds FieldElem or MatrixGF objects and keeps
-no Gram matrix: hull_spectrum hands each pivot subset to
-algebra.gram_kernel's walk, which runs Algorithm H over the free entries
-above the block only. At each of those states it keys the Gram, with the
-block at 0, as an int, updates the O(k) key entries each move touches,
-and adds the block's tally: the hull dimensions of all Q^width fills of
-the block, which move only row 0's key entries. The tallies come from an
+hull_spectrum builds no FieldElem, MatrixGF or Gram matrix: it makes one
+call to algebra.gram_kernel's dynamic program, columns(k), which merges
+all generator prefixes with the same pivot count and partial Gram key and
+tallies each finished key at its hull dimension. Those come from an
 algebra.CappedMemo that lives for one spectrum and holds at most
-BLOCK_MEMO_CAP of them, keyed by the key and a description of the block
-columns' partner codes. A tally it lacks is built by the kernel from the
-merged row-0 offsets of the block's columns, which its stepper remembers
-per run of columns for the whole spectrum: it adds each offset to the key
-and looks the sum up in a second CappedMemo. That one maps a key to its
-hull dimension and sees the key as an opaque int. It holds at most
-RANK_MEMO_CAP entries, or Q^(k(k+1)/2), the number of values a Gram's
-upper triangle can take, where that is fewer. A key it lacks is unpacked
-into its Gram matrix by the kernel and ranked, and past the cap it is not
-remembered.
+RANK_MEMO_CAP keys, or Q^(k(k+1)/2), the values a Gram's upper triangle
+can take, where that is fewer; a key it lacks is unpacked and ranked by
+the kernel. The spectrum reads neither formulas nor ratios, so it stays an
+independent check on both.
+
+enumerate_subspaces yields the generators themselves, for the natural
+column order: _pivot_subsets, the odometer, yields each pivot subset's
+first generator and free entries, and _gray walks Algorithm H over them.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
@@ -61,8 +43,6 @@ from .ratios import euclidean_spectrum
 
 DEFAULT_WORK_LIMIT = 10 ** 8
 RANK_MEMO_CAP = 2 ** 16  # most Gram keys any spectrum remembers hull dimensions for
-BLOCK_MEMO_CAP = 4096  # most (key, block) states one spectrum remembers tallies for
-BLOCK_STATES = 256  # most states of row 0's free entries one block tally covers
 
 Move = tuple[int, int, int]  # (digit, old code, new code)
 Rows = list[list[int]]
@@ -91,29 +71,19 @@ def _gray(q: int, m: int) -> Iterator[Move]:
         yield j, old, new
 
 
-def _pivot_subsets(
-    n: int, k: int, q: int
-) -> Iterator[tuple[Rows, list[tuple[int, int]], int]]:
-    """The one odometer: every pivot subset once, as (rows, free, width).
-
-    rows is a k x n buffer of codes holding the subset's first generator
-    (every free entry 0); free lists the free entries (r, c), lowest Gray
-    digit first, so row 0's come first. width counts row 0's lowest free
-    entries, as many as have at most BLOCK_STATES states together: the
-    block hull_spectrum tallies at once. A consumer walks _gray(q, m) over
-    free or its tail and must finish before asking for the next subset.
+def _pivot_subsets(n: int, k: int) -> Iterator[tuple[Rows, list[tuple[int, int]]]]:
+    """The odometer: every pivot subset once, as (rows, free): rows is a k
+    x n buffer holding the subset's first generator (free entries 0), and
+    free lists the free entries (r, c), lowest Gray digit first. A consumer
+    walks _gray(q, len(free)) over free before asking for the next subset.
     """
-    most = 0
-    while q ** (most + 1) <= BLOCK_STATES:
-        most += 1
     for pivots in itertools.combinations(range(n), k):
         rows = [[0] * n for _ in range(k)]
         for row, c in zip(rows, pivots):
             row[c] = 1
-        free = [
+        yield rows, [
             (r, c) for r in range(k) for c in range(pivots[r] + 1, n) if c not in pivots
         ]
-        yield rows, free, min(most, sum(r == 0 for r, _ in free))
 
 
 def subspace_count(
@@ -147,7 +117,7 @@ def enumerate_subspaces(
 def _generators(n: int, k: int, field: FiniteField) -> Iterator[MatrixGF]:
     trusted = MatrixGF._trusted
     chain = itertools.chain.from_iterable
-    for rows, free, _ in _pivot_subsets(n, k, field.order):
+    for rows, free in _pivot_subsets(n, k):
         yield trusted(field, k, n, tuple(chain(rows)))
         for d, _, new in _gray(field.order, len(free)):
             r, c = free[d]
@@ -179,18 +149,14 @@ def hull_spectrum(
     form: FormKind,
     work_limit: int | None = DEFAULT_WORK_LIMIT,
 ) -> HullSpectrum:
-    """Enumerate every k-dim subspace of F_Q^n and tally hull dimensions."""
+    """Count every k-dim subspace of F_Q^n by its hull dimension."""
     subspace_count(n, k, field.order, work_limit)
-    q = field.order
     kernel = gram_kernel(field, form, n)
-    unpack, block_tally, walk = kernel.stepper(k)
+    unpack, _, _, count = kernel.columns(k)
     # a key packs the k(k+1)/2 entries of a Gram's upper triangle
-    keys = q ** (k * (k + 1) // 2)
+    keys = field.order ** (k * (k + 1) // 2)
     hull = CappedMemo(lambda key: k - kernel.rank_of(unpack(key)), min(keys, RANK_MEMO_CAP))
-    tallies = CappedMemo(functools.partial(block_tally, hull), BLOCK_MEMO_CAP)
-    acc = [0] * (k + 1)
-    for rows, free, width in _pivot_subsets(n, k, q):
-        walk(rows, free, width, _gray(q, len(free) - width), tallies, acc)
+    acc = count(hull)
     counts = MappingProxyType({ell: c for ell, c in enumerate(acc) if c})
     return HullSpectrum(n, k, form, field.order, counts)
 

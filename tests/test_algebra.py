@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hullcount import algebra
+from hullcount import algebra, oracle
 from hullcount.algebra import (
     FieldElem,
     FiniteField,
@@ -32,8 +32,7 @@ from hullcount.errors import (
     OddAmbientError,
     RankDeficientGeneratorError,
 )
-from naive_hull import _form, generator_rows, naive_hull_dim, naive_rank, naive_rref
-from walk_recorder import RecordingHull, RecordingTallies, packed_key
+from naive_hull import _form, generator_rows, naive_hull_dim, naive_rank, naive_rref, packed_key
 
 F2 = make_field(2)
 F4 = make_field(2, 2)
@@ -356,91 +355,104 @@ def test_gram_entries_match_the_definition(form, order):
                 assert gram(m, form).to_lists() == expected, rows
 
 
+def _step_fills(q, width, r, r2):
+    """Every fill of one step from r to r2 pivots, found by brute force over
+    all r2 x width matrices: lane by lane, a column is e_p for p the
+    pivots so far (one more pivot) or zero in rows p and below (free)."""
+    found = []
+    for lanes in itertools.product(itertools.product(range(q), repeat=r2), repeat=width):
+        p = r
+        for column in lanes:
+            if p < r2 and column == tuple(int(i == p) for i in range(r2)):
+                p += 1
+            elif any(column[p:]):
+                break
+        else:
+            if p == r2:
+                found.append([list(row) for row in zip(*lanes)])
+    return found
+
+
 def test_gram_step_matches_a_fresh_gram():
-    # one-entry changes to any value, walked above a block of up to two row 0
-    # entries held at 0; the recorded lookups give the walked key after each
-    # move, checked against the key and Gram of the changed rows, and each
-    # lookup's block tally against the hull dimensions of every fill of the
-    # block; for each k the key packs the upper triangle one-to-one
-    rng = random.Random(5)
-    n = 6
-    for order in (2, 3, 4, 5, 8, 9):
-        field = field_of_order(order)
+    # each (r, r2) step table, merged over its chunks, is the multiset of
+    # packed gram_of keys of the fills it stands for; a kernel of one step
+    # (length 1, or 2 under the symplectic form) has rows that are one
+    # step's lanes, so offset is gram_of packed; chunks of one fill at a
+    # time (TABLE_CAP = 1) merge to the same table
+    for q, form in itertools.product(
+        (2, 3, 4, 5, 7, 8, 9), (FormKind.EUCLIDEAN, FormKind.SYMPLECTIC, FormKind.HERMITIAN)
+    ):
+        field = oracle.field_for(form, q)
+        order = field.order
         bits = (order - 1).bit_length()
-        forms = [FormKind.EUCLIDEAN, FormKind.SYMPLECTIC]
-        if field.m % 2 == 0:
-            forms.append(FormKind.HERMITIAN)
-        for form in forms:
-            kernel = gram_kernel(field, form, n)
-            for k in range(1, 5):
-                unpack, block_tally, walk = kernel.stepper(k)
-                uppers: dict[int, tuple[int, ...]] = {}
-                rows = [[rng.randrange(order) for _ in range(n)] for _ in range(k)]
-                block = [(0, c) for c in rng.sample(range(n), rng.randrange(3 if order < 8 else 2))]
-                for _, c in block:
-                    rows[0][c] = 0
-                rest = [(r, c) for r in range(k) for c in range(n) if (r, c) not in block]
-                made = []
+        width = 2 if form is FormKind.SYMPLECTIC else 1
+        kernel = gram_kernel(field, form, width)
+        for k in range(1, 5):
+            unpack, offset, table, _ = kernel.columns(k)
+            for r in range(k + 1):
+                for r2 in range(r, min(r + width, k) + 1):
+                    if order ** (r2 * width) > 20_000:
+                        continue
+                    fills = _step_fills(order, width, r, r2)
+                    keys = [packed_key(kernel.gram_of(rows), bits) for rows in fills]
+                    assert [offset(rows) for rows in fills] == keys
+                    expected = collections.Counter(keys)
+                    assert sum(expected.values()) == len(fills) > 0
+                    merged = collections.Counter()
+                    for chunk in table(r, r2):
+                        merged.update(chunk)
+                    assert merged == expected, (form, q, k, r, r2)
+                    streamed = collections.Counter()
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(algebra, "TABLE_CAP", 1)
+                        for chunk in kernel.columns(k)[2](r, r2):
+                            streamed.update(chunk)
+                    assert streamed == expected
+                    for key in expected:
+                        assert packed_key(unpack(key), bits) == key
 
-                def moves():
-                    # each move reads old from rows as walk has left them
-                    for _ in range(30):
-                        d = rng.randrange(len(rest))
-                        r, c = rest[d]
-                        made.append((r, c, rng.randrange(order)))
-                        yield d, rows[r][c], made[-1][2]
 
-                tallies, acc = RecordingTallies(rows), [0]
-                walk(rows, block + rest, len(block), moves(), tallies, acc)
-                assert acc == [31] and len(tallies.seen) == 31
-                for (r, c, new), (_, after) in zip(made, tallies.seen[1:]):
-                    assert after[r][c] == new
-                for state, seen_rows in tallies.seen:
-                    key = state[0]
-                    fresh = kernel.gram_of(seen_rows)
-                    assert unpack(key) == fresh
-                    assert key == packed_key(fresh, bits)
-                    upper = tuple(fresh[i][j] for i in range(k) for j in range(i, k))
-                    assert uppers.setdefault(key, upper) == upper
-                    keys = []
-                    for values in itertools.product(range(order), repeat=len(block)):
-                        filled = [row[:] for row in seen_rows]
-                        for (_, c), x in zip(block, values):
-                            filled[0][c] = x
-                        keys.append(packed_key(kernel.gram_of(filled), bits))
-                    hull = RecordingHull(lambda key: k - kernel.rank_of(unpack(key)))
-                    tally = collections.Counter(hull.dims(x) for x in keys)
-                    assert block_tally(hull, state) == tuple(sorted(tally.items()))
-                    assert sorted(hull.seen) == sorted(set(keys))
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 2, 4])
+def test_symplectic_step_offset_is_alternating(q):
+    # swapping a symplectic step's two lanes negates its offset,
+    # offset(a, b) = -offset(b, a), and its diagonal is 0; with the second
+    # lane's minus sign dropped, odd q would break both
+    field = field_of_order(q)
+    kernel = gram_kernel(field, FormKind.SYMPLECTIC, 2)
+    rng = random.Random(q)
+    for k in range(1, 5):
+        unpack, offset, _, _ = kernel.columns(k)
+        for _ in range(40):
+            rows = [[rng.randrange(q), rng.randrange(q)] for _ in range(rng.randrange(1, k + 1))]
+            gram = unpack(offset(rows))
+            swapped = unpack(offset([[b, a] for a, b in rows]))
+            assert swapped == [[field.neg_table[x] for x in row] for row in gram], rows
+            assert all(gram[i][i] == 0 for i in range(k))
 
 
 @pytest.mark.parametrize("form, order", GRAM_CASES)
 def test_unpacked_key_is_the_gram(form, order):
     # the rank memo ranks unpack(key) on a miss, so the key must carry the
-    # whole Gram matrix, lower triangle and diagonal included
+    # whole Gram matrix, lower triangle and diagonal included; a one-step
+    # kernel's offset keys its rows' Gram
     field = field_of_order(order)
     rng = random.Random(order + 1)
-    for n in (2, 3, 4, 6):
-        if form is FormKind.SYMPLECTIC and n % 2:
-            continue
-        kernel = gram_kernel(field, form, n)
-        for k in range(1, 5):
-            unpack, _, walk = kernel.stepper(k)
-            for trial in range(6):
-                rows = [[rng.randrange(order) for _ in range(n)] for _ in range(k)]
-                if trial == 0:
-                    rows[rng.randrange(k)] = [0] * n
-                elif trial == 1 and k > 1:
-                    rows[0] = list(rows[-1])
-                elif trial == 2:
-                    rows = [[0] * n for _ in range(k)]
-                # a walk with no block and no moves keys the rows once
-                tallies = RecordingTallies(rows)
-                walk(rows, [], 0, (), tallies, [0])
-                [((key, _), _)] = tallies.seen
-                gram = kernel.gram_of(rows)
-                assert key == packed_key(gram, (order - 1).bit_length()), rows
-                assert unpack(key) == gram, rows
+    width = 2 if form is FormKind.SYMPLECTIC else 1
+    kernel = gram_kernel(field, form, width)
+    for k in range(1, 5):
+        unpack, offset, _, _ = kernel.columns(k)
+        for trial in range(12):
+            rows = [[rng.randrange(order) for _ in range(width)] for _ in range(k)]
+            if trial == 0:
+                rows[rng.randrange(k)] = [0] * width
+            elif trial == 1 and k > 1:
+                rows[0] = list(rows[-1])
+            elif trial == 2:
+                rows = [[0] * width for _ in range(k)]
+            key = offset(rows)
+            gram = kernel.gram_of(rows)
+            assert key == packed_key(gram, (order - 1).bit_length()), rows
+            assert unpack(key) == gram, rows
 
 
 def test_gram_symplectic_is_alternating():
@@ -554,24 +566,16 @@ def test_hermitian_kernels_share_one_pairing_table_per_field():
     tracemalloc.start()
     try:
         kernels = [gram_kernel(f256, FormKind.HERMITIAN, n) for n in range(1, 33)]
-        # each walker, each walk's descriptors for every entry of its rows
-        # and each tally of a one-entry block add O(k n + order) and no
-        # order^2 table
-        walkers = [
-            (n, k, kernel.stepper(k)) for n, kernel in enumerate(kernels, 1) for k in range(1, 5)
-        ]
-        hull, acc = collections.defaultdict(int), [0]
-        for n, k, (_, block_tally, walk) in walkers:
-            tallies = algebra.CappedMemo(lambda state: block_tally(hull, state), 0)
-            rows = [[0] + [1] * (n - 1)] + [[1] * n for _ in range(k - 1)]
-            free = [(r, c) for r in range(k) for c in range(n)]
-            walk(rows, free, 1, (), tallies, acc)
+        # each columns(k) call, with its small tables, adds O(k + order)
+        # and no order^2 table
+        made = [kernel.columns(k) for kernel in kernels for k in range(1, 5)]
+        acc = [sum(sum(chunk.values()) for chunk in table(1, 1)) for _, _, table, _ in made]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(kernels) == 32
-    assert len(walkers) == 128
-    assert acc == [128 * 256]
+    assert len(made) == 128
+    assert sum(acc) == 128 * 256
     assert peak < 3_000_000
     w = f256.generator
     assert kernels[2].gram_of([[w.code, 1, 0]]) == [[(w * w ** 16 + 1).code]]

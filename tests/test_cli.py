@@ -91,6 +91,26 @@ def test_eval_euclidean_uses_the_ratio_chain(capsys, monkeypatch):
     assert "count: 1508580\n" in out
 
 
+def test_eval_euclidean_above_half_prints_the_dual_cells_ratios(capsys):
+    # C -> C^perp keeps the Euclidean hull: E[6,4]_3 has E[6,2]_3's counts
+    # and step ratios, and says whose ratios it prints
+    _, low, _ = run(["eval", "--form", "euclidean", "-n", "6", "-k", "2", "-l", "1", "-q", "3"], capsys)
+    code, high, _ = run(["eval", "--form", "euclidean", "-n", "6", "-k", "4", "-l", "1", "-q", "3"], capsys)
+    assert code == 0
+    for line in ("count: 3360", "alpha: 3/2", "step_ratio: 12/1"):
+        assert line in low.splitlines() and line in high.splitlines()
+    assert high.splitlines() == [
+        line.replace("k: 2", "k: 4") for line in low.splitlines()
+    ] + ["note: ratios of the dual cell k=2, which has the same counts"]
+    # a ratio the dual cell lacks is reported as the dual cell's
+    code, out, _ = run(["eval", "--form", "euclidean", "-n", "6", "-k", "5", "-l", "1", "-q", "3"], capsys)
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "alpha: undefined (need 0 <= l <= k-1, got k=1 l=1)",
+        "note: ratios of the dual cell k=1, which has the same counts",
+    ]
+
+
 def test_eval_takes_no_work_limit(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["eval", "--form", "euclidean", "-n", "4", "-k", "2", "-l", "0",

@@ -30,8 +30,7 @@ from hullcount.oracle import (
     spectrum_vs_formula,
     subspace_count,
 )
-from naive_hull import naive_hull_dim
-from walk_recorder import RecordingHull, RecordingTallies, packed_key
+from naive_hull import naive_hull_dim, packed_key
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -43,7 +42,7 @@ def _states(n, k, q):
     flattened into one (rows snapshot, r, c, old) per generator: r = -1 at
     a pivot subset's first generator, else rows[r][c] changed from old."""
     states = []
-    for rows, free, _ in oracle._pivot_subsets(n, k, q):
+    for rows, free in oracle._pivot_subsets(n, k):
         states.append(([row[:] for row in rows], -1, -1, 0))
         for d, old, new in oracle._gray(q, len(free)):
             r, c = free[d]
@@ -147,83 +146,67 @@ GRAM_CELLS = [
 ]
 
 
-def _walked(rows, free, q):
-    """Copies of rows at each state of Algorithm H over free."""
-    rows = [row[:] for row in rows]
-    states = [[row[:] for row in rows]]
-    for d, _, new in oracle._gray(q, len(free)):
-        r, c = free[d]
-        rows[r][c] = new
-        states.append([row[:] for row in rows])
-    return states
+class _Indicator(dict):
+    """A hull mapping that maps its own keys to 1 and every other key to 0."""
+
+    def __missing__(self, key):
+        return 0
 
 
-def _fills(rows, block, q):
-    """rows with the block entries set to each of their q^len(block) values."""
-    fills = []
-    for values in itertools.product(range(q), repeat=len(block)):
-        filled = [row[:] for row in rows]
-        for (r, c), x in zip(block, values):
-            filled[r][c] = x
-        fills.append(filled)
-    return fills
+def _dp_keys(n, k, field, form, candidates):
+    """key -> how many generators the column DP tallies at that key, one DP
+    run per candidate key with an indicator for hull."""
+    count = gram_kernel(field, form, n).columns(k)[3]
+    return {key: count(_Indicator({key: 1}))[1] for key in candidates}
+
+
+def _generator_keys(n, k, field, form):
+    """The packed Gram key of every subspace's generator in reduced row
+    echelon form for the DP's column order (0, n/2, 1, n/2 + 1, ... under
+    the symplectic form), from rref and a fresh gram_of."""
+    kernel = gram_kernel(field, form, n)
+    if form is FormKind.SYMPLECTIC:
+        order = [t for s in range(n // 2) for t in (s, s + n // 2)]
+    else:
+        order = list(range(n))
+    keys = collections.Counter()
+    for mat in enumerate_subspaces(n, k, field):
+        rows = rref(MatrixGF.from_rows(field, [[row[c] for c in order] for row in mat.to_lists()]))
+        moved = [[0] * n for _ in range(k)]
+        for moved_row, row in zip(moved, rows.matrix.to_lists()):
+            for c, x in zip(order, row):
+                moved_row[c] = x
+        keys[packed_key(kernel.gram_of(moved), (field.order - 1).bit_length())] += 1
+    return keys
 
 
 def _check_gram_and_key_at_every_generator(n, k, order, form):
-    # walk looks the block's tally up at each state above the block, and
-    # block_tally looks up the key of every fill of the block: check the
-    # walked key against a key packed from a fresh Gram at every state, and
-    # the tallied keys against fresh Grams of every generator
+    # the DP tallies each generator at the packed key of its Gram, checked
+    # against a fresh gram_of of every generator; the DP's tally of those
+    # keys covers every generator, so it tallies no other key
     field = field_of_order(order)
-    kernel = gram_kernel(field, form, n)
-    unpack, block_tally, walk = kernel.stepper(k)
-    bits = (order - 1).bit_length()
-    generators = []
-    for rows, free, width in oracle._pivot_subsets(n, k, order):
-        block, rest = free[:width], free[width:]
-        assert all(r == 0 for r, _ in block)
-        states = _walked(rows, rest, order)
-        tallies, acc = RecordingTallies(rows), [0]
-        walk(rows, free, width, oracle._gray(order, len(rest)), tallies, acc)
-        # one lookup and one tally per state above the block, in Algorithm
-        # H's order, with the block entries at 0
-        assert [walked for _, walked in tallies.seen] == states
-        assert acc == [len(states)]
-        for (key, description), walked in tallies.seen:
-            gram = kernel.gram_of(walked)
-            assert key == packed_key(gram, bits)
-            assert unpack(key) == gram
-            # each distinct key of the block's fills is asked for once, and
-            # the tally counts the fills at each hull dimension
-            fills = _fills(walked, block, order)
-            keys = [packed_key(kernel.gram_of(f), bits) for f in fills]
-            hull = RecordingHull(lambda key: k - kernel.rank_of(unpack(key)))
-            tally = collections.Counter(hull.dims(key) for key in keys)
-            assert block_tally(hull, (key, description)) == tuple(sorted(tally.items()))
-            assert sorted(hull.seen) == sorted(set(keys))
-            generators += fills
-    # the blocks and the states above them cover every generator once
-    flat = sorted(tuple(x for row in rows for x in row) for rows in generators)
-    assert flat == sorted(mat.codes for mat in enumerate_subspaces(n, k, field))
+    keys = _generator_keys(n, k, field, form)
+    assert _dp_keys(n, k, field, form, keys) == keys
+    assert sum(keys.values()) == gaussian_binomial(n, k, order)
 
 
 @pytest.mark.parametrize("n,k,order,form", GRAM_CELLS)
 def test_gray_walk_keeps_gram_and_key_current(n, k, order, form):
     # full-pass tallies can hide a wrong update (some sign errors keep
-    # them), so check the updated Gram and key at every generator
+    # them), so check the key the DP reaches for every generator
     _check_gram_and_key_at_every_generator(n, k, order, form)
 
 
 @pytest.mark.parametrize("digits", [1, 2])
 @pytest.mark.parametrize("n,k,order,form", GRAM_CELLS)
 def test_small_blocks_keep_gram_and_key_current(monkeypatch, n, k, order, form, digits):
-    # blocks of one and two entries: most free entries are walked one
-    # state at a time
-    monkeypatch.setattr(oracle, "BLOCK_STATES", order ** digits)
+    # step tables streamed in chunks of one and two digits' worth of fills,
+    # so most tables are rebuilt at every use and merged chunk by chunk
+    monkeypatch.setattr(algebra, "TABLE_CAP", order ** digits)
     _check_gram_and_key_at_every_generator(n, k, order, form)
 
 
-BLOCK_CELLS = [(5, 2, 3), (6, 3, 2), (5, 2, 4)]  # each spans several default blocks
+BLOCK_CELLS = [(5, 2, 3), (6, 3, 2), (5, 2, 4)]  # each has tables of several chunks
 
 
 def _forms(field, n):
@@ -235,51 +218,33 @@ def _forms(field, n):
     return forms
 
 
-def _subset_tallies(n, k, field, form):
-    """Per pivot subset, the hull-dimension tally a walk adds and the keys
-    it asks hull for, with no tally remembered."""
-    kernel = gram_kernel(field, form, n)
-    unpack, block_tally, walk = kernel.stepper(k)
-    hull = RecordingHull(lambda key: k - kernel.rank_of(unpack(key)))
-    tallies = algebra.CappedMemo(lambda state: block_tally(hull, state), 0)
-    q = field.order
-    found = []
-    for rows, free, width in oracle._pivot_subsets(n, k, q):
-        acc = [0] * (k + 1)
-        hull.seen.clear()
-        walk(rows, free, width, oracle._gray(q, len(free) - width), tallies, acc)
-        found.append((acc, set(hull.seen)))
-    return found
+def _merged(table, r, r2):
+    merged = collections.Counter()
+    for chunk in table(r, r2):
+        merged.update(chunk)
+    return merged
 
 
 @pytest.mark.parametrize("n,k,q", BLOCK_CELLS)
 def test_block_walk_is_the_per_state_walk(monkeypatch, n, k, q):
-    # the default blocks really split some pivot subset: it has free
-    # entries above a block of more than one entry
+    # a table of more than TABLE_CAP fills is streamed: at caps 0, 1 and q
+    # every step table of the cell merges to the kept table, and the DP
+    # tallies every key of the cell alike
     field = field_of_order(q)
-    default = oracle.BLOCK_STATES
-    assert any(1 < w < len(free) for _, free, w in oracle._pivot_subsets(n, k, q))
-    # blocks of one state (BLOCK_STATES = 1) are Algorithm H over every
-    # free entry, one key per generator; wider blocks must tally each pivot
-    # subset alike and ask for exactly the same keys
-    monkeypatch.setattr(oracle, "BLOCK_STATES", 1)
-    assert {w for *_, w in oracle._pivot_subsets(n, k, q)} == {0}
-    bits = (q - 1).bit_length()
     for form in _forms(field, n):
         kernel = gram_kernel(field, form, n)
-        per_state = _subset_tallies(n, k, field, form)
-        expected = []
-        for group in _pivot_passes(n, k, q):
-            keys = {packed_key(kernel.gram_of(rows), bits) for rows, *_ in group}
-            acc = [0] * (k + 1)
-            for rows, *_ in group:
-                acc[algebra.hull_dim(MatrixGF(field, k, n, tuple(sum(rows, []))), form)] += 1
-            expected.append((acc, keys))
-        assert per_state == expected
-        for block_states in (q, default, 10 ** 9):
-            monkeypatch.setattr(oracle, "BLOCK_STATES", block_states)
-            assert _subset_tallies(n, k, field, form) == per_state, (form, block_states)
-        monkeypatch.setattr(oracle, "BLOCK_STATES", 1)
+        width = 2 if form is FormKind.SYMPLECTIC else 1
+        steps = [(r, r2) for r in range(k + 1) for r2 in range(r, min(r + width, k) + 1)]
+        kept = [_merged(kernel.columns(k)[2], *step) for step in steps]
+        keys = _generator_keys(n, k, field, form)
+        expected = _dp_keys(n, k, field, form, keys)
+        for cap in (0, 1, q):
+            monkeypatch.setattr(algebra, "TABLE_CAP", cap)
+            table = kernel.columns(k)[2]
+            assert any(not isinstance(table(*step), list) for step in steps)
+            assert [_merged(table, *step) for step in steps] == kept, (form, cap)
+            assert _dp_keys(n, k, field, form, keys) == expected, (form, cap)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("n,k,q", BLOCK_CELLS)
@@ -287,8 +252,8 @@ def test_spectra_and_generators_do_not_depend_on_the_block_size(monkeypatch, n, 
     field = field_of_order(q)
     forms = _forms(field, n)
     results = []
-    for block_states in (oracle.BLOCK_STATES, q):
-        monkeypatch.setattr(oracle, "BLOCK_STATES", block_states)
+    for cap in (algebra.TABLE_CAP, q):
+        monkeypatch.setattr(algebra, "TABLE_CAP", cap)
         results.append((
             [hull_spectrum(n, k, field, form).counts for form in forms],
             [mat.codes for mat in enumerate_subspaces(n, k, field)],
@@ -297,10 +262,10 @@ def test_spectra_and_generators_do_not_depend_on_the_block_size(monkeypatch, n, 
 
 
 def test_spectrum_memos_stay_bounded(monkeypatch):
-    # each spectrum makes one run memo (its stepper's), one rank memo and
-    # one tally memo, which fill up to their caps and no further: the run
-    # memo's cap counts stored offsets, the other two count keys; the
-    # odometer keeps no tables between cells or field orders
+    # each spectrum makes one rank memo, which fills up to its cap and no
+    # further; its DP keeps only tables of at most TABLE_CAP fills, and
+    # streams the rest; the odometer keeps no tables between cells or
+    # field orders
     made = []
 
     class Watched(algebra.CappedMemo):
@@ -309,26 +274,26 @@ def test_spectrum_memos_stay_bounded(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(oracle, "CappedMemo", Watched)
-    monkeypatch.setattr(algebra, "CappedMemo", Watched)
-    monkeypatch.setattr(algebra, "RUN_MEMO_CAP", 20)
     monkeypatch.setattr(oracle, "RANK_MEMO_CAP", 40)
-    monkeypatch.setattr(oracle, "BLOCK_MEMO_CAP", 30)
-    # 513 runs of block columns, 4,096 distinct Gram keys and 513 distinct
-    # (key, block) states, past all three caps
+    # 4,096 distinct Gram keys, past the cap
     expected = {0: 4096, 1: 585}
     assert hull_spectrum(5, 4, make_field(2, 3), FormKind.EUCLIDEAN).counts == expected
-    assert [(memo.cap, memo.held) for memo in made] == [(20, 17), (40, 40), (30, 30)]
-    runs, *keyed = made
-    assert [len(memo) for memo in keyed] == [40, 30]
-    # the empty run's one offset and two runs of 8: a third run of 8 would
-    # pass the cap of 20 offsets, so it is not kept
-    assert sorted(len(offsets) for offsets, _ in runs.values()) == [1, 8, 8]
+    [memo] = made
+    assert (memo.cap, len(memo)) == (40, 40)
+    monkeypatch.setattr(algebra, "TABLE_CAP", 64)
+    _, _, table, count = gram_kernel(make_field(2, 3), FormKind.EUCLIDEAN, 5).columns(4)
+    assert sum(count(Watched(lambda key: 0, 0))) == gaussian_binomial(5, 4, 8)
+    # the (r, r) tables of 8^r fills: those of r <= 2 are kept, the rest
+    # streamed in chunks of at most 64 fills
+    assert [isinstance(table(r, r), list) for r in range(5)] == [True] * 3 + [False] * 2
+    for r in range(5):
+        assert all(sum(chunk.values()) <= 64 for chunk in table(r, r))
     orders = (2, 3, 4, 5, 7, 8, 9, 16, 27)
     tracemalloc.start()
     try:
         for q in orders:
             for n, k in ((2, 1), (4, 2), (8, 4), (12, 6)):
-                next(oracle._pivot_subsets(n, k, q))
+                next(oracle._pivot_subsets(n, k))
         for q in orders:  # a full walk of a small cell
             assert len(_states(3, 1, q)) == gaussian_binomial(3, 1, q)
         held, _ = tracemalloc.get_traced_memory()
@@ -347,8 +312,8 @@ MEMO_CELLS = [
 
 
 def test_spectrum_unchanged_past_the_rank_memo_cap(monkeypatch):
-    # the last two cells have k = n - 1, where nearly every block tally
-    # meets new keys: their spectra at the derived cap, which holds every
+    # the last two cells have k = n - 1, where nearly every generator
+    # has a key of its own: their spectra at the derived cap, which holds every
     # key, stay the same with no key or one key remembered
     expected = [hull_spectrum(*cell).counts for cell in MEMO_CELLS]
     for cap in (0, 1):
@@ -372,11 +337,11 @@ def test_rank_memo_cap_is_the_cell_key_space_or_the_bound(monkeypatch):
     hull_spectrum(4, 2, F3, FormKind.SYMPLECTIC)
     hull_spectrum(4, 3, make_field(2, 3), FormKind.EUCLIDEAN)
     assert 8 ** 6 > oracle.RANK_MEMO_CAP
-    # each spectrum makes its rank memo, then its tally memo
-    assert caps[::2] == [2 ** 6, 3 ** 3, oracle.RANK_MEMO_CAP]
+    # each spectrum makes one memo, its rank memo
+    assert caps == [2 ** 6, 3 ** 3, oracle.RANK_MEMO_CAP]
 
 
-CAP_CELLS = [  # the last three walk F_8 and F_64
+CAP_CELLS = [  # the last three count over F_8 and F_64
     *MEMO_CELLS,
     (4, 2, make_field(2, 3), FormKind.SYMPLECTIC),
     (5, 4, make_field(2, 3), FormKind.EUCLIDEAN),
@@ -385,34 +350,13 @@ CAP_CELLS = [  # the last three walk F_8 and F_64
 
 
 def test_block_memo_caps_give_the_same_spectra(monkeypatch):
-    # at cap 0 every block is tallied afresh from its offsets, at cap 1 one
-    # tally is remembered and the rest rebuilt
+    # at table cap 0 every table with free entries is streamed, one high
+    # block of fills to a chunk, and rebuilt at every use; at cap 1 only
+    # the pivot steps' one-fill tables are kept
     expected = [hull_spectrum(*cell).counts for cell in CAP_CELLS]
-    for cap in (0, 1, oracle.BLOCK_MEMO_CAP):
-        monkeypatch.setattr(oracle, "BLOCK_MEMO_CAP", cap)
+    for cap in (0, 1, algebra.TABLE_CAP):
+        monkeypatch.setattr(algebra, "TABLE_CAP", cap)
         assert [hull_spectrum(*cell).counts for cell in CAP_CELLS] == expected
-
-
-def test_run_memo_caps_give_the_same_spectra(monkeypatch):
-    # at cap 0 every tally convolves all its columns, at cap 1 only the
-    # empty run is remembered; every cell here has more runs than that
-    expected = [hull_spectrum(*cell).counts for cell in CAP_CELLS]
-    for cap in (0, 1, algebra.RUN_MEMO_CAP):
-        monkeypatch.setattr(algebra, "RUN_MEMO_CAP", cap)
-        assert [hull_spectrum(*cell).counts for cell in CAP_CELLS] == expected
-
-
-def _block_states(n, k, field, form):
-    """Every (key, description) a spectrum's walk looks a tally up for, in
-    walk order."""
-    walk = gram_kernel(field, form, n).stepper(k)[2]
-    q = field.order
-    seen = []
-    for rows, free, width in oracle._pivot_subsets(n, k, q):
-        tallies = RecordingTallies(rows)
-        walk(rows, free, width, oracle._gray(q, len(free) - width), tallies, [0])
-        seen += [state for state, _ in tallies.seen]
-    return seen
 
 
 @pytest.mark.parametrize("n,k,q,form", [
@@ -422,28 +366,27 @@ def _block_states(n, k, field, form):
     (6, 3, 3, FormKind.SYMPLECTIC),
 ])
 def test_tallies_on_remembered_runs_are_fresh_tallies(n, k, q, form):
-    # one stepper tallies every state of a spectrum in walk order, so later
-    # descriptions extend runs that earlier ones left; each tally must be
-    # what a fresh stepper, with nothing remembered, builds for that state
+    # the DP keeps each small step table for the whole spectrum and uses it
+    # at every step it serves; after a full count each kept table must be
+    # what a fresh columns(k), with nothing kept, builds, and a second
+    # count on the kept tables must tally alike
     field = oracle.field_for(form, q)
     kernel = gram_kernel(field, form, n)
-    unpack, block_tally, _ = kernel.stepper(k)
-    hull = RecordingHull(lambda key: k - kernel.rank_of(unpack(key)))
-    states = list(dict.fromkeys(_block_states(n, k, field, form)))
-    runs, reused = set(), 0
-    for key, described in states:
-        reused += described[:1] in runs
-        runs.update(described[:m] for m in range(1, len(described) + 1))
-        fresh = kernel.stepper(k)[1]
-        assert block_tally(hull, (key, described)) == fresh(hull, (key, described))
-    # most states start from a remembered run: a shared first column, or
-    # the whole description under another key
-    assert reused > len(states) // 2
+    unpack, _, table, count = kernel.columns(k)
+    hull = algebra.CappedMemo(lambda key: k - kernel.rank_of(unpack(key)), 0)
+    first = count(hull)
+    assert count(hull) == first
+    assert sum(first) == gaussian_binomial(n, k, field.order)
+    width = 2 if form is FormKind.SYMPLECTIC else 1
+    for r in range(k + 1):
+        for r2 in range(r, min(r + width, k) + 1):
+            fresh = kernel.columns(k)[2]
+            assert _merged(table, r, r2) == _merged(fresh, r, r2), (r, r2)
 
 
 def _check_spectra_against_hull_dim_of_every_generator(order):
-    # hull_dim ranks a fresh Gram of each generator: a route with no walk,
-    # no key, no block tally and no memo
+    # hull_dim ranks a fresh Gram of each generator: a route with no DP,
+    # no key, no step table and no memo
     field = field_of_order(order)
     forms = [FormKind.EUCLIDEAN, FormKind.SYMPLECTIC]
     if field.m % 2 == 0:
@@ -468,7 +411,8 @@ def test_characteristic_2_spectra_match_hull_dim_of_every_generator(order):
 
 @pytest.mark.parametrize("order", [3, 5, 7, 9])
 def test_odd_characteristic_spectra_match_hull_dim_of_every_generator(order):
-    # a block's offsets combine by entrywise field addition here
+    # a free step's offsets combine with the key by entrywise field
+    # addition here
     _check_spectra_against_hull_dim_of_every_generator(order)
 
 
@@ -521,11 +465,20 @@ def test_spectrum_matches_naive_tally_property(cell):
     assert hull_spectrum(n, k, field, form).counts == tally
 
 
-def test_form_errors_raise_before_enumeration(monkeypatch):
-    def no_enumeration(*args):
-        pytest.fail("enumeration started")
+def _no_counting(monkeypatch):
+    """Make the kernel's DP entry, columns(k), fail when it is reached."""
+    def kernel(*args):
+        def no_counting(k):
+            pytest.fail("counting started")
 
-    monkeypatch.setattr(oracle, "_pivot_subsets", no_enumeration)
+        return gram_kernel(*args)._replace(columns=no_counting)
+
+    monkeypatch.setattr(oracle, "gram_kernel", kernel)
+
+
+def test_form_errors_raise_before_enumeration(monkeypatch):
+    # gram_kernel raises the form errors; the DP is never reached
+    _no_counting(monkeypatch)
     with pytest.raises(OddAmbientError, match=r"^symplectic ambient length must be even, got 5$"):
         hull_spectrum(5, 2, F2, FormKind.SYMPLECTIC)
     with pytest.raises(OddAmbientError, match=r"^symplectic ambient length must be even, got 7$"):
@@ -534,6 +487,11 @@ def test_form_errors_raise_before_enumeration(monkeypatch):
         hull_spectrum(4, 2, F3, FormKind.HERMITIAN)
     with pytest.raises(NonSquareFieldError, match=r"^hermitian form needs a square field order, got 8$"):
         hull_spectrum(3, 1, make_field(2, 3), FormKind.HERMITIAN)
+    # the range and the work limit come before the form
+    with pytest.raises(BadRangeError):
+        hull_spectrum(5, 6, F2, FormKind.SYMPLECTIC)
+    with pytest.raises(WorkLimitExceededError):
+        hull_spectrum(23, 11, F3, FormKind.HERMITIAN)
 
 
 def test_iterator_range_validation():
@@ -575,9 +533,15 @@ def test_work_limit_reports_estimate():
 
 
 def test_work_limit_none_reaches_the_spectrum(monkeypatch):
-    # [10, 5]_4 is far above the default limit; with no pivot subsets to
-    # walk, a spectrum that passes None on returns empty instead of raising
-    monkeypatch.setattr(oracle, "_pivot_subsets", lambda n, k, q: iter(()))
+    # [10, 5]_4 is far above the default limit; with a DP that tallies
+    # nothing, a spectrum that passes None on returns empty instead of
+    # raising
+    def kernel(*args):
+        return gram_kernel(*args)._replace(
+            columns=lambda k: (None, None, None, lambda hull: [0] * (k + 1))
+        )
+
+    monkeypatch.setattr(oracle, "gram_kernel", kernel)
     with pytest.raises(WorkLimitExceededError):
         hull_spectrum(10, 5, F4, FormKind.EUCLIDEAN)
     spectrum = hull_spectrum(10, 5, F4, FormKind.EUCLIDEAN, work_limit=None)

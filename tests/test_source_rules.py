@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hullcount
+from hullcount.formulas import FormKind
 
 SOURCES = sorted(Path(hullcount.__file__).parent.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
@@ -267,23 +268,25 @@ def test_the_cli_has_one_output_writer():
 
 def test_each_form_is_one_table_set_in_gram_kernel():
     # the per-form conventions live in the table setup of gram_kernel; the
-    # one gram_of, the one walk and the block tally are the only functions
-    # doing field arithmetic there, and they only read the tables
+    # one gram_of, the DP's step-table pairings (pairing of two rows, and
+    # paired, one row with every low row of a chunk) and its loop (count)
+    # are the only functions doing field arithmetic there, and they only
+    # read the tables
     defs = [
         node for node in ast.walk(TREES["algebra.py"])
         if isinstance(node, ast.FunctionDef)
     ]
     assert [node.name for node in defs].count("gram_of") == 1
     kernel = next(node for node in defs if node.name == "gram_kernel")
-    arithmetic = {"add", "neg", "mul", "diag", "pair", "column"}
+    arithmetic = {"add", "neg", "mul", "pair", "lanes"}
     readers = [
         node for node in ast.walk(kernel)
         if isinstance(node, ast.FunctionDef) and node is not kernel
         and _own_names(node) & arithmetic
     ]
-    assert sorted(node.name for node in readers) == ["block_tally", "gram_of", "walk"]
+    assert sorted(node.name for node in readers) == ["count", "gram_of", "paired", "pairing"]
     assert [node.name for node in readers if "FormKind" in _names(node)] == []
-    # one update body: no per-state step is left beside walk
+    # one update body: no per-state step is left beside the DP
     steps = [
         f"{name}:{node.lineno}"
         for name, tree in TREES.items()
@@ -291,8 +294,8 @@ def test_each_form_is_one_table_set_in_gram_kernel():
         if isinstance(node, ast.FunctionDef) and node.name == "step"
     ]
     assert steps == []
-    # the spectrum loop hands each pivot subset to the kernel and reads no
-    # table itself
+    # the spectrum hands the whole count to the kernel and reads no table
+    # itself
     tables = {"add_table", "neg_table", "mul_table", "inv_table", "frobenius_table"}
     assert _names(_function("oracle.py", "hull_spectrum")) & tables == set()
 
@@ -394,10 +397,48 @@ def test_the_oracle_has_one_odometer():
         and any(_calls(iterated, "combinations") for iterated, _ in _loops(func))
     ]
     assert walkers == ["oracle.py:_pivot_subsets"]
-    for name in ("hull_spectrum", "_generators"):
-        loops = [iterated for iterated, _ in _loops(_function("oracle.py", name))]
-        assert any(_calls(iterated, "_pivot_subsets") for iterated in loops), name
+    loops = [iterated for iterated, _ in _loops(_function("oracle.py", "_generators"))]
+    assert any(_calls(iterated, "_pivot_subsets") for iterated in loops)
     assert _calls(_function("oracle.py", "enumerate_subspaces"), "_generators")
+
+
+def test_the_spectrum_does_not_walk_the_pivot_subsets():
+    # hull_spectrum counts by the kernel's DP; the odometer serves only
+    # enumerate_subspaces
+    spectrum = _function("oracle.py", "hull_spectrum")
+    assert not _calls(spectrum, "_pivot_subsets")
+    assert not _calls(spectrum, "_gray")
+
+
+def _reached(module_functions: dict[str, ast.FunctionDef], start: str) -> set[str]:
+    """Every name start mentions, and every name the functions it reaches
+    through module_functions mention."""
+    seen, todo, names = {start}, [start], set()
+    while todo:
+        found = _names(module_functions[todo.pop()])
+        names |= found
+        for name in found & module_functions.keys() - seen:
+            seen.add(name)
+            todo.append(name)
+    return names
+
+
+def test_the_spectrum_reaches_neither_formulas_nor_ratios():
+    # the oracle is the independent route that checks the closed forms and
+    # the ratio layer, so hull_spectrum, and the oracle and algebra
+    # functions it calls, name nothing of either but the form enum and the
+    # even-length check of an ambient length
+    functions = {
+        node.name: node
+        for module in ("oracle.py", "algebra.py")
+        for node in TREES[module].body
+        if isinstance(node, ast.FunctionDef)
+    }
+    reached = _reached(functions, "hull_spectrum")
+    assert {"gram_kernel", "subspace_count", "rank_of"} <= reached
+    derived = {"formulas", "ratios"} | _module_names("formulas.py") | _module_names("ratios.py")
+    form_enum = {"FormKind"} | {form.name for form in FormKind}
+    assert reached & derived - form_enum == {"require_even_length"}
 
 
 def _identifiers(tree: ast.AST) -> set[str]:
@@ -411,33 +452,32 @@ def _identifiers(tree: ast.AST) -> set[str]:
     return found
 
 
-def test_the_oracle_hands_each_pivot_subset_to_one_walk():
-    # the kernel keys the first generator and describes the free entries
-    # inside walk; the oracle has no lead move, key builder or descriptors
-    assert _identifiers(TREES["oracle.py"]) & {"lead", "key_of", "digits"} == set()
-    stepper = _function("algebra.py", "stepper")
+def test_the_oracle_makes_one_kernel_call():
+    # the kernel builds the step tables and runs the DP inside columns;
+    # the oracle has no key builder, walk or block machinery left
+    gone = {"lead", "key_of", "digits", "walk", "block_tally", "stepper", "runs"}
+    assert _identifiers(TREES["oracle.py"]) & gone == set()
+    assert _identifiers(TREES["algebra.py"]) & gone == set()
+    constants = {"RUN_MEMO_CAP", "BLOCK_MEMO_CAP", "BLOCK_STATES", "DELTA_MEMO_CAP", "GramWalker"}
+    for module in ("algebra.py", "oracle.py"):
+        assert _identifiers(TREES[module]) & constants == set(), module
+    columns = _function("algebra.py", "columns")
     [returned] = [
-        node.value for node in stepper.body if isinstance(node, ast.Return)
+        node.value for node in columns.body if isinstance(node, ast.Return)
     ]
-    assert [name.id for name in returned.elts] == ["unpack", "block_tally", "walk"]
-    assert "GramWalker" not in _identifiers(TREES["algebra.py"])
-    # one walk, with no if choosing between walks, and no option, memo
-    # bound or environment variable that could pick a walk or a block size
-    assert [node for node in stepper.body if isinstance(node, ast.If)] == []
-    walks = [
-        node for node in ast.walk(stepper)
-        if isinstance(node, ast.FunctionDef) and node.name == "walk"
-    ]
-    assert len(walks) == 1
-    assert "DELTA_MEMO_CAP" not in _identifiers(TREES["algebra.py"])
+    assert [name.id for name in returned.elts] == ["unpack", "offset", "table", "count"]
+    # one DP, with no if choosing between paths, and no option or
+    # environment variable that could pick one
+    assert [node for node in columns.body if isinstance(node, ast.If)] == []
     for module in ("algebra.py", "oracle.py"):
         assert {"environ", "getenv"} & _names(TREES[module]) == set(), module
     spectrum = _function("oracle.py", "hull_spectrum")
-    [loop] = [node for node in ast.walk(spectrum) if isinstance(node, ast.For)]
-    assert _calls(loop.iter, "_pivot_subsets")
-    [statement] = loop.body
-    assert isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Call)
-    assert isinstance(statement.value.func, ast.Name) and statement.value.func.id == "walk"
+    assert [node for node in ast.walk(spectrum) if isinstance(node, (ast.For, ast.While))] == []
+    calls = [
+        node.func.id for node in ast.walk(spectrum)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+    assert calls.count("count") == 1 and calls.count("gram_kernel") == 1
 
 
 def test_the_work_limit_has_one_check():
