@@ -689,6 +689,15 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                     at += h
                 yield list(zip(*lane_columns))
 
+        def spread(packed: list[int], rows: int, start: int = 0) -> list[int]:
+            # start + sum_i packed[x_i] << bits * i over all blocks x_0 ..
+            # x_{rows-1} of low rows, indexing packed, row 0 slowest
+            out = [start]
+            for i in range(rows):
+                shifted = [p << bits * i for p in packed]
+                out = [c | p for c in out for p in shifted]
+            return out
+
         def chunks(r: int, r2: int) -> Iterator[Mapping[int, int]]:
             # rows below split are free in every lane with free entries, so
             # a fill is a low block of those rows over a high block of the
@@ -714,15 +723,6 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                         table, other = lanes[u]
                         terms = [add[s][row[y[other]]] for s in terms for row in table]
                     return terms
-
-                def spread(packed: list[int], rows: int, start: int = 0) -> list[int]:
-                    # start + sum_i packed[x_i] << bits * i over all blocks
-                    # x_0 .. x_{rows-1} of low rows, row 0 slowest
-                    out = [start]
-                    for i in range(rows):
-                        shifted = [p << bits * i for p in packed]
-                        out = [c | p for c in out for p in shifted]
-                    return out
 
                 low_offsets = [0]
                 for j in range(split):  # row j pairs with the rows above it and itself

@@ -1,7 +1,6 @@
 """Exhaustive-enumeration oracle: subspace iteration and hull spectra."""
 
 import collections
-import itertools
 import tracemalloc
 
 import pytest
