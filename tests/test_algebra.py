@@ -355,30 +355,40 @@ def test_gram_entries_match_the_definition(form, order):
                 assert gram(m, form).to_lists() == expected, rows
 
 
-def _step_fills(q, width, r, r2):
-    """Every fill of one step from r to r2 pivots, found by brute force over
-    all r2 x width matrices: lane by lane, a column is e_p for p the
-    pivots so far (one more pivot) or zero in rows p and below (free)."""
-    found = []
-    for lanes in itertools.product(itertools.product(range(q), repeat=r2), repeat=width):
-        p = r
-        for column in lanes:
-            if p < r2 and column == tuple(int(i == p) for i in range(r2)):
-                p += 1
-            elif any(column[p:]):
-                break
-        else:
-            if p == r2:
-                found.append([list(row) for row in zip(*lanes)])
-    return found
+def _step_fills(q, width, r, r2, most=20_000):
+    """Every fill of one step from r to r2 pivots, lane by lane by the
+    definition: with p pivots so far, a lane's column is e_p (one more
+    pivot) or any column that is zero in rows p and below (free); None when
+    there are more than most fills."""
+    sizes = {r: 1}  # pivots so far -> number of partial fills
+    for _ in range(width):
+        grown = collections.Counter()
+        for p, size in sizes.items():
+            grown[p] += size * q ** p
+            if p < r2:
+                grown[p + 1] += size
+        sizes = grown
+    if sizes[r2] > most:
+        return None
+    partial = [((), r)]  # (lane columns so far, pivots so far)
+    for _ in range(width):
+        grown = []
+        for columns, p in partial:
+            if p < r2:
+                grown.append((columns + (tuple(int(i == p) for i in range(r2)),), p + 1))
+            grown += [
+                (columns + (top + (0,) * (r2 - p),), p) for top in itertools.product(range(q), repeat=p)
+            ]
+        partial = grown
+    return [[list(row) for row in zip(*columns)] for columns, p in partial if p == r2]
 
 
 def test_gram_step_matches_a_fresh_gram():
     # each (r, r2) step table, merged over its chunks, is the multiset of
     # packed gram_of keys of the fills it stands for; a kernel of one step
     # (length 1, or 2 under the symplectic form) has rows that are one
-    # step's lanes, so offset is gram_of packed; chunks of one fill at a
-    # time (TABLE_CAP = 1) merge to the same table
+    # step's lanes, so offset is gram_of packed; a table streamed in chunks
+    # of at most Q fills (TABLE_CAP = Q) merges to the same table
     for q, form in itertools.product(
         (2, 3, 4, 5, 7, 8, 9), (FormKind.EUCLIDEAN, FormKind.SYMPLECTIC, FormKind.HERMITIAN)
     ):
@@ -391,9 +401,9 @@ def test_gram_step_matches_a_fresh_gram():
             unpack, offset, table, _ = kernel.columns(k)
             for r in range(k + 1):
                 for r2 in range(r, min(r + width, k) + 1):
-                    if order ** (r2 * width) > 20_000:
-                        continue
                     fills = _step_fills(order, width, r, r2)
+                    if fills is None:
+                        continue
                     keys = [packed_key(kernel.gram_of(rows), bits) for rows in fills]
                     assert [offset(rows) for rows in fills] == keys
                     expected = collections.Counter(keys)
@@ -404,7 +414,7 @@ def test_gram_step_matches_a_fresh_gram():
                     assert merged == expected, (form, q, k, r, r2)
                     streamed = collections.Counter()
                     with pytest.MonkeyPatch.context() as patch:
-                        patch.setattr(algebra, "TABLE_CAP", 1)
+                        patch.setattr(algebra, "TABLE_CAP", order)
                         for chunk in kernel.columns(k)[2](r, r2):
                             streamed.update(chunk)
                     assert streamed == expected
