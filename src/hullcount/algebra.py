@@ -681,13 +681,9 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                     ]
 
         def blocks(shape: list[tuple[int, tuple[int, ...]]]) -> Iterator[list[tuple[int, ...]]]:
-            # every fill of a shape's free entries, as rows
-            for values in itertools.product(codes, repeat=sum(h for h, _ in shape)):
-                lane_columns, at = [], 0
-                for h, rest in shape:
-                    lane_columns.append(values[at:at + h] + rest)
-                    at += h
-                yield list(zip(*lane_columns))
+            # every fill of a shape's free entries, as rows, all zeros first
+            lanes_filled = [[top + rest for top in itertools.product(codes, repeat=h)] for h, rest in shape]
+            return (list(zip(*lane_columns)) for lane_columns in itertools.product(*lanes_filled))
 
         def spread(packed: list[int], rows: int, start: int = 0) -> list[int]:
             # start + sum_i packed[x_i] << bits * i over all blocks x_0 ..
@@ -711,10 +707,7 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                 split = 0
                 while freed and split < r and field.order ** ((split + 1) * len(freed)) <= TABLE_CAP:
                     split += 1
-                low_rows = [
-                    tuple(dict(zip(freed, values)).get(u, 0) for u in range(width))
-                    for values in itertools.product(codes, repeat=len(freed))
-                ]
+                low_rows = list(itertools.product(*[codes if h else (0,) for h, _ in shape]))
 
                 def paired(y: Sequence[int]) -> list[int]:
                     # <x, y> for each low row x, in low_rows' order
