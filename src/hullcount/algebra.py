@@ -682,8 +682,12 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
 
         def blocks(shape: list[tuple[int, tuple[int, ...]]]) -> Iterator[list[tuple[int, ...]]]:
             # every fill of a shape's free entries, as rows, all zeros first
-            lanes_filled = [[top + rest for top in itertools.product(codes, repeat=h)] for h, rest in shape]
-            return (list(zip(*lane_columns)) for lane_columns in itertools.product(*lanes_filled))
+            for values in itertools.product(codes, repeat=sum(h for h, _ in shape)):
+                lane_columns, at = [], 0
+                for h, rest in shape:
+                    lane_columns.append(values[at:at + h] + rest)
+                    at += h
+                yield list(zip(*lane_columns))
 
         def spread(packed: list[int], rows: int, start: int = 0) -> list[int]:
             # start + sum_i packed[x_i] << bits * i over all blocks x_0 ..
