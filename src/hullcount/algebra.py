@@ -570,9 +570,9 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     of the Gram of their columns alone: offset(rows) packs that for one
     fill, rows[i][u] being row i's code in lane u. table(r, r2) is the step
     from r to r2 pivots as chunks, maps from distinct offsets to how many
-    fills give them, each built from at most TABLE_CAP enumerated fills;
-    a table of at most TABLE_CAP fills is kept for the spectrum, and a
-    larger one rebuilt at every use. count(hull) maps each state (r, key)
+    fills give them, each with at most TABLE_CAP offsets; a table of at
+    most TABLE_CAP fills is kept for the spectrum, and a larger one
+    rebuilt at every use. count(hull) maps each state (r, key)
     to the number of generator prefixes that reach it, from (0, 0), for
     steps that can still reach k pivots, adding offsets to keys entry by
     entry: XOR in characteristic 2, else add on the key's nonzero entries,
@@ -704,7 +704,7 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
             # rest, and its offset is the low block's, the high block's, and
             # each low row's pairings with the high rows, in their columns
             tally: collections.Counter[int] = collections.Counter()
-            filled = weight = 0
+            weight = 0
             for shape in shapes(r, r2):
                 freed = [u for u, (h, _) in enumerate(shape) if h]
                 # the most rows that make at most TABLE_CAP low blocks
@@ -743,12 +743,11 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                             sh = shift(0, j)
                             packed = [p | x << sh for p, x in zip(packed, paired(y))]
                     crossed = spread(packed, split, offset(zeros + high))
-                    if tally and (filled + len(crossed) > TABLE_CAP or weight != (leader > 0)):
+                    if tally and (len(tally) + len(crossed) > TABLE_CAP or weight != (leader > 0)):
                         yield {o: c * len(units) for o, c in tally.items()} if weight else tally
-                        tally, filled = collections.Counter(), 0
+                        tally = collections.Counter()
                     weight = leader > 0
                     tally.update(map(int.__or__, low_offsets, crossed))
-                    filled += len(crossed)
             if tally:
                 yield {o: c * len(units) for o, c in tally.items()} if weight else tally
 

@@ -388,7 +388,7 @@ def test_gram_step_matches_a_fresh_gram():
     # packed gram_of keys of the fills it stands for; a kernel of one step
     # (length 1, or 2 under the symplectic form) has rows that are one
     # step's lanes, so offset is gram_of packed; a table streamed in chunks
-    # of at most Q fills (TABLE_CAP = Q) merges to the same table
+    # of at most Q offsets (TABLE_CAP = Q) merges to the same table
     for q, form in itertools.product(
         (2, 3, 4, 5, 7, 8, 9), (FormKind.EUCLIDEAN, FormKind.SYMPLECTIC, FormKind.HERMITIAN)
     ):
