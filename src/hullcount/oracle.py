@@ -10,7 +10,7 @@ limit (default 10^8 subspaces) before anything is counted.
 hull_spectrum builds no FieldElem, MatrixGF or Gram matrix: it makes one
 call to algebra.gram_kernel's dynamic program, columns(k), which merges
 all generator prefixes with the same pivot count and partial Gram key and
-tallies each finished key at its hull dimension. Those come from an
+tallies each finished key at its hull dimension, which it reads from an
 algebra.CappedMemo that lives for one spectrum and holds at most
 RANK_MEMO_CAP keys, or Q^(k(k+1)/2), the values a Gram's upper triangle
 can take, where that is fewer; a key it lacks is unpacked and ranked by
