@@ -18,8 +18,9 @@ the kernel. The spectrum reads neither formulas nor ratios, so it stays an
 independent check on both.
 
 enumerate_subspaces yields the generators themselves, for the natural
-column order: _pivot_subsets, the odometer, yields each pivot subset's
-first generator and free entries, and _gray walks Algorithm H over them.
+column order: _generators takes one pivot subset at a time and yields
+each generator's codes from one itertools.product over its entries, so
+the free entries run in lexicographic order.
 """
 
 from __future__ import annotations
@@ -43,48 +44,6 @@ from .ratios import euclidean_spectrum
 
 DEFAULT_WORK_LIMIT = 10 ** 8
 RANK_MEMO_CAP = 2 ** 16  # most Gram keys any spectrum remembers hull dimensions for
-
-Move = tuple[int, int, int]  # (digit, old code, new code)
-Rows = list[list[int]]
-
-
-def _gray(q: int, m: int) -> Iterator[Move]:
-    """Algorithm H: the q^m - 1 moves of the loopless reflected q-ary Gray
-    walk over m digits from all zeros, digit 0 the fastest.
-
-    a[j] is digit j (Knuth's a_j), focus[j] names the digit to move
-    next, delta[j] is digit j's direction, and a digit reflects when it
-    reaches 0 or q - 1.
-    """
-    top = q - 1
-    a = [0] * m
-    focus = list(range(m + 1))
-    delta = [1] * m
-    while (j := focus[0]) < m:
-        focus[0] = 0
-        old = a[j]
-        new = a[j] = old + delta[j]
-        if new == 0 or new == top:
-            delta[j] = -delta[j]
-            focus[j] = focus[j + 1]
-            focus[j + 1] = j + 1
-        yield j, old, new
-
-
-def _pivot_subsets(n: int, k: int) -> Iterator[tuple[Rows, list[tuple[int, int]]]]:
-    """The odometer: every pivot subset once, as (rows, free): rows is a k
-    x n buffer holding the subset's first generator (free entries 0), and
-    free lists the free entries (r, c), lowest Gray digit first. A consumer
-    walks _gray(q, len(free)) over free before asking for the next subset.
-    """
-    for pivots in itertools.combinations(range(n), k):
-        rows = [[0] * n for _ in range(k)]
-        for row, c in zip(rows, pivots):
-            row[c] = 1
-        yield rows, [
-            (r, c) for r in range(k) for c in range(pivots[r] + 1, n) if c not in pivots
-        ]
-
 
 def subspace_count(
     n: int, k: int, order: int, work_limit: int | None = DEFAULT_WORK_LIMIT
@@ -116,13 +75,17 @@ def enumerate_subspaces(
 
 def _generators(n: int, k: int, field: FiniteField) -> Iterator[MatrixGF]:
     trusted = MatrixGF._trusted
-    chain = itertools.chain.from_iterable
-    for rows, free in _pivot_subsets(n, k):
-        yield trusted(field, k, n, tuple(chain(rows)))
-        for d, _, new in _gray(field.order, len(free)):
-            r, c = free[d]
-            rows[r][c] = new
-            yield trusted(field, k, n, tuple(chain(rows)))
+    codes = range(field.order)
+    for pivots in itertools.combinations(range(n), k):
+        # each entry's choices, row by row: a pivot is 1, an entry right of
+        # its row's pivot and in no pivot column is free, and the rest are 0
+        entries = [
+            (1,) if c == p else codes if c > p and c not in pivots else (0,)
+            for p in pivots
+            for c in range(n)
+        ]
+        for generator in itertools.product(*entries):
+            yield trusted(field, k, n, generator)
 
 
 # -- spectra --------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exhaustive-enumeration oracle: subspace iteration and hull spectra."""
 
 import collections
+import itertools
 import tracemalloc
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from hullcount import algebra, cli, oracle
 from hullcount.algebra import (
+    FieldElem,
     FormKind,
     MatrixGF,
     field_of_order,
@@ -29,35 +31,11 @@ from hullcount.oracle import (
     spectrum_vs_formula,
     subspace_count,
 )
-from naive_hull import naive_hull_dim, packed_key
+from naive_hull import naive_hull_dim, naive_rref, packed_key
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F4 = make_field(2, 2)
-
-
-def _states(n, k, q):
-    """The odometer's pivot subsets and Algorithm H over their free entries,
-    flattened into one (rows snapshot, r, c, old) per generator: r = -1 at
-    a pivot subset's first generator, else rows[r][c] changed from old."""
-    states = []
-    for rows, free in oracle._pivot_subsets(n, k):
-        states.append(([row[:] for row in rows], -1, -1, 0))
-        for d, old, new in oracle._gray(q, len(free)):
-            r, c = free[d]
-            rows[r][c] = new
-            states.append(([row[:] for row in rows], r, c, old))
-    return states
-
-
-def _pivot_passes(n, k, q):
-    """The flattened states split per pivot subset."""
-    passes = []
-    for state in _states(n, k, q):
-        if state[1] < 0:
-            passes.append([])
-        passes[-1].append(state)
-    return passes
 
 
 def test_yield_counts_match_gaussian_binomial():
@@ -86,29 +64,6 @@ def test_yield_is_canonical_rref():
         assert out.matrix.codes == mat.codes
 
 
-@pytest.mark.parametrize("n,k,q", [(4, 2, 2), (5, 2, 3), (4, 2, 4), (5, 3, 2), (6, 1, 5)])
-def test_gray_steps_change_one_free_entry_by_one_code(n, k, q):
-    for group in _pivot_passes(n, k, q):
-        first, r, _, _ = group[0]
-        assert r == -1
-        pivots = [row.index(1) for row in first]
-        free = {(i, c) for i in range(k) for c in range(pivots[i] + 1, n) if c not in pivots}
-        assert all(first[i][c] == 0 for i, c in free)
-        for (prev, _, _, _), (cur, r, c, old) in zip(group, group[1:]):
-            changed = [
-                (i, j) for i in range(k) for j in range(n) if prev[i][j] != cur[i][j]
-            ]
-            assert changed == [(r, c)]
-            assert (r, c) in free
-            assert prev[r][c] == old
-            assert abs(cur[r][c] - old) == 1
-        # the Gray walk visits every assignment of the free entries once
-        assert len({tuple(map(tuple, rows)) for rows, *_ in group}) == q ** len(free)
-    # enumerate_subspaces yields exactly these generators, in this order
-    flat = [tuple(x for row in rows for x in row) for rows, *_ in _states(n, k, q)]
-    assert [mat.codes for mat in enumerate_subspaces(n, k, field_of_order(q))] == flat
-
-
 @pytest.mark.parametrize("field", [F2, F3, F4], ids=repr)
 def test_full_pass_is_the_rref_set(field):
     q = field.order
@@ -116,18 +71,45 @@ def test_full_pass_is_the_rref_set(field):
     for n in range(6):
         for k in range(n + 1):
             seen = set()
-            for group in _pivot_passes(n, k, q):
-                saw_no_free += len(group) == 1
-                for rows, *_ in group:
-                    codes = tuple(x for row in rows for x in row)
-                    mat = MatrixGF(field, k, n, codes)
-                    out = rref(mat)
-                    assert out.rank == k
-                    assert out.matrix.codes == codes
-                    seen.add(codes)
+            runs = []  # [pivot columns, generators] of each run of one subset
+            for mat in enumerate_subspaces(n, k, field):
+                out = rref(mat)
+                assert out.rank == k
+                assert out.matrix.codes == mat.codes
+                seen.add(mat.codes)
+                if not runs or runs[-1][0] != out.pivot_cols:
+                    runs.append([out.pivot_cols, 0])
+                runs[-1][1] += 1
             assert len(seen) == gaussian_binomial(n, k, q)
+            # one run per pivot subset, in combinations order, that takes
+            # every fill of the subset's free entries once
+            assert [pivots for pivots, _ in runs] == list(itertools.combinations(range(n), k))
+            for pivots, size in runs:
+                free = sum(n - 1 - c - (k - 1 - r) for r, c in enumerate(pivots))
+                assert size == q ** free
+                saw_no_free += size == 1
     # exactly one pivot subset per (n, k) has no free entries: {n-k, ..., n-1}
     assert saw_no_free == sum(n + 1 for n in range(6))
+
+
+def _tiny_cells(q):
+    return [(n, k) for n in range(1, 13) for k in range(1, n + 1) if q ** (k * n) <= 4096]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_generators_are_the_naive_rref_of_every_full_rank_matrix(q):
+    # naive_rref is Gauss-Jordan on FieldElem operators and shares no code
+    # with the oracle: reducing every full-rank k x n matrix gives each
+    # k-dimensional subspace's canonical generator, so the sets must agree
+    field = field_of_order(q)
+    elems = [FieldElem(field, c) for c in range(q)]
+    for n, k in _tiny_cells(q):
+        reduced = set()
+        for entries in itertools.product(elems, repeat=k * n):
+            rows, rank, _ = naive_rref([entries[r * n:(r + 1) * n] for r in range(k)])
+            if rank == k:
+                reduced.add(tuple(x.code for row in rows for x in row))
+        assert {mat.codes for mat in enumerate_subspaces(n, k, field)} == reduced, (n, k)
 
 
 GRAM_CELLS = [
@@ -263,7 +245,7 @@ def test_spectra_and_generators_do_not_depend_on_the_block_size(monkeypatch, n, 
 def test_spectrum_memos_stay_bounded(monkeypatch):
     # each spectrum makes one rank memo, which fills up to its cap and no
     # further; its DP keeps only tables of at most TABLE_CAP fills, and
-    # streams the rest; the odometer keeps no tables between cells or
+    # streams the rest; enumeration keeps no tables between cells or
     # field orders
     made = []
 
@@ -287,14 +269,15 @@ def test_spectrum_memos_stay_bounded(monkeypatch):
     assert [isinstance(table(r, r), list) for r in range(5)] == [True] * 3 + [False] * 2
     for r in range(5):
         assert all(len(chunk) <= 64 for chunk in table(r, r))
-    orders = (2, 3, 4, 5, 7, 8, 9, 16, 27)
+    fields = [field_of_order(q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 27)]
     tracemalloc.start()
     try:
-        for q in orders:
+        for field in fields:
             for n, k in ((2, 1), (4, 2), (8, 4), (12, 6)):
-                next(oracle._pivot_subsets(n, k))
-        for q in orders:  # a full walk of a small cell
-            assert len(_states(3, 1, q)) == gaussian_binomial(3, 1, q)
+                next(enumerate_subspaces(n, k, field, work_limit=None))
+        for field in fields:  # a full pass of a small cell
+            total = sum(1 for _ in enumerate_subspaces(3, 1, field))
+            assert total == gaussian_binomial(3, 1, field.order)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -552,7 +535,7 @@ def test_enumerate_subspaces_checks_on_the_call(monkeypatch):
     def no_enumeration(*args):
         pytest.fail("enumeration started")
 
-    monkeypatch.setattr(oracle, "_pivot_subsets", no_enumeration)
+    monkeypatch.setattr(oracle, "_generators", no_enumeration)
     with pytest.raises(BadRangeError):
         enumerate_subspaces(3, 4, F2)
     with pytest.raises(WorkLimitExceededError):

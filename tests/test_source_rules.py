@@ -386,9 +386,8 @@ def test_symplectic_lengths_are_checked_even_in_hull_dims():
 
 
 def test_the_oracle_has_one_odometer():
-    # one function walks the pivot subsets and their Gray moves; the
-    # spectrum tally and the generators of enumerate_subspaces both
-    # consume it
+    # one function walks the pivot subsets and fills their free entries,
+    # and enumerate_subspaces returns it; no Gray walk is left
     walkers = [
         f"{name}:{func.name}"
         for name, tree in TREES.items()
@@ -396,18 +395,28 @@ def test_the_oracle_has_one_odometer():
         if isinstance(func, ast.FunctionDef)
         and any(_calls(iterated, "combinations") for iterated, _ in _loops(func))
     ]
-    assert walkers == ["oracle.py:_pivot_subsets"]
-    loops = [iterated for iterated, _ in _loops(_function("oracle.py", "_generators"))]
-    assert any(_calls(iterated, "_pivot_subsets") for iterated in loops)
+    assert walkers == ["oracle.py:_generators"]
     assert _calls(_function("oracle.py", "enumerate_subspaces"), "_generators")
+    assert all("_gray" not in _identifiers(tree) for tree in TREES.values())
 
 
 def test_the_spectrum_does_not_walk_the_pivot_subsets():
-    # hull_spectrum counts by the kernel's DP; the odometer serves only
+    # hull_spectrum counts by the kernel's DP; the generators serve only
     # enumerate_subspaces
     spectrum = _function("oracle.py", "hull_spectrum")
-    assert not _calls(spectrum, "_pivot_subsets")
-    assert not _calls(spectrum, "_gray")
+    assert not _calls(spectrum, "_generators")
+    assert not _calls(spectrum, "enumerate_subspaces")
+
+
+def test_the_generators_reach_only_the_matrix_and_field_types_of_algebra():
+    # enumerate_subspaces is the generator-by-generator check on the
+    # kernel's DP, so it builds each generator without the kernel, rref or
+    # any other algebra function
+    functions = {
+        node.name: node for node in TREES["oracle.py"].body if isinstance(node, ast.FunctionDef)
+    }
+    reached = _reached(functions, "_generators")
+    assert reached & _module_names("algebra.py") == {"MatrixGF", "FiniteField"}
 
 
 def _reached(module_functions: dict[str, ast.FunctionDef], start: str) -> set[str]:
