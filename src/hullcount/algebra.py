@@ -572,7 +572,14 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     from r to r2 pivots as chunks, maps from distinct offsets to how many
     fills give them, each with at most TABLE_CAP offsets; a table of at
     most TABLE_CAP fills is kept for the spectrum, and a larger one
-    rebuilt at every use. count(hull) maps each state (r, key)
+    rebuilt at every use. Only the free step of one lane is enumerated,
+    a fill per coset of the units x with <x, x> = 1. A step of pivots has
+    one fill; a one-pivot step of two lanes has offset c_i at (i, r) for
+    each column c above the pivot, from q + 1 fills (a pivot in the first
+    lane pairs its partner's entry at row r to 0); a free step of two
+    lanes (u, v) has offset u^v, kept by (u, v) -> (u, v)A for det A = 1,
+    so each nonzero value comes from q(q^2 - 1) fills and 0 from the
+    rest. count(hull) maps each state (r, key)
     to the number of generator prefixes that reach it, from (0, 0), for
     steps that can still reach k pivots, adding offsets to keys entry by
     entry: XOR in characteristic 2, else add on the key's nonzero entries,
@@ -669,25 +676,12 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
             live = [(i, row) for i, row in enumerate(rows) if any(row)]
             return sum(pairing(x, y) << shift(i, j) for j, y in live for i, x in live if i <= j)
 
-        def shapes(r: int, r2: int) -> Iterator[list[tuple[int, tuple[int, ...]]]]:
-            # per choice of the lanes that place the step's pivots, each
-            # lane's free height h and the fixed rest of its column
-            for placed in itertools.product((False, True), repeat=width):
-                if sum(placed) == r2 - r:
-                    yield [
-                        (0, (0,) * at + (1,) + (0,) * (r2 - at - 1)) if placed[u]
-                        else (at, (0,) * (r2 - at))
-                        for u, at in enumerate(r + sum(placed[:u]) for u in range(width))
-                    ]
-
-        def blocks(shape: list[tuple[int, tuple[int, ...]]]) -> Iterator[list[tuple[int, ...]]]:
-            # every fill of a shape's free entries, as rows, all zeros first
-            for values in itertools.product(codes, repeat=sum(h for h, _ in shape)):
-                lane_columns, at = [], 0
-                for h, rest in shape:
-                    lane_columns.append(values[at:at + h] + rest)
-                    at += h
-                yield list(zip(*lane_columns))
+        def paired(y: Sequence[int]) -> list[int]:
+            # <x, y> for every row x of one step's lanes, in product order
+            terms = [0]
+            for table, other in lanes:
+                terms = [add[s][row[y[other]]] for s in terms for row in table]
+            return terms
 
         def spread(packed: list[int], rows: int, start: int = 0) -> list[int]:
             # start + sum_i packed[x_i] << bits * i over all blocks x_0 ..
@@ -698,66 +692,91 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                 out = [c | p for c in out for p in shifted]
             return out
 
-        def chunks(r: int, r2: int) -> Iterator[Mapping[int, int]]:
-            # rows below split are free in every lane with free entries, so
-            # a fill is a low block of those rows over a high block of the
-            # rest, and its offset is the low block's, the high block's, and
-            # each low row's pairings with the high rows, in their columns
+        def low(r: int) -> int:
+            # the most of r rows whose blocks of one code a row number at most TABLE_CAP
+            return next(s for s in range(r, -1, -1) if field.order ** s <= max(TABLE_CAP, 1))
+
+        def below(rows: int) -> list[int]:
+            # the offsets of every block of low rows, free in every lane, in
+            # spread's order: row j pairs with the rows above it and itself
+            out = [0]
+            for j in range(rows):
+                extended = [
+                    spread([p << shift(0, j) for p in paired(x)] if j else [], j, pairing(x, x) << shift(j, j))
+                    for x in itertools.product(codes, repeat=width)
+                ]
+                out = [o | c for o, row in zip(out, zip(*extended)) for c in row]
+            return out
+
+        def over(lows: list[int], high: Sequence[Sequence[int]], at: int) -> Iterator[int]:
+            # the offsets of rows high, from row at up, over each low block:
+            # the low block's, high's, and each low row's pairings with high
+            packed = [0] * field.order ** width
+            for j, y in enumerate(high, at):
+                if at and any(y):
+                    packed = [p | x << shift(0, j) for p, x in zip(packed, paired(y))]
+            return map(int.__or__, lows, spread(packed, at, offset([(0,) * width] * at + list(high))))
+
+        def chunks(r: int) -> Iterator[Mapping[int, int]]:
+            # the free step of one lane, by low blocks of the rows below split
+            split = low(r)
+            lows = below(split)
             tally: collections.Counter[int] = collections.Counter()
             weight = 0
-            for shape in shapes(r, r2):
-                freed = [u for u, (h, _) in enumerate(shape) if h]
-                # the most rows that make at most TABLE_CAP low blocks
-                split = 0
-                while freed and split < r and field.order ** ((split + 1) * len(freed)) <= TABLE_CAP:
-                    split += 1
-                low_rows = list(itertools.product(*[codes if h else (0,) for h, _ in shape]))
-
-                def paired(y: Sequence[int]) -> list[int]:
-                    # <x, y> for each low row x, in low_rows' order
-                    terms = [0]
-                    for u in freed:
-                        table, other = lanes[u]
-                        terms = [add[s][row[y[other]]] for s in terms for row in table]
-                    return terms
-
-                low_offsets = [0]
-                for j in range(split):  # row j pairs with the rows above it and itself
-                    column, diagonal = shift(0, j), shift(j, j)
-                    extended = [
-                        spread([p << column for p in paired(x)] if j else [], j, pairing(x, x) << diagonal)
-                        for x in low_rows
-                    ]
-                    low_offsets = [o | c for o, row in zip(low_offsets, zip(*extended)) for c in row]
-                zeros = [(0,) * width] * split
-                for high in blocks([(h - split, rest) if h else (0, rest[split:]) for h, rest in shape]):
-                    # with no pivot in the step, a high block whose first
-                    # nonzero entry is a leader stands for its coset's blocks
-                    leader = next((x for row in high for x in row if x), 0) if r2 == r else 0
-                    if leader and leader not in leaders:
-                        continue
-                    # per low row x, its pairings with the high rows
-                    packed = [0] * len(low_rows)
-                    for j, y in enumerate(high, split):
-                        if any(y):
-                            sh = shift(0, j)
-                            packed = [p | x << sh for p, x in zip(packed, paired(y))]
-                    crossed = spread(packed, split, offset(zeros + high))
-                    if tally and (len(tally) + len(crossed) > TABLE_CAP or weight != (leader > 0)):
-                        yield {o: c * len(units) for o, c in tally.items()} if weight else tally
-                        tally = collections.Counter()
-                    weight = leader > 0
-                    tally.update(map(int.__or__, low_offsets, crossed))
+            for high in itertools.product([(a,) for a in codes], repeat=r - split):
+                # a high block whose first nonzero entry is a leader stands
+                # for its coset's blocks
+                leader = next((x for (x,) in high if x), 0)
+                if leader and leader not in leaders:
+                    continue
+                if tally and (len(tally) + len(lows) > TABLE_CAP or weight != (leader > 0)):
+                    yield {o: c * len(units) for o, c in tally.items()} if weight else tally
+                    tally = collections.Counter()
+                weight = leader > 0
+                tally.update(over(lows, high, split))
             if tally:
                 yield {o: c * len(units) for o, c in tally.items()} if weight else tally
+
+        def bivectors(r: int) -> Iterator[int]:
+            # u^v for two free lanes, each nonzero value once, as (x + e_j)^y:
+            # j the last row of W = span(u, v), y the vector of W zero at
+            # row j, i its last nonzero row, and x the vector of W zero at
+            # rows i and j, so the rows below i are free in both lanes
+            for i in range(r - 1):
+                lows = below(i)
+                for j in range(i + 1, r):
+                    above = [[(a, 0) for a in codes]] * (j - 1 - i)
+                    for high in itertools.product([(0, c) for c in codes if c], *above, [(1, 0)]):
+                        yield from over(lows, high, i)
+
+        def build(r: int, r2: int) -> tuple[int, Iterator[Mapping[int, int]]]:
+            # the step from r to r2 pivots: how many fills it stands for, and its chunks
+            q = field.order
+            if r2 - r == width:  # the one fill: unit rows
+                pivots = [tuple(int(u == i) for u in range(width)) for i in range(width)]
+                return 1, iter([{offset([(0,) * width] * r + pivots): 1}])
+            if width == 1:
+                return q ** r, chunks(r)
+            if r2 > r:  # one pivot of two lanes
+                split = low(r)
+                column = [c << shift(0, r) for c in codes]
+                lows = spread(column, split)
+                return q ** r * (q + 1), (
+                    dict.fromkeys([high | o for o in lows], q + 1)
+                    for high in spread([c << bits * split for c in column], r - split)
+                )
+            nonzero, orbit = (q ** r - 1) * (q ** r - q), q * (q * q - 1)
+            weighted = itertools.chain([(0, q ** (2 * r) - nonzero)], ((o, orbit) for o in bivectors(r)))
+            return q ** (2 * r), iter(lambda: dict(itertools.islice(weighted, max(TABLE_CAP, 1))), {})
 
         kept: dict[tuple[int, int], list[Mapping[int, int]]] = {}
 
         def table(r: int, r2: int) -> Iterable[Mapping[int, int]]:
             if (r, r2) not in kept:
-                if sum(field.order ** sum(h for h, _ in shape) for shape in shapes(r, r2)) > TABLE_CAP:
-                    return chunks(r, r2)
-                kept[r, r2] = list(chunks(r, r2))
+                size, made = build(r, r2)
+                if size > TABLE_CAP:
+                    return made
+                kept[r, r2] = list(made)
             return kept[r, r2]
 
         def count(hull: Mapping[int, int]) -> list[int]:

@@ -371,14 +371,15 @@ def _step_fills(q, width, r, r2, most=20_000):
     if sizes[r2] > most:
         return None
     partial = [((), r)]  # (lane columns so far, pivots so far)
-    for _ in range(width):
+    for left in range(width - 1, -1, -1):  # the lanes after this one
         grown = []
         for columns, p in partial:
             if p < r2:
                 grown.append((columns + (tuple(int(i == p) for i in range(r2)),), p + 1))
-            grown += [
-                (columns + (top + (0,) * (r2 - p),), p) for top in itertools.product(range(q), repeat=p)
-            ]
+            if p + left >= r2:  # a free column here can still reach r2 pivots
+                grown += [
+                    (columns + (top + (0,) * (r2 - p),), p) for top in itertools.product(range(q), repeat=p)
+                ]
         partial = grown
     return [[list(row) for row in zip(*columns)] for columns, p in partial if p == r2]
 
@@ -388,7 +389,8 @@ def test_gram_step_matches_a_fresh_gram():
     # packed gram_of keys of the fills it stands for; a kernel of one step
     # (length 1, or 2 under the symplectic form) has rows that are one
     # step's lanes, so offset is gram_of packed; a table streamed in chunks
-    # of at most Q offsets (TABLE_CAP = Q) merges to the same table
+    # of at most Q offsets (TABLE_CAP = Q) merges to the same table; a
+    # step's fills and keys do not depend on k, so each is built once
     for q, form in itertools.product(
         (2, 3, 4, 5, 7, 8, 9), (FormKind.EUCLIDEAN, FormKind.SYMPLECTIC, FormKind.HERMITIAN)
     ):
@@ -397,14 +399,18 @@ def test_gram_step_matches_a_fresh_gram():
         bits = (order - 1).bit_length()
         width = 2 if form is FormKind.SYMPLECTIC else 1
         kernel = gram_kernel(field, form, width)
-        for k in range(1, 5):
+        steps = {}  # (r, r2) -> (fills, their keys), or None past 20,000 fills
+        for k in range(1, 6):
             unpack, offset, table, _ = kernel.columns(k)
             for r in range(k + 1):
                 for r2 in range(r, min(r + width, k) + 1):
-                    fills = _step_fills(order, width, r, r2)
-                    if fills is None:
+                    if (r, r2) not in steps:
+                        fills = _step_fills(order, width, r, r2)
+                        keys = None if fills is None else [packed_key(kernel.gram_of(rows), bits) for rows in fills]
+                        steps[r, r2] = None if fills is None else (fills, keys)
+                    if steps[r, r2] is None:
                         continue
-                    keys = [packed_key(kernel.gram_of(rows), bits) for rows in fills]
+                    fills, keys = steps[r, r2]
                     assert [offset(rows) for rows in fills] == keys
                     expected = collections.Counter(keys)
                     assert sum(expected.values()) == len(fills) > 0

@@ -172,7 +172,7 @@ def _check_gram_and_key_at_every_generator(n, k, order, form):
 
 
 @pytest.mark.parametrize("n,k,order,form", GRAM_CELLS)
-def test_gray_walk_keeps_gram_and_key_current(n, k, order, form):
+def test_dp_reaches_every_generators_gram_key(n, k, order, form):
     # full-pass tallies can hide a wrong update (some sign errors keep
     # them), so check the key the DP reaches for every generator
     _check_gram_and_key_at_every_generator(n, k, order, form)
@@ -187,7 +187,7 @@ def test_small_blocks_keep_gram_and_key_current(monkeypatch, n, k, order, form, 
     _check_gram_and_key_at_every_generator(n, k, order, form)
 
 
-BLOCK_CELLS = [(5, 2, 3), (6, 3, 2), (5, 2, 4)]  # each has tables of several chunks
+BLOCK_CELLS = [(5, 2, 3), (6, 3, 2), (5, 2, 4), (4, 2, 9)]  # each has tables of several chunks
 
 
 def _forms(field, n):

@@ -271,7 +271,8 @@ def test_each_form_is_one_table_set_in_gram_kernel():
     # one gram_of, the DP's step-table pairings (pairing of two rows, and
     # paired, one row with every low row of a chunk) and its loop (count)
     # are the only functions doing field arithmetic there, and they only
-    # read the tables
+    # read the tables; no function in gram_kernel names a form, so each
+    # step table is picked by the lanes and pivots alone
     defs = [
         node for node in ast.walk(TREES["algebra.py"])
         if isinstance(node, ast.FunctionDef)
@@ -279,13 +280,10 @@ def test_each_form_is_one_table_set_in_gram_kernel():
     assert [node.name for node in defs].count("gram_of") == 1
     kernel = next(node for node in defs if node.name == "gram_kernel")
     arithmetic = {"add", "neg", "mul", "pair", "lanes"}
-    readers = [
-        node for node in ast.walk(kernel)
-        if isinstance(node, ast.FunctionDef) and node is not kernel
-        and _own_names(node) & arithmetic
-    ]
+    nested = [node for node in ast.walk(kernel) if isinstance(node, ast.FunctionDef) and node is not kernel]
+    readers = [node for node in nested if _own_names(node) & arithmetic]
     assert sorted(node.name for node in readers) == ["count", "gram_of", "paired", "pairing"]
-    assert [node.name for node in readers if "FormKind" in _names(node)] == []
+    assert [node.name for node in nested if "FormKind" in _names(node)] == []
     # one update body: no per-state step is left beside the DP
     steps = [
         f"{name}:{node.lineno}"
