@@ -30,7 +30,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BadRangeError,
@@ -500,8 +500,9 @@ def rref(matrix: MatrixGF) -> RrefResult:
             if f:
                 fac = mul[f]
                 rows[i] = [add[x][neg[fac[y]]] for x, y in zip(rows[i], prow)]
+    # every code is a field-table output, so the range check is skipped
     flat = tuple(x for row in rows for x in row)
-    reduced = MatrixGF(matrix.field, matrix.rows, matrix.cols, flat)
+    reduced = MatrixGF._trusted(matrix.field, matrix.rows, matrix.cols, flat)
     return RrefResult(reduced, rank, tuple(pivots))
 
 
@@ -511,23 +512,6 @@ def _conj_mul_table(field: FiniteField) -> list[list[int]]:
     field and shared by the kernels of every length."""
     conj = field.frobenius_table(field.p ** (field.m // 2))
     return [[row[c] for c in conj] for row in field.mul_table]
-
-
-class CappedMemo(dict):
-    """key -> build(key), built on the first lookup of a key and remembered
-    while the memo holds fewer than cap keys; past the cap a key it lacks is
-    built again on every lookup."""
-
-    def __init__(self, build: Callable[[Hashable], Any], cap: int):
-        super().__init__()
-        self.build = build
-        self.cap = cap
-
-    def __missing__(self, key: Hashable) -> Any:
-        value = self.build(key)
-        if len(self) < self.cap:
-            self[key] = value
-        return value
 
 
 class GramKernel(NamedTuple):
@@ -579,14 +563,17 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     lane pairs its partner's entry at row r to 0); a free step of two
     lanes (u, v) has offset u^v, kept by (u, v) -> (u, v)A for det A = 1,
     so each nonzero value comes from q(q^2 - 1) fills and 0 from the
-    rest. count(hull) maps each state (r, key)
-    to the number of generator prefixes that reach it, from (0, 0), for
-    steps that can still reach k pivots, adding offsets to keys entry by
-    entry: XOR in characteristic 2, else add on the key's nonzero entries,
-    which a step that places a pivot never meets. Once the steps left can
-    only place pivots, their offset is fixed, and count tallies the state
-    at hull[key + offset], the key's hull dimension, instead of keeping
-    it. It returns that tally, k + 1 counts indexed by hull dimension.
+    rest. count() maps each state (r, key) to the number of generator
+    prefixes that reach it, from (0, 0), for steps that can still reach k
+    pivots, adding offsets to keys entry by entry: XOR in characteristic
+    2, else add on the key's nonzero entries, which a step that places a
+    pivot never meets. Once the steps left can only place pivots, their
+    offset is fixed and OR-ed into the key, which is then finished. It
+    returns the finished keys, {key: generators with that Gram}: at most
+    one entry per Gram the form can give, Q^(k(k+1)/2) Euclidean,
+    q^k Q^(k(k-1)/2) hermitian (Q = q^2, a diagonal in F_q) and
+    Q^(k(k-1)/2) symplectic (a zero diagonal), and never more than
+    [n, k]_Q.
 
     Built once per (field, form, n); the hermitian pairing table, once per
     field (_conj_mul_table). A kernel holds O(n) table references.
@@ -779,8 +766,8 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                 kept[r, r2] = list(made)
             return kept[r, r2]
 
-        def count(hull: Mapping[int, int]) -> list[int]:
-            acc = [0] * (k + 1)
+        def count() -> dict[int, int]:
+            finished: dict[int, int] = {}
             # the fixed offset of the pivots placed from row r up to row k
             tails = {k: 0}
             for r in range(k - width, -1, -width):
@@ -789,7 +776,7 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
             layer: dict[int, dict[int, int]] = {0: {0: 1}}
             if k == width * steps:
                 layer = {}
-                acc[hull[tails[0]]] += 1
+                finished[tails[0]] = 1
             for left in range(steps - 1, -1, -1):
                 grown: dict[int, dict[int, int]] = {}
                 for r, states in layer.items():
@@ -797,11 +784,16 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                     for r2 in range(r, min(r + width, k) + 1):
                         if k - r2 > width * left:
                             continue
-                        tail = tails[r2] if k - r2 == width * left else None
-                        out = grown.setdefault(r2, {}) if tail is None else None
+                        done = k - r2 == width * left
+                        out = finished if done else grown.setdefault(r2, {})
+                        get = out.get
                         adds = field.p != 2 and r2 == r
                         for chunk in table(r, r2):
                             counts = chunk.values()
+                            if done:
+                                # the tail's entries are in rows >= r2, which
+                                # no key or offset of this step meets
+                                chunk = [o | tails[r2] for o in chunk]
                             for key, c in states.items():
                                 if adds and key:
                                     sums = chunk
@@ -813,15 +805,10 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                                             ]
                                 else:
                                     sums = [key ^ o for o in chunk]
-                                if tail is None:
-                                    get = out.get
-                                    for new, m in zip(sums, counts):
-                                        out[new] = get(new, 0) + c * m
-                                else:
-                                    for new, m in zip(sums, counts):
-                                        acc[hull[new | tail]] += c * m
+                                for new, m in zip(sums, counts):
+                                    out[new] = get(new, 0) + c * m
                 layer = grown
-            return acc
+            return finished
 
         return unpack, offset, table, count
 

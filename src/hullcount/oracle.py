@@ -8,13 +8,14 @@ work-limit check: it returns [n, k]_Q and refuses a count above the work
 limit (default 10^8 subspaces) before anything is counted.
 
 hull_spectrum builds no FieldElem, MatrixGF or Gram matrix: it makes one
-call to algebra.gram_kernel's dynamic program, columns(k), which merges
-all generator prefixes with the same pivot count and partial Gram key and
-tallies each finished key at its hull dimension, which it reads from an
-algebra.CappedMemo that lives for one spectrum and holds at most
-RANK_MEMO_CAP keys, or Q^(k(k+1)/2), the values a Gram's upper triangle
-can take, where that is fewer; a key it lacks is unpacked and ranked by
-the kernel. The spectrum reads neither formulas nor ratios, so it stays an
+call to algebra.gram_kernel's dynamic program, columns(k)'s count(),
+which merges all generator prefixes with the same pivot count and partial
+Gram key and returns the finished keys with how many generators reach
+each. The spectrum unpacks and ranks each distinct key once and tallies
+its generators at the key's hull dimension. There are at most as many
+keys as Grams the form can give (Q^(k(k+1)/2) Euclidean, q^k Q^(k(k-1)/2)
+hermitian with Q = q^2, Q^(k(k-1)/2) symplectic), and never more than
+[n, k]_Q. The spectrum reads neither formulas nor ratios, so it stays an
 independent check on both.
 
 enumerate_subspaces yields the generators themselves, for the natural
@@ -30,7 +31,6 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
 from .algebra import (
-    CappedMemo,
     FiniteField,
     FormKind,
     MatrixGF,
@@ -43,7 +43,7 @@ from .formulas import closed_spectrum
 from .ratios import euclidean_spectrum
 
 DEFAULT_WORK_LIMIT = 10 ** 8
-RANK_MEMO_CAP = 2 ** 16  # most Gram keys any spectrum remembers hull dimensions for
+
 
 def subspace_count(
     n: int, k: int, order: int, work_limit: int | None = DEFAULT_WORK_LIMIT
@@ -116,10 +116,9 @@ def hull_spectrum(
     subspace_count(n, k, field.order, work_limit)
     kernel = gram_kernel(field, form, n)
     unpack, _, _, count = kernel.columns(k)
-    # a key packs the k(k+1)/2 entries of a Gram's upper triangle
-    keys = field.order ** (k * (k + 1) // 2)
-    hull = CappedMemo(lambda key: k - kernel.rank_of(unpack(key)), min(keys, RANK_MEMO_CAP))
-    acc = count(hull)
+    acc = [0] * (k + 1)
+    for key, generators in count().items():
+        acc[k - kernel.rank_of(unpack(key))] += generators
     counts = MappingProxyType({ell: c for ell, c in enumerate(acc) if c})
     return HullSpectrum(n, k, form, field.order, counts)
 

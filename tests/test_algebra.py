@@ -448,9 +448,9 @@ def test_symplectic_step_offset_is_alternating(q):
 
 @pytest.mark.parametrize("form, order", GRAM_CASES)
 def test_unpacked_key_is_the_gram(form, order):
-    # the rank memo ranks unpack(key) on a miss, so the key must carry the
-    # whole Gram matrix, lower triangle and diagonal included; a one-step
-    # kernel's offset keys its rows' Gram
+    # the spectrum ranks unpack(key) of each finished key, so the key must
+    # carry the whole Gram matrix, lower triangle and diagonal included; a
+    # one-step kernel's offset keys its rows' Gram
     field = field_of_order(order)
     rng = random.Random(order + 1)
     width = 2 if form is FormKind.SYMPLECTIC else 1

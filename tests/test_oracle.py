@@ -127,18 +127,10 @@ GRAM_CELLS = [
 ]
 
 
-class _Indicator(dict):
-    """A hull mapping that maps its own keys to 1 and every other key to 0."""
-
-    def __missing__(self, key):
-        return 0
-
-
-def _dp_keys(n, k, field, form, candidates):
-    """key -> how many generators the column DP tallies at that key, one DP
-    run per candidate key with an indicator for hull."""
-    count = gram_kernel(field, form, n).columns(k)[3]
-    return {key: count(_Indicator({key: 1}))[1] for key in candidates}
+def _dp_keys(n, k, field, form):
+    """The column DP's finished keys, key -> how many generators reach it,
+    from one count() call."""
+    return gram_kernel(field, form, n).columns(k)[3]()
 
 
 def _generator_keys(n, k, field, form):
@@ -162,12 +154,11 @@ def _generator_keys(n, k, field, form):
 
 
 def _check_gram_and_key_at_every_generator(n, k, order, form):
-    # the DP tallies each generator at the packed key of its Gram, checked
-    # against a fresh gram_of of every generator; the DP's tally of those
-    # keys covers every generator, so it tallies no other key
+    # the DP finishes each generator at the packed key of its Gram, checked
+    # against a fresh gram_of of every generator, key by key and count by count
     field = field_of_order(order)
     keys = _generator_keys(n, k, field, form)
-    assert _dp_keys(n, k, field, form, keys) == keys
+    assert _dp_keys(n, k, field, form) == keys
     assert sum(keys.values()) == gaussian_binomial(n, k, order)
 
 
@@ -210,7 +201,7 @@ def _merged(table, r, r2):
 def test_block_walk_is_the_per_state_walk(monkeypatch, n, k, q):
     # a table of more than TABLE_CAP fills is streamed: at caps 0, 1 and q
     # every step table of the cell merges to the kept table, and the DP
-    # tallies every key of the cell alike
+    # finishes every generator's key alike
     field = field_of_order(q)
     for form in _forms(field, n):
         kernel = gram_kernel(field, form, n)
@@ -218,13 +209,13 @@ def test_block_walk_is_the_per_state_walk(monkeypatch, n, k, q):
         steps = [(r, r2) for r in range(k + 1) for r2 in range(r, min(r + width, k) + 1)]
         kept = [_merged(kernel.columns(k)[2], *step) for step in steps]
         keys = _generator_keys(n, k, field, form)
-        expected = _dp_keys(n, k, field, form, keys)
+        assert _dp_keys(n, k, field, form) == keys, form
         for cap in (0, 1, q):
             monkeypatch.setattr(algebra, "TABLE_CAP", cap)
             table = kernel.columns(k)[2]
             assert any(not isinstance(table(*step), list) for step in steps)
             assert [_merged(table, *step) for step in steps] == kept, (form, cap)
-            assert _dp_keys(n, k, field, form, keys) == expected, (form, cap)
+            assert _dp_keys(n, k, field, form) == keys, (form, cap)
         monkeypatch.undo()
 
 
@@ -242,28 +233,40 @@ def test_spectra_and_generators_do_not_depend_on_the_block_size(monkeypatch, n, 
     assert results[0] == results[1]
 
 
+def test_spectrum_ranks_each_finished_key_once(monkeypatch):
+    # E[5,4]_8 has 4,096 distinct finished Gram keys among its 4,681
+    # generators: the spectrum unpacks each of them once, and ranks nothing
+    # else
+    unpacked, ranked = [], []
+
+    def kernel(*args):
+        made = gram_kernel(*args)
+
+        def columns(k):
+            unpack, offset, table, count = made.columns(k)
+            return lambda key: unpacked.append(key) or unpack(key), offset, table, count
+
+        def rank_of(m):
+            ranked.append(len(m))
+            return made.rank_of(m)
+
+        return made._replace(columns=columns, rank_of=rank_of)
+
+    monkeypatch.setattr(oracle, "gram_kernel", kernel)
+    field = make_field(2, 3)
+    assert hull_spectrum(5, 4, field, FormKind.EUCLIDEAN).counts == {0: 4096, 1: 585}
+    finished = gram_kernel(field, FormKind.EUCLIDEAN, 5).columns(4)[3]()
+    assert len(finished) == 4096 and sum(finished.values()) == gaussian_binomial(5, 4, 8)
+    assert sorted(unpacked) == sorted(finished)
+    assert ranked == [4] * 4096
+
+
 def test_spectrum_memos_stay_bounded(monkeypatch):
-    # each spectrum makes one rank memo, which fills up to its cap and no
-    # further; its DP keeps only tables of at most TABLE_CAP fills, and
-    # streams the rest; enumeration keeps no tables between cells or
-    # field orders
-    made = []
-
-    class Watched(algebra.CappedMemo):
-        def __init__(self, build, cap):
-            super().__init__(build, cap)
-            made.append(self)
-
-    monkeypatch.setattr(oracle, "CappedMemo", Watched)
-    monkeypatch.setattr(oracle, "RANK_MEMO_CAP", 40)
-    # 4,096 distinct Gram keys, past the cap
-    expected = {0: 4096, 1: 585}
-    assert hull_spectrum(5, 4, make_field(2, 3), FormKind.EUCLIDEAN).counts == expected
-    [memo] = made
-    assert (memo.cap, len(memo)) == (40, 40)
+    # the DP keeps only tables of at most TABLE_CAP fills, and streams the
+    # rest; enumeration keeps no tables between cells or field orders
     monkeypatch.setattr(algebra, "TABLE_CAP", 64)
     _, _, table, count = gram_kernel(make_field(2, 3), FormKind.EUCLIDEAN, 5).columns(4)
-    assert sum(count(Watched(lambda key: 0, 0))) == gaussian_binomial(5, 4, 8)
+    assert sum(count().values()) == gaussian_binomial(5, 4, 8)
     # the (r, r) tables of 8^r fills: those of r <= 2 are kept, the rest
     # streamed in chunks of at most 64 distinct offsets
     assert [isinstance(table(r, r), list) for r in range(5)] == [True] * 3 + [False] * 2
@@ -284,47 +287,12 @@ def test_spectrum_memos_stay_bounded(monkeypatch):
     assert held < 100_000  # freed tuples kept for reuse, no tables
 
 
-MEMO_CELLS = [
+CAP_CELLS = [  # the last three count over F_8 and F_64
     (6, 3, F2, FormKind.SYMPLECTIC),
     (5, 2, F3, FormKind.EUCLIDEAN),
     (4, 2, F4, FormKind.HERMITIAN),
     (4, 3, F4, FormKind.EUCLIDEAN),
     (4, 3, F4, FormKind.HERMITIAN),
-]
-
-
-def test_spectrum_unchanged_past_the_rank_memo_cap(monkeypatch):
-    # the last two cells have k = n - 1, where nearly every generator
-    # has a key of its own: their spectra at the derived cap, which holds every
-    # key, stay the same with no key or one key remembered
-    expected = [hull_spectrum(*cell).counts for cell in MEMO_CELLS]
-    for cap in (0, 1):
-        monkeypatch.setattr(oracle, "RANK_MEMO_CAP", cap)
-        assert [hull_spectrum(*cell).counts for cell in MEMO_CELLS] == expected
-
-
-def test_rank_memo_cap_is_the_cell_key_space_or_the_bound(monkeypatch):
-    # a Gram key packs the k(k+1)/2 entries of the upper triangle, so a
-    # cell has at most Q^(k(k+1)/2) keys; the memo is capped there unless
-    # RANK_MEMO_CAP is lower
-    caps = []
-
-    class Watched(algebra.CappedMemo):
-        def __init__(self, build, cap):
-            super().__init__(build, cap)
-            caps.append(cap)
-
-    monkeypatch.setattr(oracle, "CappedMemo", Watched)
-    hull_spectrum(4, 3, F2, FormKind.EUCLIDEAN)
-    hull_spectrum(4, 2, F3, FormKind.SYMPLECTIC)
-    hull_spectrum(4, 3, make_field(2, 3), FormKind.EUCLIDEAN)
-    assert 8 ** 6 > oracle.RANK_MEMO_CAP
-    # each spectrum makes one memo, its rank memo
-    assert caps == [2 ** 6, 3 ** 3, oracle.RANK_MEMO_CAP]
-
-
-CAP_CELLS = [  # the last three count over F_8 and F_64
-    *MEMO_CELLS,
     (4, 2, make_field(2, 3), FormKind.SYMPLECTIC),
     (5, 4, make_field(2, 3), FormKind.EUCLIDEAN),
     (3, 2, make_field(2, 6), FormKind.HERMITIAN),
@@ -354,11 +322,10 @@ def test_tallies_on_remembered_runs_are_fresh_tallies(n, k, q, form):
     # count on the kept tables must tally alike
     field = oracle.field_for(form, q)
     kernel = gram_kernel(field, form, n)
-    unpack, _, table, count = kernel.columns(k)
-    hull = algebra.CappedMemo(lambda key: k - kernel.rank_of(unpack(key)), 0)
-    first = count(hull)
-    assert count(hull) == first
-    assert sum(first) == gaussian_binomial(n, k, field.order)
+    _, _, table, count = kernel.columns(k)
+    first = count()
+    assert count() == first
+    assert sum(first.values()) == gaussian_binomial(n, k, field.order)
     width = 2 if form is FormKind.SYMPLECTIC else 1
     for r in range(k + 1):
         for r2 in range(r, min(r + width, k) + 1):
@@ -438,7 +405,7 @@ def _naive_cells():
 @given(st.sampled_from(_naive_cells()))
 def test_spectrum_matches_naive_tally_property(cell):
     # the tally runs FieldElem arithmetic on every generator; it never
-    # touches the kernel's incremental Gram update or the rank memo
+    # touches the kernel's incremental Gram update or its finished keys
     n, k, field, form = cell
     tally: dict[int, int] = {}
     for mat in enumerate_subspaces(n, k, field):
@@ -519,9 +486,7 @@ def test_work_limit_none_reaches_the_spectrum(monkeypatch):
     # nothing, a spectrum that passes None on returns empty instead of
     # raising
     def kernel(*args):
-        return gram_kernel(*args)._replace(
-            columns=lambda k: (None, None, None, lambda hull: [0] * (k + 1))
-        )
+        return gram_kernel(*args)._replace(columns=lambda k: (None, None, None, dict))
 
     monkeypatch.setattr(oracle, "gram_kernel", kernel)
     with pytest.raises(WorkLimitExceededError):
