@@ -11,26 +11,27 @@ and all arithmetic routes through dense lookup tables, all built when the
 field is: exp/log over the generator, which is the smallest nonzero code
 whose powers run through every unit, digitwise tables for addition and
 negation, and the conjugation table of a square order. The operator API on
-FieldElem and the raw-code hot loops of the oracle's counting hit the
-same precomputed data. Orders are capped at 256, which keeps every table
+FieldElem and the raw-code loops of the Gram kernel hit the same
+precomputed data. Orders are capped at 256, which keeps every table
 comfortably small.
 
 The matrix side is deliberately plain: immutable MatrixGF, reduced row
 echelon form, the three Gram matrices (Euclidean G*G^T, Hermitian
 G*conj(G)^T with entrywise q-th power, symplectic G*Omega*G^T), and the
 hull dimension k - rank(Gram) for a full-row-rank generator. There is one
-forward elimination, rank_of, built once per field. All Gram and rank
-work, here and in the oracle and the ebit count, goes through
-one raw-code kernel, gram_kernel(field, form, n); rref() runs the same
-rank_of and adds one back pass for the canonical form.
+forward elimination, rank_of, built once per field. All Gram, rank and
+congruence-class work, here and in the oracle and the ebit count, goes
+through one raw-code kernel, gram_kernel(field, form, n): gram_of,
+rank_of and class_of, the Gram's congruence class that the oracle's
+transfer matrices are indexed by. rref() runs the same rank_of and adds
+one back pass for the canonical form.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BadRangeError,
@@ -44,7 +45,6 @@ from .exactnum import is_prime, prime_power_parts
 from .formulas import FormKind, require_even_length
 
 MAX_FIELD_ORDER = 256
-TABLE_CAP = 4096  # most column fills one step table keeps; a larger one is streamed
 
 
 # -- polynomial helpers on coefficient tuples (low degree first) --------------
@@ -520,7 +520,7 @@ class GramKernel(NamedTuple):
 
     gram_of: Callable[[RawRows], RawRows]
     rank_of: Callable[[RawRows], int]
-    columns: Callable[[int], tuple[Callable, Callable, Callable, Callable]]  # k -> (unpack, offset, table, count)
+    class_of: Callable[[RawRows], tuple[int, int]]
 
 
 @functools.lru_cache(maxsize=256)
@@ -530,50 +530,29 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     Each form is one table set: lanes, each a pairing table and the lane it
     pairs with, column t being lane t // steps of step t % steps, so that
     <x, y> = sum_t pair[t][x[t]][y[partner[t]]] with partner[t] the paired
-    lane's column of the same step; and mirror, which maps g[i][j] to
-    g[j][i]. Euclidean: one lane, pair a*b, mirror the identity. Hermitian:
-    one lane, pair a*conj(b), mirror conj. Symplectic: lanes t and t + n/2,
-    pair a*b and -a*b, mirror negation, and no diagonal. gram_of and the
-    DP's pairing, paired and count are the only readers of the field's
-    arithmetic, and they read only this table set.
+    lane's column of the same step; mirror, which maps g[i][j] to g[j][i];
+    and class_of. Euclidean: one lane, pair a*b, mirror the identity.
+    Hermitian: one lane, pair a*conj(b), mirror conj. Symplectic: lanes t
+    and t + n/2, pair a*b and -a*b, mirror negation, and no diagonal.
+    gram_of and class_of are the only readers of the field's arithmetic,
+    and they read only this table set.
 
     gram_of maps k rows of element codes to their k x k Gram matrix,
     filling the upper triangle and mirroring it into the lower one.
     rank_of is the field's one forward elimination: it reduces a matrix of
     codes in place and returns its rank; rref() runs it too.
 
-    columns(k) counts k-row generators by a dynamic program over the steps
-    and returns (unpack, offset, table, count). A Gram is kept only as an
-    int key packing its upper triangle, entry (i, j) with i <= j at bit
-    (j(j+1)/2 + i) * bits, a layout only this function knows; unpack(key)
-    is the k x k Gram a key packs. Every subspace has one generator in
-    reduced row echelon form for the steps' column order (0, n/2, 1, n/2 +
-    1, ... under the symplectic form). In a step at r pivots each lane is a
-    pivot, e at the row of the pivots before it, or free, with entries in
-    the rows above that, and a generator's Gram is the sum over its steps
-    of the Gram of their columns alone: offset(rows) packs that for one
-    fill, rows[i][u] being row i's code in lane u. table(r, r2) is the step
-    from r to r2 pivots as chunks, maps from distinct offsets to how many
-    fills give them, each with at most TABLE_CAP offsets; a table of at
-    most TABLE_CAP fills is kept for the spectrum, and a larger one
-    rebuilt at every use. Only the free step of one lane is enumerated,
-    a fill per coset of the units x with <x, x> = 1. A step of pivots has
-    one fill; a one-pivot step of two lanes has offset c_i at (i, r) for
-    each column c above the pivot, from q + 1 fills (a pivot in the first
-    lane pairs its partner's entry at row r to 0); a free step of two
-    lanes (u, v) has offset u^v, kept by (u, v) -> (u, v)A for det A = 1,
-    so each nonzero value comes from q(q^2 - 1) fills and 0 from the
-    rest. count() maps each state (r, key) to the number of generator
-    prefixes that reach it, from (0, 0), for steps that can still reach k
-    pivots, adding offsets to keys entry by entry: XOR in characteristic
-    2, else add on the key's nonzero entries, which a step that places a
-    pivot never meets. Once the steps left can only place pivots, their
-    offset is fixed and OR-ed into the key, which is then finished. It
-    returns the finished keys, {key: generators with that Gram}: at most
-    one entry per Gram the form can give, Q^(k(k+1)/2) Euclidean,
-    q^k Q^(k(k-1)/2) hermitian (Q = q^2, a diagonal in F_q) and
-    Q^(k(k-1)/2) symplectic (a zero diagonal), and never more than
-    [n, k]_Q.
+    class_of maps a Gram matrix of the form, left unchanged, to its
+    congruence class (rank, extra): two Grams are P G P^T (P G P^* for the
+    hermitian form) for an invertible P exactly when their classes are
+    equal. A hermitian or alternating Gram's class is its rank (extra 0).
+    A symmetric one also needs, in characteristic 2, whether its diagonal
+    is nonzero, and in odd characteristic the square class of the
+    determinant of its nondegenerate part, K[J, J] for the pivot columns J
+    of rank_of: extra is the parity of that determinant's log. rank_of's
+    own pivots give det K[I, J], I the pivot rows, whose square class can
+    differ, so the determinant is a second elimination that tracks its row
+    swaps.
 
     Built once per (field, form, n); the hermitian pairing table, once per
     field (_conj_mul_table). A kernel holds O(n) table references.
@@ -581,8 +560,36 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     mul = field.mul_table
     add = field.add_table
     neg = field.neg_table
+    inv = field.inv_table
+    log = field._log
     rank_of = _rank_kernel(field)
     identity = list(range(field.order))
+
+    def rank_class(g: RawRows) -> tuple[int, int]:
+        return rank_of([list(row) for row in g]), 0
+
+    def diagonal_class(g: RawRows) -> tuple[int, int]:
+        return rank_of([list(row) for row in g]), int(any(row[i] for i, row in enumerate(g)))
+
+    def discriminant_class(g: RawRows) -> tuple[int, int]:
+        rows = [list(row) for row in g]
+        r = rank_of(rows)
+        pivots = [next(c for c, x in enumerate(row) if x) for row in rows[:r]]
+        m = [[g[i][j] for j in pivots] for i in pivots]
+        parity = 0  # of log det m: each pivot's log, and log(-1) per row swap
+        for c in range(r):
+            piv = next(i for i in range(c, r) if m[i][c])
+            if piv != c:
+                m[c], m[piv] = m[piv], m[c]
+                parity += log[neg[1]]
+            prow = m[c]
+            parity += log[prow[c]]
+            pinv = inv[prow[c]]
+            for i in range(c + 1, r):
+                if f := m[i][c]:
+                    mrow = mul[mul[f][pinv]]
+                    m[i] = [add[x][neg[mrow[y]]] for x, y in zip(m[i], prow)]
+        return r, parity % 2
 
     if form is FormKind.SYMPLECTIC:
         require_even_length(n)
@@ -591,6 +598,7 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
         lanes = [(mul, 1), (mul if neg == identity else [mul[a] for a in neg], 0)]
         mirror = neg
         first = 1
+        class_of = rank_class
     else:
         if form is FormKind.HERMITIAN:
             if field.m % 2 != 0:
@@ -599,12 +607,13 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                 )
             mirror = field.frobenius_table(field.p ** (field.m // 2))
             lanes = [(_conj_mul_table(field), 0)]
+            class_of = rank_class
         else:
             mirror = identity
             lanes = [(mul, 0)]
+            class_of = diagonal_class if field.p == 2 else discriminant_class
         first = 0
-    width = len(lanes)
-    steps = n // width
+    steps = n // len(lanes)
     pair = [table for table, _ in lanes for _ in range(steps)]
     partner = [other * steps + t for _, other in lanes for t in range(steps)]
     cols = range(n)
@@ -628,191 +637,7 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                 g[j][i] = mirror[s]
         return g
 
-    bits = (field.order - 1).bit_length()
-    mask = (1 << bits) - 1
-    codes = range(field.order)
-    # pair[c][xa][xb] = pair[c][x][x] * pair[c][a][b] on every lane, so a
-    # unit x with pair[c][x][x] = 1 scales a fill of free columns without
-    # moving its offset; leaders holds the smallest code of each coset of them
-    units = [x for x in codes if lanes[0][0][x][x] == 1]
-    leaders = {min(mul[a][x] for x in units) for a in codes if a}
-
-    def shift(i: int, j: int) -> int:
-        return bits * (j * (j + 1) // 2 + i)
-
-    def columns(k: int) -> tuple[Callable, Callable, Callable, Callable]:
-        # (i, j, shift), j-major, so the entries of rows < r come first
-        cells = [(i, j, shift(i, j)) for j in range(k) for i in range(j + 1)]
-
-        def unpack(key: int) -> RawRows:
-            g = [[0] * k for _ in range(k)]
-            for i, j, sh in cells:
-                s = g[i][j] = key >> sh & mask
-                g[j][i] = mirror[s]
-            return g
-
-        def pairing(x: Sequence[int], y: Sequence[int]) -> int:
-            # <x, y> for two rows of one step's lanes
-            s = 0
-            for (table, other), a in zip(lanes, x):
-                if a:
-                    s = add[s][table[a][y[other]]]
-            return s
-
-        def offset(rows: Sequence[Sequence[int]]) -> int:
-            live = [(i, row) for i, row in enumerate(rows) if any(row)]
-            return sum(pairing(x, y) << shift(i, j) for j, y in live for i, x in live if i <= j)
-
-        def paired(y: Sequence[int]) -> list[int]:
-            # <x, y> for every row x of one step's lanes, in product order
-            terms = [0]
-            for table, other in lanes:
-                terms = [add[s][row[y[other]]] for s in terms for row in table]
-            return terms
-
-        def spread(packed: list[int], rows: int, start: int = 0) -> list[int]:
-            # start + sum_i packed[x_i] << bits * i over all blocks x_0 ..
-            # x_{rows-1} of low rows, indexing packed, row 0 slowest
-            out = [start]
-            for i in range(rows):
-                shifted = [p << bits * i for p in packed]
-                out = [c | p for c in out for p in shifted]
-            return out
-
-        def low(r: int) -> int:
-            # the most of r rows whose blocks of one code a row number at most TABLE_CAP
-            return next(s for s in range(r, -1, -1) if field.order ** s <= max(TABLE_CAP, 1))
-
-        def below(rows: int) -> list[int]:
-            # the offsets of every block of low rows, free in every lane, in
-            # spread's order: row j pairs with the rows above it and itself
-            out = [0]
-            for j in range(rows):
-                extended = [
-                    spread([p << shift(0, j) for p in paired(x)] if j else [], j, pairing(x, x) << shift(j, j))
-                    for x in itertools.product(codes, repeat=width)
-                ]
-                out = [o | c for o, row in zip(out, zip(*extended)) for c in row]
-            return out
-
-        def over(lows: list[int], high: Sequence[Sequence[int]], at: int) -> Iterator[int]:
-            # the offsets of rows high, from row at up, over each low block:
-            # the low block's, high's, and each low row's pairings with high
-            packed = [0] * field.order ** width
-            for j, y in enumerate(high, at):
-                if at and any(y):
-                    packed = [p | x << shift(0, j) for p, x in zip(packed, paired(y))]
-            return map(int.__or__, lows, spread(packed, at, offset([(0,) * width] * at + list(high))))
-
-        def chunks(r: int) -> Iterator[Mapping[int, int]]:
-            # the free step of one lane, by low blocks of the rows below split
-            split = low(r)
-            lows = below(split)
-            tally: collections.Counter[int] = collections.Counter()
-            weight = 0
-            for high in itertools.product([(a,) for a in codes], repeat=r - split):
-                # a high block whose first nonzero entry is a leader stands
-                # for its coset's blocks
-                leader = next((x for (x,) in high if x), 0)
-                if leader and leader not in leaders:
-                    continue
-                if tally and (len(tally) + len(lows) > TABLE_CAP or weight != (leader > 0)):
-                    yield {o: c * len(units) for o, c in tally.items()} if weight else tally
-                    tally = collections.Counter()
-                weight = leader > 0
-                tally.update(over(lows, high, split))
-            if tally:
-                yield {o: c * len(units) for o, c in tally.items()} if weight else tally
-
-        def bivectors(r: int) -> Iterator[int]:
-            # u^v for two free lanes, each nonzero value once, as (x + e_j)^y:
-            # j the last row of W = span(u, v), y the vector of W zero at
-            # row j, i its last nonzero row, and x the vector of W zero at
-            # rows i and j, so the rows below i are free in both lanes
-            for i in range(r - 1):
-                lows = below(i)
-                for j in range(i + 1, r):
-                    above = [[(a, 0) for a in codes]] * (j - 1 - i)
-                    for high in itertools.product([(0, c) for c in codes if c], *above, [(1, 0)]):
-                        yield from over(lows, high, i)
-
-        def build(r: int, r2: int) -> tuple[int, Iterator[Mapping[int, int]]]:
-            # the step from r to r2 pivots: how many fills it stands for, and its chunks
-            q = field.order
-            if r2 - r == width:  # the one fill: unit rows
-                pivots = [tuple(int(u == i) for u in range(width)) for i in range(width)]
-                return 1, iter([{offset([(0,) * width] * r + pivots): 1}])
-            if width == 1:
-                return q ** r, chunks(r)
-            if r2 > r:  # one pivot of two lanes
-                split = low(r)
-                column = [c << shift(0, r) for c in codes]
-                lows = spread(column, split)
-                return q ** r * (q + 1), (
-                    dict.fromkeys([high | o for o in lows], q + 1)
-                    for high in spread([c << bits * split for c in column], r - split)
-                )
-            nonzero, orbit = (q ** r - 1) * (q ** r - q), q * (q * q - 1)
-            weighted = itertools.chain([(0, q ** (2 * r) - nonzero)], ((o, orbit) for o in bivectors(r)))
-            return q ** (2 * r), iter(lambda: dict(itertools.islice(weighted, max(TABLE_CAP, 1))), {})
-
-        kept: dict[tuple[int, int], list[Mapping[int, int]]] = {}
-
-        def table(r: int, r2: int) -> Iterable[Mapping[int, int]]:
-            if (r, r2) not in kept:
-                size, made = build(r, r2)
-                if size > TABLE_CAP:
-                    return made
-                kept[r, r2] = list(made)
-            return kept[r, r2]
-
-        def count() -> dict[int, int]:
-            finished: dict[int, int] = {}
-            # the fixed offset of the pivots placed from row r up to row k
-            tails = {k: 0}
-            for r in range(k - width, -1, -width):
-                [[pivots]] = table(r, r + width)
-                tails[r] = tails[r + width] | pivots
-            layer: dict[int, dict[int, int]] = {0: {0: 1}}
-            if k == width * steps:
-                layer = {}
-                finished[tails[0]] = 1
-            for left in range(steps - 1, -1, -1):
-                grown: dict[int, dict[int, int]] = {}
-                for r, states in layer.items():
-                    met = cells[: r * (r + 1) // 2]  # the key's entries, rows < r
-                    for r2 in range(r, min(r + width, k) + 1):
-                        if k - r2 > width * left:
-                            continue
-                        done = k - r2 == width * left
-                        out = finished if done else grown.setdefault(r2, {})
-                        get = out.get
-                        adds = field.p != 2 and r2 == r
-                        for chunk in table(r, r2):
-                            counts = chunk.values()
-                            if done:
-                                # the tail's entries are in rows >= r2, which
-                                # no key or offset of this step meets
-                                chunk = [o | tails[r2] for o in chunk]
-                            for key, c in states.items():
-                                if adds and key:
-                                    sums = chunk
-                                    for _, _, sh in met:
-                                        if e := key >> sh & mask:
-                                            to = add[e]
-                                            sums = [
-                                                s ^ ((x := s >> sh & mask) ^ to[x]) << sh for s in sums
-                                            ]
-                                else:
-                                    sums = [key ^ o for o in chunk]
-                                for new, m in zip(sums, counts):
-                                    out[new] = get(new, 0) + c * m
-                layer = grown
-            return finished
-
-        return unpack, offset, table, count
-
-    return GramKernel(gram_of, rank_of, columns)
+    return GramKernel(gram_of, rank_of, class_of)
 
 
 def gram(generator: MatrixGF, form: FormKind) -> MatrixGF:

@@ -221,11 +221,11 @@ def _comparison_records() -> list[tuple[object, ...]]:
 
 def _comparison_markdown(records) -> list[list[object]]:
     # transposed: one column per form, one row per quantity
-    columns = list(zip(*records))
+    transposed = list(zip(*records))
     return [
-        ["quantity", *columns[0]],
+        ["quantity", *transposed[0]],
         [":---"] * (1 + len(records)),
-        *([label, *values] for label, values in zip(_COMPARISON_LABELS, columns[1:])),
+        *([label, *values] for label, values in zip(_COMPARISON_LABELS, transposed[1:])),
     ]
 
 

@@ -5,18 +5,27 @@ row echelon form for any fixed column order, so counting those matrices
 counts each subspace once; the total is the Gaussian binomial [n, k]_Q, a
 built-in check on every spectrum. subspace_count is the one range and
 work-limit check: it returns [n, k]_Q and refuses a count above the work
-limit (default 10^8 subspaces) before anything is counted.
+limit (default 10^8 subspaces) before anything is counted. For
+hull_spectrum that bounds the cell's size, not its cost, which grows with
+the classes and the distinct step Grams below.
 
-hull_spectrum builds no FieldElem, MatrixGF or Gram matrix: it makes one
-call to algebra.gram_kernel's dynamic program, columns(k)'s count(),
-which merges all generator prefixes with the same pivot count and partial
-Gram key and returns the finished keys with how many generators reach
-each. The spectrum unpacks and ranks each distinct key once and tallies
-its generators at the key's hull dimension. There are at most as many
-keys as Grams the form can give (Q^(k(k+1)/2) Euclidean, q^k Q^(k(k-1)/2)
-hermitian with Q = q^2, Q^(k(k-1)/2) symplectic), and never more than
-[n, k]_Q. The spectrum reads neither formulas nor ratios, so it stays an
-independent check on both.
+hull_spectrum counts by transfer matrices over the congruence classes of
+Gram matrices, never a subspace at a time. C -> C^perp keeps the hull, so
+it counts at j = min(k, n - k). Each j-subspace has |GL_j(Q)| generator
+matrices, all with Grams of one rank, so count(l) = F_j(j - l) / |GL_j(Q)|,
+F_j(s) being the number of full-rank j x n matrices whose Gram has rank s.
+Moebius inversion over the subspaces of F_Q^j drops "full rank":
+F_j(s) = sum_d (-1)^(j-d) Q^C(j-d, 2) [j, d]_Q g_d(s), g_d(s) counting all
+d x n matrices with Gram rank s. A d x n matrix's Gram is the sum of one
+step Gram per step of its columns (one column, or a symplectic pair), and
+the step Grams are closed under congruence, so how many take a Gram K
+into each class depends on K's class alone: with T_d that classes x
+classes matrix, g_d is the zero class's row of T_d^steps summed by rank.
+There are at most 2d + 1 classes (algebra.gram_kernel's class_of). T_d
+does not depend on n and is built once per (field, form, d), from each
+distinct step Gram against one Gram of each class, reached by walking from
+the zero matrix. The spectrum reads neither formulas nor ratios, so it
+stays an independent check on both.
 
 enumerate_subspaces yields the generators themselves, for the natural
 column order: _generators takes one pivot subset at a time and yields
@@ -26,7 +35,10 @@ the free entries run in lexicographic order.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
+import math
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
@@ -114,13 +126,74 @@ def hull_spectrum(
 ) -> HullSpectrum:
     """Count every k-dim subspace of F_Q^n by its hull dimension."""
     subspace_count(n, k, field.order, work_limit)
-    kernel = gram_kernel(field, form, n)
-    unpack, _, _, count = kernel.columns(k)
-    acc = [0] * (k + 1)
-    for key, generators in count().items():
-        acc[k - kernel.rank_of(unpack(key))] += generators
-    counts = MappingProxyType({ell: c for ell, c in enumerate(acc) if c})
-    return HullSpectrum(n, k, form, field.order, counts)
+    gram_kernel(field, form, n)  # the form's errors, before any counting
+    q = field.order
+    j = min(k, n - k)
+    steps = n // 2 if form is FormKind.SYMPLECTIC else n
+    full = [0] * (j + 1)  # F_j(s), full-rank j x n matrices by Gram rank
+    for d in range(j + 1):
+        labels, table = _transfer(field, form, d)
+        zero_row = [1] + [0] * (len(labels) - 1)
+        for _ in range(steps):
+            zero_row = [sum(w * row[c] for w, row in zip(zero_row, table)) for c in range(len(labels))]
+        weight = (-1) ** (j - d) * q ** ((j - d) * (j - d - 1) // 2) * gaussian_binomial(j, d, q)
+        for (rank, _), matrices in zip(labels, zero_row):
+            full[rank] += weight * matrices
+    bases = math.prod(q ** j - q ** i for i in range(j))  # |GL_j(Q)|
+    counts = {}
+    for ell in range(j + 1):
+        count, rest = divmod(full[j - ell], bases)
+        if rest:
+            raise ArithmeticError(f"F_{j}({j - ell}) is not a multiple of |GL_{j}({q})|")
+        if count:
+            counts[ell] = count
+    return HullSpectrum(n, k, form, q, MappingProxyType(counts))
+
+
+def _step_grams(field: FiniteField, form: FormKind, d: int) -> collections.Counter:
+    """Each step's d x d Gram, as a tuple of rows, with how many fills of
+    the step's d x w block of columns give it: x x^T (x x^* hermitian)
+    over every column x, or u v^T - v u^T for a symplectic pair."""
+    width = 2 if form is FormKind.SYMPLECTIC else 1
+    gram_of = gram_kernel(field, form, width).gram_of
+    q = field.order
+    if width == 1:
+        vectors = itertools.product(range(q), repeat=d)
+        return collections.Counter(tuple(map(tuple, gram_of([[a] for a in x]))) for x in vectors)
+    # each nonzero u^v is c(u0^v0) for one basis (u0, v0) of a 2-subspace
+    # and one unit c, from the q(q^2 - 1) pairs of det c over (u0, v0)
+    mul = field.mul_table
+    grams: collections.Counter = collections.Counter()
+    for basis in _generators(d, 2, field):
+        u, v = basis.codes[:d], basis.codes[d:]
+        for c in range(1, q):
+            grams[tuple(map(tuple, gram_of([[mul[c][a], b] for a, b in zip(u, v)])))] += q * (q * q - 1)
+    grams[((0,) * d,) * d] += q ** (2 * d) - sum(grams.values())
+    return grams
+
+
+@functools.lru_cache(maxsize=256)
+def _transfer(field: FiniteField, form: FormKind, d: int) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+    """T_d: the class labels (rank, extra) reached from the zero Gram, the
+    zero class first, and table[c][c2], how many step fills take a Gram of
+    class c to class c2."""
+    class_of = gram_kernel(field, form, 2 if form is FormKind.SYMPLECTIC else 1).class_of
+    add = field.add_table
+    steps = _step_grams(field, form, d).items()
+    zero = [[0] * d for _ in range(d)]
+    index = {class_of(zero): 0}
+    reps = [zero]
+    rows = []
+    for rep in reps:  # grows as the walk reaches new classes
+        row = collections.Counter()
+        for gram, fills in steps:
+            moved = [[add[a][b] for a, b in zip(x, y)] for x, y in zip(rep, gram)]
+            c = index.setdefault(class_of(moved), len(index))
+            if c == len(reps):
+                reps.append(moved)
+            row[c] += fills
+        rows.append(row)
+    return tuple(index), tuple(tuple(row[c] for c in range(len(reps))) for row in rows)
 
 
 # -- oracle vs closed form -------------------------------------------------------

@@ -61,12 +61,3 @@ def naive_hull_dim(generator: MatrixGF, form: FormKind) -> int:
     gram = [[_form(x, y, form) for y in rows] for x in rows]
     return generator.rows - naive_rank(gram)
 
-
-def packed_key(gram: list[list[int]], bits: int) -> int:
-    """The upper triangle of a Gram matrix of codes as one int, the layout
-    algebra.gram_kernel documents for its keys: entry (i, j) with i <= j at
-    bit (j(j+1)/2 + i) * bits."""
-    k = len(gram)
-    return sum(
-        gram[i][j] << bits * (j * (j + 1) // 2 + i) for j in range(k) for i in range(j + 1)
-    )

@@ -32,7 +32,7 @@ from hullcount.errors import (
     OddAmbientError,
     RankDeficientGeneratorError,
 )
-from naive_hull import _form, generator_rows, naive_hull_dim, naive_rank, naive_rref, packed_key
+from naive_hull import _form, generator_rows, naive_hull_dim, naive_rank, naive_rref
 
 F2 = make_field(2)
 F4 = make_field(2, 2)
@@ -355,120 +355,58 @@ def test_gram_entries_match_the_definition(form, order):
                 assert gram(m, form).to_lists() == expected, rows
 
 
-def _step_fills(q, width, r, r2, most=20_000):
-    """Every fill of one step from r to r2 pivots, lane by lane by the
-    definition: with p pivots so far, a lane's column is e_p (one more
-    pivot) or any column that is zero in rows p and below (free); None when
-    there are more than most fills."""
-    sizes = {r: 1}  # pivots so far -> number of partial fills
-    for _ in range(width):
-        grown = collections.Counter()
-        for p, size in sizes.items():
-            grown[p] += size * q ** p
-            if p < r2:
-                grown[p + 1] += size
-        sizes = grown
-    if sizes[r2] > most:
-        return None
-    partial = [((), r)]  # (lane columns so far, pivots so far)
-    for left in range(width - 1, -1, -1):  # the lanes after this one
-        grown = []
-        for columns, p in partial:
-            if p < r2:
-                grown.append((columns + (tuple(int(i == p) for i in range(r2)),), p + 1))
-            if p + left >= r2:  # a free column here can still reach r2 pivots
-                grown += [
-                    (columns + (top + (0,) * (r2 - p),), p) for top in itertools.product(range(q), repeat=p)
-                ]
-        partial = grown
-    return [[list(row) for row in zip(*columns)] for columns, p in partial if p == r2]
+def _congruent(field, form, p, g):
+    """P G P^T, or P G P^* for the hermitian form, on codes."""
+    mul, add = field.mul_table, field.add_table
+    conj = field.frobenius_table(field.p ** (field.m // 2)) if form is FormKind.HERMITIAN else range(field.order)
+    d = len(g)
+
+    def dot(x, y):
+        s = 0
+        for a, b in zip(x, y):
+            s = add[s][mul[a][b]]
+        return s
+
+    pg = [[dot(row, [g[i][j] for i in range(d)]) for j in range(d)] for row in p]
+    return tuple(tuple(dot(row, [conj[x] for x in other]) for other in p) for row in pg)
 
 
-def test_gram_step_matches_a_fresh_gram():
-    # each (r, r2) step table, merged over its chunks, is the multiset of
-    # packed gram_of keys of the fills it stands for; a kernel of one step
-    # (length 1, or 2 under the symplectic form) has rows that are one
-    # step's lanes, so offset is gram_of packed; a table streamed in chunks
-    # of at most Q offsets (TABLE_CAP = Q) merges to the same table; a
-    # step's fills and keys do not depend on k, so each is built once
-    for q, form in itertools.product(
-        (2, 3, 4, 5, 7, 8, 9), (FormKind.EUCLIDEAN, FormKind.SYMPLECTIC, FormKind.HERMITIAN)
-    ):
+@pytest.mark.parametrize("form", list(FormKind), ids=lambda form: form.name)
+def test_class_of_is_the_congruence_class(form):
+    # every Gram of the form of size d: those with one class_of are one
+    # orbit of G -> P G P^T (P G P^*) over all invertible P, by brute force
+    cases = [(2, 2), (3, 2)] if form is FormKind.HERMITIAN else [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3)]
+    for q, d in cases:
         field = oracle.field_for(form, q)
-        order = field.order
-        bits = (order - 1).bit_length()
-        width = 2 if form is FormKind.SYMPLECTIC else 1
-        kernel = gram_kernel(field, form, width)
-        steps = {}  # (r, r2) -> (fills, their keys), or None past 20,000 fills
-        for k in range(1, 6):
-            unpack, offset, table, _ = kernel.columns(k)
-            for r in range(k + 1):
-                for r2 in range(r, min(r + width, k) + 1):
-                    if (r, r2) not in steps:
-                        fills = _step_fills(order, width, r, r2)
-                        keys = None if fills is None else [packed_key(kernel.gram_of(rows), bits) for rows in fills]
-                        steps[r, r2] = None if fills is None else (fills, keys)
-                    if steps[r, r2] is None:
-                        continue
-                    fills, keys = steps[r, r2]
-                    assert [offset(rows) for rows in fills] == keys
-                    expected = collections.Counter(keys)
-                    assert sum(expected.values()) == len(fills) > 0
-                    merged = collections.Counter()
-                    for chunk in table(r, r2):
-                        merged.update(chunk)
-                    assert merged == expected, (form, q, k, r, r2)
-                    streamed = collections.Counter()
-                    with pytest.MonkeyPatch.context() as patch:
-                        patch.setattr(algebra, "TABLE_CAP", order)
-                        for chunk in kernel.columns(k)[2](r, r2):
-                            streamed.update(chunk)
-                    assert streamed == expected
-                    for key in expected:
-                        assert packed_key(unpack(key), bits) == key
-
-
-@pytest.mark.parametrize("q", [3, 5, 7, 9, 2, 4])
-def test_symplectic_step_offset_is_alternating(q):
-    # swapping a symplectic step's two lanes negates its offset,
-    # offset(a, b) = -offset(b, a), and its diagonal is 0; with the second
-    # lane's minus sign dropped, odd q would break both
-    field = field_of_order(q)
-    kernel = gram_kernel(field, FormKind.SYMPLECTIC, 2)
-    rng = random.Random(q)
-    for k in range(1, 5):
-        unpack, offset, _, _ = kernel.columns(k)
-        for _ in range(40):
-            rows = [[rng.randrange(q), rng.randrange(q)] for _ in range(rng.randrange(1, k + 1))]
-            gram = unpack(offset(rows))
-            swapped = unpack(offset([[b, a] for a, b in rows]))
-            assert swapped == [[field.neg_table[x] for x in row] for row in gram], rows
-            assert all(gram[i][i] == 0 for i in range(k))
-
-
-@pytest.mark.parametrize("form, order", GRAM_CASES)
-def test_unpacked_key_is_the_gram(form, order):
-    # the spectrum ranks unpack(key) of each finished key, so the key must
-    # carry the whole Gram matrix, lower triangle and diagonal included; a
-    # one-step kernel's offset keys its rows' Gram
-    field = field_of_order(order)
-    rng = random.Random(order + 1)
-    width = 2 if form is FormKind.SYMPLECTIC else 1
-    kernel = gram_kernel(field, form, width)
-    for k in range(1, 5):
-        unpack, offset, _, _ = kernel.columns(k)
-        for trial in range(12):
-            rows = [[rng.randrange(order) for _ in range(width)] for _ in range(k)]
-            if trial == 0:
-                rows[rng.randrange(k)] = [0] * width
-            elif trial == 1 and k > 1:
-                rows[0] = list(rows[-1])
-            elif trial == 2:
-                rows = [[0] * width for _ in range(k)]
-            key = offset(rows)
-            gram = kernel.gram_of(rows)
-            assert key == packed_key(gram, (order - 1).bit_length()), rows
-            assert unpack(key) == gram, rows
+        kernel = gram_kernel(field, form, 2 if form is FormKind.SYMPLECTIC else 1)
+        if form is FormKind.HERMITIAN:
+            mirror = field.frobenius_table(q)
+        else:
+            mirror = field.neg_table if form is FormKind.SYMPLECTIC else range(field.order)
+        cells = [(i, j) for i in range(d) for j in range(i, d)]
+        grams = set()
+        for entries in itertools.product(range(field.order), repeat=len(cells)):
+            g = [[0] * d for _ in range(d)]
+            for (i, j), x in zip(cells, entries):
+                g[i][j], g[j][i] = x, mirror[x]
+            if all(g[i][i] == mirror[g[i][i]] for i in range(d)) and (
+                form is not FormKind.SYMPLECTIC or not any(g[i][i] for i in range(d))
+            ):
+                grams.add(tuple(map(tuple, g)))
+        invertible = [
+            p for p in (
+                [list(entries[r * d:(r + 1) * d]) for r in range(d)]
+                for entries in itertools.product(range(field.order), repeat=d * d)
+            )
+            if kernel.rank_of([list(row) for row in p]) == d
+        ]
+        by_class = collections.defaultdict(set)
+        for g in grams:
+            by_class[kernel.class_of(g)].add(g)
+        for label, members in by_class.items():
+            g = next(iter(members))
+            assert {_congruent(field, form, p, g) for p in invertible} == members, (q, d, label)
+            assert label[0] == naive_rank([[FieldElem(field, x) for x in row] for row in g])
 
 
 def test_gram_symplectic_is_alternating():
@@ -582,16 +520,10 @@ def test_hermitian_kernels_share_one_pairing_table_per_field():
     tracemalloc.start()
     try:
         kernels = [gram_kernel(f256, FormKind.HERMITIAN, n) for n in range(1, 33)]
-        # each columns(k) call, with its small tables, adds O(k + order)
-        # and no order^2 table
-        made = [kernel.columns(k) for kernel in kernels for k in range(1, 5)]
-        acc = [sum(sum(chunk.values()) for chunk in table(1, 1)) for _, _, table, _ in made]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(kernels) == 32
-    assert len(made) == 128
-    assert sum(acc) == 128 * 256
     assert peak < 3_000_000
     w = f256.generator
     assert kernels[2].gram_of([[w.code, 1, 0]]) == [[(w * w ** 16 + 1).code]]

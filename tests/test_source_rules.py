@@ -267,24 +267,23 @@ def test_the_cli_has_one_output_writer():
 
 
 def test_each_form_is_one_table_set_in_gram_kernel():
-    # the per-form conventions live in the table setup of gram_kernel; the
-    # one gram_of, the DP's step-table pairings (pairing of two rows, and
-    # paired, one row with every low row of a chunk) and its loop (count)
-    # are the only functions doing field arithmetic there, and they only
-    # read the tables; no function in gram_kernel names a form, so each
-    # step table is picked by the lanes and pivots alone
+    # the per-form conventions, the class function included, are picked in
+    # the table setup of gram_kernel; the one gram_of and the
+    # discriminant's elimination are the only functions doing field
+    # arithmetic there, and they only read the tables; no function in
+    # gram_kernel names a form
     defs = [
         node for node in ast.walk(TREES["algebra.py"])
         if isinstance(node, ast.FunctionDef)
     ]
     assert [node.name for node in defs].count("gram_of") == 1
     kernel = next(node for node in defs if node.name == "gram_kernel")
-    arithmetic = {"add", "neg", "mul", "pair", "lanes"}
+    arithmetic = {"add", "neg", "mul", "inv", "log", "pair", "lanes"}
     nested = [node for node in ast.walk(kernel) if isinstance(node, ast.FunctionDef) and node is not kernel]
     readers = [node for node in nested if _own_names(node) & arithmetic]
-    assert sorted(node.name for node in readers) == ["count", "gram_of", "paired", "pairing"]
+    assert sorted(node.name for node in readers) == ["discriminant_class", "gram_of"]
     assert [node.name for node in nested if "FormKind" in _names(node)] == []
-    # one update body: no per-state step is left beside the DP
+    # no per-state step function is left beside the transfer matrices
     steps = [
         f"{name}:{node.lineno}"
         for name, tree in TREES.items()
@@ -292,8 +291,7 @@ def test_each_form_is_one_table_set_in_gram_kernel():
         if isinstance(node, ast.FunctionDef) and node.name == "step"
     ]
     assert steps == []
-    # the spectrum hands the whole count to the kernel and reads no table
-    # itself
+    # the spectrum reads no table itself
     tables = {"add_table", "neg_table", "mul_table", "inv_table", "frobenius_table"}
     assert _names(_function("oracle.py", "hull_spectrum")) & tables == set()
 
@@ -399,8 +397,8 @@ def test_the_oracle_has_one_odometer():
 
 
 def test_the_spectrum_does_not_walk_the_pivot_subsets():
-    # hull_spectrum counts by the kernel's DP; the generators serve only
-    # enumerate_subspaces
+    # hull_spectrum counts by transfer matrices; the generators serve only
+    # enumerate_subspaces and the symplectic step Grams
     spectrum = _function("oracle.py", "hull_spectrum")
     assert not _calls(spectrum, "_generators")
     assert not _calls(spectrum, "enumerate_subspaces")
@@ -408,7 +406,7 @@ def test_the_spectrum_does_not_walk_the_pivot_subsets():
 
 def test_the_generators_reach_only_the_matrix_and_field_types_of_algebra():
     # enumerate_subspaces is the generator-by-generator check on the
-    # kernel's DP, so it builds each generator without the kernel, rref or
+    # spectrum, so it builds each generator without the kernel, rref or
     # any other algebra function
     functions = {
         node.name: node for node in TREES["oracle.py"].body if isinstance(node, ast.FunctionDef)
@@ -460,36 +458,29 @@ def _identifiers(tree: ast.AST) -> set[str]:
 
 
 def test_the_oracle_makes_one_kernel_call():
-    # the kernel builds the step tables and runs the DP inside columns;
-    # the oracle has no key builder, walk or block machinery left
+    # the spectrum counts by transfer matrices over Gram classes; no key
+    # builder, walk, block machinery, memo cap or column DP with its packed
+    # Gram keys is left in any module
     gone = {"lead", "key_of", "digits", "walk", "block_tally", "stepper", "runs"}
     assert _identifiers(TREES["oracle.py"]) & gone == set()
     assert _identifiers(TREES["algebra.py"]) & gone == set()
-    constants = {
+    banned = {
         "RUN_MEMO_CAP", "BLOCK_MEMO_CAP", "BLOCK_STATES", "DELTA_MEMO_CAP", "GramWalker",
         "CappedMemo", "RANK_MEMO_CAP",
+        "columns", "TABLE_CAP", "unpack", "offset", "chunks", "bivectors", "spread",
     }
     for module, tree in TREES.items():
-        assert _identifiers(tree) & constants == set(), module
-    columns = _function("algebra.py", "columns")
-    [returned] = [
-        node.value for node in columns.body if isinstance(node, ast.Return)
-    ]
-    assert [name.id for name in returned.elts] == ["unpack", "offset", "table", "count"]
-    # one DP, with no if choosing between paths, and no option or
-    # environment variable that could pick one
-    assert [node for node in columns.body if isinstance(node, ast.If)] == []
+        assert _identifiers(tree) & banned == set(), module
+    # no option or environment variable that could pick an engine
     for module in ("algebra.py", "oracle.py"):
         assert {"environ", "getenv"} & _names(TREES[module]) == set(), module
-    # the spectrum's one loop ranks each finished key of one count() call
+    # one kernel call, for the form errors, and one engine entry
     spectrum = _function("oracle.py", "hull_spectrum")
-    [loop] = [node for node in ast.walk(spectrum) if isinstance(node, (ast.For, ast.While))]
-    assert ast.unparse(loop.iter) == "count().items()"
     calls = [
         node.func.id for node in ast.walk(spectrum)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     ]
-    assert calls.count("count") == 1 and calls.count("gram_kernel") == 1
+    assert calls.count("gram_kernel") == 1 and calls.count("_transfer") == 1
 
 
 def test_the_work_limit_has_one_check():
