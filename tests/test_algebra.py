@@ -355,6 +355,29 @@ def test_gram_entries_match_the_definition(form, order):
                 assert gram(m, form).to_lists() == expected, rows
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 2, 4])
+def test_symplectic_step_offset_is_alternating(q):
+    # swapping a symplectic step's two lanes negates its Gram,
+    # u v^T - v u^T = -(v u^T - u v^T), and its diagonal is 0, for random
+    # steps and for every step Gram the transfer tables list; with the
+    # second lane's minus sign dropped, odd q would break both
+    field = field_of_order(q)
+    neg = field.neg_table
+    step_gram_of = gram_kernel(field, FormKind.SYMPLECTIC, 2).gram_of
+    rng = random.Random(q)
+    for d in range(1, 5):
+        for _ in range(40):
+            rows = [[rng.randrange(q), rng.randrange(q)] for _ in range(d)]
+            g = step_gram_of(rows)
+            assert step_gram_of([[b, a] for a, b in rows]) == [[neg[x] for x in row] for row in g], rows
+            assert all(g[i][i] == 0 for i in range(d))
+    for d in range(1, 4):
+        listed = oracle._step_grams(field, FormKind.SYMPLECTIC, d)
+        assert sum(listed.values()) == q ** (2 * d)
+        for g in listed:
+            assert all(g[i][i] == 0 and g[j][i] == neg[g[i][j]] for i in range(d) for j in range(d)), g
+
+
 def _congruent(field, form, p, g):
     """P G P^T, or P G P^* for the hermitian form, on codes."""
     mul, add = field.mul_table, field.add_table

@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import math
 import tracemalloc
 
 import pytest
@@ -155,6 +156,103 @@ def test_every_gram_of_a_class_has_the_class_transfer_row(form):
         field = oracle.field_for(form, q)
         for d in range(1, 4 if q <= 5 else 3):
             _check_class_rows(field, form, d)
+
+
+GRAM_CELLS = [
+    (4, 2, 5, FormKind.SYMPLECTIC),
+    (4, 3, 3, FormKind.SYMPLECTIC),
+    (6, 2, 3, FormKind.SYMPLECTIC),
+    (4, 2, 9, FormKind.HERMITIAN),
+    (5, 2, 4, FormKind.EUCLIDEAN),
+    (4, 3, 3, FormKind.EUCLIDEAN),
+    # characteristic 2, where field addition is XOR on codes
+    (6, 3, 2, FormKind.SYMPLECTIC),
+    (6, 3, 2, FormKind.EUCLIDEAN),
+    (4, 2, 4, FormKind.HERMITIAN),
+    (4, 2, 8, FormKind.EUCLIDEAN),
+]
+
+
+def _steps(n, form):
+    """The columns of each step: a symplectic pair (t, t + n/2), or one column."""
+    if form is FormKind.SYMPLECTIC:
+        return [(t, t + n // 2) for t in range(n // 2)]
+    return [(t,) for t in range(n)]
+
+
+def _transfer_class_counts(n, k, field, form):
+    """Generators by the class of their Gram, from the transfer matrices:
+    the zero class's row of T_d^steps for each d <= k, inverted over the
+    subspaces of F_Q^k class by class (P K P^T keeps K's class), over
+    |GL_k(Q)| with the remainder checked."""
+    q = field.order
+    full = collections.Counter()
+    for d in range(k + 1):
+        labels, table = oracle._transfer(field, form, d)
+        row = [1] + [0] * (len(labels) - 1)
+        for _ in _steps(n, form):
+            row = [sum(w * r[c] for w, r in zip(row, table)) for c in range(len(labels))]
+        weight = (-1) ** (k - d) * q ** ((k - d) * (k - d - 1) // 2) * gaussian_binomial(k, d, q)
+        for label, matrices in zip(labels, row):
+            full[label] += weight * matrices
+    bases = math.prod(q ** k - q ** i for i in range(k))
+    counts = {}
+    for label, matrices in full.items():
+        count, rest = divmod(matrices, bases)
+        assert rest == 0, label
+        if count:
+            counts[label] = count
+    return counts
+
+
+@pytest.mark.parametrize("n,k,order,form", GRAM_CELLS)
+def test_dp_reaches_every_generators_gram_key(n, k, order, form):
+    # full-pass tallies can hide a wrong class (some sign errors keep
+    # them), so check that the transfer walk reaches the class of every
+    # generator's Gram, from a fresh gram_of and class_of, class by class
+    # and count by count; k > n/2 cells take the k-row tables directly
+    field = field_of_order(order)
+    kernel = gram_kernel(field, form, n)
+    fresh = collections.Counter(
+        kernel.class_of(kernel.gram_of(mat.to_lists())) for mat in enumerate_subspaces(n, k, field)
+    )
+    assert _transfer_class_counts(n, k, field, form) == fresh
+    assert sum(fresh.values()) == gaussian_binomial(n, k, order)
+
+
+@pytest.mark.parametrize("digits", [1, 2])
+@pytest.mark.parametrize("n,k,order,form", GRAM_CELLS)
+def test_small_blocks_keep_gram_and_key_current(n, k, order, form, digits):
+    # each generator's Gram built block by block, digits steps a block,
+    # from the step Grams the transfer tables list: after each block the
+    # sum is a fresh gram_of of the columns so far, and the class moves
+    # along a nonzero entry of T_k^digits
+    field = field_of_order(order)
+    add = field.add_table
+    kernel = gram_kernel(field, form, n)
+    step_gram_of = gram_kernel(field, form, 2 if form is FormKind.SYMPLECTIC else 1).gram_of
+    listed = oracle._step_grams(field, form, k)
+    labels, table = oracle._transfer(field, form, k)
+    power = table
+    for _ in range(digits - 1):
+        power = [[sum(a * b[c] for a, b in zip(row, table)) for c in range(len(labels))] for row in power]
+    steps = _steps(n, form)
+    for mat in enumerate_subspaces(n, k, field):
+        rows = mat.to_lists()
+        gram = [[0] * k for _ in range(k)]
+        label = labels[0]
+        for start in range(0, len(steps), digits):
+            block = steps[start:start + digits]
+            for cols in block:
+                step = step_gram_of([[row[c] for c in cols] for row in rows])
+                assert tuple(map(tuple, step)) in listed, (rows, cols)
+                gram = [[add[a][b] for a, b in zip(x, y)] for x, y in zip(gram, step)]
+            taken = {c for cols in steps[:start + digits] for c in cols}
+            prefix = [[x if c in taken else 0 for c, x in enumerate(row)] for row in rows]
+            assert gram == kernel.gram_of(prefix), (rows, start)
+            moved = kernel.class_of(gram)
+            assert power[labels.index(label)][labels.index(moved)] > 0, (rows, start)
+            label = moved
 
 
 def test_cells_past_the_enumeration_equal_the_chain_and_the_closed_form():
