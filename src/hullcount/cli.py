@@ -335,8 +335,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             label = f"{name} length={length} k={k} q={q}"
             try:
                 comp = spectrum_vs_formula(length, k, q, FormKind(name), limit)
-            except ArithmeticError as exc:  # a formula count that is not integral
-                problems = [f"formula: {exc}"]
+            except ArithmeticError as exc:  # a count that is not integral, by side
+                problems = [str(exc)]
             else:
                 if args.dump:
                     dumped += [

@@ -4,8 +4,9 @@ Every error that flags a bad argument or an infeasible request derives
 from HullCountError, so callers can catch the whole family with one except
 clause; most kinds also derive from ValueError. A failed integrality or
 invariant check raises the builtin ArithmeticError instead (exact_count,
-closed_spectrum, classify_hermitian, the field build): it signals a wrong
-formula or a bug, not bad input, and verify reports it as a failed cell.
+closed_spectrum, classify_hermitian, hull_spectrum, the field build): it
+signals a wrong formula or a bug, not bad input, and verify reports it as
+a failed cell, with the side (oracle or formula) that raised it.
 FieldElem division by zero raises ZeroDivisionError, as numbers do.
 """
 

@@ -7,7 +7,7 @@ built-in check on every spectrum. subspace_count is the one range and
 work-limit check: it returns [n, k]_Q and refuses a count above the work
 limit (default 10^8 subspaces) before anything is counted. For
 hull_spectrum that bounds the cell's size, not its cost, which grows with
-the classes and the distinct step Grams below.
+the classes and the distinct column Grams below.
 
 hull_spectrum counts by transfer matrices over the congruence classes of
 Gram matrices, never a subspace at a time. C -> C^perp keeps the hull, so
@@ -22,10 +22,13 @@ the step Grams are closed under congruence, so how many take a Gram K
 into each class depends on K's class alone: with T_d that classes x
 classes matrix, g_d is the zero class's row of T_d^steps summed by rank.
 There are at most 2d + 1 classes (algebra.gram_kernel's class_of). T_d
-does not depend on n and is built once per (field, form, d), from each
-distinct step Gram against one Gram of each class, reached by walking from
-the zero matrix. The spectrum reads neither formulas nor ratios, so it
-stays an independent check on both.
+does not depend on n and is built once per (field, form, d). For one
+column a step, it comes from each distinct column Gram against one Gram of
+each class, reached by walking from the zero matrix. An alternating Gram's
+class is its rank, one isometry type per rank, so the symplectic T_d is a
+closed form in Q, d and the rank alone (_alternating_transfer), and no
+step Gram is listed. The spectrum reads neither formulas nor ratios, so
+it stays an independent check on both.
 
 enumerate_subspaces yields the generators themselves, for the natural
 column order: _generators takes one pivot subset at a time and yields
@@ -151,25 +154,11 @@ def hull_spectrum(
 
 
 def _step_grams(field: FiniteField, form: FormKind, d: int) -> collections.Counter:
-    """Each step's d x d Gram, as a tuple of rows, with how many fills of
-    the step's d x w block of columns give it: x x^T (x x^* hermitian)
-    over every column x, or u v^T - v u^T for a symplectic pair."""
-    width = 2 if form is FormKind.SYMPLECTIC else 1
-    gram_of = gram_kernel(field, form, width).gram_of
-    q = field.order
-    if width == 1:
-        vectors = itertools.product(range(q), repeat=d)
-        return collections.Counter(tuple(map(tuple, gram_of([[a] for a in x]))) for x in vectors)
-    # each nonzero u^v is c(u0^v0) for one basis (u0, v0) of a 2-subspace
-    # and one unit c, from the q(q^2 - 1) pairs of det c over (u0, v0)
-    mul = field.mul_table
-    grams: collections.Counter = collections.Counter()
-    for basis in _generators(d, 2, field):
-        u, v = basis.codes[:d], basis.codes[d:]
-        for c in range(1, q):
-            grams[tuple(map(tuple, gram_of([[mul[c][a], b] for a, b in zip(u, v)])))] += q * (q * q - 1)
-    grams[((0,) * d,) * d] += q ** (2 * d) - sum(grams.values())
-    return grams
+    """Each column's d x d Gram x x^T (x x^* hermitian), as a tuple of rows,
+    with how many of the Q^d columns x give it."""
+    gram_of = gram_kernel(field, form, 1).gram_of
+    vectors = itertools.product(range(field.order), repeat=d)
+    return collections.Counter(tuple(map(tuple, gram_of([[a] for a in x]))) for x in vectors)
 
 
 @functools.lru_cache(maxsize=256)
@@ -177,7 +166,9 @@ def _transfer(field: FiniteField, form: FormKind, d: int) -> tuple[tuple, tuple[
     """T_d: the class labels (rank, extra) reached from the zero Gram, the
     zero class first, and table[c][c2], how many step fills take a Gram of
     class c to class c2."""
-    class_of = gram_kernel(field, form, 2 if form is FormKind.SYMPLECTIC else 1).class_of
+    if form is FormKind.SYMPLECTIC:
+        return _alternating_transfer(field.order, d)
+    class_of = gram_kernel(field, form, 1).class_of
     add = field.add_table
     steps = _step_grams(field, form, d).items()
     zero = [[0] * d for _ in range(d)]
@@ -194,6 +185,30 @@ def _transfer(field: FiniteField, form: FormKind, d: int) -> tuple[tuple, tuple[
             row[c] += fills
         rows.append(row)
     return tuple(index), tuple(tuple(row[c] for c in range(len(reps))) for row in rows)
+
+
+def _alternating_transfer(q: int, d: int) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+    """The symplectic T_d from the rank alone, labels (0, 0), (2, 0), ...,
+    (2 floor(d/2), 0) in the walk's order. Take K alternating of rank 2r,
+    with image S and w = d - 2r: a fill (u, v) adds u v^T - v u^T. The
+    rank goes up by two for the q^4r (q^w - 1)(q^w - q) fills with u, v
+    independent modulo S. It goes down by two for the (q^2r - 1) q^(2r-1)
+    fills with u, v in S to which the form K induces on S gives the one
+    nonzero value that makes the Pfaffian of K + u^v on S vanish: any
+    u != 0, then an affine hyperplane of v. It stays for the rest of the
+    q^2d fills."""
+    top = d // 2
+    table = []
+    for r in range(top + 1):
+        w = d - 2 * r
+        row = [0] * (top + 1)
+        if r < top:
+            row[r + 1] = q ** (4 * r) * (q ** w - 1) * (q ** w - q)
+        if r:
+            row[r - 1] = (q ** (2 * r) - 1) * q ** (2 * r - 1)
+        row[r] = q ** (2 * d) - sum(row)
+        table.append(tuple(row))
+    return tuple((2 * r, 0) for r in range(top + 1)), tuple(table)
 
 
 # -- oracle vs closed form -------------------------------------------------------
@@ -248,14 +263,23 @@ def spectrum_vs_formula(
     or for the Euclidean form against the ratio layer's euclidean_spectrum.
 
     length is the ambient length (2n for symplectic); q is the formula
-    order, so hermitian codes are enumerated over F_{q^2}.
+    order, so hermitian codes are enumerated over F_{q^2}. An
+    ArithmeticError of either side (a count that a check finds not
+    integral) is raised again with its side, "oracle: " or "formula: ",
+    before its message.
     """
     field = field_for(form, q)
-    spectrum = hull_spectrum(length, k, field, form, work_limit)
-    if form is FormKind.EUCLIDEAN:
-        formula = euclidean_spectrum(length, k, q)
-    else:
-        formula = closed_spectrum(form, length, k, q)
+    try:
+        spectrum = hull_spectrum(length, k, field, form, work_limit)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"oracle: {exc}") from exc
+    try:
+        if form is FormKind.EUCLIDEAN:
+            formula = euclidean_spectrum(length, k, q)
+        else:
+            formula = closed_spectrum(form, length, k, q)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"formula: {exc}") from exc
     all_ells = sorted(set(spectrum.counts) | set(formula))
     cells = tuple(
         SpectrumCell(ell, spectrum.counts.get(ell, 0), formula.get(ell, 0))

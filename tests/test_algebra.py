@@ -33,6 +33,7 @@ from hullcount.errors import (
     RankDeficientGeneratorError,
 )
 from naive_hull import _form, generator_rows, naive_hull_dim, naive_rank, naive_rref
+from step_fills import fill_grams
 
 F2 = make_field(2)
 F4 = make_field(2, 2)
@@ -359,8 +360,9 @@ def test_gram_entries_match_the_definition(form, order):
 def test_symplectic_step_offset_is_alternating(q):
     # swapping a symplectic step's two lanes negates its Gram,
     # u v^T - v u^T = -(v u^T - u v^T), and its diagonal is 0, for random
-    # steps and for every step Gram the transfer tables list; with the
-    # second lane's minus sign dropped, odd q would break both
+    # steps, and the step Gram of every fill of up to three rows is
+    # alternating; with the second lane's minus sign dropped, the swap
+    # check breaks at odd q (the mirror keeps every Gram's shape)
     field = field_of_order(q)
     neg = field.neg_table
     step_gram_of = gram_kernel(field, FormKind.SYMPLECTIC, 2).gram_of
@@ -372,9 +374,7 @@ def test_symplectic_step_offset_is_alternating(q):
             assert step_gram_of([[b, a] for a, b in rows]) == [[neg[x] for x in row] for row in g], rows
             assert all(g[i][i] == 0 for i in range(d))
     for d in range(1, 4):
-        listed = oracle._step_grams(field, FormKind.SYMPLECTIC, d)
-        assert sum(listed.values()) == q ** (2 * d)
-        for g in listed:
+        for g in fill_grams(field, FormKind.SYMPLECTIC, d):
             assert all(g[i][i] == 0 and g[j][i] == neg[g[i][j]] for i in range(d) for j in range(d)), g
 
 

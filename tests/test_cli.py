@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hullcount import cli, formulas, ratios
+from hullcount import cli, formulas, oracle, ratios
 
 
 def run(argv, capsys):
@@ -270,6 +270,54 @@ def test_verify_catches_corrupted_formula(capsys, monkeypatch, form, name):
     assert code == 1
     assert "FAIL" in out
     assert "cells failed" in out
+
+
+def _one_more_fill(monkeypatch):
+    """Each T_d with d >= 1 counts one fill too many from the zero class."""
+    real = oracle._transfer
+
+    def transfer(field, form, d):
+        labels, table = real(field, form, d)
+        return labels, ((table[0][0] + (d > 0), *table[0][1:]), *table[1:])
+
+    monkeypatch.setattr(oracle, "_transfer", transfer)
+
+
+def _one_more_in_each_denominator(monkeypatch):
+    """Each closed-form step from l to l + step divides by one more."""
+    real = formulas.closed_step
+
+    def closed_step(*args):
+        num, den = real(*args)
+        return num, den + 1
+
+    monkeypatch.setattr(formulas, "closed_step", closed_step)
+
+
+@pytest.mark.parametrize(
+    "inject, argv, line",
+    [
+        (
+            _one_more_fill,
+            ["--form", "symplectic", "--max-ambient", "2", "-q", "3"],
+            "FAIL symplectic length=2 k=1 q=3: oracle: F_1(0) is not a multiple of |GL_1(3)|",
+        ),
+        (
+            _one_more_in_each_denominator,
+            ["--form", "hermitian", "--max-n", "2", "-q", "2"],
+            "FAIL hermitian length=2 k=1 q=2: formula: non-integral step from l=0 at q=2",
+        ),
+    ],
+    ids=["oracle", "formula"],
+)
+def test_verify_names_the_side_of_a_count_that_is_not_integral(capsys, monkeypatch, inject, argv, line):
+    # hull_spectrum's division by |GL_j(Q)| and closed_spectrum's steps
+    # both raise ArithmeticError; the FAIL line names the side that did
+    inject(monkeypatch)
+    code, out, _ = run(["verify", *argv], capsys)
+    assert code == 1
+    assert line in out.splitlines()
+    assert out.count(": oracle: ") + out.count(": formula: ") == 2  # the line and the summary
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -35,6 +36,7 @@ from hullcount.oracle import (
 )
 from hullcount.ratios import euclidean_spectrum
 from naive_hull import naive_hull_dim, naive_rref
+from step_fills import fill_grams
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -119,11 +121,10 @@ def _check_class_rows(field, form, d, most=50):
     """Walk from the zero Gram by the step Grams, one sum of steps more at
     each of d + 2 layers, admitting up to most new Grams of each class per
     layer, and check that each admitted Gram's transfer row, built afresh
-    from the step Grams, is its class's row."""
+    from the step Grams of every fill, is its class's row."""
     labels, table = oracle._transfer(field, form, d)
     class_of = gram_kernel(field, form, 2 if form is FormKind.SYMPLECTIC else 1).class_of
-    steps = oracle._step_grams(field, form, d)
-    assert sum(steps.values()) == field.order ** (d * (2 if form is FormKind.SYMPLECTIC else 1))
+    steps = fill_grams(field, form, d)
     add = field.add_table
     layer = [((0,) * d,) * d]
     found = set(layer)
@@ -156,6 +157,31 @@ def test_every_gram_of_a_class_has_the_class_transfer_row(form):
         field = oracle.field_for(form, q)
         for d in range(1, 4 if q <= 5 else 3):
             _check_class_rows(field, form, d)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_symplectic_transfer_counts_every_fill(q):
+    # the closed-form rank transitions against brute force: every (u, v)
+    # fill of one symplectic step, through gram_of and class_of, added to
+    # a Gram of each rank, r hyperbolic pairs and zeros
+    field = field_of_order(q)
+    class_of = gram_kernel(field, FormKind.SYMPLECTIC, 2).class_of
+    add, neg = field.add_table, field.neg_table
+    for d in range(5 if q <= 3 else 4):
+        labels, table = oracle._transfer(field, FormKind.SYMPLECTIC, d)
+        assert labels == tuple((2 * r, 0) for r in range(d // 2 + 1))
+        steps = fill_grams(field, FormKind.SYMPLECTIC, d)
+        assert sum(steps.values()) == q ** (2 * d)
+        for r, label in enumerate(labels):
+            rep = [[0] * d for _ in range(d)]
+            for i in range(0, 2 * r, 2):
+                rep[i][i + 1], rep[i + 1][i] = 1, neg[1]
+            assert class_of(rep) == label
+            row = collections.Counter()
+            for step, fills in steps.items():
+                row[class_of([[add[a][b] for a, b in zip(x, y)] for x, y in zip(rep, step)])] += fills
+            assert set(row) <= set(labels)
+            assert tuple(row[c] for c in labels) == table[r], (q, d, r)
 
 
 GRAM_CELLS = [
@@ -224,14 +250,18 @@ def test_dp_reaches_every_generators_gram_key(n, k, order, form):
 @pytest.mark.parametrize("n,k,order,form", GRAM_CELLS)
 def test_small_blocks_keep_gram_and_key_current(n, k, order, form, digits):
     # each generator's Gram built block by block, digits steps a block,
-    # from the step Grams the transfer tables list: after each block the
-    # sum is a fresh gram_of of the columns so far, and the class moves
-    # along a nonzero entry of T_k^digits
+    # from step Grams the transfer tables count (the column Grams they
+    # list, or every symplectic fill): after each block the sum is a fresh
+    # gram_of of the columns so far, and the class moves along a nonzero
+    # entry of T_k^digits
     field = field_of_order(order)
     add = field.add_table
     kernel = gram_kernel(field, form, n)
     step_gram_of = gram_kernel(field, form, 2 if form is FormKind.SYMPLECTIC else 1).gram_of
-    listed = oracle._step_grams(field, form, k)
+    if form is FormKind.SYMPLECTIC:
+        listed = fill_grams(field, form, k)
+    else:
+        listed = oracle._step_grams(field, form, k)
     labels, table = oracle._transfer(field, form, k)
     power = table
     for _ in range(digits - 1):
@@ -532,12 +562,19 @@ def test_spectrum_vs_formula_symplectic():
 
 
 def test_odd_q_symplectic_sign_cell():
-    # the smallest cell that exposes a sign error in the odd-q symplectic
-    # Gram: with the sign dropped, the step Grams of d <= 3 rows are the
-    # true ones up to the sign of free entries, so every cell with
-    # min(k, length - k) <= 3, verify's default grid included, still
-    # agrees, and this one fails the division by |GL_4(3)|
+    # the symplectic transfer matrices are counted from the rank alone,
+    # so a sign error in the odd-q symplectic Gram no longer reaches a
+    # spectrum; it shows in hull_dim: with the second lane's minus sign
+    # dropped, generators of S[8,4]_3 get hull dimensions the FieldElem
+    # reference does not give them
     assert spectrum_vs_formula(8, 4, 3, FormKind.SYMPLECTIC).passed
+    rng = random.Random(843)
+    checked = 0
+    while checked < 200:
+        mat = MatrixGF.from_rows(F3, [[rng.randrange(3) for _ in range(8)] for _ in range(4)])
+        if rref(mat).rank == 4:
+            assert algebra.hull_dim(mat, FormKind.SYMPLECTIC) == naive_hull_dim(mat, FormKind.SYMPLECTIC)
+            checked += 1
 
 
 def test_spectrum_vs_formula_hermitian():

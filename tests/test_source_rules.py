@@ -398,10 +398,36 @@ def test_the_oracle_has_one_odometer():
 
 def test_the_spectrum_does_not_walk_the_pivot_subsets():
     # hull_spectrum counts by transfer matrices; the generators serve only
-    # enumerate_subspaces and the symplectic step Grams
+    # enumerate_subspaces, not _step_grams or any other function
     spectrum = _function("oracle.py", "hull_spectrum")
     assert not _calls(spectrum, "_generators")
     assert not _calls(spectrum, "enumerate_subspaces")
+    callers = [
+        f"{name}:{func.name}"
+        for name, tree in TREES.items()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and _calls(func, "_generators")
+    ]
+    assert callers == ["oracle.py:enumerate_subspaces"]
+
+
+def test_the_symplectic_transfer_lists_no_step_gram():
+    # an alternating Gram's class is its rank, so the symplectic T_d is a
+    # closed form in Q, d and the rank: _transfer hands it the field's
+    # order alone, and it reaches no field table, kernel or generator
+    # (that _step_grams walks no pivot subset is checked above)
+    calls = [
+        node for node in ast.walk(_function("oracle.py", "_transfer"))
+        if isinstance(node, ast.Call) and _names(node.func) == {"_alternating_transfer"}
+    ]
+    assert [ast.unparse(arg) for call in calls for arg in call.args] == ["field.order", "d"]
+    functions = {
+        node.name: node for node in TREES["oracle.py"].body if isinstance(node, ast.FunctionDef)
+    }
+    reached = _reached(functions, "_alternating_transfer")
+    assert not [name for name in reached if name.endswith("_table")]
+    kernel = {"field", "gram_kernel", "gram_of", "class_of", "_step_grams", "_generators"}
+    assert reached & (kernel | _module_names("algebra.py")) == set()
 
 
 def test_the_generators_reach_only_the_matrix_and_field_types_of_algebra():
