@@ -10,19 +10,21 @@ Every count is q^e times a quotient of products of |x^m - 1| over a few
 ranges of m, with x one of q, q^2 and -q. Since q^m - 1 = prod_{d | m}
 Phi_d(q), such a quotient is prod_t Phi_t(q)^(e_t), and each e_t is a sum
 of floor differences; the count is an integer polynomial in q exactly when
-no e_t is negative. Large counts are multiplied out from the Phi_t(q) with
-a balanced product tree, split where the bit lengths reach half, so no
-big-integer division is done (CPython's is quadratic) and each big multiply
-has operands of about equal size; q^e joins the tree as one factor, or is a
-shift when q is a power of two. Small counts take one exact divmod of the
-two products, which is faster there.
+no e_t is negative. `_phi` takes each Phi_t(q) from the same identity,
+and its lru_cache keeps the last PHI_CACHE_SIZE values for all q together.
+Large counts are multiplied out from the Phi_t(q) with a balanced product
+tree, split where the bit lengths reach half, so no big-integer division
+is done (CPython's is quadratic) and each big multiply has operands of
+about equal size; q^e joins the tree as one factor, or is a shift when q
+is a power of two. Small counts take one exact divmod of the two
+products, which is faster there.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import prod
+from math import isqrt, prod
 from operator import add, sub
 from typing import Sequence
 
@@ -39,16 +41,14 @@ FactorRange = tuple[int, int, int]  # (x, lo, hi): prod_{m=lo..hi} |x^m - 1|
 # about 100 (1.4x at 80). At 48 divmod is up to 2.9x faster, at 128 the
 # product tree up to 3.7x.
 DIVMOD_MAX_TOP = 80
-# Phi_t(q) values kept between calls, one list per q indexed by t, at most
-# this many values in all; a whole n = 1000 spectrum at one q needs t up to
-# 2000.
+# Phi_t(q) values kept between calls, for all q together; a whole n = 1000
+# spectrum at one q needs t up to 2000.
 PHI_CACHE_SIZE = 4096
 # _product folds a run of factors of at most this many bits in all with
 # math.prod, and splits a longer run in two. 1024 to 4096 time alike on
 # counts at n = 81 to 1000; 0 makes those near n = 100 1.5x slower, 8192
 # 1.2x.
 LEAF_BITS = 2048
-_phi_cache: dict[int, list[int]] = {}
 
 
 def _range_product(q: int, ranges: Sequence[FactorRange]) -> int:
@@ -86,41 +86,17 @@ def _add_exponents(exps: list[int], combine, ranges: Sequence[FactorRange]) -> N
             exps[t0:t_end:t_step] = map(combine, exps[t0:t_end:t_step], part)
 
 
+@lru_cache(maxsize=PHI_CACHE_SIZE)
 def _phi(q: int, t: int) -> int:
-    """Phi_t(q) by Moebius inversion over the squarefree divisors d of t:
-    prod_d (q^(t/d) - 1)^mu(d). Its one division is of numbers of about t
-    base-q digits, not of a count."""
-    primes, rest = [], t
-    while rest > 1:
-        p = _smallest_factor(rest)
-        primes.append(p)
-        while rest % p == 0:
-            rest //= p
-    num = den = 1
-    for mask in range(1 << len(primes)):
-        d, odd = 1, False
-        for i, p in enumerate(primes):
-            if mask >> i & 1:
-                d, odd = d * p, not odd
-        if odd:
-            den *= q ** (t // d) - 1
-        else:
-            num *= q ** (t // d) - 1
-    return num // den
-
-
-def _phis(q: int, top: int) -> list[int]:
-    """A list whose entry t is Phi_t(q) for 1 <= t <= top (entry 0 is a
-    placeholder). A longer list replaces the cached one whole, so a list
-    once returned never changes."""
-    table = _phi_cache.get(q, [1])
-    if len(table) <= top:
-        table = table + [_phi(q, t) for t in range(len(table), top + 1)]
-        if sum(map(len, _phi_cache.values())) + len(table) > PHI_CACHE_SIZE:
-            _phi_cache.clear()
-        if len(table) <= PHI_CACHE_SIZE:
-            _phi_cache[q] = table
-    return table
+    """Phi_t(q) = (q^t - 1) / prod_{d | t, d < t} Phi_d(q), the divisors
+    found in pairs (d, t/d) up to isqrt(t). The division is of numbers of
+    about t base-q digits, not of a count."""
+    low = [d for d in range(1, isqrt(t) + 1) if t % d == 0]
+    proper = {*low, *(t // d for d in low)} - {t}
+    phi, rem = divmod(q ** t - 1, prod(_phi(q, d) for d in proper))
+    if rem:
+        raise ArithmeticError(f"Phi_{t}({q}) left remainder {rem}")
+    return phi
 
 
 def _product(factors: list[int]) -> int:
@@ -174,8 +150,7 @@ def exact_count(
     if min(exps) < 0:
         t = exps.index(min(exps))
         raise ArithmeticError(f"non-integral count at q={q}: Phi_{t}(q) left in the denominator")
-    phis = _phis(q, max((t for t, e in enumerate(exps) if e), default=0))
-    factors = [phis[t] if e == 1 else phis[t] ** e for t, e in enumerate(exps) if e]
+    factors = [_phi(q, t) if e == 1 else _phi(q, t) ** e for t, e in enumerate(exps) if e]
     if q & (q - 1):
         return _product(factors + [q ** q_exp])
     return _product(factors) << q_exp * (q.bit_length() - 1)  # q = 2^j

@@ -145,6 +145,8 @@ def unified_factor(i: int, params: HermitianParams) -> Fraction:
     """Step factor F_i = A_H(n, k0+i, i) / A_H(n, k0+i-1, i-1) of the
     hermitian count, k0 = k - l: it steps k and l together at fixed k0,
     where closed_step steps l at fixed k."""
+    if params.ell not in hull_dims(HERMITIAN, params.n, params.k):
+        raise BadRangeError(f"l={params.ell} is not a hull dimension of n={params.n} k={params.k}")
     if not 1 <= i <= params.ell:
         raise BadIndexError(f"factor index {i} outside 1..{params.ell}")
     q, s, e, k0 = params.q, params.s, params.eps, params.k0

@@ -269,9 +269,10 @@ def euclidean_spectrum(n: int, k: int, q: int) -> dict[int, int]:
     prime_power_parts(q)
     if n < 0 or not 0 <= k <= n:
         raise BadRangeError(f"need 0 <= k <= n, got n={n} k={k}")
-    j = n - k if 2 * k > n else k
+    dims = hull_dims(EUCLIDEAN, n, k)
+    j = dims[-1]
     steps = []
-    for ell in hull_dims(EUCLIDEAN, n, j)[:-1]:
+    for ell in dims[:-1]:
         try:
             steps.append(ratio_report(EUCLIDEAN, n, j, ell, q).full_ratio)
         except OutOfValidRangeError:  # the last step, and only for eta = -1

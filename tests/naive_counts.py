@@ -4,8 +4,9 @@ checked against.
 These are the direct evaluations, kept deliberately simple: a Gaussian
 binomial by alternating multiply and exact divide (after the i-th pair the
 running value is [n, i], so every division is exact), and the hermitian and
-symplectic counts as running products of `Fraction` step factors. They
-share no code with `hullcount.exactnum.exact_count`.
+symplectic counts as running products of `Fraction` step factors, and
+Phi_t(q) by Moebius inversion. They share no code with
+`hullcount.exactnum.exact_count` or its cyclotomic values.
 """
 
 from fractions import Fraction
@@ -28,6 +29,32 @@ def naive_gaussian_binomial(n: int, k: int, order: int) -> int:
             raise ArithmeticError(f"non-exact division in [{n}, {k}]_{order}")
         value = quot
     return value
+
+
+def naive_cyclotomic(q: int, t: int) -> int:
+    """Phi_t(q) by Moebius inversion over the squarefree divisors d of t:
+    prod_d (q^(t/d) - 1)^mu(d)."""
+    primes, rest, p = [], t, 2
+    while rest > 1:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    num = den = 1
+    for mask in range(1 << len(primes)):
+        d, odd = 1, False
+        for i, p in enumerate(primes):
+            if mask >> i & 1:
+                d, odd = d * p, not odd
+        if odd:
+            den *= q ** (t // d) - 1
+        else:
+            num *= q ** (t // d) - 1
+    quot, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"non-exact division in Phi_{t}({q})")
+    return quot
 
 
 def naive_hermitian_lcd(n: int, k0: int, q: int) -> int:

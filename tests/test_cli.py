@@ -68,6 +68,18 @@ def test_eval_refuses_k_above_the_length_for_every_form(capsys, form, flag, leng
     assert (code, out, err) == (2, "", f"error: need 0 <= k <= n, got n={length} k=5\n")
 
 
+@pytest.mark.parametrize("form, flag, length", [
+    ("euclidean", "-n", 4), ("hermitian", "-n", 4), ("symplectic", "--ambient", 4),
+])
+@pytest.mark.parametrize("k, ell", [(-1, 0), (2, -1)])
+def test_eval_refuses_a_negative_k_or_l_for_every_form(capsys, form, flag, length, k, ell):
+    code, out, err = run(
+        ["eval", "--form", form, flag, str(length), "-k", str(k), "-l", str(ell), "-q", "2"],
+        capsys,
+    )
+    assert (code, out, err) == (2, "", f"error: k and l must be non-negative, got k={k} l={ell}\n")
+
+
 def test_eval_euclidean_uses_the_ratio_chain(capsys, monkeypatch):
     # eval counts from ratios.euclidean_spectrum and never enumerates
     from hullcount import oracle

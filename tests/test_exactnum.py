@@ -1,5 +1,6 @@
 """Gaussian binomials, the exact count evaluator and the arithmetic helpers."""
 
+import functools
 import gc
 import math
 import random
@@ -31,7 +32,7 @@ from hullcount.formulas import (
     hull_dims,
 )
 
-from naive_counts import naive_gaussian_binomial
+from naive_counts import naive_cyclotomic, naive_gaussian_binomial
 
 
 def test_two_dim_subspaces_of_f2_4_counted_from_scratch():
@@ -216,12 +217,21 @@ def test_exact_step_is_the_quotient_of_two_specs():
 
 
 def test_phi_cache_stays_within_its_bound(monkeypatch):
-    monkeypatch.setattr(exactnum, "PHI_CACHE_SIZE", 300)
-    monkeypatch.setattr(exactnum, "_phi_cache", {})
+    # _phi finds itself by its module-level name, so its recursion goes
+    # through the small cache too
+    small = functools.lru_cache(maxsize=300)(exactnum._phi.__wrapped__)
+    monkeypatch.setattr(exactnum, "_phi", small)
     for q in (2, 3, 4):
         for n in (100, 200, 400):  # n = 400 needs Phi_t(q) past t = 300
             assert gaussian_binomial(n, n // 2, q) == naive_gaussian_binomial(n, n // 2, q)
-            assert sum(map(len, exactnum._phi_cache.values())) <= 300
+            assert small.cache_info().currsize <= 300
+
+
+def test_phi_is_the_moebius_formula():
+    exactnum._phi.cache_clear()
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 256):
+        for t in range(1, 301):
+            assert exactnum._phi(q, t) == naive_cyclotomic(q, t), (q, t)
 
 
 def test_rat_str_round_trip():

@@ -99,6 +99,15 @@ def test_unified_factor_index_range():
         unified_factor(2, params)
 
 
+@pytest.mark.parametrize("params", [
+    HermitianParams(0, -2, 1, 2),  # k0 < 0: q^(2*k0) is no integer
+    HermitianParams(1, 1, 1, 2),  # l > n - k: the factor reads 0
+])
+def test_unified_factor_refuses_a_cell_without_that_hull(params):
+    with pytest.raises(BadRangeError, match="is not a hull dimension"):
+        unified_factor(1, params)
+
+
 def _a_branch(n: int, k0: int, i: int, q: int) -> Fraction:
     s = n - k0
     return Fraction(

@@ -307,7 +307,7 @@ def test_cell_shapes_are_read_from_hull_dims():
     # formulas.hull_dims is the one rule for which l a cell has and whether
     # l has a successor; these entry points only ask it
     readers = {
-        "formulas.py": ("count_hermitian", "count_symplectic"),
+        "formulas.py": ("count_hermitian", "count_symplectic", "unified_factor"),
         "ratios.py": ("alpha_hermitian", "alpha_symplectic", "alpha_euclidean"),
         "eaqecc.py": ("gjg_map", "wilde_brun_map"),
     }
@@ -470,6 +470,62 @@ def test_the_spectrum_reaches_neither_formulas_nor_ratios():
     derived = {"formulas", "ratios"} | _module_names("formulas.py") | _module_names("ratios.py")
     form_enum = {"FormKind"} | {form.name for form in FormKind}
     assert reached & derived - form_enum == {"require_even_length"}
+
+
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+_MUTATORS = {
+    "add", "append", "appendleft", "clear", "difference_update", "discard", "extend",
+    "extendleft", "insert", "intersection_update", "pop", "popitem", "remove", "reverse",
+    "setdefault", "sort", "symmetric_difference_update", "update",
+}
+
+
+def _module_containers(tree: ast.Module) -> set[str]:
+    """The names a module binds at its top level to a dict, list or set."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            value = node.value
+            if isinstance(value, _CONTAINERS) or (
+                isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id in ("dict", "list", "set", "defaultdict")
+            ):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found |= {target.id for target in targets if isinstance(target, ast.Name)}
+    return found
+
+
+def test_no_function_mutates_a_module_level_container():
+    # state kept between calls is a functools.lru_cache, bounded and with
+    # cache_clear; a module-level dict, list or set that functions fill is
+    # shared by every caller and grows by hand. The module namespace itself
+    # is not such a container: the lazy package root binds each export once
+    # in globals(), as an import would
+    found = []
+    for name, tree in TREES.items():
+        shared = _module_containers(tree)
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            local = {
+                node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            } - {n for node in ast.walk(func) if isinstance(node, ast.Global) for n in node.names}
+            targets = shared - local
+            for node in ast.walk(func):
+                if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                    hit = node.value
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    hit = node.func.value if node.func.attr in _MUTATORS else None
+                elif isinstance(node, ast.AugAssign):
+                    hit = node.target
+                else:
+                    continue
+                if isinstance(hit, ast.Name) and hit.id in targets:
+                    found.append(f"{name}:{func.name}:{node.lineno}")
+    assert found == []
+    assert "_STEP_SLICES" in _module_containers(TREES["exactnum.py"])
+    assert _identifiers(TREES["exactnum.py"]) & {"_phis", "_phi_cache"} == set()
 
 
 def _identifiers(tree: ast.AST) -> set[str]:
