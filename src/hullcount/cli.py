@@ -99,7 +99,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     form = FormKind(args.form)
     length = _ambient_length(form, args)
     k, ell, q = args.k, args.ell, args.q
-    if k < 0 or ell < 0:
+    if min(k, ell) < 0:  # a sign check of the arguments, not a cell-shape rule
         raise BadRangeError(f"k and l must be non-negative, got k={k} l={ell}")
     from .ratios import euclidean_spectrum, ratio_report
 
@@ -117,10 +117,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         f"q: {q}",
         f"count: {count}",
     ]
-    # C -> C^perp keeps the Euclidean hull, so the dual cell's ratios hold
-    dual = form is FormKind.EUCLIDEAN and 2 * k > length
+    # C -> C^perp keeps the Euclidean hull, so the ratios of the dual cell,
+    # k = min(k, length - k), hold
+    ratio_k = formulas.hull_dims(form, length, k)[-1] if form is FormKind.EUCLIDEAN else k
     try:
-        report = ratio_report(form, length, length - k if dual else k, ell, q)
+        report = ratio_report(form, length, ratio_k, ell, q)
     except (OutOfValidRangeError, ParityViolationError) as exc:
         lines.append(f"alpha: undefined ({exc})")
     else:
@@ -131,8 +132,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         lines.append(f"count_monotone: {'yes' if report.monotone_a else 'no'}")
         if report.equality_boundary:
             lines.append("note: alpha sits exactly on the 1/2 floor")
-    if dual:
-        lines.append(f"note: ratios of the dual cell k={length - k}, which has the same counts")
+    if ratio_k != k:
+        lines.append(f"note: ratios of the dual cell k={ratio_k}, which has the same counts")
     print("\n".join(lines))
     return 0
 

@@ -25,14 +25,24 @@ from hullcount.exactnum import (
     rat_str,
 )
 from hullcount.formulas import (
+    HermitianParams,
     SymplecticParams,
     closed_count,
     closed_spectrum,
+    count_hermitian,
     count_symplectic,
     hull_dims,
 )
 
-from naive_counts import naive_cyclotomic, naive_gaussian_binomial
+from naive_counts import (
+    mod_count_hermitian,
+    mod_count_symplectic,
+    mod_gaussian_binomial,
+    naive_count_hermitian,
+    naive_count_symplectic,
+    naive_cyclotomic,
+    naive_gaussian_binomial,
+)
 
 
 def test_two_dim_subspaces_of_f2_4_counted_from_scratch():
@@ -170,6 +180,83 @@ def test_product_equals_math_prod(bit_sizes, seed):
     assert exactnum._product(factors) == math.prod(factors)
 
 
+# a 64 * 27 = 1728-bit product takes three Toom-3 steps to reach 64 bits
+LOW_TOOM_BITS = 64
+
+
+def _low_toom_mul(a, b):
+    """_mul(a, b) under TOOM_BITS = LOW_TOOM_BITS, and how deep its calls
+    nest: 1 when it multiplies by `*` at once."""
+    inner, depth, deepest = exactnum._mul, 0, 0
+
+    def traced(x, y):
+        nonlocal depth, deepest
+        depth += 1
+        deepest = max(deepest, depth)
+        try:
+            return inner(x, y)
+        finally:
+            depth -= 1
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactnum, "TOOM_BITS", LOW_TOOM_BITS)
+        mp.setattr(exactnum, "_mul", traced)  # the recursion finds it by name
+        return traced(a, b), deepest
+
+
+def _ones(m):
+    return (1 << m) - 1  # m one bits: the most carries
+
+
+def test_toom_mul_on_edge_operands():
+    big = _factors([3000], seed=1)[0]
+    x64, y64, x128 = _factors([64, 64, 128], seed=2)
+    cases = [  # (a, b, whether _mul must take a Toom-3 step)
+        (0, 0, False),
+        (0, big, False),
+        (1, big, False),
+        (big, 1, False),
+        (big, big, True),
+        (_ones(1728), _ones(1728), True),
+        (_ones(1000), _ones(999), True),
+        (_ones(3000), _ones(1500), True),  # the smaller has exactly half the bits
+        (_ones(3000), _ones(1499), False),
+        (_ones(63), _ones(63), False),  # either side of the threshold
+        (x64, y64, True),
+        (x128, y64, True),
+        (x128, _ones(63), False),
+        (big, _factors([100])[0], False),  # unbalanced
+    ]
+    for a, b, toom in cases:
+        product, depth = _low_toom_mul(a, b)
+        assert product == a * b, (a.bit_length(), b.bit_length())
+        assert (depth > 1) == toom, (a.bit_length(), b.bit_length(), depth)
+    assert _low_toom_mul(_ones(1728), _ones(1728))[1] >= 4  # three Toom-3 levels, then `*`
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 3000), max_size=16), st.integers(0, 2**32))
+def test_product_equals_math_prod_under_a_low_toom_threshold(bit_sizes, seed):
+    factors = _factors(bit_sizes, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactnum, "TOOM_BITS", LOW_TOOM_BITS)
+        assert exactnum._product(factors) == math.prod(factors)
+
+
+_TOOM_OPERANDS = st.one_of(
+    st.integers(0, 1 << 4000),
+    st.integers(0, 4000).map(_ones),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TOOM_OPERANDS, _TOOM_OPERANDS, st.booleans())
+def test_toom_mul_equals_the_product(a, b, same):
+    if same:
+        b = a
+    assert _low_toom_mul(a, b)[0] == a * b
+
+
 def test_big_count_leaves_no_reference_cycle():
     # a self-calling nested function would leave a cycle for the collector
     gc.collect()
@@ -179,6 +266,52 @@ def test_big_count_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# the largest primes below 2^61 - 1; no q^m is 1 or -1 modulo either for
+# q in {2, 3, 4, 9} and m <= 8000, so no denominator factor below vanishes
+PRIMES_61 = (2**61 - 31, 2**61 - 45)
+
+
+def test_modular_counts_are_the_naive_counts_reduced():
+    cells = [
+        (mod, naive, args)
+        for q in (2, 3)
+        for n in range(1, 13)
+        for k in range(n + 1)
+        for mod, naive, args in [
+            (mod_gaussian_binomial, naive_gaussian_binomial, (n, k, q)),
+            *[(mod_count_hermitian, naive_count_hermitian, (n, k, ell, q)) for ell in range(k + 1)],
+            *[
+                (mod_count_symplectic, naive_count_symplectic, (2 * n, k, ell, q))
+                for ell in range(k + 1)
+            ],
+        ]
+    ]
+    for mod, naive, args in cells:
+        expected = naive(*args)
+        for p in PRIMES_61:
+            assert mod(*args, p) == expected % p, (mod.__name__, args, p)
+        for p in (7, 13):  # each divides some q^m - 1: the residue or None
+            assert mod(*args, p) in (expected % p, None), (mod.__name__, args, p)
+    # 2^61 - 1 divides 2^61 - 1, a denominator factor of [200, 100]_2
+    assert mod_gaussian_binomial(200, 100, 2, 2**61 - 1) is None
+    assert mod_gaussian_binomial(200, 100, 2, 7) is None
+
+
+def test_large_counts_agree_modulo_two_primes():
+    # the Toom-3 top of the product tree against the closed products
+    # evaluated modulo p, with no big integer
+    cells = [
+        (count_symplectic(SymplecticParams(4000, 2000, 0, 2)), mod_count_symplectic, (4000, 2000, 0, 2)),
+        (count_symplectic(SymplecticParams(2000, 972, 2, 2)), mod_count_symplectic, (2000, 972, 2, 2)),
+        (count_hermitian(HermitianParams(1000, 500, 0, 3)), mod_count_hermitian, (1000, 500, 0, 3)),
+        (gaussian_binomial(2000, 1000, 2), mod_gaussian_binomial, (2000, 1000, 2)),
+    ]
+    for count, mod_count, args in cells:
+        assert count.bit_length() > 3 * exactnum.TOOM_BITS
+        for p in PRIMES_61:
+            assert count % p == mod_count(*args, p), (args, p)
 
 
 def _spec_value(q, spec):

@@ -310,6 +310,7 @@ def test_cell_shapes_are_read_from_hull_dims():
         "formulas.py": ("count_hermitian", "count_symplectic", "unified_factor"),
         "ratios.py": ("alpha_hermitian", "alpha_symplectic", "alpha_euclidean"),
         "eaqecc.py": ("gjg_map", "wilde_brun_map"),
+        "cli.py": ("cmd_eval",),
     }
     found = []
     for module, names in readers.items():
