@@ -19,12 +19,10 @@ The matrix side is deliberately plain: immutable MatrixGF, reduced row
 echelon form, the three Gram matrices (Euclidean G*G^T, Hermitian
 G*conj(G)^T with entrywise q-th power, symplectic G*Omega*G^T), and the
 hull dimension k - rank(Gram) for a full-row-rank generator. There is one
-forward elimination, rank_of, built once per field. All Gram, rank and
-congruence-class work, here and in the oracle and the ebit count, goes
-through one raw-code kernel, gram_kernel(field, form, n): gram_of,
-rank_of and class_of, the Gram's congruence class that the oracle's
-transfer matrices are indexed by. rref() runs the same rank_of and adds
-one back pass for the canonical form.
+forward elimination, rank_of, built once per field. All Gram and rank
+work, here and in the ebit count, goes through one raw-code kernel,
+gram_kernel(field, form, n): gram_of and rank_of. rref() runs the same
+rank_of and adds one back pass for the canonical form.
 """
 
 from __future__ import annotations
@@ -520,7 +518,6 @@ class GramKernel(NamedTuple):
 
     gram_of: Callable[[RawRows], RawRows]
     rank_of: Callable[[RawRows], int]
-    class_of: Callable[[RawRows], tuple[int, int]]
 
 
 @functools.lru_cache(maxsize=256)
@@ -530,29 +527,17 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     Each form is one table set: lanes, each a pairing table and the lane it
     pairs with, column t being lane t // steps of step t % steps, so that
     <x, y> = sum_t pair[t][x[t]][y[partner[t]]] with partner[t] the paired
-    lane's column of the same step; mirror, which maps g[i][j] to g[j][i];
-    and class_of. Euclidean: one lane, pair a*b, mirror the identity.
+    lane's column of the same step; and mirror, which maps g[i][j] to
+    g[j][i]. Euclidean: one lane, pair a*b, mirror the identity.
     Hermitian: one lane, pair a*conj(b), mirror conj. Symplectic: lanes t
     and t + n/2, pair a*b and -a*b, mirror negation, and no diagonal.
-    gram_of and class_of are the only readers of the field's arithmetic,
-    and they read only this table set.
+    gram_of is the only reader of the field's arithmetic, and it reads
+    only this table set.
 
     gram_of maps k rows of element codes to their k x k Gram matrix,
     filling the upper triangle and mirroring it into the lower one.
     rank_of is the field's one forward elimination: it reduces a matrix of
     codes in place and returns its rank; rref() runs it too.
-
-    class_of maps a Gram matrix of the form, left unchanged, to its
-    congruence class (rank, extra): two Grams are P G P^T (P G P^* for the
-    hermitian form) for an invertible P exactly when their classes are
-    equal. A hermitian or alternating Gram's class is its rank (extra 0).
-    A symmetric one also needs, in characteristic 2, whether its diagonal
-    is nonzero, and in odd characteristic the square class of the
-    determinant of its nondegenerate part, K[J, J] for the pivot columns J
-    of rank_of: extra is the parity of that determinant's log. rank_of's
-    own pivots give det K[I, J], I the pivot rows, whose square class can
-    differ, so the determinant is a second elimination that tracks its row
-    swaps.
 
     Built once per (field, form, n); the hermitian pairing table, once per
     field (_conj_mul_table). A kernel holds O(n) table references.
@@ -560,37 +545,7 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     mul = field.mul_table
     add = field.add_table
     neg = field.neg_table
-    inv = field.inv_table
-    log = field._log
-    rank_of = _rank_kernel(field)
     identity = list(range(field.order))
-
-    def rank_class(g: RawRows) -> tuple[int, int]:
-        return rank_of([list(row) for row in g]), 0
-
-    def diagonal_class(g: RawRows) -> tuple[int, int]:
-        return rank_of([list(row) for row in g]), int(any(row[i] for i, row in enumerate(g)))
-
-    def discriminant_class(g: RawRows) -> tuple[int, int]:
-        rows = [list(row) for row in g]
-        r = rank_of(rows)
-        pivots = [next(c for c, x in enumerate(row) if x) for row in rows[:r]]
-        m = [[g[i][j] for j in pivots] for i in pivots]
-        parity = 0  # of log det m: each pivot's log, and log(-1) per row swap
-        for c in range(r):
-            piv = next(i for i in range(c, r) if m[i][c])
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                parity += log[neg[1]]
-            prow = m[c]
-            parity += log[prow[c]]
-            pinv = inv[prow[c]]
-            for i in range(c + 1, r):
-                if f := m[i][c]:
-                    mrow = mul[mul[f][pinv]]
-                    m[i] = [add[x][neg[mrow[y]]] for x, y in zip(m[i], prow)]
-        return r, parity % 2
-
     if form is FormKind.SYMPLECTIC:
         require_even_length(n)
         # -a*b = (-a)*b: the second lane's table is mul's rows, reordered,
@@ -598,7 +553,6 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
         lanes = [(mul, 1), (mul if neg == identity else [mul[a] for a in neg], 0)]
         mirror = neg
         first = 1
-        class_of = rank_class
     else:
         if form is FormKind.HERMITIAN:
             if field.m % 2 != 0:
@@ -607,11 +561,9 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                 )
             mirror = field.frobenius_table(field.p ** (field.m // 2))
             lanes = [(_conj_mul_table(field), 0)]
-            class_of = rank_class
         else:
             mirror = identity
             lanes = [(mul, 0)]
-            class_of = diagonal_class if field.p == 2 else discriminant_class
         first = 0
     steps = n // len(lanes)
     pair = [table for table, _ in lanes for _ in range(steps)]
@@ -637,7 +589,7 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
                 g[j][i] = mirror[s]
         return g
 
-    return GramKernel(gram_of, rank_of, class_of)
+    return GramKernel(gram_of, _rank_kernel(field))
 
 
 def gram(generator: MatrixGF, form: FormKind) -> MatrixGF:

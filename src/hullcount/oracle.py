@@ -7,7 +7,7 @@ built-in check on every spectrum. subspace_count is the one range and
 work-limit check: it returns [n, k]_Q and refuses a count above the work
 limit (default 10^8 subspaces) before anything is counted. For
 hull_spectrum that bounds the cell's size, not its cost, which grows with
-the classes and the distinct column Grams below.
+the classes and the steps below.
 
 hull_spectrum counts by transfer matrices over the congruence classes of
 Gram matrices, never a subspace at a time. C -> C^perp keeps the hull, so
@@ -21,14 +21,15 @@ step Gram per step of its columns (one column, or a symplectic pair), and
 the step Grams are closed under congruence, so how many take a Gram K
 into each class depends on K's class alone: with T_d that classes x
 classes matrix, g_d is the zero class's row of T_d^steps summed by rank.
-There are at most 2d + 1 classes (algebra.gram_kernel's class_of). T_d
-does not depend on n and is built once per (field, form, d). For one
-column a step, it comes from each distinct column Gram against one Gram of
-each class, reached by walking from the zero matrix. An alternating Gram's
-class is its rank, one isometry type per rank, so the symplectic T_d is a
-closed form in Q, d and the rank alone (_alternating_transfer), and no
-step Gram is listed. The spectrum reads neither formulas nor ratios, so
-it stays an independent check on both.
+A class is (rank, extra): the rank alone for the hermitian and symplectic
+forms, and for the Euclidean form also the square class of the
+discriminant (odd q) or whether the diagonal is nonzero (even q), at
+most 2d + 1 classes. Each form's T_d is one list of moves (class, class
+after, fills), each fill count a closed form in Q, d and the class, read
+from how a step's columns lie against the image of K; no Gram is built
+and no field table read. T_d does not depend on n and is built once per
+(field, form, d). The spectrum reads neither formulas nor ratios, so it
+stays an independent check on both.
 
 enumerate_subspaces yields the generators themselves, for the natural
 column order: _generators takes one pivot subset at a time and yields
@@ -38,23 +39,16 @@ the free entries run in lexicographic order.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
-from .algebra import (
-    FiniteField,
-    FormKind,
-    MatrixGF,
-    gram_kernel,
-    make_field,
-)
-from .errors import BadRangeError, WorkLimitExceededError
+from .algebra import FiniteField, FormKind, MatrixGF, make_field
+from .errors import BadRangeError, NonSquareFieldError, WorkLimitExceededError
 from .exactnum import gaussian_binomial, prime_power_parts
-from .formulas import closed_spectrum
+from .formulas import closed_spectrum, require_even_length
 from .ratios import euclidean_spectrum
 
 DEFAULT_WORK_LIMIT = 10 ** 8
@@ -129,7 +123,10 @@ def hull_spectrum(
 ) -> HullSpectrum:
     """Count every k-dim subspace of F_Q^n by its hull dimension."""
     subspace_count(n, k, field.order, work_limit)
-    gram_kernel(field, form, n)  # the form's errors, before any counting
+    if form is FormKind.SYMPLECTIC:
+        require_even_length(n)
+    elif form is FormKind.HERMITIAN and field.m % 2:
+        raise NonSquareFieldError(f"hermitian form needs a square field order, got {field.order}")
     q = field.order
     j = min(k, n - k)
     steps = n // 2 if form is FormKind.SYMPLECTIC else n
@@ -153,62 +150,107 @@ def hull_spectrum(
     return HullSpectrum(n, k, form, q, MappingProxyType(counts))
 
 
-def _step_grams(field: FiniteField, form: FormKind, d: int) -> collections.Counter:
-    """Each column's d x d Gram x x^T (x x^* hermitian), as a tuple of rows,
-    with how many of the Q^d columns x give it."""
-    gram_of = gram_kernel(field, form, 1).gram_of
-    vectors = itertools.product(range(field.order), repeat=d)
-    return collections.Counter(tuple(map(tuple, gram_of([[a] for a in x]))) for x in vectors)
-
-
 @functools.lru_cache(maxsize=256)
 def _transfer(field: FiniteField, form: FormKind, d: int) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
-    """T_d: the class labels (rank, extra) reached from the zero Gram, the
-    zero class first, and table[c][c2], how many step fills take a Gram of
-    class c to class c2."""
+    """T_d: the class labels (rank, extra) of the d x d Grams, sorted, so
+    the zero class is first, and table[c][c2], how many step fills take a
+    Gram of class c to class c2, summed from the form's moves."""
     if form is FormKind.SYMPLECTIC:
-        return _alternating_transfer(field.order, d)
-    class_of = gram_kernel(field, form, 1).class_of
-    add = field.add_table
-    steps = _step_grams(field, form, d).items()
-    zero = [[0] * d for _ in range(d)]
-    index = {class_of(zero): 0}
-    reps = [zero]
-    rows = []
-    for rep in reps:  # grows as the walk reaches new classes
-        row = collections.Counter()
-        for gram, fills in steps:
-            moved = [[add[a][b] for a, b in zip(x, y)] for x, y in zip(rep, gram)]
-            c = index.setdefault(class_of(moved), len(index))
-            if c == len(reps):
-                reps.append(moved)
-            row[c] += fills
-        rows.append(row)
-    return tuple(index), tuple(tuple(row[c] for c in range(len(reps))) for row in rows)
+        moves = _alternating_moves(field.order, d)
+    elif form is FormKind.HERMITIAN:
+        moves = _hermitian_moves(field.order, d)
+    elif field.order % 2:
+        moves = _odd_symmetric_moves(field.order, d)
+    else:
+        moves = _even_symmetric_moves(field.order, d)
+    moves = [move for move in moves if move[2]]
+    labels = sorted({c for c, _, _ in moves})
+    index = {c: i for i, c in enumerate(labels)}
+    table = [[0] * len(labels) for _ in labels]
+    for c, after, fills in moves:
+        table[index[c]][index[after]] += fills
+    return tuple(labels), tuple(map(tuple, table))
 
 
-def _alternating_transfer(q: int, d: int) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
-    """The symplectic T_d from the rank alone, labels (0, 0), (2, 0), ...,
-    (2 floor(d/2), 0) in the walk's order. Take K alternating of rank 2r,
-    with image S and w = d - 2r: a fill (u, v) adds u v^T - v u^T. The
-    rank goes up by two for the q^4r (q^w - 1)(q^w - q) fills with u, v
-    independent modulo S. It goes down by two for the (q^2r - 1) q^(2r-1)
-    fills with u, v in S to which the form K induces on S gives the one
-    nonzero value that makes the Pfaffian of K + u^v on S vanish: any
-    u != 0, then an affine hyperplane of v. It stays for the rest of the
-    q^2d fills."""
-    top = d // 2
-    table = []
-    for r in range(top + 1):
-        w = d - 2 * r
-        row = [0] * (top + 1)
-        if r < top:
-            row[r + 1] = q ** (4 * r) * (q ** w - 1) * (q ** w - q)
+def _alternating_moves(q: int, d: int) -> list:
+    """The symplectic moves, for K alternating of rank r (even), image S
+    and w = d - r: a fill (u, v) adds u v^T - v u^T. The rank goes up by
+    two for the q^2r (q^w - 1)(q^w - q) fills with u, v independent
+    modulo S. It goes down by two for the (q^r - 1) q^(r-1) fills with
+    u, v in S to which the form K induces on S gives the one nonzero
+    value that makes the Pfaffian of K + u^v on S vanish: any u != 0,
+    then an affine hyperplane of v. It stays for the rest of the q^2d."""
+    moves = []
+    for r in range(0, d + 1, 2):
+        w = d - r
+        up = q ** (2 * r) * (q ** w - 1) * (q ** w - q)
+        down = (q ** r - 1) * q ** r // q
+        moves += [((r, 0), (r + 2, 0), up), ((r, 0), (r - 2, 0), down),
+                  ((r, 0), (r, 0), q ** (2 * d) - up - down)]
+    return moves
+
+
+def _hermitian_moves(order: int, d: int) -> list:
+    """The hermitian moves, for K of rank r, order = q^2: of the columns x
+    in S, the q^(2r-1) - (-1)^r q^(r-1) with x^* K_S^-1 x = -1 drop the
+    rank (a hermitian form's count at a nonzero value of F_q), and the
+    order^d - order^r columns outside S raise it."""
+    q = math.isqrt(order)
+    moves = []
+    for r in range(d + 1):
+        drop = (q ** (2 * r) - (-q) ** r) // q
+        moves += [((r, 0), (r + 1, 0), order ** d - order ** r), ((r, 0), (r - 1, 0), drop),
+                  ((r, 0), (r, 0), order ** r - drop)]
+    return moves
+
+
+def _odd_symmetric_moves(q: int, d: int) -> list:
+    """The Euclidean moves at odd q, for K of class (r, e), e = 1 when the
+    determinant of its nondegenerate part K_S is a nonsquare. A column x
+    outside S raises the rank and keeps e. For x in S, c = x^T K_S^-1 x,
+    det(K_S + x x^T) = det(K_S) (1 + c): c = -1 drops the rank and
+    multiplies the discriminant by -1, any other c keeps the rank and
+    flips e when 1 + c is a nonsquare. at[eta] counts the x in S with c
+    equal to any one value of quadratic character eta (0 for c = 0): the
+    counts of a nondegenerate quadratic form of rank r with sign
+    s = eta((-1)^h det K_S), h = r // 2. The c outside {0, -1} by
+    (eta(c), eta(1 + c)) are the cyclotomic numbers of order 2."""
+    m = 1 if q % 4 == 1 else -1  # eta(-1)
+    pairs = (((1, 1), (q - 4 - m) // 4), ((1, -1), (q - m) // 4),
+             ((-1, 1), (q - 2 + m) // 4), ((-1, -1), (q - 2 + m) // 4))
+    moves = []
+    for r, e in [(0, 0)] + [(r, e) for r in range(1, d + 1) for e in (0, 1)]:
+        h = r // 2
+        s = m ** h * (-1) ** e
+        if r % 2:
+            at = {eta: q ** (r - 1) + q ** h * s * eta for eta in (-1, 0, 1)}
+        else:
+            at = {eta: (q ** r - q ** h * s + (eta == 0) * q ** (h + 1) * s) // q for eta in (-1, 0, 1)}
+        moves += [((r, e), (r + 1, e), q ** d - q ** r), ((r, e), (r - 1, e ^ (m < 0)), at[m]),
+                  ((r, e), (r, e), at[0])]
+        moves += [((r, e), (r, e ^ (b < 0)), count * at[a]) for (a, b), count in pairs]
+    return moves
+
+
+def _even_symmetric_moves(q: int, d: int) -> list:
+    """The Euclidean moves at even q, for K of class (r, e), e = 1 when its
+    diagonal is nonzero. Then x^T K x = (lam . x)^2 for one lam in S, and
+    x^T K_S^-1 x = 1 on an affine hyperplane of S: its q^(r-1) columns
+    drop the rank, lam among them when r is odd. The diagonal of K + x x^T
+    is zero only at x = lam. K alternating (e = 0, r even) has lam = 0,
+    and x^T K_S^-1 x = 0 on all of S."""
+    moves = []
+    for r in range(d + 1):
+        if r % 2 == 0:
+            moves += [((r, 0), (r + 1, 1), q ** d - q ** r), ((r, 0), (r, 0), 1),
+                      ((r, 0), (r, 1), q ** r - 1)]
         if r:
-            row[r - 1] = (q ** (2 * r) - 1) * q ** (2 * r - 1)
-        row[r] = q ** (2 * d) - sum(row)
-        table.append(tuple(row))
-    return tuple((2 * r, 0) for r in range(top + 1)), tuple(table)
+            odd = r % 2
+            drop = q ** (r - 1)
+            moves += [((r, 1), (r + 1, 1), q ** d - q ** r), ((r, 1), (r - 1, 0), odd),
+                      ((r, 1), (r - 1, 1), drop - odd), ((r, 1), (r, 0), 1 - odd),
+                      ((r, 1), (r, 1), q ** r - drop - 1 + odd)]
+    return moves
 
 
 # -- oracle vs closed form -------------------------------------------------------

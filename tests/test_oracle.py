@@ -36,6 +36,7 @@ from hullcount.oracle import (
 )
 from hullcount.ratios import euclidean_spectrum
 from naive_hull import naive_hull_dim, naive_rref
+from step_fills import class_of as reference_class_of
 from step_fills import fill_grams
 
 F2 = make_field(2, 1)
@@ -123,7 +124,7 @@ def _check_class_rows(field, form, d, most=50):
     layer, and check that each admitted Gram's transfer row, built afresh
     from the step Grams of every fill, is its class's row."""
     labels, table = oracle._transfer(field, form, d)
-    class_of = gram_kernel(field, form, 2 if form is FormKind.SYMPLECTIC else 1).class_of
+    class_of = reference_class_of(field, form)
     steps = fill_grams(field, form, d)
     add = field.add_table
     layer = [((0,) * d,) * d]
@@ -157,15 +158,20 @@ def test_every_gram_of_a_class_has_the_class_transfer_row(form):
         field = oracle.field_for(form, q)
         for d in range(1, 4 if q <= 5 else 3):
             _check_class_rows(field, form, d)
+    # wider fields at d <= 2, with fewer Grams of each class a layer
+    for q in {FormKind.EUCLIDEAN: (16, 25, 27), FormKind.HERMITIAN: (4, 5)}.get(form, ()):
+        field = oracle.field_for(form, q)
+        for d in (1, 2):
+            _check_class_rows(field, form, d, most=10)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_symplectic_transfer_counts_every_fill(q):
     # the closed-form rank transitions against brute force: every (u, v)
-    # fill of one symplectic step, through gram_of and class_of, added to
-    # a Gram of each rank, r hyperbolic pairs and zeros
+    # fill of one symplectic step, through gram_of and the reference
+    # class_of, added to a Gram of each rank, r hyperbolic pairs and zeros
     field = field_of_order(q)
-    class_of = gram_kernel(field, FormKind.SYMPLECTIC, 2).class_of
+    class_of = reference_class_of(field, FormKind.SYMPLECTIC)
     add, neg = field.add_table, field.neg_table
     for d in range(5 if q <= 3 else 4):
         labels, table = oracle._transfer(field, FormKind.SYMPLECTIC, d)
@@ -234,13 +240,15 @@ def _transfer_class_counts(n, k, field, form):
 @pytest.mark.parametrize("n,k,order,form", GRAM_CELLS)
 def test_dp_reaches_every_generators_gram_key(n, k, order, form):
     # full-pass tallies can hide a wrong class (some sign errors keep
-    # them), so check that the transfer walk reaches the class of every
-    # generator's Gram, from a fresh gram_of and class_of, class by class
-    # and count by count; k > n/2 cells take the k-row tables directly
+    # them), so check that the transfer tables reach the class of every
+    # generator's Gram, from a fresh gram_of and the reference class_of,
+    # class by class and count by count; k > n/2 cells take the k-row
+    # tables directly
     field = field_of_order(order)
     kernel = gram_kernel(field, form, n)
+    class_of = reference_class_of(field, form)
     fresh = collections.Counter(
-        kernel.class_of(kernel.gram_of(mat.to_lists())) for mat in enumerate_subspaces(n, k, field)
+        class_of(kernel.gram_of(mat.to_lists())) for mat in enumerate_subspaces(n, k, field)
     )
     assert _transfer_class_counts(n, k, field, form) == fresh
     assert sum(fresh.values()) == gaussian_binomial(n, k, order)
@@ -250,18 +258,15 @@ def test_dp_reaches_every_generators_gram_key(n, k, order, form):
 @pytest.mark.parametrize("n,k,order,form", GRAM_CELLS)
 def test_small_blocks_keep_gram_and_key_current(n, k, order, form, digits):
     # each generator's Gram built block by block, digits steps a block,
-    # from step Grams the transfer tables count (the column Grams they
-    # list, or every symplectic fill): after each block the sum is a fresh
-    # gram_of of the columns so far, and the class moves along a nonzero
-    # entry of T_k^digits
+    # from step Grams the transfer tables count (every fill of one step):
+    # after each block the sum is a fresh gram_of of the columns so far,
+    # and the class moves along a nonzero entry of T_k^digits
     field = field_of_order(order)
     add = field.add_table
     kernel = gram_kernel(field, form, n)
+    class_of = reference_class_of(field, form)
     step_gram_of = gram_kernel(field, form, 2 if form is FormKind.SYMPLECTIC else 1).gram_of
-    if form is FormKind.SYMPLECTIC:
-        listed = fill_grams(field, form, k)
-    else:
-        listed = oracle._step_grams(field, form, k)
+    listed = fill_grams(field, form, k)
     labels, table = oracle._transfer(field, form, k)
     power = table
     for _ in range(digits - 1):
@@ -280,9 +285,26 @@ def test_small_blocks_keep_gram_and_key_current(n, k, order, form, digits):
             taken = {c for cols in steps[:start + digits] for c in cols}
             prefix = [[x if c in taken else 0 for c, x in enumerate(row)] for row in rows]
             assert gram == kernel.gram_of(prefix), (rows, start)
-            moved = kernel.class_of(gram)
+            moved = class_of(gram)
             assert power[labels.index(label)][labels.index(moved)] > 0, (rows, start)
             label = moved
+
+
+def test_the_oracle_equals_the_formulas_on_every_cell_up_to_k_4():
+    # every form, q <= 9, every length <= 40 (2n <= 40 symplectic) and
+    # 1 <= k <= 4, past any work limit, against the closed forms and the
+    # Euclidean chain; in characteristic 2 nothing else checks that chain
+    # beyond n = 8
+    cells = 0
+    for form in FormKind:
+        lengths = range(2, 41, 2) if form is FormKind.SYMPLECTIC else range(1, 41)
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            for length in lengths:
+                for k in range(1, min(4, length) + 1):
+                    comparison = spectrum_vs_formula(length, k, q, form, work_limit=None)
+                    assert comparison.passed, (form, q, length, k, comparison.first_failure())
+                    cells += 1
+    assert cells == 2702
 
 
 def test_cells_past_the_enumeration_equal_the_chain_and_the_closed_form():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hullcount
+from hullcount import algebra
 from hullcount.formulas import FormKind
 
 SOURCES = sorted(Path(hullcount.__file__).parent.glob("*.py"))
@@ -267,11 +268,10 @@ def test_the_cli_has_one_output_writer():
 
 
 def test_each_form_is_one_table_set_in_gram_kernel():
-    # the per-form conventions, the class function included, are picked in
-    # the table setup of gram_kernel; the one gram_of and the
-    # discriminant's elimination are the only functions doing field
-    # arithmetic there, and they only read the tables; no function in
-    # gram_kernel names a form
+    # the per-form conventions are picked in the table setup of
+    # gram_kernel; the one gram_of is the only function doing field
+    # arithmetic there, and it only reads the tables; no function in
+    # gram_kernel names a form, and a kernel is gram_of and rank_of alone
     defs = [
         node for node in ast.walk(TREES["algebra.py"])
         if isinstance(node, ast.FunctionDef)
@@ -281,8 +281,9 @@ def test_each_form_is_one_table_set_in_gram_kernel():
     arithmetic = {"add", "neg", "mul", "inv", "log", "pair", "lanes"}
     nested = [node for node in ast.walk(kernel) if isinstance(node, ast.FunctionDef) and node is not kernel]
     readers = [node for node in nested if _own_names(node) & arithmetic]
-    assert sorted(node.name for node in readers) == ["discriminant_class", "gram_of"]
+    assert sorted(node.name for node in readers) == ["gram_of"]
     assert [node.name for node in nested if "FormKind" in _names(node)] == []
+    assert algebra.GramKernel._fields == ("gram_of", "rank_of")
     # no per-state step function is left beside the transfer matrices
     steps = [
         f"{name}:{node.lineno}"
@@ -399,7 +400,7 @@ def test_the_oracle_has_one_odometer():
 
 def test_the_spectrum_does_not_walk_the_pivot_subsets():
     # hull_spectrum counts by transfer matrices; the generators serve only
-    # enumerate_subspaces, not _step_grams or any other function
+    # enumerate_subspaces, not the transfer or any other function
     spectrum = _function("oracle.py", "hull_spectrum")
     assert not _calls(spectrum, "_generators")
     assert not _calls(spectrum, "enumerate_subspaces")
@@ -413,22 +414,36 @@ def test_the_spectrum_does_not_walk_the_pivot_subsets():
 
 
 def test_the_symplectic_transfer_lists_no_step_gram():
-    # an alternating Gram's class is its rank, so the symplectic T_d is a
-    # closed form in Q, d and the rank: _transfer hands it the field's
-    # order alone, and it reaches no field table, kernel or generator
-    # (that _step_grams walks no pivot subset is checked above)
-    calls = [
-        node for node in ast.walk(_function("oracle.py", "_transfer"))
-        if isinstance(node, ast.Call) and _names(node.func) == {"_alternating_transfer"}
-    ]
-    assert [ast.unparse(arg) for call in calls for arg in call.args] == ["field.order", "d"]
+    # no form lists a step Gram: every class move is a closed form in Q, d
+    # and the class, so _transfer hands each form's moves the field's order
+    # and d alone and reads nothing else of the field, and nothing it
+    # reaches reads a field table, a kernel, a class function or a generator
+    transfer = _function("oracle.py", "_transfer")
     functions = {
         node.name: node for node in TREES["oracle.py"].body if isinstance(node, ast.FunctionDef)
     }
-    reached = _reached(functions, "_alternating_transfer")
+    calls = [
+        node for node in ast.walk(transfer)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in functions
+    ]
+    assert sorted(call.func.id for call in calls) == [
+        "_alternating_moves", "_even_symmetric_moves", "_hermitian_moves", "_odd_symmetric_moves",
+    ]
+    assert all([ast.unparse(arg) for arg in call.args] == ["field.order", "d"] for call in calls)
+    assert not any(call.keywords for call in calls)
+    reads = [
+        node for node in ast.walk(transfer)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "field"
+    ]
+    uses = [node for node in ast.walk(transfer) if isinstance(node, ast.Name) and node.id == "field"]
+    assert len(uses) == len(reads) and {node.attr for node in reads} == {"order"}
+    reached = _reached(functions, "_transfer")
     assert not [name for name in reached if name.endswith("_table")]
-    kernel = {"field", "gram_kernel", "gram_of", "class_of", "_step_grams", "_generators"}
-    assert reached & (kernel | _module_names("algebra.py")) == set()
+    kernel = {"gram_kernel", "gram_of", "rank_of", "class_of", "_step_grams", "_generators"}
+    # FiniteField is _transfer's annotation of its cache key
+    assert reached & (kernel | _module_names("algebra.py")) == {"FiniteField"}
+    for call in calls:
+        assert "field" not in _reached(functions, call.func.id), call.func.id
 
 
 def test_the_generators_reach_only_the_matrix_and_field_types_of_algebra():
@@ -467,7 +482,8 @@ def test_the_spectrum_reaches_neither_formulas_nor_ratios():
         if isinstance(node, ast.FunctionDef)
     }
     reached = _reached(functions, "hull_spectrum")
-    assert {"gram_kernel", "subspace_count", "rank_of"} <= reached
+    assert {"subspace_count", "_transfer"} <= reached
+    assert not {"gram_kernel", "gram_of", "rank_of"} & reached
     derived = {"formulas", "ratios"} | _module_names("formulas.py") | _module_names("ratios.py")
     form_enum = {"FormKind"} | {form.name for form in FormKind}
     assert reached & derived - form_enum == {"require_even_length"}
@@ -557,13 +573,15 @@ def test_the_oracle_makes_one_kernel_call():
     # no option or environment variable that could pick an engine
     for module in ("algebra.py", "oracle.py"):
         assert {"environ", "getenv"} & _names(TREES[module]) == set(), module
-    # one kernel call, for the form errors, and one engine entry
+    # one engine entry, and no kernel call: the form errors are the
+    # spectrum's own named checks
     spectrum = _function("oracle.py", "hull_spectrum")
     calls = [
         node.func.id for node in ast.walk(spectrum)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     ]
-    assert calls.count("gram_kernel") == 1 and calls.count("_transfer") == 1
+    assert calls.count("gram_kernel") == 0 and calls.count("_transfer") == 1
+    assert "gram_kernel" not in _names(TREES["oracle.py"])
 
 
 def test_the_work_limit_has_one_check():
