@@ -19,10 +19,13 @@ The matrix side is deliberately plain: immutable MatrixGF, reduced row
 echelon form, the three Gram matrices (Euclidean G*G^T, Hermitian
 G*conj(G)^T with entrywise q-th power, symplectic G*Omega*G^T), and the
 hull dimension k - rank(Gram) for a full-row-rank generator. There is one
-forward elimination, rank_of, built once per field. All Gram and rank
-work, here and in the ebit count, goes through one raw-code kernel,
-gram_kernel(field, form, n): gram_of and rank_of. rref() runs the same
-rank_of and adds one back pass for the canonical form.
+table-driven forward elimination, rank_of, built once per field, and one
+table-driven Gram, in gram_kernel(field, form, n): gram_of and rank_of.
+gram(), rref() and hull_dim over every field of order q > 2 go through
+that kernel; rref() adds one back pass for the canonical form. Over F_2,
+hull_dim and the ebit count pack each row into one int instead (entry t
+at bit 8t), so that a rank is an XOR basis and a Gram entry the parity of
+an AND, both done by integer operations in C.
 """
 
 from __future__ import annotations
@@ -512,6 +515,17 @@ def _conj_mul_table(field: FiniteField) -> list[list[int]]:
     return [[row[c] for c in conj] for row in field.mul_table]
 
 
+def require_form(field: FiniteField, form: FormKind, n: int) -> None:
+    """Refuse a form that rows of length n over field cannot carry: the
+    symplectic form needs an even n, the hermitian form a square order."""
+    if form is FormKind.SYMPLECTIC:
+        require_even_length(n)
+    elif form is FormKind.HERMITIAN and field.m % 2:
+        raise NonSquareFieldError(
+            f"hermitian form needs a square field order, got {field.order}"
+        )
+
+
 class GramKernel(NamedTuple):
     """The raw-code Gram/rank kernel of one (field, form, length); see
     gram_kernel."""
@@ -542,12 +556,12 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
     Built once per (field, form, n); the hermitian pairing table, once per
     field (_conj_mul_table). A kernel holds O(n) table references.
     """
+    require_form(field, form, n)
     mul = field.mul_table
     add = field.add_table
     neg = field.neg_table
     identity = list(range(field.order))
     if form is FormKind.SYMPLECTIC:
-        require_even_length(n)
         # -a*b = (-a)*b: the second lane's table is mul's rows, reordered,
         # or mul itself where negation is the identity
         lanes = [(mul, 1), (mul if neg == identity else [mul[a] for a in neg], 0)]
@@ -555,10 +569,6 @@ def gram_kernel(field: FiniteField, form: FormKind, n: int) -> GramKernel:
         first = 1
     else:
         if form is FormKind.HERMITIAN:
-            if field.m % 2 != 0:
-                raise NonSquareFieldError(
-                    f"hermitian form needs a square field order, got {field.order}"
-                )
             mirror = field.frobenius_table(field.p ** (field.m // 2))
             lanes = [(_conj_mul_table(field), 0)]
         else:
@@ -600,12 +610,68 @@ def gram(generator: MatrixGF, form: FormKind) -> MatrixGF:
 
 
 def hull_dim(generator: MatrixGF, form: FormKind) -> int:
-    """dim(C intersect C^perp) = k - rank(Gram) for a full-row-rank generator."""
-    kernel = gram_kernel(generator.field, form, generator.cols)
+    """dim(C intersect C^perp) = k - rank(Gram) for a full-row-rank generator.
+
+    Over F_2 the rows are packed into ints, the Gram is a parity Gram and
+    both ranks are XOR bases; over every larger field the Gram and the
+    ranks come from gram_kernel. Either route checks the form first."""
+    field = generator.field
     k = generator.rows
-    rows = generator.to_lists()
-    gram = kernel.gram_of(rows)  # before rank_of reduces the rows in place
-    rank = kernel.rank_of(rows)
+    if field.order == 2:
+        require_form(field, form, generator.cols)
+        rows = _packed_rows(generator)
+        gram, rank_of = _parity_gram(rows, form, generator.cols), _xor_rank
+    else:
+        kernel = gram_kernel(field, form, generator.cols)
+        rows = generator.to_lists()
+        # the Gram first: rank_of reduces the rows in place
+        gram, rank_of = kernel.gram_of(rows), kernel.rank_of
+    rank = rank_of(rows)
     if rank != k:
         raise RankDeficientGeneratorError(f"generator has rank {rank} < {k} rows")
-    return k - kernel.rank_of(gram)
+    return k - rank_of(gram)
+
+
+# -- F_2: a row packed into one int -------------------------------------------
+
+def _packed_rows(matrix: MatrixGF) -> list[int]:
+    """The rows of a binary matrix as ints, entry t at bit 8t (one byte an
+    entry), so that integer operations do the row arithmetic."""
+    width = 8 * matrix.cols
+    whole = int.from_bytes(bytes(matrix.codes), "little")
+    mask = (1 << width) - 1
+    return [whole >> width * i & mask for i in range(matrix.rows)]
+
+
+def _xor_rank(vectors: list[int]) -> int:
+    """Rank over F_2 of packed vectors: an XOR basis keyed by leading bit,
+    each vector reduced by it until it is zero or has a new leading bit."""
+    basis: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length()
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    return len(basis)
+
+
+def _parity_gram(rows: list[int], form: FormKind, n: int) -> list[int]:
+    """The Euclidean or symplectic Gram of packed rows of length n over F_2,
+    <r_i, r_j> being the parity of r_i AND r_j, with r_j's two halves
+    swapped for the symplectic form (over F_2, -1 = 1). Row i is packed
+    with <r_i, r_j> at bit len(rows) - 1 - j, an order the rank does not
+    see."""
+    partners = rows
+    if form is FormKind.SYMPLECTIC:
+        shift = 4 * n  # n / 2 entries of 8 bits
+        low = (1 << shift) - 1
+        partners = [r >> shift | (r & low) << shift for r in rows]
+    packed = []
+    for r in rows:
+        g = 0
+        for p in partners:
+            g = g << 1 | (r & p).bit_count() & 1
+        packed.append(g)
+    return packed

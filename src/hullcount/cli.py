@@ -99,7 +99,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     form = FormKind(args.form)
     length = _ambient_length(form, args)
     k, ell, q = args.k, args.ell, args.q
-    if min(k, ell) < 0:  # a sign check of the arguments, not a cell-shape rule
+    if k < 0 or ell < 0:
         raise BadRangeError(f"k and l must be non-negative, got k={k} l={ell}")
     from .ratios import euclidean_spectrum, ratio_report
 

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BadRangeError, OddGramRankError, ParityViolationError
 from .exactnum import prime_power_parts
-from .formulas import FormKind, ValidatedRecord, closed_spectrum, hull_dims
+from .formulas import FormKind, ValidatedRecord, closed_spectrum, hull_dims, require_even_length
 from .ratios import COUNT_EXCEPTIONS
 
 if TYPE_CHECKING:
@@ -96,13 +96,14 @@ def wilde_brun_map(
 def ebits_from_check_matrix(check: MatrixGF) -> int:
     """Ebits consumed by a binary check matrix [H_Z | H_X]: half the rank of
     the symplectic Gram of its rows. Accepts dependent rows; the Gram rank
-    only sees the row space."""
-    from .algebra import gram_kernel
+    only sees the row space. The rows are packed into ints, so the Gram is
+    a parity Gram and its rank an XOR basis (algebra's F_2 route)."""
+    from .algebra import _packed_rows, _parity_gram, _xor_rank
 
     if check.field.order != 2:
         raise BadRangeError("check matrices are binary, need the field of order 2")
-    kernel = gram_kernel(check.field, FormKind.SYMPLECTIC, check.cols)
-    rank = kernel.rank_of(kernel.gram_of(check.to_lists()))
+    require_even_length(check.cols)
+    rank = _xor_rank(_parity_gram(_packed_rows(check), FormKind.SYMPLECTIC, check.cols))
     if rank % 2 != 0:
         raise OddGramRankError(
             f"alternating Gram rank came out odd ({rank}); this is a bug"

@@ -45,10 +45,10 @@ import math
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
-from .algebra import FiniteField, FormKind, MatrixGF, make_field
-from .errors import BadRangeError, NonSquareFieldError, WorkLimitExceededError
+from .algebra import FiniteField, FormKind, MatrixGF, make_field, require_form
+from .errors import BadRangeError, WorkLimitExceededError
 from .exactnum import gaussian_binomial, prime_power_parts
-from .formulas import closed_spectrum, require_even_length
+from .formulas import closed_spectrum
 from .ratios import euclidean_spectrum
 
 DEFAULT_WORK_LIMIT = 10 ** 8
@@ -123,10 +123,7 @@ def hull_spectrum(
 ) -> HullSpectrum:
     """Count every k-dim subspace of F_Q^n by its hull dimension."""
     subspace_count(n, k, field.order, work_limit)
-    if form is FormKind.SYMPLECTIC:
-        require_even_length(n)
-    elif form is FormKind.HERMITIAN and field.m % 2:
-        raise NonSquareFieldError(f"hermitian form needs a square field order, got {field.order}")
+    require_form(field, form, n)
     q = field.order
     j = min(k, n - k)
     steps = n // 2 if form is FormKind.SYMPLECTIC else n

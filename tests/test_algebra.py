@@ -23,6 +23,7 @@ from hullcount.algebra import (
     make_field,
     rref,
 )
+from hullcount.eaqecc import ebits_from_check_matrix
 from hullcount.errors import (
     BadRangeError,
     BadSubfieldOrderError,
@@ -321,6 +322,19 @@ def test_gram_form_preconditions():
         gram(g2, FormKind.HERMITIAN)
     with pytest.raises(OddAmbientError):
         gram(g2, FormKind.SYMPLECTIC)
+    # hull_dim and the ebit count over F_2 pack their rows, and check the
+    # form first: with no rows too, and with the kernel's messages
+    for g in (g2, MatrixGF(F2, 0, 3, ())):
+        with pytest.raises(NonSquareFieldError, match=r"^hermitian form needs a square field order, got 2$"):
+            hull_dim(g, FormKind.HERMITIAN)
+        with pytest.raises(OddAmbientError, match=r"^symplectic ambient length must be even, got 3$"):
+            hull_dim(g, FormKind.SYMPLECTIC)
+        with pytest.raises(OddAmbientError, match=r"^symplectic ambient length must be even, got 3$"):
+            ebits_from_check_matrix(g)
+    for n in (0, 4):
+        empty = MatrixGF(F2, 0, n, ())
+        assert hull_dim(empty, FormKind.EUCLIDEAN) == hull_dim(empty, FormKind.SYMPLECTIC) == 0
+        assert ebits_from_check_matrix(empty) == 0
 
 
 GRAM_CASES = [
@@ -472,8 +486,9 @@ def test_hull_dim_examples():
 
 def test_hull_dim_rejects_dependent_rows():
     g = MatrixGF.from_rows(F2, [[1, 1], [1, 1]])
-    with pytest.raises(RankDeficientGeneratorError):
-        hull_dim(g, FormKind.EUCLIDEAN)
+    for form in (FormKind.EUCLIDEAN, FormKind.SYMPLECTIC):
+        with pytest.raises(RankDeficientGeneratorError, match=r"^generator has rank 1 < 2 rows$"):
+            hull_dim(g, form)
 
 
 def test_symplectic_hull_parity_on_random_generators():
@@ -509,6 +524,38 @@ def test_hull_dim_matches_naive_reference(data):
     m = MatrixGF(field, k, n, tuple(codes))
     assume(naive_rank(generator_rows(m)) == k)
     assert hull_dim(m, form) == naive_hull_dim(m, form)
+
+
+@st.composite
+def binary_generators(draw, form):
+    """A k x n matrix over F_2, 0 <= k <= 8 and n <= 24 (even for the
+    symplectic form), with one row often a sum of others or zero."""
+    k = draw(st.integers(0, 8))
+    n = draw(st.integers(0, 12)) * 2 if form is FormKind.SYMPLECTIC else draw(st.integers(0, 24))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=k, max_size=k))
+    if k and draw(st.booleans()):
+        target = draw(st.integers(0, k - 1))
+        summands = draw(st.sets(st.integers(0, k - 1))) - {target}
+        rows[target] = [sum(rows[i][t] for i in summands) % 2 for t in range(n)]
+    return MatrixGF(F2, k, n, tuple(x for row in rows for x in row))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_packed_route_matches_independent_routes(data):
+    # over F_2, hull_dim and the ebit count run on rows packed into ints;
+    # the naive hull (FieldElem operators) and the table kernel share none
+    # of that route
+    form = data.draw(st.sampled_from([FormKind.EUCLIDEAN, FormKind.SYMPLECTIC]))
+    m = data.draw(binary_generators(form))
+    if naive_rank(generator_rows(m)) == m.rows:
+        assert hull_dim(m, form) == naive_hull_dim(m, form)
+    else:
+        with pytest.raises(RankDeficientGeneratorError):
+            hull_dim(m, form)
+    if m.cols % 2 == 0:
+        kernel = gram_kernel(F2, FormKind.SYMPLECTIC, m.cols)
+        assert ebits_from_check_matrix(m) * 2 == kernel.rank_of(kernel.gram_of(m.to_lists()))
 
 
 def test_canonical_modulus_without_irreducible_raises(monkeypatch):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hullcount import algebra
 from hullcount.algebra import FormKind, MatrixGF, hull_dim, make_field, rref
 from hullcount.eaqecc import (
     CensusRow,
@@ -16,6 +17,7 @@ from hullcount.eaqecc import (
 from hullcount.errors import (
     BadRangeError,
     OddAmbientError,
+    OddGramRankError,
     ParityViolationError,
 )
 
@@ -122,6 +124,14 @@ def test_ebits_examples():
     assert ebits_from_check_matrix(MatrixGF(F2, 0, 4, ())) == 0
     with pytest.raises(BadRangeError):
         ebits_from_check_matrix(MatrixGF(F3, 1, 4, (1, 0, 0, 0)))
+
+
+def test_an_odd_alternating_rank_is_a_bug(monkeypatch):
+    # an alternating Gram has even rank, so an odd one cannot be input
+    # error; it is reached only by breaking the rank
+    monkeypatch.setattr(algebra, "_xor_rank", lambda vectors: 3)
+    with pytest.raises(OddGramRankError, match=r"^alternating Gram rank came out odd \(3\); this is a bug$"):
+        ebits_from_check_matrix(MatrixGF(F2, 2, 4, (1, 0, 0, 0, 0, 0, 1, 0)))
 
 
 def test_ebits_ignore_dependent_rows():

@@ -437,7 +437,8 @@ def _no_counting(monkeypatch):
 
 
 def test_form_errors_raise_before_enumeration(monkeypatch):
-    # gram_kernel raises the form errors; no transfer matrix is built
+    # hull_spectrum checks the form itself (algebra.require_form) before it
+    # counts; no transfer matrix is built
     _no_counting(monkeypatch)
     with pytest.raises(OddAmbientError, match=r"^symplectic ambient length must be even, got 5$"):
         hull_spectrum(5, 2, F2, FormKind.SYMPLECTIC)

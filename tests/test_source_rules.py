@@ -297,11 +297,109 @@ def test_each_form_is_one_table_set_in_gram_kernel():
     assert _names(_function("oracle.py", "hull_spectrum")) & tables == set()
 
 
+def _compares_order_with_2(node: ast.AST) -> bool:
+    sides = (node.left, *node.comparators) if isinstance(node, ast.Compare) else ()
+    return any(isinstance(side, ast.Attribute) and side.attr == "order" for side in sides) and any(
+        isinstance(side, ast.Constant) and side.value == 2 for side in sides
+    )
+
+
+def test_one_module_knows_the_packed_format():
+    # algebra packs F_2 rows into ints, one byte an entry: no other module
+    # calls from_bytes or bit_count, the ebit count reaches the packed
+    # helpers and not the table kernel, and hull_dim is the one function
+    # that picks a route by comparing a field's order with 2; the ebit
+    # count's comparison only refuses a field that is not F_2
+    packers = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        if name != "algebra.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _names(node.func) & {"from_bytes", "bit_count"}
+    ]
+    assert packers == []
+    functions = {
+        node.name: node
+        for module in ("eaqecc.py", "algebra.py")
+        for node in TREES[module].body
+        if isinstance(node, ast.FunctionDef)
+    }
+    reached = _reached(functions, "ebits_from_check_matrix")
+    assert {"_packed_rows", "_parity_gram", "_xor_rank"} <= reached
+    assert not {"gram_kernel", "gram_of", "rank_of", "_rank_kernel"} & reached
+    routes, refusals = [], []
+    for name, tree in TREES.items():
+        for top in tree.body:
+            for func in top.body if isinstance(top, ast.ClassDef) else [top]:
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                refusal_tests = [
+                    node.test for node in ast.walk(func)
+                    if isinstance(node, ast.If) and [type(sub) for sub in node.body] == [ast.Raise]
+                ]
+                for node in ast.walk(func):
+                    if _compares_order_with_2(node):
+                        found = refusals if any(node is test for test in refusal_tests) else routes
+                        found.append(f"{name}:{func.name}")
+    assert routes == ["algebra.py:hull_dim"]
+    assert refusals == ["eaqecc.py:ebits_from_check_matrix"]
+
+
+def test_the_form_checks_have_one_spelling():
+    # require_form is the one place that refuses a form the length or the
+    # field cannot carry; the table kernel, the spectrum and hull_dim's
+    # F_2 route all call it, and no other function raises NonSquareFieldError
+    raisers = [
+        f"{name}:{func.name}"
+        for name, tree in TREES.items()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and _raised_name(node) == "NonSquareFieldError"
+    ]
+    assert raisers == ["algebra.py:require_form"]
+    for module, name in (("algebra.py", "gram_kernel"), ("algebra.py", "hull_dim"), ("oracle.py", "hull_spectrum")):
+        assert _calls(_function(module, name), "require_form"), name
+
+
 def _function(module: str, name: str) -> ast.FunctionDef:
     return next(
         node for node in ast.walk(TREES[module])
         if isinstance(node, ast.FunctionDef) and node.name == name
     )
+
+
+def _is_sign_check(node: ast.Compare) -> bool:
+    """ell < 0 or ell >= 0 (either way round): a sign check of outside
+    input, which says nothing of a cell's shape."""
+    if len(node.ops) != 1:
+        return False
+    left, right, op = node.left, node.comparators[0], type(node.ops[0])
+    if isinstance(left, ast.Constant):
+        left, right = right, left
+        op = {ast.Lt: ast.Gt, ast.Gt: ast.Lt, ast.LtE: ast.GtE, ast.GtE: ast.LtE}.get(op, op)
+    return (
+        isinstance(left, ast.Name) and left.id == "ell"
+        and isinstance(right, ast.Constant) and right.value == 0
+        and op in (ast.Lt, ast.GtE)
+    )
+
+
+def _ell_shape_tests(func: ast.FunctionDef) -> list[int]:
+    """The lines where func compares a bare ell other than by in / not in,
+    sign checks aside: each is a cell-shape rule of its own."""
+    found = []
+    for node in ast.walk(func):
+        if not isinstance(node, ast.Compare) or _is_sign_check(node):
+            continue
+        bare_ell = any(
+            isinstance(side, ast.Name) and side.id == "ell"
+            for side in (node.left, *node.comparators)
+        )
+        if bare_ell and not all(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops):
+            found.append(node.lineno)
+    return found
 
 
 def test_cell_shapes_are_read_from_hull_dims():
@@ -318,17 +416,36 @@ def test_cell_shapes_are_read_from_hull_dims():
         for name in names:
             func = _function(module, name)
             assert "hull_dims" in _names(func), name
-            for node in ast.walk(func):
-                if not isinstance(node, ast.Compare):
-                    continue
-                bare_ell = any(
-                    isinstance(side, ast.Name) and side.id == "ell"
-                    for side in (node.left, *node.comparators)
-                )
-                if bare_ell and not all(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops):
-                    found.append(f"{module}:{name}:{node.lineno}")
+            found += [f"{module}:{name}:{line}" for line in _ell_shape_tests(func)]
     assert found == []
     assert not any("in_counting_range" in _names(tree) for tree in TREES.values())
+
+
+@pytest.mark.parametrize(
+    "test, flagged",
+    [
+        ("ell <= k", True),
+        ("k >= ell", True),
+        ("0 <= ell <= k", True),
+        ("ell == k % 2", True),
+        ("ell < 1", True),
+        ("ell == 0", True),
+        ("ell > 0", True),
+        ("0 < ell", True),
+        ("0 >= ell", True),
+        ("ell < 0", False),
+        ("0 > ell", False),
+        ("k < 0 or ell < 0", False),
+        ("ell >= 0", False),
+        ("0 <= ell", False),
+        ("ell in dims", False),
+    ],
+)
+def test_the_cell_shape_rule_passes_only_sign_checks(test, flagged):
+    # a sign check of ell is not a cell-shape rule; an upper bound, a
+    # parity or any other comparison of a bare ell still is
+    func = ast.parse(f"def f(k, ell, dims):\n    return {test}\n").body[0]
+    assert bool(_ell_shape_tests(func)) is flagged
 
 
 def _adds_a_step_to_ell(node: ast.AST) -> bool:
