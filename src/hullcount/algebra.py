@@ -620,16 +620,16 @@ def hull_dim(generator: MatrixGF, form: FormKind) -> int:
     if field.order == 2:
         require_form(field, form, generator.cols)
         rows = _packed_rows(generator)
-        gram, rank_of = _parity_gram(rows, form, generator.cols), _xor_rank
+        gram_rows, rank_of = _parity_gram(rows, form, generator.cols), _xor_rank
     else:
         kernel = gram_kernel(field, form, generator.cols)
         rows = generator.to_lists()
         # the Gram first: rank_of reduces the rows in place
-        gram, rank_of = kernel.gram_of(rows), kernel.rank_of
+        gram_rows, rank_of = kernel.gram_of(rows), kernel.rank_of
     rank = rank_of(rows)
     if rank != k:
         raise RankDeficientGeneratorError(f"generator has rank {rank} < {k} rows")
-    return k - rank_of(gram)
+    return k - rank_of(gram_rows)
 
 
 # -- F_2: a row packed into one int -------------------------------------------

@@ -19,17 +19,18 @@ F_j(s) = sum_d (-1)^(j-d) Q^C(j-d, 2) [j, d]_Q g_d(s), g_d(s) counting all
 d x n matrices with Gram rank s. A d x n matrix's Gram is the sum of one
 step Gram per step of its columns (one column, or a symplectic pair), and
 the step Grams are closed under congruence, so how many take a Gram K
-into each class depends on K's class alone: with T_d that classes x
-classes matrix, g_d is the zero class's row of T_d^steps summed by rank.
-A class is (rank, extra): the rank alone for the hermitian and symplectic
-forms, and for the Euclidean form also the square class of the
-discriminant (odd q) or whether the diagonal is nonzero (even q), at
-most 2d + 1 classes. Each form's T_d is one list of moves (class, class
-after, fills), each fill count a closed form in Q, d and the class, read
-from how a step's columns lie against the image of K; no Gram is built
-and no field table read. T_d does not depend on n and is built once per
-(field, form, d). The spectrum reads neither formulas nor ratios, so it
-stays an independent check on both.
+into each class depends on K's class alone. A class is (rank, extra): the
+rank alone for the hermitian and symplectic forms, and for the Euclidean
+form also the square class of the discriminant (odd q) or whether the
+diagonal is nonzero (even q), at most 2d + 1 classes. T_d is its list of
+moves (class, class after, fills), one for each pair of classes a step
+joins, each fill count a closed form in Q, d and the class, read from how
+a step's columns lie against the image of K; no Gram is built, no field
+table read and no classes x classes matrix formed. _gram_classes steps a
+dict {class: matrices} from the zero class, `steps` times, straight off
+the moves, which gives g_d by class. T_d does not depend on n, and its
+moves are built once per (Q, form, d). The spectrum reads neither
+formulas nor ratios, so it stays an independent check on both.
 
 enumerate_subspaces yields the generators themselves, for the natural
 column order: _generators takes one pivot subset at a time and yields
@@ -121,21 +122,15 @@ def hull_spectrum(
     form: FormKind,
     work_limit: int | None = DEFAULT_WORK_LIMIT,
 ) -> HullSpectrum:
-    """Count every k-dim subspace of F_Q^n by its hull dimension."""
+    """Count every k-dim subspace of F_Q^n by its hull dimension: F_j by
+    class from _gram_classes, summed by Gram rank, over |GL_j(Q)|."""
     subspace_count(n, k, field.order, work_limit)
     require_form(field, form, n)
     q = field.order
     j = min(k, n - k)
-    steps = n // 2 if form is FormKind.SYMPLECTIC else n
     full = [0] * (j + 1)  # F_j(s), full-rank j x n matrices by Gram rank
-    for d in range(j + 1):
-        labels, table = _transfer(field, form, d)
-        zero_row = [1] + [0] * (len(labels) - 1)
-        for _ in range(steps):
-            zero_row = [sum(w * row[c] for w, row in zip(zero_row, table)) for c in range(len(labels))]
-        weight = (-1) ** (j - d) * q ** ((j - d) * (j - d - 1) // 2) * gaussian_binomial(j, d, q)
-        for (rank, _), matrices in zip(labels, zero_row):
-            full[rank] += weight * matrices
+    for (rank, _), matrices in _gram_classes(n, j, q, form).items():
+        full[rank] += matrices
     bases = math.prod(q ** j - q ** i for i in range(j))  # |GL_j(Q)|
     counts = {}
     for ell in range(j + 1):
@@ -147,26 +142,48 @@ def hull_spectrum(
     return HullSpectrum(n, k, form, q, MappingProxyType(counts))
 
 
+def _gram_classes(n: int, j: int, q: int, form: FormKind) -> dict[tuple[int, int], int]:
+    """F_j by class: how many full-rank j x n matrices over F_q (q the
+    field's order) have a Gram in each class. For each d <= j, g_d by
+    class steps a dict {class: matrices} from the zero class, one step a
+    column (a symplectic pair of columns), straight off T_d's moves; the
+    Moebius weights then drop "full rank"."""
+    steps = n // 2 if form is FormKind.SYMPLECTIC else n
+    full = {}
+    for d in range(j + 1):
+        moves = _transfer(q, form, d)
+        reached = {(0, 0): 1}
+        for _ in range(steps):
+            stepped = {}
+            for c, after, fills in moves:
+                matrices = reached.get(c)
+                if matrices:
+                    stepped[after] = stepped.get(after, 0) + matrices * fills
+            reached = stepped
+        weight = (-1) ** (j - d) * q ** ((j - d) * (j - d - 1) // 2) * gaussian_binomial(j, d, q)
+        for c, matrices in reached.items():
+            full[c] = full.get(c, 0) + weight * matrices
+    return full
+
+
 @functools.lru_cache(maxsize=256)
-def _transfer(field: FiniteField, form: FormKind, d: int) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
-    """T_d: the class labels (rank, extra) of the d x d Grams, sorted, so
-    the zero class is first, and table[c][c2], how many step fills take a
-    Gram of class c to class c2, summed from the form's moves."""
+def _transfer(q: int, form: FormKind, d: int) -> tuple[tuple, ...]:
+    """T_d as its moves (class, class after, fills) on the d x d Grams over
+    F_q, q the field's order: how many step fills take a Gram of the class
+    to the class after, from the form's closed forms, summed into one move
+    for each pair of classes, and only the nonzero ones."""
     if form is FormKind.SYMPLECTIC:
-        moves = _alternating_moves(field.order, d)
+        moves = _alternating_moves(q, d)
     elif form is FormKind.HERMITIAN:
-        moves = _hermitian_moves(field.order, d)
-    elif field.order % 2:
-        moves = _odd_symmetric_moves(field.order, d)
+        moves = _hermitian_moves(q, d)
+    elif q % 2:
+        moves = _odd_symmetric_moves(q, d)
     else:
-        moves = _even_symmetric_moves(field.order, d)
-    moves = [move for move in moves if move[2]]
-    labels = sorted({c for c, _, _ in moves})
-    index = {c: i for i, c in enumerate(labels)}
-    table = [[0] * len(labels) for _ in labels]
+        moves = _even_symmetric_moves(q, d)
+    merged = {}
     for c, after, fills in moves:
-        table[index[c]][index[after]] += fills
-    return tuple(labels), tuple(map(tuple, table))
+        merged[c, after] = merged.get((c, after), 0) + fills
+    return tuple((c, after, fills) for (c, after), fills in merged.items() if fills)
 
 
 def _alternating_moves(q: int, d: int) -> list:

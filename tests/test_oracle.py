@@ -118,12 +118,23 @@ def test_generators_are_the_naive_rref_of_every_full_rank_matrix(q):
         assert {mat.codes for mat in enumerate_subspaces(n, k, field)} == reduced, (n, k)
 
 
+def _rows(moves):
+    """Each class's row of T_d from its moves: the fills to each class after."""
+    rows = collections.defaultdict(collections.Counter)
+    for c, after, fills in moves:
+        rows[c][after] += fills
+    return rows
+
+
 def _check_class_rows(field, form, d, most=50):
     """Walk from the zero Gram by the step Grams, one sum of steps more at
     each of d + 2 layers, admitting up to most new Grams of each class per
     layer, and check that each admitted Gram's transfer row, built afresh
-    from the step Grams of every fill, is its class's row."""
-    labels, table = oracle._transfer(field, form, d)
+    from the step Grams of every fill, is its class's row of moves."""
+    moves = oracle._transfer(field.order, form, d)
+    rows = _rows(moves)
+    assert all(fills > 0 for _, _, fills in moves)
+    assert {after for _, after, _ in moves} <= rows.keys()
     class_of = reference_class_of(field, form)
     steps = fill_grams(field, form, d)
     add = field.add_table
@@ -133,25 +144,25 @@ def _check_class_rows(field, form, d, most=50):
         admitted = collections.Counter()
         grown = []
         for gram in layer:
-            row = [0] * len(labels)
+            row = collections.Counter()
             for step, fills in steps.items():
                 moved = tuple(tuple(add[a][b] for a, b in zip(x, y)) for x, y in zip(gram, step))
                 label = class_of(moved)
-                row[labels.index(label)] += fills
+                row[label] += fills
                 if moved not in found and admitted[label] < most:
                     found.add(moved)
                     admitted[label] += 1
                     grown.append(moved)
-            assert tuple(row) == table[labels.index(class_of(gram))], (field, d, gram)
+            assert row == rows[class_of(gram)], (field, d, gram)
         layer = grown
-    assert len(labels) <= 2 * d + 1
+    assert len(rows) <= 2 * d + 1
 
 
 @pytest.mark.parametrize("form", list(FormKind), ids=lambda form: form.name)
 def test_every_gram_of_a_class_has_the_class_transfer_row(form):
     # the engine rests on the class invariant being complete: every Gram
-    # of a class must go to each class by as many step fills as the one
-    # Gram the transfer matrix was built from; with the rank alone as the
+    # of a class must go to each class by as many step fills as the
+    # class's moves in T_d count; with the rank alone as the
     # Euclidean class, this fails at q = 3 from d = 1 and at q = 2 from
     # d = 2 (at q = 8 only on a Gram that is a sum of three steps)
     for q in (2, 3) if form is FormKind.HERMITIAN else (2, 3, 4, 5, 7, 8, 9):
@@ -174,11 +185,12 @@ def test_symplectic_transfer_counts_every_fill(q):
     class_of = reference_class_of(field, FormKind.SYMPLECTIC)
     add, neg = field.add_table, field.neg_table
     for d in range(5 if q <= 3 else 4):
-        labels, table = oracle._transfer(field, FormKind.SYMPLECTIC, d)
-        assert labels == tuple((2 * r, 0) for r in range(d // 2 + 1))
+        rows = _rows(oracle._transfer(q, FormKind.SYMPLECTIC, d))
+        classes = [(2 * r, 0) for r in range(d // 2 + 1)]
+        assert sorted(rows) == classes
         steps = fill_grams(field, FormKind.SYMPLECTIC, d)
         assert sum(steps.values()) == q ** (2 * d)
-        for r, label in enumerate(labels):
+        for r, label in enumerate(classes):
             rep = [[0] * d for _ in range(d)]
             for i in range(0, 2 * r, 2):
                 rep[i][i + 1], rep[i + 1][i] = 1, neg[1]
@@ -186,8 +198,8 @@ def test_symplectic_transfer_counts_every_fill(q):
             row = collections.Counter()
             for step, fills in steps.items():
                 row[class_of([[add[a][b] for a, b in zip(x, y)] for x, y in zip(rep, step)])] += fills
-            assert set(row) <= set(labels)
-            assert tuple(row[c] for c in labels) == table[r], (q, d, r)
+            assert set(row) <= set(classes)
+            assert row == rows[label], (q, d, r)
 
 
 GRAM_CELLS = [
@@ -212,45 +224,27 @@ def _steps(n, form):
     return [(t,) for t in range(n)]
 
 
-def _transfer_class_counts(n, k, field, form):
-    """Generators by the class of their Gram, from the transfer matrices:
-    the zero class's row of T_d^steps for each d <= k, inverted over the
-    subspaces of F_Q^k class by class (P K P^T keeps K's class), over
-    |GL_k(Q)| with the remainder checked."""
-    q = field.order
-    full = collections.Counter()
-    for d in range(k + 1):
-        labels, table = oracle._transfer(field, form, d)
-        row = [1] + [0] * (len(labels) - 1)
-        for _ in _steps(n, form):
-            row = [sum(w * r[c] for w, r in zip(row, table)) for c in range(len(labels))]
-        weight = (-1) ** (k - d) * q ** ((k - d) * (k - d - 1) // 2) * gaussian_binomial(k, d, q)
-        for label, matrices in zip(labels, row):
-            full[label] += weight * matrices
-    bases = math.prod(q ** k - q ** i for i in range(k))
-    counts = {}
-    for label, matrices in full.items():
-        count, rest = divmod(matrices, bases)
-        assert rest == 0, label
-        if count:
-            counts[label] = count
-    return counts
-
-
 @pytest.mark.parametrize("n,k,order,form", GRAM_CELLS)
 def test_dp_reaches_every_generators_gram_key(n, k, order, form):
     # full-pass tallies can hide a wrong class (some sign errors keep
-    # them), so check that the transfer tables reach the class of every
-    # generator's Gram, from a fresh gram_of and the reference class_of,
-    # class by class and count by count; k > n/2 cells take the k-row
-    # tables directly
+    # them), so check that the engine's F_k by class, over |GL_k(Q)|,
+    # counts the class of every generator's Gram, from a fresh gram_of and
+    # the reference class_of, class by class and count by count; k > n/2
+    # cells step the k-row moves directly
     field = field_of_order(order)
     kernel = gram_kernel(field, form, n)
     class_of = reference_class_of(field, form)
     fresh = collections.Counter(
         class_of(kernel.gram_of(mat.to_lists())) for mat in enumerate_subspaces(n, k, field)
     )
-    assert _transfer_class_counts(n, k, field, form) == fresh
+    bases = math.prod(order ** k - order ** i for i in range(k))  # |GL_k(Q)|
+    counts = {}
+    for label, matrices in oracle._gram_classes(n, k, order, form).items():
+        count, rest = divmod(matrices, bases)
+        assert rest == 0, label
+        if count:
+            counts[label] = count
+    assert counts == fresh
     assert sum(fresh.values()) == gaussian_binomial(n, k, order)
 
 
@@ -258,24 +252,24 @@ def test_dp_reaches_every_generators_gram_key(n, k, order, form):
 @pytest.mark.parametrize("n,k,order,form", GRAM_CELLS)
 def test_small_blocks_keep_gram_and_key_current(n, k, order, form, digits):
     # each generator's Gram built block by block, digits steps a block,
-    # from step Grams the transfer tables count (every fill of one step):
+    # from step Grams the move lists count (every fill of one step):
     # after each block the sum is a fresh gram_of of the columns so far,
-    # and the class moves along a nonzero entry of T_k^digits
+    # and its class is reached from the class before by digits moves of T_k
     field = field_of_order(order)
     add = field.add_table
     kernel = gram_kernel(field, form, n)
     class_of = reference_class_of(field, form)
     step_gram_of = gram_kernel(field, form, 2 if form is FormKind.SYMPLECTIC else 1).gram_of
     listed = fill_grams(field, form, k)
-    labels, table = oracle._transfer(field, form, k)
-    power = table
-    for _ in range(digits - 1):
-        power = [[sum(a * b[c] for a, b in zip(row, table)) for c in range(len(labels))] for row in power]
+    moves = oracle._transfer(order, form, k)
+    reach = {c: {c} for c, _, _ in moves}
+    for _ in range(digits):
+        reach = {c: {after for src, after, _ in moves if src in ends} for c, ends in reach.items()}
     steps = _steps(n, form)
     for mat in enumerate_subspaces(n, k, field):
         rows = mat.to_lists()
         gram = [[0] * k for _ in range(k)]
-        label = labels[0]
+        label = (0, 0)
         for start in range(0, len(steps), digits):
             block = steps[start:start + digits]
             for cols in block:
@@ -286,7 +280,7 @@ def test_small_blocks_keep_gram_and_key_current(n, k, order, form, digits):
             prefix = [[x if c in taken else 0 for c, x in enumerate(row)] for row in rows]
             assert gram == kernel.gram_of(prefix), (rows, start)
             moved = class_of(gram)
-            assert power[labels.index(label)][labels.index(moved)] > 0, (rows, start)
+            assert moved in reach[label], (rows, start)
             label = moved
 
 
@@ -315,23 +309,34 @@ def test_cells_past_the_enumeration_equal_the_chain_and_the_closed_form():
     spectrum = hull_spectrum(6, 3, make_field(3, 2), FormKind.HERMITIAN, work_limit=None)
     assert spectrum.counts == closed_spectrum(FormKind.HERMITIAN, 6, 3, 3)
     assert spectrum.total == gaussian_binomial(6, 3, 9)
+    # the middle cells, where the move lists are longest: d runs to 20
+    # (41 Euclidean classes) and to 40 for the symplectic form (21 classes)
+    for length, k, q, form in (
+        (40, 20, 3, FormKind.EUCLIDEAN),
+        (40, 20, 2, FormKind.HERMITIAN),
+        (80, 40, 2, FormKind.SYMPLECTIC),
+    ):
+        comparison = spectrum_vs_formula(length, k, q, form, work_limit=None)
+        assert comparison.passed, (form, comparison.first_failure())
 
 
 def test_spectrum_memos_stay_bounded():
-    # a spectrum keeps one transfer matrix per (field, form, d), at most
-    # (2d + 1)^2 counts and no Gram, and a cell of another length reuses
-    # them; enumeration keeps no tables between cells or field orders
+    # a spectrum keeps one move list per (order, form, d), one move for
+    # each pair of classes it joins and no Gram, and a cell of another
+    # length reuses them; enumeration keeps no tables between cells or
+    # field orders
     oracle._transfer.cache_clear()
     assert hull_spectrum(8, 4, F3, FormKind.EUCLIDEAN).total == gaussian_binomial(8, 4, 3)
     assert hull_spectrum(30, 3, F3, FormKind.EUCLIDEAN, None).total == gaussian_binomial(30, 3, 3)
     info = oracle._transfer.cache_info()
     assert (info.currsize, info.hits, info.maxsize) == (5, 4, 256)
     for d in range(5):
-        labels, table = oracle._transfer(F3, FormKind.EUCLIDEAN, d)
-        assert len(labels) == 2 * d + 1
-        assert all(type(rank) is type(extra) is int for rank, extra in labels)
-        assert [len(row) for row in table] == [len(labels)] * len(labels)
-        assert all(type(c) is int for row in table for c in row)
+        moves = oracle._transfer(3, FormKind.EUCLIDEAN, d)
+        classes = {c for c, _, _ in moves} | {after for _, after, _ in moves}
+        assert len(classes) == 2 * d + 1
+        assert all(type(rank) is type(extra) is int for rank, extra in classes)
+        assert len({(c, after) for c, after, _ in moves}) == len(moves)
+        assert all(type(fills) is int and fills > 0 for _, _, fills in moves)
     fields = [field_of_order(q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 27)]
     tracemalloc.start()
     try:
@@ -365,7 +370,10 @@ def _check_spectra_against_hull_dim_of_every_generator(order):
                 tally = collections.Counter(
                     algebra.hull_dim(mat, form) for mat in enumerate_subspaces(n, k, field)
                 )
-                assert hull_spectrum(n, k, field, form).counts == tally, (n, k, form)
+                spectrum = hull_spectrum(n, k, field, form)
+                assert spectrum.counts == tally, (n, k, form)
+                # keyed l-ascending, the shape closed_spectrum gives
+                assert list(spectrum.counts) == sorted(spectrum.counts), (n, k, form)
 
 
 @pytest.mark.parametrize("order", [2, 4, 8])
@@ -429,7 +437,7 @@ def test_spectrum_matches_naive_tally_property(cell):
 
 
 def _no_counting(monkeypatch):
-    """Make the engine's entry, the transfer matrices, fail when reached."""
+    """Make the engine's entry, the move lists, fail when reached."""
     def no_counting(*args):
         pytest.fail("counting started")
 
@@ -438,7 +446,7 @@ def _no_counting(monkeypatch):
 
 def test_form_errors_raise_before_enumeration(monkeypatch):
     # hull_spectrum checks the form itself (algebra.require_form) before it
-    # counts; no transfer matrix is built
+    # counts; no move list is built
     _no_counting(monkeypatch)
     with pytest.raises(OddAmbientError, match=r"^symplectic ambient length must be even, got 5$"):
         hull_spectrum(5, 2, F2, FormKind.SYMPLECTIC)
@@ -494,10 +502,10 @@ def test_work_limit_reports_estimate():
 
 
 def test_work_limit_none_reaches_the_spectrum(monkeypatch):
-    # [10, 5]_4 is far above the default limit; with transfer matrices
-    # that reach no class, a spectrum that passes None on returns empty
+    # [10, 5]_4 is far above the default limit; with move lists that
+    # reach no class, a spectrum that passes None on returns empty
     # instead of raising
-    monkeypatch.setattr(oracle, "_transfer", lambda field, form, d: (((0, 0),), [[0]]))
+    monkeypatch.setattr(oracle, "_transfer", lambda q, form, d: ())
     with pytest.raises(WorkLimitExceededError):
         hull_spectrum(10, 5, F4, FormKind.EUCLIDEAN)
     spectrum = hull_spectrum(10, 5, F4, FormKind.EUCLIDEAN, work_limit=None)

@@ -532,10 +532,11 @@ def test_the_spectrum_does_not_walk_the_pivot_subsets():
 
 def test_the_symplectic_transfer_lists_no_step_gram():
     # no form lists a step Gram: every class move is a closed form in Q, d
-    # and the class, so _transfer hands each form's moves the field's order
-    # and d alone and reads nothing else of the field, and nothing it
-    # reaches reads a field table, a kernel, a class function or a generator
+    # and the class, so _transfer takes the field's order q, not the field,
+    # hands each form's moves q and d alone, and nothing it reaches reads
+    # a field, a field table, a kernel, a class function or a generator
     transfer = _function("oracle.py", "_transfer")
+    assert [arg.arg for arg in transfer.args.args] == ["q", "form", "d"]
     functions = {
         node.name: node for node in TREES["oracle.py"].body if isinstance(node, ast.FunctionDef)
     }
@@ -546,21 +547,13 @@ def test_the_symplectic_transfer_lists_no_step_gram():
     assert sorted(call.func.id for call in calls) == [
         "_alternating_moves", "_even_symmetric_moves", "_hermitian_moves", "_odd_symmetric_moves",
     ]
-    assert all([ast.unparse(arg) for arg in call.args] == ["field.order", "d"] for call in calls)
+    assert all([ast.unparse(arg) for arg in call.args] == ["q", "d"] for call in calls)
     assert not any(call.keywords for call in calls)
-    reads = [
-        node for node in ast.walk(transfer)
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "field"
-    ]
-    uses = [node for node in ast.walk(transfer) if isinstance(node, ast.Name) and node.id == "field"]
-    assert len(uses) == len(reads) and {node.attr for node in reads} == {"order"}
     reached = _reached(functions, "_transfer")
+    assert "field" not in reached
     assert not [name for name in reached if name.endswith("_table")]
     kernel = {"gram_kernel", "gram_of", "rank_of", "class_of", "_step_grams", "_generators"}
-    # FiniteField is _transfer's annotation of its cache key
-    assert reached & (kernel | _module_names("algebra.py")) == {"FiniteField"}
-    for call in calls:
-        assert "field" not in _reached(functions, call.func.id), call.func.id
+    assert reached & (kernel | _module_names("algebra.py")) == set()
 
 
 def test_the_generators_reach_only_the_matrix_and_field_types_of_algebra():
@@ -673,10 +666,10 @@ def _identifiers(tree: ast.AST) -> set[str]:
     return found
 
 
-def test_the_oracle_makes_one_kernel_call():
-    # the spectrum counts by transfer matrices over Gram classes; no key
-    # builder, walk, block machinery, memo cap or column DP with its packed
-    # Gram keys is left in any module
+def test_the_oracle_has_one_engine_and_no_kernel_call():
+    # the spectrum counts by the class moves of T_d; no key builder, walk,
+    # block machinery, memo cap or column DP with its packed Gram keys is
+    # left in any module
     gone = {"lead", "key_of", "digits", "walk", "block_tally", "stepper", "runs"}
     assert _identifiers(TREES["oracle.py"]) & gone == set()
     assert _identifiers(TREES["algebra.py"]) & gone == set()
@@ -691,14 +684,55 @@ def test_the_oracle_makes_one_kernel_call():
     for module in ("algebra.py", "oracle.py"):
         assert {"environ", "getenv"} & _names(TREES[module]) == set(), module
     # one engine entry, and no kernel call: the form errors are the
-    # spectrum's own named checks
+    # spectrum's own named checks, and the spectrum reaches the move lists
+    # only through _gram_classes
     spectrum = _function("oracle.py", "hull_spectrum")
     calls = [
         node.func.id for node in ast.walk(spectrum)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     ]
-    assert calls.count("gram_kernel") == 0 and calls.count("_transfer") == 1
+    assert calls.count("gram_kernel") == 0 and calls.count("_gram_classes") == 1
+    assert "_transfer" not in _names(spectrum)
+    callers = [
+        func.name for func in ast.walk(TREES["oracle.py"])
+        if isinstance(func, ast.FunctionDef) and _calls(func, "_transfer")
+    ]
+    assert callers == ["_gram_classes"]
     assert "gram_kernel" not in _names(TREES["oracle.py"])
+    # T_d is its move list alone: no function in the oracle or its tests
+    # binds class labels, an index of them or a dense table (or its power)
+    oracle_tests = ast.parse((Path(__file__).parent / "test_oracle.py").read_text())
+    dense = {"labels", "table", "index", "power"}
+    for tree in (TREES["oracle.py"], oracle_tests):
+        assert _bound_names(tree) & dense == set()
+
+
+def _bound_names(node: ast.AST) -> set[str]:
+    """The locals and arguments the functions in node bind, with the names
+    of the functions and classes defined inside them."""
+    found = set()
+    for func in ast.walk(node):
+        if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
+            continue
+        for sub in ast.walk(func):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                found.add(sub.id)
+            elif isinstance(sub, ast.arg):
+                found.add(sub.arg)
+            elif isinstance(sub, (ast.FunctionDef, ast.ClassDef)) and sub is not func:
+                found.add(sub.name)
+    return found
+
+
+def test_no_local_shadows_a_function_or_class_of_its_module():
+    # _reached follows names, not bindings, so a local that shares a
+    # module function's name would count as a call of it (a local `gram`
+    # in hull_dim makes it reach gram() and so gram_kernel); the rules
+    # that follow calls are sound only while no local shadows a function
+    for module in ("algebra.py", "oracle.py", "eaqecc.py"):
+        tree = TREES[module]
+        top = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert _bound_names(tree) & top == set(), module
 
 
 def test_the_work_limit_has_one_check():
